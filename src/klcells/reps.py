@@ -228,7 +228,12 @@ class Decomposition:
 
 
 def _group_matrices(n: int, a_s: IntMatrix, a_t: IntMatrix) -> dict[GroupElement, IntMatrix]:
-    """Matrices of the group elements themselves, built along reduced words."""
+    """Matrices of the group elements themselves, built along reduced words.
+
+    rho(w) is rho(prefix) times the matrix of w's last letter, where the
+    prefix drops that letter; all_elements is ordered by length, so the
+    prefix is always built first and each element costs one product.
+    """
     group = dihedral_group(n)
     r = len(a_s)
     ident = identity_matrix(r)
@@ -236,14 +241,12 @@ def _group_matrices(n: int, a_s: IntMatrix, a_t: IntMatrix) -> dict[GroupElement
     t_mat = mat_sub(a_t, ident)
     gen = {"s": s_mat, "t": t_mat}
     out: dict[GroupElement, IntMatrix] = {group.identity(): ident}
-    for w in group.all_elements():
-        if w.length == 0:
-            continue
-        word = w.word()
-        m = gen[word[0]]
-        for letter in word[1:]:
-            m = mat_mul(m, gen[letter])
-        out[w] = m
+    for w in group.all_elements()[1:]:
+        if w.length == 1:
+            out[w] = gen[w.leading]
+        else:
+            prefix = group.element(w.length - 1, w.leading)
+            out[w] = mat_mul(out[prefix], gen[w.trailing()])
     return out
 
 

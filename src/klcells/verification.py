@@ -2,11 +2,12 @@
 
 Every check re-derives its expected values independently of the code under
 test wherever possible: A1 multiplies KL basis elements through the group
-ring instead of trusting the recursion, A2 rebuilds the cell partition from
-its closed form, A6 and A10 pin exact integer polynomials, and A8/A9/A11
-compare classification output against canonical keys of explicitly written
-matrices.  A check failure therefore means a substantive disagreement, not
-a stale snapshot.
+ring instead of trusting the recursion, A2 rebuilds the cell partition and
+its preorders from the structure constants and compares them with the
+closed form that compute_cells returns, A6 and A10 pin exact integer
+polynomials, and A8/A9/A11 compare classification output against canonical
+keys of explicitly written matrices.  A check failure therefore means a
+substantive disagreement, not a stale snapshot.
 
 Checks accept a mode: "full" runs the stated parameter ranges and enforces
 the stated runtime bounds, "quick" and "paper" cap sweeps at n <= 6 and skip
@@ -30,9 +31,9 @@ from .algebra import (
     kl_to_group,
     structure_constants,
 )
-from .cells import cell_module, compute_cells, is_strongly_regular
+from .cells import CellPartition, cell_module, compute_cells, is_strongly_regular
 from .classify import canonicalize, classify
-from .dihedral import dihedral_group
+from .dihedral import dihedral_group, display_key
 from .exact import (
     bareiss_det,
     char_poly,
@@ -115,36 +116,69 @@ def _check_a1(mode: str) -> tuple[bool, str]:
     return True, f"{pairs} KL products agree with group-ring convolution for n=3..{top}"
 
 
-# -- A2: cells match the closed form; strong regularity at n=4 --------------
+# -- A2: cells re-derived from the table; strong regularity at n=4 -------------
+
+
+def _close(reach: dict) -> bool:
+    """Transitively close in place (Warshall); return whether anything was added."""
+    added = False
+    for mid in reach:
+        for a in reach:
+            if mid in reach[a] and not reach[mid] <= reach[a]:
+                reach[a] |= reach[mid]
+                added = True
+    return added
+
+
+def _cells_from_reach(elements, reach: dict) -> tuple[tuple, frozenset]:
+    seen: dict = {}
+    for w in elements:
+        members = frozenset(v for v in elements if v in reach[w] and w in reach[v])
+        seen.setdefault(members, None)
+    cells = sorted(
+        (tuple(sorted(c, key=display_key)) for c in seen),
+        key=lambda c: display_key(c[0]),
+    )
+    leq = frozenset(
+        (i, j)
+        for i, ci in enumerate(cells)
+        for j, cj in enumerate(cells)
+        if cj[0] in reach[ci[0]]
+    )
+    return tuple(cells), leq
+
+
+def _cells_from_table(n: int) -> CellPartition:
+    """The cell partition derived from the structure-constant table.
+
+    Because all structure constants are nonnegative, composing two one-step
+    relations never cancels a term, so the one-sided relations must already
+    be transitive; a closure that adds anything raises ValueError.
+    """
+    elements = dihedral_group(n).all_elements()
+    left_reach: dict = {w: set() for w in elements}
+    right_reach: dict = {w: set() for w in elements}
+    for (u, w), product in structure_constants(n).entries.items():
+        right_reach[u].update(product)
+        left_reach[w].update(product)
+    if _close(left_reach) or _close(right_reach):
+        raise ValueError(f"the one-sided cell preorders at n={n} are not transitive")
+    both_reach = {w: left_reach[w] | right_reach[w] for w in elements}
+    _close(both_reach)
+    left_cells, left_leq = _cells_from_reach(elements, left_reach)
+    right_cells, right_leq = _cells_from_reach(elements, right_reach)
+    two_sided, j_leq = _cells_from_reach(elements, both_reach)
+    return CellPartition(n, left_cells, right_cells, two_sided, left_leq, right_leq, j_leq)
 
 
 def _check_a2(mode: str) -> tuple[bool, str]:
     top = _sweep_top(mode, 12)
     for n in range(3, top + 1):
-        group = dihedral_group(n)
+        derived = _cells_from_table(n)
         partition = compute_cells(n)
-        e = group.identity()
-        w0 = group.longest_element()
-        middle = [w for w in group.all_elements() if 0 < w.length < n]
-        expect_left = {
-            frozenset({e}),
-            frozenset({w0}),
-            frozenset(w for w in middle if w.trailing() == "s"),
-            frozenset(w for w in middle if w.trailing() == "t"),
-        }
-        expect_right = {
-            frozenset({e}),
-            frozenset({w0}),
-            frozenset(w for w in middle if w.leading == "s"),
-            frozenset(w for w in middle if w.leading == "t"),
-        }
-        expect_two = {frozenset({e}), frozenset({w0}), frozenset(middle)}
-        if {frozenset(c) for c in partition.left_cells} != expect_left:
-            return False, f"left cells differ from the closed form at n={n}"
-        if {frozenset(c) for c in partition.right_cells} != expect_right:
-            return False, f"right cells differ from the closed form at n={n}"
-        if {frozenset(c) for c in partition.two_sided_cells} != expect_two:
-            return False, f"two-sided cells differ from the closed form at n={n}"
+        for field in ("left_cells", "right_cells", "two_sided_cells", "left_leq", "right_leq", "j_leq"):
+            if getattr(partition, field) != getattr(derived, field):
+                return False, f"{field} differ from the structure-constant derivation at n={n}"
     partition4 = compute_cells(4)
     j2 = is_strongly_regular(partition4, "J2")
     if j2.holds:
@@ -155,8 +189,9 @@ def _check_a2(mode: str) -> tuple[bool, str]:
         if not is_strongly_regular(partition4, name).holds:
             return False, f"{name} at n=4 must be strongly regular"
     return True, (
-        f"cell partitions match the closed form for n=3..{top}; at n=4 "
-        f"J2 fails strong regularity with witness {j2.witness} and J1, J3 hold"
+        f"cells and cell preorders derived from the structure constants match the "
+        f"closed form for n=3..{top}; at n=4 J2 fails strong regularity with witness "
+        f"{j2.witness} and J1, J3 hold"
     )
 
 

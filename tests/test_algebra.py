@@ -121,20 +121,46 @@ def test_left_generator_rule_cases():
         kl_left_multiply_generator("x", text("e"))
 
 
+def convolution(group, u, w):
+    """b(u) b(w) in the group basis: expand both factors and convolve."""
+    product: dict = {}
+    for a, ca in kl_to_group(kl_basis_element(u)).as_dict().items():
+        for b, cb in kl_to_group(kl_basis_element(w)).as_dict().items():
+            ab = group.multiply(a, b)
+            product[ab] = product.get(ab, 0) + ca * cb
+    return {v: c for v, c in product.items() if c != 0}
+
+
 def test_multiply_via_group_algebra_oracle():
     # independent route: expand both factors, convolve in the group, convert back
     for n in (3, 4, 5):
         group = dihedral_group(n)
         for u in group.all_elements():
             for w in group.all_elements():
-                expected: dict = {}
-                for a, ca in kl_to_group(kl_basis_element(u)).as_dict().items():
-                    for b, cb in kl_to_group(kl_basis_element(w)).as_dict().items():
-                        ab = group.multiply(a, b)
-                        expected[ab] = expected.get(ab, 0) + ca * cb
-                expected = {v: c for v, c in expected.items() if c != 0}
                 direct = kl_to_group(kl_multiply(u, w)).as_dict()
-                assert direct == expected
+                assert direct == convolution(group, u, w)
+
+
+def test_multiply_at_n40_reads_the_table():
+    # one product at n=40 is a lookup in the bottom-up table, not a fresh
+    # recursion that is exponential in the length of the left factor
+    group = dihedral_group(40)
+    u = group.element(37, "s")
+    w = group.element(20, "t")
+    product = kl_multiply(u, w)
+    assert product.as_dict() == structure_constants(40).product(u, w)
+    assert kl_to_group(product).as_dict() == convolution(group, u, w)
+
+
+def test_kl_multiply_elements_returns_a_copy():
+    group = dihedral_group(5)
+    s, ts = group.element_from_text("s"), group.element_from_text("ts")
+    before = dict(structure_constants(5).product(s, ts))
+    product = kl_multiply_elements(s, ts)
+    assert product == before
+    product[s] = 99
+    product.clear()
+    assert structure_constants(5).product(s, ts) == before
 
 
 def test_absorption_by_longest_element():

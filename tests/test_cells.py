@@ -247,6 +247,21 @@ def test_right_cell_module_transport():
                         assert right_mat[i][j] == left_mat[sigma[i]][sigma[j]]
 
 
+def test_right_cell_module_matches_right_products():
+    # entry [i][j] of matrices[u] is the coefficient of basis element i in
+    # b(basis element j) b(u), read straight from the table
+    for n in (3, 4, 5, 6):
+        table = structure_constants(n)
+        for name in ("Re", "Rs", "Rt", "Rw0"):
+            module = right_cell_module(n, name)
+            for u, matrix in module.matrices.items():
+                expected = tuple(
+                    tuple(table.product(b, u).get(v, 0) for b in module.cell)
+                    for v in module.cell
+                )
+                assert matrix == expected
+
+
 def test_right_cell_module_frozen_rs_n4():
     module = right_cell_module(4, "Rs")
     assert [render(w) for w in module.cell] == ["s", "st", "sts"]

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from klcells.algebra import structure_constants
 from klcells.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_OK,
@@ -11,6 +12,7 @@ from klcells.cli import (
     EXIT_USAGE,
     main,
 )
+from klcells.dihedral import dihedral_group, render
 
 
 def run(capsys, *argv):
@@ -112,6 +114,17 @@ def test_klmult_json(capsys):
     assert code == EXIT_OK
     obj = json.loads(out)
     assert obj == {"n": 4, "basis": "KL", "coeffs": {"t": 1, "tst": 1}}
+
+
+def test_klmult_n40_matches_the_table(capsys):
+    group = dihedral_group(40)
+    u, w = "st" * 18 + "s", "ts" * 10
+    code, out, _ = run(capsys, "klmult", "--n", "40", "--format", "json", u, w)
+    assert code == EXIT_OK
+    expected = structure_constants(40).product(
+        group.element_from_text(u), group.element_from_text(w)
+    )
+    assert json.loads(out)["coeffs"] == {render(v): c for v, c in expected.items()}
 
 
 def test_klmult_bad_word(capsys):

@@ -8,7 +8,7 @@ import pytest
 from klcells.algebra import kl_regular_matrices
 from klcells.cells import cell_module
 from klcells.dihedral import dihedral_group
-from klcells.exact import block_matrix, identity_matrix, mat_mul, zero_matrix
+from klcells.exact import block_matrix, identity_matrix, mat_mul, mat_sub, zero_matrix
 from klcells.reps import (
     Decomposition,
     NotAModuleError,
@@ -21,6 +21,7 @@ from klcells.reps import (
     module_dim,
     simple_name,
     simples,
+    _group_matrices,
 )
 
 
@@ -243,3 +244,21 @@ def test_decomposition_render_and_json():
     empty = Decomposition(4, ())
     assert empty.render() == "0"
     assert empty.total_dim() == 0
+
+
+def test_group_matrices_match_word_products():
+    # rho(w) built from its prefix equals the product over w's whole word
+    for n in range(3, 13):
+        group = dihedral_group(n)
+        pairs = [cell_module(n, name).generator_pair() for name in ("Le", "Ls", "Lt", "Lw0")]
+        pairs.append(kl_regular_matrices(n))
+        for a_s, a_t in pairs:
+            ident = identity_matrix(len(a_s))
+            gen = {"s": mat_sub(a_s, ident), "t": mat_sub(a_t, ident)}
+            rho = _group_matrices(n, a_s, a_t)
+            assert set(rho) == set(group.all_elements())
+            for w in group.all_elements():
+                product = ident
+                for letter in w.word():
+                    product = mat_mul(product, gen[letter])
+                assert rho[w] == product

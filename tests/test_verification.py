@@ -1,7 +1,10 @@
 """The check registry itself: ids, suites, and failure capture."""
 
+import dataclasses
+
 import pytest
 
+from klcells import verification
 from klcells.verification import ALL_CHECK_IDS, SUITES, run_check, run_suite
 
 
@@ -38,3 +41,16 @@ def test_paper_suite_passes():
     results = run_suite("paper")
     assert [r.check_id for r in results] == list(SUITES["paper"])
     assert all(r.passed for r in results)
+
+
+def test_a2_catches_a_corrupted_preorder(monkeypatch):
+    real = verification.compute_cells
+
+    def corrupted(n):
+        partition = real(n)
+        return dataclasses.replace(partition, left_leq=partition.left_leq - {(0, 3)})
+
+    monkeypatch.setattr(verification, "compute_cells", corrupted)
+    result = run_check("A2", mode="full")
+    assert not result.passed
+    assert "left_leq" in result.detail
