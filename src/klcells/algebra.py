@@ -15,9 +15,11 @@ integer coefficients.  They are computed by one route: a recursion on the
 length of the left factor, seeded by the four-case rule for multiplication
 by b(s) and b(t) (double when the generator already leads the word,
 concatenate for the identity and the opposite generator, and otherwise split
-as b(xw) + b(yw) for the two generators x, y).  ``structure_constants``
-evaluates it bottom-up for every pair at once and ``kl_multiply`` reads that
-table.
+as b(xw) + b(yw) for the two generators x, y).  The recursion never changes
+the right factor, so it is evaluated one column {u: b(u) b(w)} at a time:
+``structure_constants`` assembles the cached table of all 4n^2 products from
+the 2n columns and ``kl_multiply`` reads that table, while a cell module
+computes only the columns of its own basis.
 
 The independent route, plain convolution in the group basis followed by
 conversion back, lives in the checks: verification check A1 compares every
@@ -272,47 +274,57 @@ class StructureConstantTable:
         return self.entries[(u, w)]
 
 
+def _kl_column(group: DihedralGroup, w: GroupElement) -> dict[GroupElement, CoeffDict]:
+    """{u: b(u) b(w) for every u}, checked positive.
+
+    The recursion runs bottom-up in the length of the left factor and stays
+    inside the column, so each entry costs a constant number of dictionary
+    merges.  For l(u) >= 3 with leading letter x and u = x u', the generator
+    rule gives b(x) b(u') = b(u) + b(u'') where u'' is the alternating word
+    of length l(u) - 2 that also leads with x, so b(u) b(w) = b(x) (b(u')
+    b(w)) - b(u'') b(w); for l(u) = 2, b(u) = b(x) b(y) with y the other
+    letter.
+    """
+    column: dict[GroupElement, CoeffDict] = {}
+    # all_elements is ordered by length, so u' and u'' are always done first.
+    for u in group.all_elements():
+        if u.length == 0:
+            result: CoeffDict = {w: 1}
+        elif u.length == 1:
+            result = _kl_left_gen_dict(group, u.leading, w)
+        elif u.length == 2:
+            inner = column[group.generator(other_letter(u.leading))]
+            result = _apply_left_generator(group, u.leading, inner)
+        else:
+            u_prime = group.element(u.length - 1, other_letter(u.leading))
+            u_second = group.element(u.length - 2, u.leading)
+            result = _apply_left_generator(group, u.leading, column[u_prime])
+            for v, c in column[u_second].items():
+                new = result.get(v, 0) - c
+                if new:
+                    result[v] = new
+                else:
+                    result.pop(v, None)
+        assert all(c > 0 for c in result.values()), "KL structure constants must be positive"
+        column[u] = result
+    return column
+
+
 @functools.lru_cache(maxsize=None)
 def structure_constants(n: int) -> StructureConstantTable:
     """Compute (and cache) the full KL structure-constant table for D_n.
 
-    The recursion is evaluated bottom-up in the length of the left factor so
-    each entry costs a constant number of dictionary merges.  For l(u) >= 3
-    with leading letter x and u = x u', the generator rule gives
-    b(x) b(u') = b(u) + b(u'') where u'' is the alternating word of length
-    l(u) - 2 that also leads with x, so b(u) b(w) = b(x) (b(u') b(w)) -
-    b(u'') b(w); for l(u) = 2, b(u) = b(x) b(y) with y the other letter.
+    The table is assembled from the columns {u: b(u) b(w)}, one per right
+    factor w, each computed by the bottom-up recursion of ``_kl_column``.
+    Callers that need only a few columns (a cell module) compute those
+    columns directly instead.
     """
     group = dihedral_group(n)
     elements = group.all_elements()
-    by_length: dict[tuple[int, str | None], GroupElement] = {
-        (w.length, w.leading): w for w in elements
-    }
-    entries: dict[tuple[GroupElement, GroupElement], CoeffDict] = {}
-    for u in sorted(elements, key=lambda w: w.length):
-        for w in elements:
-            if u.length == 0:
-                result: CoeffDict = {w: 1}
-            elif u.length == 1:
-                result = _kl_left_gen_dict(group, u.leading, w)
-            elif u.length == 2:
-                inner = entries[(group.generator(other_letter(u.leading)), w)]
-                result = _apply_left_generator(group, u.leading, inner)
-            else:
-                u_prime = by_length[(u.length - 1, other_letter(u.leading))]
-                u_second = by_length[(u.length - 2, u.leading)]
-                result = _apply_left_generator(group, u.leading, dict(entries[(u_prime, w)]))
-                for v, c in entries[(u_second, w)].items():
-                    new = result.get(v, 0) - c
-                    if new:
-                        result[v] = new
-                    else:
-                        result.pop(v, None)
-            assert all(c > 0 for c in result.values()), (
-                "KL structure constants must be positive"
-            )
-            entries[(u, w)] = result
-    return StructureConstantTable(n, entries)
+    columns = {w: _kl_column(group, w) for w in elements}
+    return StructureConstantTable(
+        n, {(u, w): columns[w][u] for u in elements for w in elements}
+    )
 
 
 def kl_regular_matrices(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:

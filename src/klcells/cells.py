@@ -17,9 +17,12 @@ Verification check A2 re-derives the cells and preorders from the structure
 constants for n <= 12 and compares them with this closed form.
 
 A left cell L carries a module: act by b(u) in the KL basis and keep only
-the coefficients of basis elements inside L.  Every discarded term is
-checked to lie strictly above L in the left preorder, which is what makes
-the truncation a quotient of modules rather than an arbitrary projection.
+the coefficients of basis elements inside L.  The products b(u) b(w) for w
+in L are exactly the KL columns of the basis elements, so cell_module
+computes those columns and nothing else of the structure-constant table.
+Every discarded term is checked to lie strictly above L in the left
+preorder, which is what makes the truncation a quotient of modules rather
+than an arbitrary projection.
 The basis of L is ordered by (leading letter, length) with s before t; for
 n = 4 this is (s, sts, ts), the order in which the standard matrices for
 the generators are triangular-looking blocks.  The module of a right cell R
@@ -32,7 +35,8 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import structure_constants
+# structure_constants is unused here but stays bound: perfbench/tracing.py wraps this name.
+from .algebra import _kl_column, structure_constants
 from .dihedral import GroupElement, dihedral_group, display_key, render
 from .exact import IntMatrix
 
@@ -267,15 +271,15 @@ def cell_module(n: int, cell) -> CellModule:
     basis = tuple(sorted(resolved, key=_basis_key))
     index = {w: i for i, w in enumerate(basis)}
     in_cell = set(basis)
-    table = structure_constants(n)
     left_index = {w: i for i, c in enumerate(partition.left_cells) for w in c}
     group = dihedral_group(n)
+    columns = [_kl_column(group, b) for b in basis]
 
     matrices: dict[GroupElement, IntMatrix] = {}
     for u in group.all_elements():
         rows = [[0] * len(basis) for _ in basis]
         for j, b in enumerate(basis):
-            for v, c in table.product(u, b).items():
+            for v, c in columns[j][u].items():
                 if v in in_cell:
                     rows[index[v]][j] = c
                 else:

@@ -49,7 +49,7 @@ from importlib import resources
 from typing import Iterable, Iterator, Sequence
 
 from .cells import cell_module, compute_cells, left_cell_name
-from .exact import IntMatrix, mat_add
+from .exact import IntMatrix, mat_add, mat_mul, mat_scale
 from .nimrep import (
     ExtendedRep,
     ExtensionFailure,
@@ -447,11 +447,7 @@ def _f1_matrices(rank: int, bound: int) -> tuple[IntMatrix, ...]:
     found = []
     for flat in itertools.product(range(bound + 1), repeat=rank * rank):
         m = tuple(tuple(flat[i * rank + j] for j in range(rank)) for i in range(rank))
-        square = tuple(
-            tuple(sum(m[i][x] * m[x][j] for x in range(rank)) for j in range(rank))
-            for i in range(rank)
-        )
-        if square == tuple(tuple(2 * v for v in row) for row in m):
+        if mat_mul(m, m) == mat_scale(2, m):
             found.append(m)
     return tuple(found)
 

@@ -5,7 +5,7 @@ integers (with short excursions into fractions.Fraction where a remainder
 sequence needs division).  Floating point never enters: determinants use the
 Bareiss fraction-free elimination, characteristic polynomials use the
 Faddeev-LeVerrier recurrence (whose divisions are exact for integer input),
-and polynomial division/square roots assert exactness instead of rounding.
+and polynomial gcds run over the rationals.
 
 Matrices are immutable tuples of tuples of ints, polynomials are tuples of
 int coefficients in ascending degree order, trimmed of trailing zeros (the
@@ -46,9 +46,7 @@ __all__ = [
     "poly_eval_float",
     "poly_eval_matrix",
     "poly_derivative",
-    "poly_div_exact",
     "poly_gcd",
-    "poly_sqrt_monic",
     "render_poly",
 ]
 
@@ -278,30 +276,6 @@ def poly_derivative(p: Sequence[int]) -> IntPoly:
     return poly_trim([i * c for i, c in enumerate(p)][1:])
 
 
-def poly_div_exact(p: Sequence[int], d: Sequence[int]) -> IntPoly:
-    """Quotient p/d for a monic divisor, raising if the division has remainder."""
-    p = poly_trim(p)
-    d = poly_trim(d)
-    if not d or d[-1] != 1:
-        raise ValueError("exact division requires a monic divisor")
-    if not p:
-        return ()
-    if len(p) < len(d):
-        raise ValueError("division is not exact: degree of dividend too small")
-    k = len(d) - 1
-    work = list(p)
-    out = [0] * (len(p) - k)
-    for i in range(len(out) - 1, -1, -1):
-        coef = work[i + k]
-        out[i] = coef
-        if coef:
-            for j in range(k + 1):
-                work[i + j] -= coef * d[j]
-    if any(work[:k]):
-        raise ValueError("division is not exact")
-    return poly_trim(out)
-
-
 def _fraction_poly_mod(
     a: list[Fraction], b: list[Fraction]
 ) -> list[Fraction]:
@@ -335,32 +309,6 @@ def poly_gcd(p: Sequence[int], q: Sequence[int]) -> IntPoly:
     if ints[-1] < 0:
         ints = [-c for c in ints]
     return tuple(ints)
-
-
-def poly_sqrt_monic(p: Sequence[int]) -> IntPoly:
-    """The monic integer square root of a monic perfect square polynomial."""
-    p = poly_trim(p)
-    if not p or p[-1] != 1 or (len(p) - 1) % 2 != 0:
-        raise ValueError("polynomial square root requires a monic even-degree input")
-    half = (len(p) - 1) // 2
-    q = [0] * (half + 1)
-    q[half] = 1
-    for i in range(half - 1, -1, -1):
-        # Coefficient of x^(half+i) in q*q is 2*q_i + sum of inner products.
-        inner = sum(
-            q[a] * q[half + i - a]
-            for a in range(i + 1, half)
-            if 0 <= half + i - a < half
-        )
-        num = p[half + i] - inner
-        quotient, rem = divmod(num, 2)
-        if rem:
-            raise ValueError("polynomial is not a perfect square")
-        q[i] = quotient
-    result = poly_trim(q)
-    if poly_mul(result, result) != p:
-        raise ValueError("polynomial is not a perfect square")
-    return result
 
 
 def render_poly(p: Sequence[int], var: str = "x") -> str:

@@ -35,11 +35,14 @@ The named filters on candidates:
 
 Separately, every two-sided cell J carries an integer polynomial that must
 kill Q = A_s + A_t for any candidate whose support sits inside the cells
-up to J.  The two-dimensional factor product P(x) is extracted exactly
-from the regular representation: the characteristic polynomial of b(s)+b(t)
-on the KL basis of Z[D_n] equals x (x-4) (x-2)^{2e} P(x)^2 with e = 1 for
-even n and 0 otherwise, so exact division and an integer polynomial square
-root recover P without ever leaving Z[x].
+up to J.  Its two-dimensional part is P(x) = prod_k (y - 2cos(2k pi/n)) over
+k = 1..m, m = floor((n-1)/2), with y = x^2 - 4x + 2: one quadratic factor per
+two-dimensional simple module.  That product is a Chebyshev polynomial in y,
+S_m(y) for even n and S_m(y) + S_{m-1}(y) for odd n, where S_0 = 1, S_1 = y
+and S_{k+1} = y S_k - S_{k-1}, so P is built in Z[x] by that recursion.
+Verification check A6 compares it with the regular representation, whose
+b(s) + b(t) has characteristic polynomial x (x-4) (x-2)^{2e} P(x)^2, e = 1
+for even n and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .algebra import kl_regular_matrices
 from .dihedral import GroupElement, dihedral_group, display_key, other_letter, render
 from .exact import (
     IntMatrix,
@@ -61,15 +63,16 @@ from .exact import (
     is_zero_matrix,
     mat_add,
     mat_mul,
+    mat_scale,
     mat_sub,
+    poly_add,
     poly_degree,
     poly_derivative,
-    poly_div_exact,
     poly_eval_float,
     poly_eval_matrix,
     poly_gcd,
     poly_mul,
-    poly_sqrt_monic,
+    poly_sub,
 )
 from .reps import check_module_relations
 
@@ -238,21 +241,24 @@ def extend(pair: MatrixPair) -> ExtendedRep | ExtensionFailure:
 def check_idempotent(pair: MatrixPair) -> FilterReport:
     """F1: both generator matrices satisfy A^2 = 2A."""
     for name, m in (("A_s", pair.theta_s), ("A_t", pair.theta_t)):
-        doubled = tuple(tuple(2 * v for v in row) for row in m)
-        if mat_mul(m, m) != doubled:
+        if mat_mul(m, m) != mat_scale(2, m):
             return FilterReport("F1", False, f"{name}^2 != 2 {name}")
     return FilterReport("F1", True, None)
 
 
-def _strongly_connected(adjacency: Sequence[set[int]]) -> int | None:
-    """None when strongly connected, else a vertex missing from some orbit."""
-    r = len(adjacency)
+def _strongly_connected(q: IntMatrix) -> int | None:
+    """None when the action graph of q (edge i -> j iff q[j][i] != 0) is
+    strongly connected, else a vertex missing from some orbit of vertex 0."""
+    r = len(q)
     if r == 0:
         return None
-    reverse: list[set[int]] = [set() for _ in range(r)]
-    for i, outs in enumerate(adjacency):
-        for j in outs:
-            reverse[j].add(i)
+    adjacency: list[list[int]] = [[] for _ in range(r)]
+    reverse: list[list[int]] = [[] for _ in range(r)]
+    for j, row in enumerate(q):
+        for i, v in enumerate(row):
+            if v:
+                adjacency[i].append(j)
+                reverse[j].append(i)
     for adj in (adjacency, reverse):
         seen = {0}
         frontier = [0]
@@ -273,14 +279,7 @@ def check_transitive(pair: MatrixPair) -> FilterReport:
     The graph has an edge i -> j exactly when Q[j][i] != 0 (basis vector i
     reaches vector j under the action).
     """
-    q = mat_add(pair.theta_s, pair.theta_t)
-    r = pair.rank
-    adjacency = [set() for _ in range(r)]
-    for i in range(r):
-        for j in range(r):
-            if q[j][i] != 0:
-                adjacency[i].add(j)
-    missing = _strongly_connected(adjacency)
+    missing = _strongly_connected(mat_add(pair.theta_s, pair.theta_t))
     if missing is None:
         return FilterReport("F3", True, None)
     return FilterReport(
@@ -403,16 +402,14 @@ def apex_of(extended) -> str:
 def _two_dim_factor_product(n: int) -> IntPoly:
     """Product of the quadratic factors x^2 - 4x + (2 - 2cos(2k pi/n)), exact.
 
-    Extracted from the regular representation: char(b(s) + b(t)) equals
-    x (x-4) (x-2)^{2e} P(x)^2 with e = [n even], all over Z[x].
+    The Chebyshev recursion S_{k+1} = y S_k - S_{k-1} in y = x^2 - 4x + 2
+    gives S_m for even n and S_m + S_{m-1} for odd n, m = floor((n-1)/2).
     """
-    m_s, m_t = kl_regular_matrices(n)
-    p = char_poly(mat_add(m_s, m_t))
-    p = poly_div_exact(p, (0, 1))
-    p = poly_div_exact(p, (-4, 1))
-    if n % 2 == 0:
-        p = poly_div_exact(p, (4, -4, 1))
-    return poly_sqrt_monic(p)
+    y = (2, -4, 1)
+    previous, current = (1,), y
+    for _ in range((n - 1) // 2 - 1):
+        previous, current = current, poly_sub(poly_mul(y, current), previous)
+    return current if n % 2 == 0 else poly_add(current, previous)
 
 
 @functools.lru_cache(maxsize=None)
@@ -525,12 +522,7 @@ def perron_analysis(q: Sequence[Sequence[int]]) -> PerronAnalysis:
     if any(x < 0 for row in matrix for x in row):
         raise ValueError("perron_analysis expects a nonnegative matrix")
 
-    adjacency = [set() for _ in range(r)]
-    for i in range(r):
-        for j in range(r):
-            if matrix[j][i] != 0:
-                adjacency[i].add(j)
-    irreducible = _strongly_connected(adjacency) is None
+    irreducible = _strongly_connected(matrix) is None
 
     # Power iteration on Q + I.
     shifted = tuple(

@@ -4,10 +4,12 @@ Every check re-derives its expected values independently of the code under
 test wherever possible: A1 multiplies KL basis elements through the group
 ring instead of trusting the recursion, A2 rebuilds the cell partition and
 its preorders from the structure constants and compares them with the
-closed form that compute_cells returns, A6 and A10 pin exact integer
-polynomials, and A8/A9/A11 compare classification output against canonical
-keys of explicitly written matrices.  A check failure therefore means a
-substantive disagreement, not a stale snapshot.
+closed form that compute_cells returns, A6 compares the closed-form
+annihilators with the characteristic polynomial of the regular
+representation, A6 and A10 pin exact integer polynomials, and A8/A9/A11
+compare classification output against canonical keys of explicitly written
+matrices.  A check failure therefore means a substantive disagreement, not a
+stale snapshot.
 
 Checks accept a mode: "full" runs the stated parameter ranges and enforces
 the stated runtime bounds, "quick" and "paper" cap sweeps at n <= 6 and skip
@@ -28,6 +30,7 @@ from .algebra import (
     GroupAlgebraElement,
     group_to_kl,
     kl_basis_element,
+    kl_regular_matrices,
     kl_to_group,
     structure_constants,
 )
@@ -41,6 +44,7 @@ from .exact import (
     mat_add,
     poly_eval_float,
     poly_eval_matrix,
+    poly_mul,
     render_poly,
 )
 from .nimrep import MatrixPair, det_identity, global_annihilator, perron_analysis
@@ -270,13 +274,25 @@ def _check_a5(mode: str) -> tuple[bool, str]:
     )
 
 
-# -- A6: the J2 annihilator at n=4 --------------------------------------------
+# -- A6: the annihilators against the regular representation -------------
 
 
 def _check_a6(mode: str) -> tuple[bool, str]:
     poly = global_annihilator(4, "J2")
     if poly != (0, -4, 10, -6, 1):
         return False, f"global_annihilator(4, J2) is {render_poly(poly)}"
+    # The regular representation as the oracle for the closed form: its
+    # b(s) + b(t) has characteristic polynomial x (x-4) (x-2)^{2e} P^2, so
+    # x (x-4) times it is the square of the J3 annihilator.
+    top = _sweep_top(mode, 12)
+    for n in range(3, top + 1):
+        regular = char_poly(mat_add(*kl_regular_matrices(n)))
+        j3 = global_annihilator(n, "J3")
+        if poly_mul((0, -4, 1), regular) != poly_mul(j3, j3):
+            return False, (
+                f"at n={n} x(x-4) char(b(s)+b(t) on Z[D_n]) is not the square of "
+                f"global_annihilator({n}, J3) = {render_poly(j3)}"
+            )
     report = classify(4, ranks=(1, 2, 3), entry_bound=4)
     checked = 0
     for candidate in report.candidates:
@@ -295,8 +311,9 @@ def _check_a6(mode: str) -> tuple[bool, str]:
     if checked < 3:
         return False, f"only {checked} n=4 candidates have apex J1/J2, expected 3"
     return True, (
-        f"global_annihilator(4, J2) = {render_poly(poly)}; p(Q) = 0 exactly for all "
-        f"{checked} n=4 candidates with apex J1 or J2"
+        f"global_annihilator(4, J2) = {render_poly(poly)}; x(x-4) char(b(s)+b(t) on "
+        f"Z[D_n]) = global_annihilator(n, J3)^2 for n=3..{top}; p(Q) = 0 exactly for "
+        f"all {checked} n=4 candidates with apex J1 or J2"
     )
 
 

@@ -152,6 +152,23 @@ def test_identity_cell_module_is_trivial_truncation():
             assert matrix == ((1 if u == group.identity() else 0,),)
 
 
+def test_cell_module_is_the_truncated_table():
+    # entry [i][j] of b(u) is the coefficient of basis element i in the
+    # table product b(u) b(basis element j)
+    for n in range(3, 17):
+        table = structure_constants(n)
+        for name in ("Le", "Ls", "Lt", "Lw0"):
+            module = cell_module(n, name)
+            expected = {
+                u: tuple(
+                    tuple(table.product(u, b).get(a, 0) for b in module.cell)
+                    for a in module.cell
+                )
+                for u in dihedral_group(n).all_elements()
+            }
+            assert module.matrices == expected, (n, name)
+
+
 def test_cell_module_is_a_quotient_representation():
     # A_u A_w must match sum of structure constants pushed into the cell
     for n in (3, 4, 5):

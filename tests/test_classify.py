@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from klcells.algebra import structure_constants
 from klcells.cells import cell_module
 from klcells.classify import (
     ALL_FILTERS,
@@ -13,6 +14,7 @@ from klcells.classify import (
     TOGGLEABLE_FILTERS,
     UNKNOWN_CITATION,
     KnowledgeEntry,
+    _cell_keys,
     canonical_pair,
     canonicalize,
     classify,
@@ -268,6 +270,16 @@ def test_f7_off_admits_the_all_ones_pair():
     )
     assert ones_candidate.tag.kind == "MATRIX_ADMISSIBLE_UNREALIZED"
     assert ones_candidate.tag.detail == UNKNOWN_CITATION
+
+
+def test_cold_classify_builds_no_structure_constant_table():
+    # matching survivors against cell modules needs only the KL columns of
+    # the small cells, never the whole 4n^2 table
+    structure_constants.cache_clear()
+    _cell_keys.cache_clear()
+    report = classify(24, ranks=(1,))
+    assert [c.tag.detail for c in report.candidates] == ["Le", "Lw0"]
+    assert structure_constants.cache_info().currsize == 0
 
 
 def test_entry_bound_stability_small():

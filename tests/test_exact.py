@@ -20,13 +20,11 @@ from klcells.exact import (
     poly_add,
     poly_degree,
     poly_derivative,
-    poly_div_exact,
     poly_eval_float,
     poly_eval_int,
     poly_eval_matrix,
     poly_gcd,
     poly_mul,
-    poly_sqrt_monic,
     poly_sub,
     poly_trim,
     render_poly,
@@ -168,14 +166,6 @@ def test_poly_eval():
     assert poly_eval_matrix((2, 1), identity_matrix(2)) == ((3, 0), (0, 3))
 
 
-def test_poly_division():
-    product = poly_mul((1, 1), (2, -3, 1))
-    assert poly_div_exact(product, (2, -3, 1)) == (1, 1)
-    assert poly_div_exact(product, (1, 1)) == (2, -3, 1)
-    with pytest.raises(ValueError):
-        poly_div_exact((1, 1, 1), (1, 1))  # leaves a remainder
-
-
 def test_poly_gcd():
     # gcd((x-1)(x-2), (x-1)(x-3)) = x - 1
     assert poly_gcd((2, -3, 1), (3, -4, 1)) == (-1, 1)
@@ -183,18 +173,6 @@ def test_poly_gcd():
     assert poly_degree(poly_gcd((1, 1), (2, 1))) == 0
     # result is primitive with a positive leading coefficient
     assert poly_gcd((-4, 0, 4), (2, 2)) == (1, 1)
-
-
-def test_poly_sqrt_monic():
-    rng = random.Random(5150)
-    for _ in range(50):
-        deg = rng.randint(1, 4)
-        q = tuple(rng.randint(-4, 4) for _ in range(deg)) + (1,)
-        assert poly_sqrt_monic(poly_mul(q, q)) == q
-    with pytest.raises(ValueError):
-        poly_sqrt_monic((1, 1))  # odd degree
-    with pytest.raises(ValueError):
-        poly_sqrt_monic((1, 1, 1))  # x^2 + x + 1 is not a square
 
 
 def test_render_poly():

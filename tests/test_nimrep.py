@@ -6,7 +6,7 @@ import pytest
 
 from klcells.cells import cell_module
 from klcells.dihedral import dihedral_group, render
-from klcells.exact import is_zero_matrix, mat_add, poly_eval_matrix
+from klcells.exact import char_poly, is_zero_matrix, mat_add, poly_eval_matrix, poly_mul
 from klcells.nimrep import (
     ExtendedRep,
     ExtensionFailure,
@@ -220,6 +220,15 @@ def test_global_annihilators_kill_the_regular_module():
         m_s, m_t = kl_regular_matrices(n)
         q = mat_add(m_s, m_t)
         assert is_zero_matrix(poly_eval_matrix(global_annihilator(n, "J3"), q))
+
+
+def test_closed_form_annihilator_matches_the_regular_module():
+    # char(b(s) + b(t) on Z[D_n]) = x (x-4) (x-2)^{2e} P^2, so multiplying it
+    # by x (x-4) gives the square of the J3 annihilator x (x-4) (x-2)^e P
+    for n in range(3, 21):
+        regular = char_poly(mat_add(*kl_regular_matrices(n)))
+        j3 = global_annihilator(n, "J3")
+        assert poly_mul((0, -4, 1), regular) == poly_mul(j3, j3), n
 
 
 def test_annihilator_check_on_cell_modules():

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from klcells import verification
+from klcells.exact import poly_mul
 from klcells.verification import ALL_CHECK_IDS, SUITES, run_check, run_suite
 
 
@@ -54,3 +55,16 @@ def test_a2_catches_a_corrupted_preorder(monkeypatch):
     result = run_check("A2", mode="full")
     assert not result.passed
     assert "left_leq" in result.detail
+
+
+def test_a6_catches_a_corrupted_annihilator(monkeypatch):
+    real = verification.global_annihilator
+
+    def corrupted(n, apex):
+        poly = real(n, apex)
+        return poly_mul(poly, (1, 1)) if (n, apex) == (5, "J3") else poly
+
+    monkeypatch.setattr(verification, "global_annihilator", corrupted)
+    result = run_check("A6", mode="quick")
+    assert not result.passed
+    assert "n=5" in result.detail
