@@ -9,7 +9,22 @@ cannot split and instead contributes the four diagonal pairs built from
 (0) and (2) (their diagonal 2 is structural, like the 2I blocks, so the
 entry bound does not apply to it).  With F7 off, the space is the full
 variety of pairs of matrices satisfying A^2 = 2A with entries up to the
-bound, found by brute force.
+bound, found by brute force, and every pair goes through ``run_filters``.
+
+The block space is searched by orbits.  Reindexing within the two blocks,
+S_k x S_{r-k}, permutes the rows and columns of the k x (r-k) grid of joint
+entries (B[i][j], B'[j][i]) and changes no filter verdict, so one
+representative per orbit is judged and its verdict is charged to all
+|G|/|Stab| pairs of the orbit: ``pairs_evaluated`` and every rejection
+count are those of the raw pair-by-pair search.  The representative is the
+orbit's lexicographically least grid, so each orbit falls in exactly one
+work unit.  It is judged by ``nimrep``'s flat kernel, which skips F1 and
+F7: both hold by construction in the block space, and they are still
+reported for every survivor, whose canonical pair re-runs ``run_filters``.
+The s <-> t swap, which maps the block space of split k onto that of r-k,
+is not used to merge orbits: F4 is judged on the partial family built
+before an F2 failure, and a swapped pair can fail at the other leading
+letter.
 
 Pairs count as the same candidate when simultaneous row/column permutation
 and/or exchanging the roles of s and t carries one to the other;
@@ -39,9 +54,12 @@ states.
 
 from __future__ import annotations
 
+import bisect
+import collections
 import functools
 import itertools
 import json
+import math
 import multiprocessing
 import time
 from dataclasses import dataclass
@@ -65,6 +83,8 @@ from .nimrep import (
     check_transitive,
     extend,
     perron_analysis,
+    _first_failure,
+    _square,
 )
 from .reps import Decomposition, NotAModuleError, decompose
 
@@ -124,8 +144,7 @@ def canonical_pair(pair: MatrixPair) -> MatrixPair:
     """The representative of the pair's symmetry class used everywhere."""
     flat_s, flat_t = _canonical_flat(pair)
     r = pair.rank
-    unflatten = lambda flat: tuple(tuple(flat[i * r : (i + 1) * r]) for i in range(r))
-    return MatrixPair(n=pair.n, rank=r, theta_s=unflatten(flat_s), theta_t=unflatten(flat_t))
+    return MatrixPair(n=pair.n, rank=r, theta_s=_square(flat_s, r), theta_t=_square(flat_t, r))
 
 
 def canonicalize(pair: MatrixPair) -> bytes:
@@ -429,19 +448,6 @@ class ClassificationReport:
 # -- enumeration --------------------------------------------------------------
 
 
-def _block_pair(
-    rank: int, k: int, b_rows: Sequence[Sequence[int]], bp_rows: Sequence[Sequence[int]], n: int
-) -> MatrixPair:
-    theta_s = tuple(
-        tuple((2 if i == j else 0) for j in range(k)) + tuple(b_rows[i]) for i in range(k)
-    ) + tuple((0,) * rank for _ in range(rank - k))
-    theta_t = tuple((0,) * rank for _ in range(k)) + tuple(
-        tuple(bp_rows[i]) + tuple((2 if i == j else 0) for j in range(rank - k))
-        for i in range(rank - k)
-    )
-    return MatrixPair(n=n, rank=rank, theta_s=theta_s, theta_t=theta_t)
-
-
 def _f1_matrices(rank: int, bound: int) -> tuple[IntMatrix, ...]:
     """All matrices with entries in 0..bound satisfying A^2 = 2A (brute force)."""
     found = []
@@ -453,7 +459,11 @@ def _f1_matrices(rank: int, bound: int) -> tuple[IntMatrix, ...]:
 
 
 def _rank_units(n: int, rank: int, bound: int, block_space: bool) -> list[tuple]:
-    """Deterministic work units for one rank (shipped to workers as-is)."""
+    """Deterministic work units for one rank (shipped to workers as-is).
+
+    A block unit (k, row0) holds the orbits whose least member has B row 0
+    equal to row0; that row is sorted, so only sorted rows get a unit.
+    """
     units: list[tuple] = []
     if block_space:
         if rank == 1:
@@ -462,7 +472,7 @@ def _rank_units(n: int, rank: int, bound: int, block_space: bool) -> list[tuple]
                     units.append(("degenerate", a, b))
             return units
         for k in range(1, rank):
-            for row0 in itertools.product(range(bound + 1), repeat=rank - k):
+            for row0 in itertools.combinations_with_replacement(range(bound + 1), rank - k):
                 units.append(("block", k, row0))
         return units
     matrices = _f1_matrices(rank, bound)
@@ -471,49 +481,93 @@ def _rank_units(n: int, rank: int, bound: int, block_space: bool) -> list[tuple]
     return units
 
 
-def _unit_pairs(n: int, rank: int, bound: int, unit: tuple) -> Iterator[MatrixPair]:
-    kind = unit[0]
-    if kind == "degenerate":
+def _block_orbits(rank: int, bound: int, unit: tuple) -> Iterator[tuple[list[int], list[int], int]]:
+    """(flat A_s, flat A_t, orbit size) for each orbit of a unit.
+
+    S_k x S_{r-k} permutes the rows and columns of the k x (r-k) grid of
+    joint entries (B[i][j], B'[j][i]), coded as B[i][j] * (bound+1) +
+    B'[j][i].  The representative is the orbit's least grid, read row by
+    row: its rows are sorted, which the choice of rows as a multiset
+    (combinations with replacement) already ensures, and no column
+    permutation followed by re-sorting the rows gives a smaller grid.  The
+    orbit size is k! (r-k)! over the stabiliser: the column permutations
+    that give the grid back, times the row permutations among equal rows.
+    """
+    if unit[0] == "degenerate":
         _, a, b = unit
-        yield MatrixPair(n=n, rank=1, theta_s=((a,),), theta_t=((b,),))
+        yield [a], [b], 1
         return
-    if kind == "block":
-        _, k, row0 = unit
-        rest_b = itertools.product(
-            itertools.product(range(bound + 1), repeat=rank - k), repeat=k - 1
-        )
-        for tail in rest_b:
-            b_rows = (tuple(row0),) + tuple(tail)
-            for bp_rows in itertools.product(
-                itertools.product(range(bound + 1), repeat=k), repeat=rank - k
-            ):
-                yield _block_pair(rank, k, b_rows, bp_rows, n)
-        return
-    if kind == "pair_row":
-        _, matrices, i = unit
-        left = matrices[i]
-        for right in matrices:
-            yield MatrixPair(n=n, rank=rank, theta_s=left, theta_t=right)
-        return
-    raise AssertionError(f"unknown unit kind {kind!r}")
+    _, k, row0 = unit
+    m = rank - k
+    base = bound + 1
+    group_order = math.factorial(k) * math.factorial(m)
+    column_perms = list(itertools.permutations(range(m)))[1:]
+    rows = list(itertools.product(range(base * base), repeat=m)) if k > 1 else []
+    least = [tuple(sorted(row)) for row in rows]
+    for first in itertools.product(*([b * base + c for c in range(base)] for b in row0)):
+        # row 0 is the least row under every column permutation, so it is
+        # sorted and no other row sorts below it
+        if first != tuple(sorted(first)):
+            continue
+        start = bisect.bisect_left(rows, first)
+        pool = [row for row, low in zip(rows[start:], least[start:]) if low >= first]
+        for rest in itertools.combinations_with_replacement(pool, k - 1):
+            grid = [first, *rest]
+            stabiliser = 1
+            for perm in column_perms:
+                image = sorted(tuple(row[j] for j in perm) for row in grid)
+                if image < grid:
+                    break
+                stabiliser += image == grid
+            else:
+                for count in collections.Counter(grid).values():
+                    stabiliser *= math.factorial(count)
+                a_s = [0] * (rank * rank)
+                a_t = [0] * (rank * rank)
+                for i, row in enumerate(grid):
+                    a_s[i * rank + i] = 2
+                    for j, code in enumerate(row):
+                        a_s[i * rank + k + j], a_t[(k + j) * rank + i] = divmod(code, base)
+                for j in range(k, rank):
+                    a_t[j * rank + j] = 2
+                yield a_s, a_t, group_order // stabiliser
+
+
+def _block_verdicts(
+    n: int, rank: int, bound: int, enabled: frozenset[str], unit: tuple
+) -> Iterator[tuple[str | None, int, MatrixPair | None]]:
+    """(first failing filter, orbit size, the pair if it survives) per orbit."""
+    for a_s, a_t, weight in _block_orbits(rank, bound, unit):
+        failed = _first_failure(n, rank, a_s, a_t, enabled)
+        if failed is not None:
+            yield failed, weight, None
+        else:
+            yield None, weight, MatrixPair(n=n, rank=rank, theta_s=_square(a_s, rank), theta_t=_square(a_t, rank))
 
 
 def _evaluate_unit(payload: tuple) -> tuple[int, tuple[tuple[str, int], ...], list[tuple]]:
-    """Worker entry point: run the pipeline over one unit's pairs.
+    """Worker entry point: run the pipeline over one unit.
 
     Returns (pairs evaluated, rejection counts, survivors), where each
     survivor is (canonical key, canonical theta_s, canonical theta_t).
     Survivors are deduplicated within the unit, preserving first-seen order.
+    A block unit judges one representative per orbit with the flat kernel
+    and charges its verdict to every pair of the orbit.
     """
     n, rank, bound, enabled, unit = payload
+    if unit[0] == "pair_row":
+        _, matrices, i = unit
+        pairs = (MatrixPair(n=n, rank=rank, theta_s=matrices[i], theta_t=right) for right in matrices)
+        verdicts = ((run_filters(pair, enabled)[2], 1, pair) for pair in pairs)
+    else:
+        verdicts = _block_verdicts(n, rank, bound, frozenset(enabled), unit)
     evaluated = 0
     rejections: dict[str, int] = {}
     survivors: dict[bytes, tuple] = {}
-    for pair in _unit_pairs(n, rank, bound, unit):
-        evaluated += 1
-        _, _, failed = run_filters(pair, enabled)
+    for failed, weight, pair in verdicts:
+        evaluated += weight
         if failed is not None:
-            rejections[failed] = rejections.get(failed, 0) + 1
+            rejections[failed] = rejections.get(failed, 0) + weight
             continue
         rep = canonical_pair(pair)
         key = canonicalize(rep)

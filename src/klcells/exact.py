@@ -311,6 +311,60 @@ def poly_gcd(p: Sequence[int], q: Sequence[int]) -> IntPoly:
     return tuple(ints)
 
 
+def _sturm_chain(p: Sequence[int]) -> list[list[Fraction]]:
+    """p, p', and the negated remainders of Euclid's algorithm, over Q."""
+    chain = [[Fraction(c) for c in poly_trim(p)], [Fraction(c) for c in poly_derivative(p)]]
+    while chain[-1]:
+        chain.append([-c for c in _fraction_poly_mod(chain[-2], chain[-1])])
+    return chain[:-1]
+
+
+def _sign_changes(values: Sequence[Fraction]) -> int:
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _value(q: Sequence, x: Fraction) -> Fraction:
+    value = Fraction(0)
+    for c in reversed(q):
+        value = value * x + c
+    return value
+
+
+def _roots_above(chain: list[list[Fraction]], x: Fraction) -> int:
+    """Distinct real roots of chain[0] in (x, oo), for x not a root (Sturm)."""
+    return _sign_changes([_value(q, x) for q in chain]) - _sign_changes([q[-1] for q in chain])
+
+
+def _top_real_root_is_simple(p: Sequence[int]) -> bool:
+    """Whether the largest real root of the integer polynomial p is simple.
+
+    Exact: a Sturm chain of p over Q bisects a rational interval down to
+    one that holds that root and no other root of p, and the root is
+    multiple exactly when gcd(p, p') has a root in the same interval.
+    Raises ValueError when p has no real root.
+    """
+    p = poly_trim(p)
+    repeated = poly_gcd(p, poly_derivative(p))
+    if len(repeated) <= 1:
+        return True
+    chain = _sturm_chain(p)
+    # every root lies strictly inside (-bound, bound) (Cauchy)
+    bound = 1 + Fraction(max(abs(c) for c in p[:-1]), abs(p[-1]))
+    low, high = -bound, bound
+    if _roots_above(chain, low) == 0:
+        raise ValueError("the polynomial has no real root")
+    while _roots_above(chain, low) > 1:
+        middle = (low + high) / 2
+        while _value(p, middle) == 0:
+            middle = (middle + high) / 2
+        if _roots_above(chain, middle) >= 1:
+            low = middle
+        else:
+            high = middle
+    return _roots_above(_sturm_chain(repeated), low) == 0
+
+
 def render_poly(p: Sequence[int], var: str = "x") -> str:
     """Human-readable form, leading term first: 'x^4 - 6x^3 + 10x^2 - 4x'."""
     p = poly_trim(p)

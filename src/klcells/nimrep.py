@@ -17,6 +17,17 @@ computed and compared.
 failures: a negative entry (filter F2, with the offending element and
 position as witness) or disagreement of the two w0 routes (filter F5).
 
+One kernel runs the recursion.  It takes the generators as flat row-major
+integer lists and holds each matrix of the family as one packed integer per
+row, so a step A_x A_w' - A_w'' costs one integer operation per nonzero
+entry of A_x and the sign test one per row.  ``extend`` is a thin wrapper
+that reads the packed matrices back into the family keyed by group element
+and writes the witness.  The classification search calls the kernel through
+``_first_failure``, which gives ``run_filters``' verdict for a pair that
+satisfies F1 and F7 without building the family: F3 from the zero pattern
+of A_s + A_t, F4 from which matrices vanish as the family grows, F2 and F5
+from the recursion, and F6 from ``check_group_relations``.
+
 The named filters on candidates:
 
 * F1  both matrices satisfy A^2 = 2A,
@@ -51,7 +62,7 @@ import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .dihedral import GroupElement, dihedral_group, display_key, other_letter, render
+from .dihedral import GroupElement, dihedral_group, display_key, render
 from .exact import (
     IntMatrix,
     IntPoly,
@@ -64,15 +75,11 @@ from .exact import (
     mat_add,
     mat_mul,
     mat_scale,
-    mat_sub,
     poly_add,
-    poly_degree,
-    poly_derivative,
-    poly_eval_float,
     poly_eval_matrix,
-    poly_gcd,
     poly_mul,
     poly_sub,
+    _top_real_root_is_simple,
 )
 from .reps import check_module_relations
 
@@ -173,66 +180,149 @@ class FilterReport:
         return {"id": self.filter_id, "passed": self.passed, "witness": self.witness}
 
 
+# -- the flat extension kernel ----------------------------------------------
+#
+# The recursion runs on flat row-major generator matrices.  Every matrix of
+# the family is held as one integer per row, entry j in the bit field
+# [width*j, width*(j+1)): packing is linear, so adding rows and scaling them
+# by integers is exact whatever the signs, and a row whose entries all lie
+# strictly between -2^(width-1) and 2^(width-1) is read back without loss.
+# The width comes from an a-priori bound: with c the largest row sum of the
+# two generators, no row of a matrix of length l has absolute values summing
+# to more than (c+1)^l (induction on A_w = A_x A_w' - A_w''), so width =
+# n * bitlength(c+1) + 1 suffices up to w0.  Adding the offset that puts
+# 2^(width-1) in every field turns "some entry is negative" into "some high
+# bit is clear", one integer operation per row.
+
+
+def _kl_recursion(
+    n: int, rank: int, a_s: Sequence[int], a_t: Sequence[int], check_support: bool = False
+) -> tuple[list[list[int]], int, str | None, list[int] | None]:
+    """The KL family of a flat row-major generator pair, in packed rows.
+
+    Returns (matrices, width, outcome, negative).  ``matrices`` lists the
+    family built so far in the order e, s, t, st, ts, sts, tst, ..., then
+    w0 when the extension completes: the element of length l leading with
+    s (t) sits at index 2l - 1 (2l), w0 at 2n - 1.  ``outcome`` is None for a
+    complete family, "F2" for a negative matrix (``negative`` holds it; its
+    element is the next index, or w0 when all 2n - 1 lower matrices are
+    built), "F5" when the two routes to w0 disagree, and "F4" when
+    ``check_support`` is set, A_s or A_t is nonzero and a matrix of length
+    1..n-1 vanishes.  That is exactly when the partial family meets the
+    middle two-sided cell in a mix of zero and nonzero matrices: e and w0
+    are cells of their own, and a family whose middle cell vanishes has
+    A_s = A_t = 0, so w0 vanishes too and the support is downward closed.
+    """
+    r = rank
+    row_sums = [sum(a[i * r : (i + 1) * r]) for a in (a_s, a_t) for i in range(r)]
+    width = n * (max(row_sums) + 1).bit_length() + 1
+    offset = sum(1 << (width * j + width - 1) for j in range(r))
+    terms: list[list[tuple[tuple[int, int], ...]]] = []
+    matrices: list[list[int]] = [[1 << (width * i) for i in range(r)]]
+    for a in (a_s, a_t):
+        terms.append([tuple((l, v) for l, v in enumerate(a[i * r : (i + 1) * r]) if v) for i in range(r)])
+        matrices.append([sum(v << (width * j) for j, v in enumerate(a[i * r : (i + 1) * r])) for i in range(r)])
+    check_support = check_support and (any(a_s) or any(a_t))
+    if check_support and not (any(a_s) and any(a_t)):
+        return matrices, width, "F4", None
+
+    def product(x: int, m: list[int], back: list[int] | None) -> list[int]:
+        # A_x m - back, row by row
+        out = []
+        for i, row_terms in enumerate(terms[x]):
+            acc = -back[i] if back is not None else 0
+            for l, v in row_terms:
+                acc += v * m[l]
+            out.append(acc)
+        return out
+
+    for length in range(2, n):
+        for x in (0, 1):
+            shorter = matrices[2 * length - 2 - x]
+            back = matrices[2 * length - 5 + x] if length > 2 else None
+            a = product(x, shorter, back)
+            if any((row + offset) & offset != offset for row in a):
+                return matrices, width, "F2", a
+            matrices.append(a)
+            if check_support and not any(a):
+                return matrices, width, "F4", None
+    via_s = product(0, matrices[2 * n - 2], matrices[2 * n - 5])
+    via_t = product(1, matrices[2 * n - 3], matrices[2 * n - 4])
+    for route in (via_s, via_t):
+        if any((row + offset) & offset != offset for row in route):
+            return matrices, width, "F2", route
+    if via_s != via_t:
+        return matrices, width, "F5", None
+    matrices.append(via_s)
+    return matrices, width, None, None
+
+
+def _unpack(packed: Sequence[list[int]], width: int) -> list[IntMatrix]:
+    """Read packed matrices back as tuples of tuples."""
+    if not packed:
+        return []
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    shifts = range(0, width * len(packed[0]), width)
+    offset = sum(half << shift for shift in shifts)
+    return [
+        tuple(tuple(((row + offset) >> shift & mask) - half for shift in shifts) for row in m)
+        for m in packed
+    ]
+
+
+def _flatten(m: IntMatrix) -> list[int]:
+    return [v for row in m for v in row]
+
+
+def _square(flat: Sequence[int], r: int) -> IntMatrix:
+    return tuple(tuple(flat[i * r : (i + 1) * r]) for i in range(r))
+
+
+def _first_failure(n: int, rank: int, a_s: list[int], a_t: list[int], enabled: frozenset[str]) -> str | None:
+    """First failing filter of a flat pair in the order F3, F4, F2, F5, F6.
+
+    The same verdict as ``classify.run_filters`` for pairs that satisfy F1
+    and F7, which this does not test.  F3 reads the zero pattern before any
+    product, and F4 is judged on the partial family as the recursion grows.
+    """
+    if "F3" in enabled and _strongly_connected([x + y for x, y in zip(a_s, a_t)], rank) is not None:
+        return "F3"
+    _, _, outcome, _ = _kl_recursion(n, rank, a_s, a_t, check_support="F4" in enabled)
+    if outcome is not None:
+        return outcome
+    if "F6" in enabled:
+        pair = MatrixPair(n=n, rank=rank, theta_s=_square(a_s, rank), theta_t=_square(a_t, rank))
+        if not check_group_relations(pair).passed:
+            return "F6"
+    return None
+
+
 def extend(pair: MatrixPair) -> ExtendedRep | ExtensionFailure:
     """Force the whole KL family from the generator pair, or report F2/F5."""
     group = dihedral_group(pair.n)
     n = pair.n
-    family: dict[GroupElement, IntMatrix] = {
-        group.identity(): identity_matrix(pair.rank),
-        group.generator("s"): pair.theta_s,
-        group.generator("t"): pair.theta_t,
-    }
-
-    def build(length: int, leading: str) -> IntMatrix:
-        if length == 2:
-            return mat_mul(family[group.generator(leading)], family[group.generator(other_letter(leading))])
-        shorter = group.element(length - 1, other_letter(leading))
-        back = group.element(length - 2, leading)
-        return mat_sub(mat_mul(family[group.generator(leading)], family[shorter]), family[back])
-
-    for length in range(2, n):
-        for leading in ("s", "t"):
-            w = group.element(length, leading)
-            a = build(length, leading)
-            bad = first_negative_entry(a)
-            if bad is not None:
-                i, j = bad
-                return ExtensionFailure(
-                    pair=pair,
-                    filter_id="F2",
-                    element=w,
-                    witness=f"A_{render(w)}[{i}][{j}] = {a[i][j]} is negative",
-                    partial=dict(family),
-                )
-            family[w] = a
-
-    w0 = group.longest_element()
-    via_s = build(n, "s")
-    via_t = mat_sub(
-        mat_mul(family[group.generator("t")], family[group.element(n - 1, "s")]),
-        family[group.element(n - 2, "t")],
+    matrices, width, outcome, negative = _kl_recursion(
+        n, pair.rank, _flatten(pair.theta_s), _flatten(pair.theta_t)
     )
-    for route in (via_s, via_t):
-        bad = first_negative_entry(route)
-        if bad is not None:
-            i, j = bad
-            return ExtensionFailure(
-                pair=pair,
-                filter_id="F2",
-                element=w0,
-                witness=f"A_{render(w0)}[{i}][{j}] = {route[i][j]} is negative",
-                partial=dict(family),
-            )
-    if via_s != via_t:
-        return ExtensionFailure(
-            pair=pair,
-            filter_id="F5",
-            element=w0,
-            witness="the s-leading and t-leading recursions for A_w0 disagree",
-            partial=dict(family),
-        )
-    family[w0] = via_s
-    return ExtendedRep(pair=pair, family=dict(family))
+    elements = group.all_elements()  # the kernel's order
+    family: dict[GroupElement, IntMatrix] = {
+        elements[0]: identity_matrix(pair.rank),
+        elements[1]: pair.theta_s,
+        elements[2]: pair.theta_t,
+    }
+    unpacked = _unpack(matrices[3:] + ([negative] if negative is not None else []), width)
+    family.update(zip(elements[3 : len(matrices)], unpacked))
+    if outcome is None:
+        return ExtendedRep(pair=pair, family=family)
+    w = elements[len(matrices)] if outcome == "F2" else elements[-1]
+    if outcome == "F5":
+        witness = "the s-leading and t-leading recursions for A_w0 disagree"
+    else:
+        a = unpacked[-1]
+        i, j = first_negative_entry(a)
+        witness = f"A_{render(w)}[{i}][{j}] = {a[i][j]} is negative"
+    return ExtensionFailure(pair=pair, filter_id=outcome, element=w, witness=witness, partial=family)
 
 
 # -- filters ---------------------------------------------------------------
@@ -246,30 +336,33 @@ def check_idempotent(pair: MatrixPair) -> FilterReport:
     return FilterReport("F1", True, None)
 
 
-def _strongly_connected(q: IntMatrix) -> int | None:
-    """None when the action graph of q (edge i -> j iff q[j][i] != 0) is
-    strongly connected, else a vertex missing from some orbit of vertex 0."""
-    r = len(q)
+def _strongly_connected(q: Sequence[int], r: int) -> int | None:
+    """None when the action graph of the flat row-major r x r matrix q (edge
+    i -> j iff q[j][i] != 0) is strongly connected, else a vertex missing
+    from some orbit of vertex 0."""
     if r == 0:
         return None
-    adjacency: list[list[int]] = [[] for _ in range(r)]
-    reverse: list[list[int]] = [[] for _ in range(r)]
-    for j, row in enumerate(q):
-        for i, v in enumerate(row):
-            if v:
-                adjacency[i].append(j)
-                reverse[j].append(i)
-    for adj in (adjacency, reverse):
-        seen = {0}
-        frontier = [0]
+    successors = [0] * r
+    predecessors = [0] * r
+    for index, v in enumerate(q):
+        if v:
+            j, i = divmod(index, r)
+            successors[i] |= 1 << j
+            predecessors[j] |= 1 << i
+    everything = (1 << r) - 1
+    for adjacency in (successors, predecessors):
+        seen = frontier = 1
         while frontier:
-            i = frontier.pop()
-            for j in adj[i]:
-                if j not in seen:
-                    seen.add(j)
-                    frontier.append(j)
-        if len(seen) != r:
-            return min(set(range(r)) - seen)
+            reached = 0
+            while frontier:
+                low = frontier & -frontier
+                reached |= adjacency[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reached & ~seen
+            seen |= reached
+        if seen != everything:
+            missing = everything & ~seen
+            return (missing & -missing).bit_length() - 1
     return None
 
 
@@ -279,7 +372,7 @@ def check_transitive(pair: MatrixPair) -> FilterReport:
     The graph has an edge i -> j exactly when Q[j][i] != 0 (basis vector i
     reaches vector j under the action).
     """
-    missing = _strongly_connected(mat_add(pair.theta_s, pair.theta_t))
+    missing = _strongly_connected(_flatten(mat_add(pair.theta_s, pair.theta_t)), pair.rank)
     if missing is None:
         return FilterReport("F3", True, None)
     return FilterReport(
@@ -502,9 +595,11 @@ class PerronAnalysis:
 
     spectral_radius comes from power iteration on Q + I (the shift makes the
     iteration converge even for periodic matrices) to residual 1e-10.
-    top_eigenvalue_simple is decided exactly via gcd(char poly, derivative)
-    when possible, with a 1e-6 floating gate only when the gcd is a
-    nontrivial polynomial whose value at the radius must be judged.
+    top_eigenvalue_simple is decided exactly: the spectral radius of a
+    nonnegative matrix is the largest real root of its characteristic
+    polynomial p, which is simple when gcd(p, p') is constant and otherwise
+    exactly when gcd(p, p') has no root in a rational interval that Sturm
+    sequences isolate around it; the float radius plays no part.
     positive_eigenvector is present exactly when the matrix is irreducible.
     """
 
@@ -522,7 +617,7 @@ def perron_analysis(q: Sequence[Sequence[int]]) -> PerronAnalysis:
     if any(x < 0 for row in matrix for x in row):
         raise ValueError("perron_analysis expects a nonnegative matrix")
 
-    irreducible = _strongly_connected(matrix) is None
+    irreducible = _strongly_connected(_flatten(matrix), r) is None
 
     # Power iteration on Q + I.
     shifted = tuple(
@@ -548,13 +643,7 @@ def perron_analysis(q: Sequence[Sequence[int]]) -> PerronAnalysis:
         raise ArithmeticError("power iteration did not reach the 1e-10 residual")
     spectral_radius = radius - 1.0
 
-    p = char_poly(matrix)
-    repeated = poly_gcd(p, poly_derivative(p))
-    if poly_degree(repeated) <= 0:
-        simple = True
-    else:
-        scale = max(1.0, sum(abs(c) * max(1.0, spectral_radius) ** i for i, c in enumerate(repeated)))
-        simple = abs(poly_eval_float(repeated, spectral_radius)) > 1e-6 * scale
+    simple = _top_real_root_is_simple(char_poly(matrix))
     top = max(vec)
     eigenvector = tuple(x / top for x in vec) if irreducible else None
     return PerronAnalysis(

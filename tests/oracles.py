@@ -1,0 +1,131 @@
+"""Slow reference implementations that the fast paths are tested against.
+
+``extend_oracle`` is the KL recursion on tuple-of-tuples matrices, one
+``mat_mul`` per element; ``nimrep.extend`` must give the same family,
+element and witness text.  ``raw_block_pairs`` enumerates every pair of the
+F7 block space, and ``evaluate_raw_unit`` runs ``run_filters`` on each of
+them, which is the search before orbit representatives; the reports of
+``classify`` must be the same bytes.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from klcells.classify import canonical_pair, canonicalize, run_filters
+from klcells.dihedral import dihedral_group, other_letter, render
+from klcells.exact import first_negative_entry, identity_matrix, mat_mul, mat_sub
+from klcells.nimrep import ExtendedRep, ExtensionFailure, MatrixPair
+
+
+def extend_oracle(pair):
+    group = dihedral_group(pair.n)
+    n = pair.n
+    family = {
+        group.identity(): identity_matrix(pair.rank),
+        group.generator("s"): pair.theta_s,
+        group.generator("t"): pair.theta_t,
+    }
+
+    def build(length, leading):
+        if length == 2:
+            return mat_mul(family[group.generator(leading)], family[group.generator(other_letter(leading))])
+        shorter = group.element(length - 1, other_letter(leading))
+        back = group.element(length - 2, leading)
+        return mat_sub(mat_mul(family[group.generator(leading)], family[shorter]), family[back])
+
+    def negative(w, a):
+        i, j = first_negative_entry(a)
+        return ExtensionFailure(
+            pair=pair,
+            filter_id="F2",
+            element=w,
+            witness=f"A_{render(w)}[{i}][{j}] = {a[i][j]} is negative",
+            partial=dict(family),
+        )
+
+    for length in range(2, n):
+        for leading in ("s", "t"):
+            w = group.element(length, leading)
+            a = build(length, leading)
+            if first_negative_entry(a) is not None:
+                return negative(w, a)
+            family[w] = a
+    w0 = group.longest_element()
+    via_s = build(n, "s")
+    via_t = mat_sub(
+        mat_mul(family[group.generator("t")], family[group.element(n - 1, "s")]),
+        family[group.element(n - 2, "t")],
+    )
+    for route in (via_s, via_t):
+        if first_negative_entry(route) is not None:
+            return negative(w0, route)
+    if via_s != via_t:
+        return ExtensionFailure(
+            pair=pair,
+            filter_id="F5",
+            element=w0,
+            witness="the s-leading and t-leading recursions for A_w0 disagree",
+            partial=dict(family),
+        )
+    family[w0] = via_s
+    return ExtendedRep(pair=pair, family=dict(family))
+
+
+def block_pair(n, rank, k, b_rows, bp_rows):
+    theta_s = tuple(
+        tuple((2 if i == j else 0) for j in range(k)) + tuple(b_rows[i]) for i in range(k)
+    ) + tuple((0,) * rank for _ in range(rank - k))
+    theta_t = tuple((0,) * rank for _ in range(k)) + tuple(
+        tuple(bp_rows[i]) + tuple((2 if i == j else 0) for j in range(rank - k))
+        for i in range(rank - k)
+    )
+    return MatrixPair(n=n, rank=rank, theta_s=theta_s, theta_t=theta_t)
+
+
+def raw_block_units(rank, bound):
+    """The search's work units before orbits: every first row of B."""
+    if rank == 1:
+        return [("degenerate", a, b) for a in (0, 2) for b in (0, 2)]
+    return [
+        ("block", k, row0)
+        for k in range(1, rank)
+        for row0 in itertools.product(range(bound + 1), repeat=rank - k)
+    ]
+
+
+def raw_unit_pairs(n, rank, bound, unit):
+    if unit[0] == "degenerate":
+        _, a, b = unit
+        yield MatrixPair(n=n, rank=1, theta_s=((a,),), theta_t=((b,),))
+        return
+    _, k, row0 = unit
+    for tail in itertools.product(itertools.product(range(bound + 1), repeat=rank - k), repeat=k - 1):
+        b_rows = (tuple(row0),) + tuple(tail)
+        for bp_rows in itertools.product(itertools.product(range(bound + 1), repeat=k), repeat=rank - k):
+            yield block_pair(n, rank, k, b_rows, bp_rows)
+
+
+def raw_block_pairs(n, rank, bound):
+    """Every pair of the block space of one rank, in the search's old order."""
+    for unit in raw_block_units(rank, bound):
+        yield from raw_unit_pairs(n, rank, bound, unit)
+
+
+def evaluate_raw_unit(payload):
+    """Every pair of a raw unit through run_filters, as the search did."""
+    n, rank, bound, enabled, unit = payload
+    evaluated = 0
+    rejections = {}
+    survivors = {}
+    for pair in raw_unit_pairs(n, rank, bound, unit):
+        evaluated += 1
+        _, _, failed = run_filters(pair, enabled)
+        if failed is not None:
+            rejections[failed] = rejections.get(failed, 0) + 1
+            continue
+        rep = canonical_pair(pair)
+        key = canonicalize(rep)
+        if key not in survivors:
+            survivors[key] = (key, rep.theta_s, rep.theta_t)
+    return evaluated, tuple(sorted(rejections.items())), list(survivors.values())

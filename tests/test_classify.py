@@ -1,7 +1,9 @@
 """Canonical forms, the filter pipeline, and the rank-by-rank search."""
 
+import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -14,7 +16,9 @@ from klcells.classify import (
     TOGGLEABLE_FILTERS,
     UNKNOWN_CITATION,
     KnowledgeEntry,
+    _block_orbits,
     _cell_keys,
+    _rank_units,
     canonical_pair,
     canonicalize,
     classify,
@@ -26,6 +30,10 @@ from klcells.classify import (
     run_filters,
 )
 from klcells.nimrep import MatrixPair
+from oracles import evaluate_raw_unit, extend_oracle, raw_block_units
+
+# the package's ``classify`` attribute is the function; this is the module
+classify_module = sys.modules["klcells.classify"]
 
 CELL3_S = ((0, 0, 0), (0, 0, 0), (1, 1, 2))
 CELL3_T = ((2, 0, 1), (0, 2, 1), (0, 0, 0))
@@ -331,9 +339,78 @@ def test_classify_json_bytes():
 
 
 def test_classify_parallel_matches_serial():
-    serial = classify(4, ranks=(1, 2), jobs=1).to_json_bytes()
-    parallel = classify(4, ranks=(1, 2), jobs=2).to_json_bytes()
-    assert serial == parallel
+    # rank 3 and 4 have nontrivial S_k x S_{r-k} orbits, spread over units
+    for ranks, bound in (((1, 2), 4), ((1, 2, 3, 4), 2)):
+        serial = classify(4, ranks=ranks, entry_bound=bound, jobs=1).to_json_bytes()
+        parallel = classify(4, ranks=ranks, entry_bound=bound, jobs=2).to_json_bytes()
+        assert serial == parallel
+
+
+# -- orbit representatives of the block space ----------------------------------
+
+
+def block_orbits(rank, bound, k):
+    """Representatives of one split, as (joint grid, orbit size)."""
+    base = bound + 1
+    for unit in _rank_units(4, rank, bound, True):
+        if unit[1] != k:
+            continue
+        for a_s, a_t, weight in _block_orbits(rank, bound, unit):
+            grid = tuple(
+                tuple(a_s[i * rank + k + j] * base + a_t[(k + j) * rank + i] for j in range(rank - k))
+                for i in range(k)
+            )
+            yield grid, weight
+
+
+def test_orbit_weights_sum_to_the_block_space():
+    for rank in range(2, 6):
+        for bound in (1, 2):
+            for k in range(1, rank):
+                total = sum(weight for _, weight in block_orbits(rank, bound, k))
+                assert total == (bound + 1) ** (2 * k * (rank - k)), (rank, bound, k)
+
+
+def test_orbit_representatives_are_least_and_partition_the_space():
+    for rank in range(2, 5):
+        for bound in (1, 2):
+            base = bound + 1
+            for k in range(1, rank):
+                m = rank - k
+                covered = set()
+                for grid, weight in block_orbits(rank, bound, k):
+                    orbit = {
+                        tuple(tuple(grid[rows[i]][cols[j]] for j in range(m)) for i in range(k))
+                        for rows in itertools.permutations(range(k))
+                        for cols in itertools.permutations(range(m))
+                    }
+                    assert min(orbit) == grid
+                    assert len(orbit) == weight
+                    assert not orbit & covered
+                    covered |= orbit
+                assert len(covered) == base ** (2 * k * m)
+
+
+def test_degenerate_rank_one_units():
+    units = _rank_units(4, 1, 2, True)
+    items = [item for unit in units for item in _block_orbits(1, 2, unit)]
+    assert items == [([0], [0], 1), ([0], [2], 1), ([2], [0], 1), ([2], [2], 1)]
+
+
+def raw_pair_report(monkeypatch, n, ranks, bound):
+    """The report of a search over every raw pair, extended by the oracle."""
+    with monkeypatch.context() as patched:
+        patched.setattr(classify_module, "_rank_units", lambda n, rank, bound, block: raw_block_units(rank, bound))
+        patched.setattr(classify_module, "_evaluate_unit", evaluate_raw_unit)
+        patched.setattr(classify_module, "extend", extend_oracle)
+        return classify(n, ranks=ranks, entry_bound=bound).to_json_bytes()
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_reports_match_the_raw_pair_oracle(monkeypatch, n):
+    for ranks, bound in (((1, 2, 3, 4), 2), ((1, 2, 3), 4)):
+        expected = raw_pair_report(monkeypatch, n, ranks, bound)
+        assert classify(n, ranks=ranks, entry_bound=bound).to_json_bytes() == expected, (n, ranks, bound)
 
 
 def test_resource_guard():

@@ -31,6 +31,7 @@ from klcells.exact import (
     trace,
     transpose,
     zero_matrix,
+    _top_real_root_is_simple,
 )
 
 Q3 = ((2, 0, 1), (0, 2, 1), (1, 1, 2))
@@ -173,6 +174,42 @@ def test_poly_gcd():
     assert poly_degree(poly_gcd((1, 1), (2, 1))) == 0
     # result is primitive with a positive leading coefficient
     assert poly_gcd((-4, 0, 4), (2, 2)) == (1, 1)
+
+
+def test_top_real_root_is_simple():
+    def expand(*roots):
+        p = (1,)
+        for root in roots:
+            p = poly_mul(p, (-root, 1))
+        return p
+
+    assert _top_real_root_is_simple(expand(1, 2, 3))  # squarefree
+    assert not _top_real_root_is_simple(expand(1, 1))
+    assert not _top_real_root_is_simple(expand(0, 2, 2))
+    assert _top_real_root_is_simple(expand(2, 2, 3))  # the double root is lower
+    assert _top_real_root_is_simple(expand(-1, -1, 1))
+    # roots closer together than the Cauchy bound's first bisections
+    assert not _top_real_root_is_simple(poly_mul(expand(5, 5), (-1, 0, 50)))  # 5, 5, ±sqrt(1/50)
+    assert _top_real_root_is_simple(poly_mul(expand(-7, -7), (-1, 0, 0, 1)))  # top root 1 of x^3 - 1
+    # x^2 + 1 (twice) has no real root
+    with pytest.raises(ValueError):
+        _top_real_root_is_simple(poly_mul((1, 0, 1), (1, 0, 1)))
+
+
+def test_top_real_root_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(2718)
+    for _ in range(150):
+        roots = [rng.randint(-3, 3) for _ in range(rng.randint(1, 4))]
+        p = (1,)
+        for root in roots:
+            p = poly_mul(p, (-root, 1))
+        if rng.random() < 0.5:
+            p = poly_mul(p, (rng.randint(1, 5), rng.randint(-4, 4), 1))
+        real = sympy.Poly(list(reversed(p)), x).real_roots()
+        top = max(real)
+        assert _top_real_root_is_simple(p) == (real.count(top) == 1), p
 
 
 def test_render_poly():

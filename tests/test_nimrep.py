@@ -1,10 +1,13 @@
 """Extending generator pairs to the whole basis, and the matrix filters."""
 
+import itertools
 import math
+import random
 
 import pytest
 
 from klcells.cells import cell_module
+from klcells.classify import _f1_matrices, normalize_filters, run_filters
 from klcells.dihedral import dihedral_group, render
 from klcells.exact import char_poly, is_zero_matrix, mat_add, poly_eval_matrix, poly_mul
 from klcells.nimrep import (
@@ -22,8 +25,11 @@ from klcells.nimrep import (
     extend,
     global_annihilator,
     perron_analysis,
+    _first_failure,
+    _flatten,
 )
 from klcells.algebra import kl_regular_matrices
+from oracles import extend_oracle, raw_block_pairs
 
 CELL3_S = ((0, 0, 0), (0, 0, 0), (1, 1, 2))
 CELL3_T = ((2, 0, 1), (0, 2, 1), (0, 0, 0))
@@ -74,6 +80,82 @@ def test_extend_reproduces_cell_modules():
             result = extend(pair(n, *module.generator_pair()))
             assert isinstance(result, ExtendedRep)
             assert dict(result.family) == dict(module.matrices)
+
+
+def assert_same_extension(pair):
+    got, expected = extend(pair), extend_oracle(pair)
+    assert type(got) is type(expected), pair
+    if isinstance(expected, ExtendedRep):
+        assert list(got.family.items()) == list(expected.family.items()), pair
+    else:
+        assert (got.filter_id, got.element, got.witness) == (
+            expected.filter_id,
+            expected.element,
+            expected.witness,
+        ), pair
+        assert list(got.partial.items()) == list(expected.partial.items()), pair
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_extend_matches_the_tuple_oracle_on_whole_spaces(n):
+    # every block pair of rank <= 3 at E <= 2 and every pair of the F1
+    # variety at rank <= 2, E = 2: families, failing elements and witnesses
+    for rank in (1, 2, 3):
+        for bound in (1, 2):
+            for pair in raw_block_pairs(n, rank, bound):
+                assert_same_extension(pair)
+    for rank in (1, 2):
+        matrices = _f1_matrices(rank, 2)
+        for theta_s, theta_t in itertools.product(matrices, repeat=2):
+            assert_same_extension(MatrixPair(n=n, rank=rank, theta_s=theta_s, theta_t=theta_t))
+
+
+def test_extend_matches_the_tuple_oracle_on_random_pairs():
+    # arbitrary nonnegative pairs, large entries and long words: the packed
+    # rows must hold every entry the recursion reaches
+    rng = random.Random(4242)
+    for _ in range(600):
+        rank = rng.randint(1, 5)
+        n = rng.choice((3, 4, 5, 6, 9, 16, 30))
+        bound = rng.choice((1, 2, 8, 40))
+        matrices = [
+            [[rng.randint(0, bound) if rng.random() < 0.5 else 0 for _ in range(rank)] for _ in range(rank)]
+            for _ in range(2)
+        ]
+        assert_same_extension(pair(n, *matrices))
+
+
+# The kernel judges every block pair the way run_filters does.  Disabling a
+# filter can only change run_filters' verdict when that filter is the one
+# that failed, so run_filters is re-run with a filter off only for those pairs.
+BLOCK_SPACES = [(rank, 2) for rank in (1, 2, 3, 4)] + [(rank, bound) for bound in (1, 3) for rank in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_kernel_verdict_matches_run_filters(n):
+    default = normalize_filters(())
+    seen = set()
+    for rank, bound in BLOCK_SPACES:
+        for p in raw_block_pairs(n, rank, bound):
+            a_s, a_t = _flatten(p.theta_s), _flatten(p.theta_t)
+            first = run_filters(p, default)[2]
+            for off in (None, "F3", "F4", "F6"):
+                enabled = normalize_filters((off,) if off else ())
+                expected = run_filters(p, enabled)[2] if off is not None and first == off else first
+                assert _first_failure(n, rank, a_s, a_t, frozenset(enabled)) == expected, (p, off)
+                seen.add(expected)
+    assert {"F3", "F2", "F5", None} <= seen
+
+
+def test_kernel_verdict_outside_the_block_space():
+    # F4 from a vanishing generator, F6 on a pair that extends, F3 skipped
+    assert _first_failure(4, 1, [2], [0], frozenset({"F3", "F4", "F6"})) == "F4"
+    assert _first_failure(4, 1, [2], [0], frozenset({"F3", "F6"})) == "F2"
+    assert _first_failure(4, 2, [2, 1, 0, 0], [0, 0, 1, 2], frozenset({"F3", "F4", "F6"})) == "F4"
+    assert _first_failure(3, 2, [2, 1, 0, 0], [0, 0, 1, 2], frozenset({"F3", "F4", "F6"})) is None
+    assert _first_failure(4, 2, [2, 0, 0, 2], [2, 0, 0, 2], frozenset({"F3"})) == "F3"
+    assert _first_failure(3, 1, [1], [1], frozenset({"F3", "F4", "F6"})) == "F6"
+    assert _first_failure(3, 1, [1], [1], frozenset({"F3", "F4"})) is None
 
 
 def test_extend_failure_negative_entry():
@@ -279,6 +361,20 @@ def test_perron_analysis_rank3_pair():
     assert vec[0] == pytest.approx(1 / math.sqrt(2), abs=1e-6)
     assert vec[1] == pytest.approx(1 / math.sqrt(2), abs=1e-6)
     assert vec[2] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_perron_analysis_jordan_blocks():
+    # a defective top eigenvalue is double, however close the float radius is
+    jordan = perron_analysis(((1, 1), (0, 1)))
+    assert not jordan.top_eigenvalue_simple
+    nilpotent = perron_analysis(((0, 1), (0, 0)))
+    assert not nilpotent.top_eigenvalue_simple
+    scalar = perron_analysis(((2, 0), (0, 2)))
+    assert not scalar.top_eigenvalue_simple
+    assert scalar.spectral_radius == pytest.approx(2.0)
+    # a repeated eigenvalue below the radius leaves the top one simple
+    lower_double = perron_analysis(((3, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert lower_double.top_eigenvalue_simple
 
 
 def test_perron_analysis_edge_cases():
