@@ -9,22 +9,32 @@ cannot split and instead contributes the four diagonal pairs built from
 (0) and (2) (their diagonal 2 is structural, like the 2I blocks, so the
 entry bound does not apply to it).  With F7 off, the space is the full
 variety of pairs of matrices satisfying A^2 = 2A with entries up to the
-bound, found by brute force, and every pair goes through ``run_filters``.
+bound; its matrices are enumerated flat, each dropped at the first entry
+of A^2 that differs from 2A.
 
-The block space is searched by orbits.  Reindexing within the two blocks,
-S_k x S_{r-k}, permutes the rows and columns of the k x (r-k) grid of joint
-entries (B[i][j], B'[j][i]) and changes no filter verdict, so one
-representative per orbit is judged and its verdict is charged to all
-|G|/|Stab| pairs of the orbit: ``pairs_evaluated`` and every rejection
-count are those of the raw pair-by-pair search.  The representative is the
-orbit's lexicographically least grid, so each orbit falls in exactly one
-work unit.  It is judged by ``nimrep``'s flat kernel, which skips F1 and
-F7: both hold by construction in the block space, and they are still
-reported for every survivor, whose canonical pair re-runs ``run_filters``.
-The s <-> t swap, which maps the block space of split k onto that of r-k,
-is not used to merge orbits: F4 is judged on the partial family built
-before an F2 failure, and a swapped pair can fail at the other leading
-letter.
+Both spaces are searched by orbits of a group that changes no filter
+verdict, and one representative per orbit is judged and its verdict is
+charged to all |G|/|Stab| pairs of the orbit: ``pairs_evaluated`` and
+every rejection count are those of the raw pair-by-pair search.
+
+* In the block space, reindexing within the two blocks, S_k x S_{r-k},
+  permutes the rows and columns of the k x (r-k) grid of joint entries
+  (B[i][j], B'[j][i]).  The representative is the orbit's
+  lexicographically least grid, so each orbit falls in exactly one work
+  unit.
+* In the variety, S_r acts by simultaneous conjugation
+  (A_s, A_t) -> (P A_s P^-1, P A_t P^-1), which commutes with the KL
+  recursion.  A work unit is an A_s that is least in its S_r orbit, its
+  representatives are the A_t that are least under the stabiliser of A_s,
+  and a pair's weight is r! over the order of its stabiliser.
+
+Representatives are judged by ``nimrep``'s flat kernel, which skips F1 and
+F7: F1 holds by construction in both spaces, F7 in the block space (and it
+is off in the variety), and both are still reported for every survivor,
+whose canonical pair re-runs ``run_filters``.  The s <-> t swap, which
+maps the block space of split k onto that of r-k, is not used to merge
+orbits in either space: F4 is judged on the partial family built before
+an F2 failure, and a swapped pair can fail at the other leading letter.
 
 Pairs count as the same candidate when simultaneous row/column permutation
 and/or exchanging the roles of s and t carries one to the other;
@@ -61,13 +71,14 @@ import itertools
 import json
 import math
 import multiprocessing
+import operator
 import time
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Iterator, Sequence
 
 from .cells import cell_module, compute_cells, left_cell_name
-from .exact import IntMatrix, mat_add, mat_mul, mat_scale
+from .exact import IntMatrix, mat_add
 from .nimrep import (
     ExtendedRep,
     ExtensionFailure,
@@ -448,21 +459,41 @@ class ClassificationReport:
 # -- enumeration --------------------------------------------------------------
 
 
-def _f1_matrices(rank: int, bound: int) -> tuple[IntMatrix, ...]:
-    """All matrices with entries in 0..bound satisfying A^2 = 2A (brute force)."""
+def _f1_matrices(rank: int, bound: int) -> tuple[tuple[int, ...], ...]:
+    """All flat row-major matrices with entries in 0..bound satisfying A^2 = 2A.
+
+    Each candidate is tested entry by entry and dropped at the first entry
+    of A^2 that differs from 2A.
+    """
+    r = rank
+    entries = [(i * r + j, [(i * r + k, k * r + j) for k in range(r)]) for i in range(r) for j in range(r)]
     found = []
-    for flat in itertools.product(range(bound + 1), repeat=rank * rank):
-        m = tuple(tuple(flat[i * rank + j] for j in range(rank)) for i in range(rank))
-        if mat_mul(m, m) == mat_scale(2, m):
-            found.append(m)
+    for a in itertools.product(range(bound + 1), repeat=r * r):
+        for index, terms in entries:
+            if sum(a[p] * a[q] for p, q in terms) != 2 * a[index]:
+                break
+        else:
+            found.append(a)
     return tuple(found)
+
+
+def _conjugations(rank: int) -> list[operator.itemgetter]:
+    """The non-identity elements of S_r acting on flat r x r matrices,
+    A -> (A[p(i)][p(j)])_{ij}, as item getters (empty for rank one)."""
+    r = rank
+    return [
+        operator.itemgetter(*(p[i] * r + p[j] for i in range(r) for j in range(r)))
+        for p in itertools.permutations(range(r))
+    ][1:]
 
 
 def _rank_units(n: int, rank: int, bound: int, block_space: bool) -> list[tuple]:
     """Deterministic work units for one rank (shipped to workers as-is).
 
     A block unit (k, row0) holds the orbits whose least member has B row 0
-    equal to row0; that row is sorted, so only sorted rows get a unit.
+    equal to row0; that row is sorted, so only sorted rows get a unit.  A
+    variety unit (matrices, i) holds the orbits whose least member has
+    A_s = matrices[i]; only an A_s that is least in its S_r orbit gets one.
     """
     units: list[tuple] = []
     if block_space:
@@ -476,9 +507,34 @@ def _rank_units(n: int, rank: int, bound: int, block_space: bool) -> list[tuple]
                 units.append(("block", k, row0))
         return units
     matrices = _f1_matrices(rank, bound)
-    for i in range(len(matrices)):
-        units.append(("pair_row", matrices, i))
+    conjugations = _conjugations(rank)
+    for i, a in enumerate(matrices):
+        if all(g(a) >= a for g in conjugations):
+            units.append(("variety", matrices, i))
     return units
+
+
+def _variety_orbits(rank: int, unit: tuple) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """(flat A_s, flat A_t, orbit size) for each S_r orbit of a variety unit.
+
+    S_r acts on pairs by simultaneous conjugation.  A_s is fixed by the
+    unit and least in its orbit, so the orbits of pairs through it are the
+    orbits of A_t under Stab(A_s); the representative is the least A_t of
+    each, and the pair's orbit has r! / |Stab(A_s) & Stab(A_t)| members.
+    """
+    _, matrices, i = unit
+    a_s = matrices[i]
+    stabiliser = [g for g in _conjugations(rank) if g(a_s) == a_s]
+    group_order = math.factorial(rank)
+    for a_t in matrices:
+        fixed = 1
+        for g in stabiliser:
+            image = g(a_t)
+            if image < a_t:
+                break
+            fixed += image == a_t
+        else:
+            yield a_s, a_t, group_order // fixed
 
 
 def _block_orbits(rank: int, bound: int, unit: tuple) -> Iterator[tuple[list[int], list[int], int]]:
@@ -533,42 +589,31 @@ def _block_orbits(rank: int, bound: int, unit: tuple) -> Iterator[tuple[list[int
                 yield a_s, a_t, group_order // stabiliser
 
 
-def _block_verdicts(
-    n: int, rank: int, bound: int, enabled: frozenset[str], unit: tuple
-) -> Iterator[tuple[str | None, int, MatrixPair | None]]:
-    """(first failing filter, orbit size, the pair if it survives) per orbit."""
-    for a_s, a_t, weight in _block_orbits(rank, bound, unit):
-        failed = _first_failure(n, rank, a_s, a_t, enabled)
-        if failed is not None:
-            yield failed, weight, None
-        else:
-            yield None, weight, MatrixPair(n=n, rank=rank, theta_s=_square(a_s, rank), theta_t=_square(a_t, rank))
-
-
 def _evaluate_unit(payload: tuple) -> tuple[int, tuple[tuple[str, int], ...], list[tuple]]:
     """Worker entry point: run the pipeline over one unit.
 
     Returns (pairs evaluated, rejection counts, survivors), where each
     survivor is (canonical key, canonical theta_s, canonical theta_t).
     Survivors are deduplicated within the unit, preserving first-seen order.
-    A block unit judges one representative per orbit with the flat kernel
-    and charges its verdict to every pair of the orbit.
+    One representative per orbit is judged with the flat kernel, and its
+    verdict is charged to every pair of the orbit.
     """
     n, rank, bound, enabled, unit = payload
-    if unit[0] == "pair_row":
-        _, matrices, i = unit
-        pairs = (MatrixPair(n=n, rank=rank, theta_s=matrices[i], theta_t=right) for right in matrices)
-        verdicts = ((run_filters(pair, enabled)[2], 1, pair) for pair in pairs)
+    if unit[0] == "variety":
+        orbits = _variety_orbits(rank, unit)
     else:
-        verdicts = _block_verdicts(n, rank, bound, frozenset(enabled), unit)
+        orbits = _block_orbits(rank, bound, unit)
+    enabled_set = frozenset(enabled)
     evaluated = 0
     rejections: dict[str, int] = {}
     survivors: dict[bytes, tuple] = {}
-    for failed, weight, pair in verdicts:
+    for a_s, a_t, weight in orbits:
         evaluated += weight
+        failed = _first_failure(n, rank, a_s, a_t, enabled_set)
         if failed is not None:
             rejections[failed] = rejections.get(failed, 0) + weight
             continue
+        pair = MatrixPair(n=n, rank=rank, theta_s=_square(a_s, rank), theta_t=_square(a_t, rank))
         rep = canonical_pair(pair)
         key = canonicalize(rep)
         if key not in survivors:
@@ -691,6 +736,22 @@ def _classify_rank(
     return evaluated, rejections, candidates
 
 
+def _check_search_arguments(n: int, ranks: tuple[int, ...], entry_bound: int, jobs: int) -> None:
+    """Reject the arguments of a search that cannot run (ValueError)."""
+    if n < 3:
+        raise ValueError(f"dihedral parameter must be >= 3, got {n}")
+    if not ranks:
+        raise ValueError("classify needs at least one rank")
+    if any(r < 1 for r in ranks):
+        raise ValueError("ranks must be positive")
+    if any(r > MAX_CANONICAL_RANK for r in ranks):
+        raise ValueError(f"ranks above {MAX_CANONICAL_RANK} are not supported")
+    if entry_bound < 1:
+        raise ValueError("the entry bound must be at least 1")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+
+
 def enumerate_candidates(
     n: int,
     rank: int,
@@ -700,12 +761,7 @@ def enumerate_candidates(
 ) -> tuple[Candidate, ...]:
     """All surviving symmetry classes of one rank (no resource guard)."""
     enabled = normalize_filters(disabled)
-    if n < 3:
-        raise ValueError(f"dihedral parameter must be >= 3, got {n}")
-    if rank > MAX_CANONICAL_RANK:
-        raise ValueError(f"ranks above {MAX_CANONICAL_RANK} are not supported")
-    if entry_bound < 1:
-        raise ValueError("the entry bound must be at least 1")
+    _check_search_arguments(n, (rank,), entry_bound, jobs)
     _, _, candidates = _classify_rank(n, rank, entry_bound, enabled, jobs)
     return tuple(candidates)
 
@@ -722,18 +778,7 @@ def classify(
     started = time.monotonic()
     enabled = normalize_filters(disabled)
     ranks = tuple(ranks)
-    if n < 3:
-        raise ValueError(f"dihedral parameter must be >= 3, got {n}")
-    if not ranks:
-        raise ValueError("classify needs at least one rank")
-    if any(r < 1 for r in ranks):
-        raise ValueError("ranks must be positive")
-    if any(r > MAX_CANONICAL_RANK for r in ranks):
-        raise ValueError(f"ranks above {MAX_CANONICAL_RANK} are not supported")
-    if entry_bound < 1:
-        raise ValueError("the entry bound must be at least 1")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
+    _check_search_arguments(n, ranks, entry_bound, jobs)
     block_space = "F7" in enabled
     budget = sum(_rank_budget(r, entry_bound, block_space) for r in ranks)
     if budget > max_states:

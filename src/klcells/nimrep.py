@@ -24,9 +24,10 @@ entry of A_x and the sign test one per row.  ``extend`` is a thin wrapper
 that reads the packed matrices back into the family keyed by group element
 and writes the witness.  The classification search calls the kernel through
 ``_first_failure``, which gives ``run_filters``' verdict for a pair that
-satisfies F1 and F7 without building the family: F3 from the zero pattern
-of A_s + A_t, F4 from which matrices vanish as the family grows, F2 and F5
-from the recursion, and F6 from ``check_group_relations``.
+satisfies F1 without building the family: F3 from the zero pattern of
+A_s + A_t, F4 from which matrices vanish as the family grows, F2 and F5
+from the recursion, and F6 from ``check_group_relations``.  It judges one
+representative per orbit of the block space and of the F1 variety.
 
 The named filters on candidates:
 
@@ -279,12 +280,15 @@ def _square(flat: Sequence[int], r: int) -> IntMatrix:
     return tuple(tuple(flat[i * r : (i + 1) * r]) for i in range(r))
 
 
-def _first_failure(n: int, rank: int, a_s: list[int], a_t: list[int], enabled: frozenset[str]) -> str | None:
+def _first_failure(n: int, rank: int, a_s: Sequence[int], a_t: Sequence[int], enabled: frozenset[str]) -> str | None:
     """First failing filter of a flat pair in the order F3, F4, F2, F5, F6.
 
-    The same verdict as ``classify.run_filters`` for pairs that satisfy F1
-    and F7, which this does not test.  F3 reads the zero pattern before any
-    product, and F4 is judged on the partial family as the recursion grows.
+    Its only precondition is F1: for a pair whose matrices satisfy
+    A^2 = 2A this is ``classify.run_filters``' verdict with F7 off.  F1 and
+    F7 are not tested; F7 comes last, so with it on the verdict differs
+    only where F7 fails, which it never does in the block space.  F3 reads
+    the zero pattern before any product, and F4 is judged on the partial
+    family as the recursion grows.
     """
     if "F3" in enabled and _strongly_connected([x + y for x, y in zip(a_s, a_t)], rank) is not None:
         return "F3"

@@ -2,19 +2,23 @@
 
 ``extend_oracle`` is the KL recursion on tuple-of-tuples matrices, one
 ``mat_mul`` per element; ``nimrep.extend`` must give the same family,
-element and witness text.  ``raw_block_pairs`` enumerates every pair of the
-F7 block space, and ``evaluate_raw_unit`` runs ``run_filters`` on each of
-them, which is the search before orbit representatives; the reports of
-``classify`` must be the same bytes.
+element and witness text.  ``f1_matrices_oracle`` is the F1 variety by
+brute force with ``mat_mul`` and ``mat_scale``.  ``raw_block_pairs``
+enumerates every pair of the F7 block space, ``raw_variety_units`` splits
+the F1 variety into one unit per A_s, and ``evaluate_raw_unit`` runs
+``run_filters`` on every pair of a unit of either kind, which is the search
+before orbit representatives; the reports of ``classify`` must be the same
+bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from klcells.classify import canonical_pair, canonicalize, run_filters
 from klcells.dihedral import dihedral_group, other_letter, render
-from klcells.exact import first_negative_entry, identity_matrix, mat_mul, mat_sub
+from klcells.exact import first_negative_entry, identity_matrix, mat_mul, mat_scale, mat_sub
 from klcells.nimrep import ExtendedRep, ExtensionFailure, MatrixPair
 
 
@@ -72,6 +76,17 @@ def extend_oracle(pair):
     return ExtendedRep(pair=pair, family=dict(family))
 
 
+@functools.lru_cache(maxsize=None)
+def f1_matrices_oracle(rank, bound):
+    """Every matrix with entries in 0..bound and A^2 = 2A, as tuples of rows."""
+    found = []
+    for flat in itertools.product(range(bound + 1), repeat=rank * rank):
+        m = tuple(tuple(flat[i * rank + j] for j in range(rank)) for i in range(rank))
+        if mat_mul(m, m) == mat_scale(2, m):
+            found.append(m)
+    return tuple(found)
+
+
 def block_pair(n, rank, k, b_rows, bp_rows):
     theta_s = tuple(
         tuple((2 if i == j else 0) for j in range(k)) + tuple(b_rows[i]) for i in range(k)
@@ -94,7 +109,22 @@ def raw_block_units(rank, bound):
     ]
 
 
+def raw_variety_units(rank, bound):
+    """The F7-off search's work units before orbits: every A_s of the variety."""
+    matrices = f1_matrices_oracle(rank, bound)
+    return [("pair_row", matrices, i) for i in range(len(matrices))]
+
+
+def raw_units(rank, bound, block_space):
+    return raw_block_units(rank, bound) if block_space else raw_variety_units(rank, bound)
+
+
 def raw_unit_pairs(n, rank, bound, unit):
+    if unit[0] == "pair_row":
+        _, matrices, i = unit
+        for theta_t in matrices:
+            yield MatrixPair(n=n, rank=rank, theta_s=matrices[i], theta_t=theta_t)
+        return
     if unit[0] == "degenerate":
         _, a, b = unit
         yield MatrixPair(n=n, rank=1, theta_s=((a,),), theta_t=((b,),))

@@ -18,7 +18,9 @@ from klcells.classify import (
     KnowledgeEntry,
     _block_orbits,
     _cell_keys,
+    _f1_matrices,
     _rank_units,
+    _variety_orbits,
     canonical_pair,
     canonicalize,
     classify,
@@ -29,8 +31,8 @@ from klcells.classify import (
     normalize_filters,
     run_filters,
 )
-from klcells.nimrep import MatrixPair
-from oracles import evaluate_raw_unit, extend_oracle, raw_block_units
+from klcells.nimrep import MatrixPair, _flatten
+from oracles import evaluate_raw_unit, extend_oracle, f1_matrices_oracle, raw_units
 
 # the package's ``classify`` attribute is the function; this is the module
 classify_module = sys.modules["klcells.classify"]
@@ -339,10 +341,16 @@ def test_classify_json_bytes():
 
 
 def test_classify_parallel_matches_serial():
-    # rank 3 and 4 have nontrivial S_k x S_{r-k} orbits, spread over units
-    for ranks, bound in (((1, 2), 4), ((1, 2, 3, 4), 2)):
-        serial = classify(4, ranks=ranks, entry_bound=bound, jobs=1).to_json_bytes()
-        parallel = classify(4, ranks=ranks, entry_bound=bound, jobs=2).to_json_bytes()
+    # rank 3 and 4 have nontrivial S_k x S_{r-k} orbits, spread over units;
+    # with F7 off the S_r orbits of the variety are spread over units too
+    searches = (
+        {"ranks": (1, 2), "entry_bound": 4},
+        {"ranks": (1, 2, 3, 4), "entry_bound": 2},
+        {"ranks": (1, 2, 3), "entry_bound": 2, "disabled": ("F7",), "max_states": 10**9},
+    )
+    for search in searches:
+        serial = classify(4, jobs=1, **search).to_json_bytes()
+        parallel = classify(4, jobs=2, **search).to_json_bytes()
         assert serial == parallel
 
 
@@ -397,20 +405,75 @@ def test_degenerate_rank_one_units():
     assert items == [([0], [0], 1), ([0], [2], 1), ([2], [0], 1), ([2], [2], 1)]
 
 
-def raw_pair_report(monkeypatch, n, ranks, bound):
-    """The report of a search over every raw pair, extended by the oracle."""
+def raw_pair_report(monkeypatch, n, **kwargs):
+    """The report of a search that runs run_filters on every raw pair.
+
+    Block pairs are extended by the tuple oracle; variety pairs by
+    ``extend``, which the whole-space tests compare with that oracle.
+    """
     with monkeypatch.context() as patched:
-        patched.setattr(classify_module, "_rank_units", lambda n, rank, bound, block: raw_block_units(rank, bound))
+        patched.setattr(classify_module, "_rank_units", lambda n, rank, bound, block: raw_units(rank, bound, block))
         patched.setattr(classify_module, "_evaluate_unit", evaluate_raw_unit)
-        patched.setattr(classify_module, "extend", extend_oracle)
-        return classify(n, ranks=ranks, entry_bound=bound).to_json_bytes()
+        if "F7" not in kwargs.get("disabled", ()):
+            patched.setattr(classify_module, "extend", extend_oracle)
+        return classify(n, **kwargs).to_json_bytes()
 
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_reports_match_the_raw_pair_oracle(monkeypatch, n):
     for ranks, bound in (((1, 2, 3, 4), 2), ((1, 2, 3), 4)):
-        expected = raw_pair_report(monkeypatch, n, ranks, bound)
+        expected = raw_pair_report(monkeypatch, n, ranks=ranks, entry_bound=bound)
         assert classify(n, ranks=ranks, entry_bound=bound).to_json_bytes() == expected, (n, ranks, bound)
+
+
+VARIETY_REPORTS = [(n, ("F7",)) for n in range(3, 7)] + [(4, ("F7", off)) for off in ("F3", "F4", "F6")]
+
+
+@pytest.mark.parametrize("n, disabled", VARIETY_REPORTS)
+def test_variety_reports_match_the_raw_pair_oracle(monkeypatch, n, disabled):
+    search = {"ranks": (1, 2, 3), "entry_bound": 2, "disabled": disabled, "max_states": 10**9}
+    assert classify(n, **search).to_json_bytes() == raw_pair_report(monkeypatch, n, **search)
+
+
+# -- orbit representatives of the F1 variety ------------------------------------
+
+VARIETY_SPACES = [(rank, bound) for rank in (1, 2, 3) for bound in (1, 2)] + [(4, 1)]
+
+
+def variety_orbits(rank, bound):
+    for unit in _rank_units(4, rank, bound, False):
+        yield from _variety_orbits(rank, unit)
+
+
+def conjugate(flat, perm):
+    r = len(perm)
+    return tuple(flat[perm[i] * r + perm[j]] for i in range(r) for j in range(r))
+
+
+@pytest.mark.parametrize("rank, bound", VARIETY_SPACES)
+def test_f1_matrices_match_the_tuple_oracle(rank, bound):
+    assert _f1_matrices(rank, bound) == tuple(tuple(_flatten(m)) for m in f1_matrices_oracle(rank, bound))
+
+
+def test_variety_weights_sum_to_the_pair_space():
+    for rank, bound in VARIETY_SPACES:
+        total = sum(weight for _, _, weight in variety_orbits(rank, bound))
+        assert total == len(_f1_matrices(rank, bound)) ** 2, (rank, bound)
+
+
+def test_variety_representatives_are_least_and_partition_the_space():
+    for rank, bound in VARIETY_SPACES:
+        covered = set()
+        for a_s, a_t, weight in variety_orbits(rank, bound):
+            orbit = {
+                (conjugate(a_s, perm), conjugate(a_t, perm))
+                for perm in itertools.permutations(range(rank))
+            }
+            assert min(orbit) == (a_s, a_t)
+            assert len(orbit) == weight
+            assert not orbit & covered
+            covered |= orbit
+        assert len(covered) == len(_f1_matrices(rank, bound)) ** 2, (rank, bound)
 
 
 def test_resource_guard():
@@ -446,3 +509,8 @@ def test_validation_errors():
         enumerate_candidates(4, 7)
     with pytest.raises(ValueError):
         enumerate_candidates(4, 1, entry_bound=0)
+    with pytest.raises(ValueError, match="ranks must be positive"):
+        enumerate_candidates(4, 0)
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            enumerate_candidates(4, 2, jobs=jobs)

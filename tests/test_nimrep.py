@@ -27,6 +27,7 @@ from klcells.nimrep import (
     perron_analysis,
     _first_failure,
     _flatten,
+    _square,
 )
 from klcells.algebra import kl_regular_matrices
 from oracles import extend_oracle, raw_block_pairs
@@ -82,6 +83,13 @@ def test_extend_reproduces_cell_modules():
             assert dict(result.family) == dict(module.matrices)
 
 
+def variety_pairs(n, rank, bound):
+    """Every pair of the F1 variety, read from the search's flat enumeration."""
+    matrices = [_square(m, rank) for m in _f1_matrices(rank, bound)]
+    for theta_s, theta_t in itertools.product(matrices, repeat=2):
+        yield MatrixPair(n=n, rank=rank, theta_s=theta_s, theta_t=theta_t)
+
+
 def assert_same_extension(pair):
     got, expected = extend(pair), extend_oracle(pair)
     assert type(got) is type(expected), pair
@@ -105,9 +113,8 @@ def test_extend_matches_the_tuple_oracle_on_whole_spaces(n):
             for pair in raw_block_pairs(n, rank, bound):
                 assert_same_extension(pair)
     for rank in (1, 2):
-        matrices = _f1_matrices(rank, 2)
-        for theta_s, theta_t in itertools.product(matrices, repeat=2):
-            assert_same_extension(MatrixPair(n=n, rank=rank, theta_s=theta_s, theta_t=theta_t))
+        for p in variety_pairs(n, rank, 2):
+            assert_same_extension(p)
 
 
 def test_extend_matches_the_tuple_oracle_on_random_pairs():
@@ -125,26 +132,39 @@ def test_extend_matches_the_tuple_oracle_on_random_pairs():
         assert_same_extension(pair(n, *matrices))
 
 
-# The kernel judges every block pair the way run_filters does.  Disabling a
-# filter can only change run_filters' verdict when that filter is the one
-# that failed, so run_filters is re-run with a filter off only for those pairs.
+# The kernel judges every block pair and every pair of the F1 variety the way
+# run_filters does.  Disabling a filter can only change run_filters' verdict
+# when that filter is the one that failed, so run_filters is re-run with a
+# filter off only for those pairs.
 BLOCK_SPACES = [(rank, 2) for rank in (1, 2, 3, 4)] + [(rank, bound) for bound in (1, 3) for rank in (1, 2, 3)]
+
+
+def assert_kernel_verdicts(n, pairs, base_disabled, offs=("F3", "F4", "F6")):
+    default = normalize_filters(base_disabled)
+    variants = [(None, default)] + [(off, normalize_filters(base_disabled + (off,))) for off in offs]
+    seen = set()
+    for p in pairs:
+        a_s, a_t = _flatten(p.theta_s), _flatten(p.theta_t)
+        first = run_filters(p, default)[2]
+        for off, enabled in variants:
+            expected = run_filters(p, enabled)[2] if off is not None and first == off else first
+            assert _first_failure(n, p.rank, a_s, a_t, frozenset(enabled)) == expected, (p, off)
+            seen.add(expected)
+    return seen
 
 
 @pytest.mark.parametrize("n", range(3, 8))
 def test_kernel_verdict_matches_run_filters(n):
-    default = normalize_filters(())
-    seen = set()
-    for rank, bound in BLOCK_SPACES:
-        for p in raw_block_pairs(n, rank, bound):
-            a_s, a_t = _flatten(p.theta_s), _flatten(p.theta_t)
-            first = run_filters(p, default)[2]
-            for off in (None, "F3", "F4", "F6"):
-                enabled = normalize_filters((off,) if off else ())
-                expected = run_filters(p, enabled)[2] if off is not None and first == off else first
-                assert _first_failure(n, rank, a_s, a_t, frozenset(enabled)) == expected, (p, off)
-                seen.add(expected)
-    assert {"F3", "F2", "F5", None} <= seen
+    block = (p for rank, bound in BLOCK_SPACES for p in raw_block_pairs(n, rank, bound))
+    assert {"F3", "F2", "F5", None} <= assert_kernel_verdicts(n, block, ())
+    # The F1 variety at ranks <= 3 and E = 2, plus rank 4 at E = 1 for n = 5.
+    # Most of the variety fails F3 and re-running it without F3 costs most,
+    # so filters are switched off at n = 5 only; test_classify compares whole
+    # F7-off reports with each of them off at n = 4.
+    variety = [(rank, 2) for rank in (1, 2, 3)] + ([(4, 1)] if n == 5 else [])
+    pairs = (p for rank, bound in variety for p in variety_pairs(n, rank, bound))
+    offs = ("F3", "F4", "F6") if n == 5 else ()
+    assert {"F3", "F4", None} <= assert_kernel_verdicts(n, pairs, ("F7",), offs)
 
 
 def test_kernel_verdict_outside_the_block_space():
