@@ -96,6 +96,7 @@ from .nimrep import (
     perron_analysis,
     _first_failure,
     _square,
+    _twice_idempotent,
 )
 from .reps import Decomposition, NotAModuleError, decompose
 
@@ -460,21 +461,9 @@ class ClassificationReport:
 
 
 def _f1_matrices(rank: int, bound: int) -> tuple[tuple[int, ...], ...]:
-    """All flat row-major matrices with entries in 0..bound satisfying A^2 = 2A.
-
-    Each candidate is tested entry by entry and dropped at the first entry
-    of A^2 that differs from 2A.
-    """
-    r = rank
-    entries = [(i * r + j, [(i * r + k, k * r + j) for k in range(r)]) for i in range(r) for j in range(r)]
-    found = []
-    for a in itertools.product(range(bound + 1), repeat=r * r):
-        for index, terms in entries:
-            if sum(a[p] * a[q] for p, q in terms) != 2 * a[index]:
-                break
-        else:
-            found.append(a)
-    return tuple(found)
+    """All flat row-major matrices with entries in 0..bound satisfying A^2 = 2A
+    (F1, by the predicate ``check_idempotent`` uses)."""
+    return tuple(a for a in itertools.product(range(bound + 1), repeat=rank * rank) if _twice_idempotent(a, rank))
 
 
 def _conjugations(rank: int) -> list[operator.itemgetter]:

@@ -10,7 +10,9 @@ and polynomial gcds run over the rationals.
 Matrices are immutable tuples of tuples of ints, polynomials are tuples of
 int coefficients in ascending degree order, trimmed of trailing zeros (the
 zero polynomial is the empty tuple).  Both representations hash and compare
-structurally, which the classifier relies on.
+structurally, which the classifier relies on.  ``mat_mul`` skips the zero
+entries of its left factor, which makes the products of sparse integer
+matrices (generators, cell modules, their shifts) cheap.
 """
 
 from __future__ import annotations
@@ -91,12 +93,24 @@ def mat_scale(c: int, a: IntMatrix) -> IntMatrix:
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a and b and len(a[0]) != len(b):
+    """The product a b, row by row over the nonzero entries of a.
+
+    Row i of the product accumulates a[i][k] * b[k] for each k with
+    a[i][k] != 0; integer sums are exact in any order, so skipping zeros
+    changes nothing but the work, which follows the sparsity of a.
+    Raises ValueError when the width of a is not the height of b.
+    """
+    if a and len(a[0]) != len(b):
         raise ValueError("matrix shapes do not compose")
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    zero = (0,) * (len(b[0]) if b else 0)
+    out = []
+    for row in a:
+        acc = zero
+        for x, b_row in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, b_row)]
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
@@ -185,6 +199,8 @@ def char_poly(m: IntMatrix) -> IntPoly:
 
     Uses the Faddeev-LeVerrier recurrence M_{k+1} = m (M_k + c_k I),
     c_k = -trace(M_k)/k, whose divisions are exact for integer matrices.
+    m stays the left factor, so each product costs what m's nonzero
+    entries cost.
     """
     r = len(m)
     if r == 0:
@@ -263,12 +279,16 @@ def poly_eval_float(p: Sequence[int], x: float) -> float:
 
 
 def poly_eval_matrix(p: Sequence[int], m: IntMatrix) -> IntMatrix:
-    """Evaluate p at a square matrix (Horner, exact)."""
+    """Evaluate p at a square matrix (Horner, exact).
+
+    Each partial result is a polynomial in m and commutes with it, so m
+    is taken as the left factor, where ``mat_mul`` skips its zeros.
+    """
     r = len(m)
     result = zero_matrix(r)
     ident = identity_matrix(r)
     for c in reversed(p):
-        result = mat_add(mat_mul(result, m), mat_scale(c, ident))
+        result = mat_add(mat_mul(m, result), mat_scale(c, ident))
     return result
 
 

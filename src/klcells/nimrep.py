@@ -60,6 +60,8 @@ for even n and 0 otherwise.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -74,8 +76,7 @@ from .exact import (
     identity_matrix,
     is_zero_matrix,
     mat_add,
-    mat_mul,
-    mat_scale,
+    mat_mul,  # not called here, but perfbench's tracer wraps klcells.nimrep.mat_mul
     poly_add,
     poly_eval_matrix,
     poly_mul,
@@ -215,14 +216,14 @@ def _kl_recursion(
     A_s = A_t = 0, so w0 vanishes too and the support is downward closed.
     """
     r = rank
-    row_sums = [sum(a[i * r : (i + 1) * r]) for a in (a_s, a_t) for i in range(r)]
-    width = n * (max(row_sums) + 1).bit_length() + 1
-    offset = sum(1 << (width * j + width - 1) for j in range(r))
-    terms: list[list[tuple[tuple[int, int], ...]]] = []
-    matrices: list[list[int]] = [[1 << (width * i) for i in range(r)]]
-    for a in (a_s, a_t):
-        terms.append([tuple((l, v) for l, v in enumerate(a[i * r : (i + 1) * r]) if v) for i in range(r)])
-        matrices.append([sum(v << (width * j) for j, v in enumerate(a[i * r : (i + 1) * r])) for i in range(r)])
+    generators = [[a[i * r : (i + 1) * r] for i in range(r)] for a in (a_s, a_t)]
+    width = n * (max(map(sum, generators[0] + generators[1])) + 1).bit_length() + 1
+    shifts = range(0, width * r, width)
+    offset = sum(1 << (shift + width - 1) for shift in shifts)
+    # the nonzero entries (l, v) of each generator row
+    terms = [[tuple(itertools.compress(enumerate(row), row)) for row in rows] for rows in generators]
+    matrices: list[list[int]] = [[1 << shift for shift in shifts]]
+    matrices += [[sum(map(operator.lshift, row, shifts)) for row in rows] for rows in generators]
     check_support = check_support and (any(a_s) or any(a_t))
     if check_support and not (any(a_s) and any(a_t)):
         return matrices, width, "F4", None
@@ -332,10 +333,21 @@ def extend(pair: MatrixPair) -> ExtendedRep | ExtensionFailure:
 # -- filters ---------------------------------------------------------------
 
 
+def _twice_idempotent(a: Sequence[int], r: int) -> bool:
+    """A^2 = 2A for a flat row-major r x r matrix, tested entry by entry in
+    row-major order and abandoned at the first entry that differs."""
+    for i in range(r):
+        row = a[i * r : (i + 1) * r]
+        for j in range(r):
+            if sum(map(operator.mul, row, a[j::r])) != 2 * row[j]:
+                return False
+    return True
+
+
 def check_idempotent(pair: MatrixPair) -> FilterReport:
     """F1: both generator matrices satisfy A^2 = 2A."""
     for name, m in (("A_s", pair.theta_s), ("A_t", pair.theta_t)):
-        if mat_mul(m, m) != mat_scale(2, m):
+        if not _twice_idempotent(_flatten(m), pair.rank):
             return FilterReport("F1", False, f"{name}^2 != 2 {name}")
     return FilterReport("F1", True, None)
 
@@ -376,7 +388,8 @@ def check_transitive(pair: MatrixPair) -> FilterReport:
     The graph has an edge i -> j exactly when Q[j][i] != 0 (basis vector i
     reaches vector j under the action).
     """
-    missing = _strongly_connected(_flatten(mat_add(pair.theta_s, pair.theta_t)), pair.rank)
+    q = [x + y for row_s, row_t in zip(pair.theta_s, pair.theta_t) for x, y in zip(row_s, row_t)]
+    missing = _strongly_connected(q, pair.rank)
     if missing is None:
         return FilterReport("F3", True, None)
     return FilterReport(
@@ -598,7 +611,13 @@ class PerronAnalysis:
     """Spectral data of a nonnegative integer matrix.
 
     spectral_radius comes from power iteration on Q + I (the shift makes the
-    iteration converge even for periodic matrices) to residual 1e-10.
+    iteration converge even for periodic matrices) to residual 1e-10, at
+    most 200,000 steps (ArithmeticError beyond).  Each step makes one
+    product, over the nonzero entries of Q + I only: the product that gives
+    a step's residual is the next step's iterate before scaling.  Every
+    entry is nonnegative and every row has its diagonal term, so dropping
+    the zero terms from a row's sum drops only exact additions of 0.0: the
+    floats are those of the dense iteration, bit for bit.
     top_eigenvalue_simple is decided exactly: the spectral radius of a
     nonnegative matrix is the largest real root of its characteristic
     polynomial p, which is simple when gcd(p, p') is constant and otherwise
@@ -623,29 +642,25 @@ def perron_analysis(q: Sequence[Sequence[int]]) -> PerronAnalysis:
 
     irreducible = _strongly_connected(_flatten(matrix), r) is None
 
-    # Power iteration on Q + I.
-    shifted = tuple(
-        tuple(v + (1 if i == j else 0) for j, v in enumerate(row))
+    # Power iteration on Q + I over its nonzero entries (j, c), row by row
+    # in ascending j; the product that gives the residual is the next step's.
+    shifted = [
+        [(j, v + 1 if i == j else v) for j, v in enumerate(row) if v or i == j]
         for i, row in enumerate(matrix)
-    )
+    ]
     vec = [1.0 / r] * r
-    radius = 1.0
+    product = [sum(c * vec[j] for j, c in row) for row in shifted]
     for _ in range(200000):
-        nxt = [sum(shifted[i][j] * vec[j] for j in range(r)) for i in range(r)]
-        norm = sum(abs(x) for x in nxt)
+        norm = sum(abs(x) for x in product)
         assert norm > 0, "Q + I is positive on the diagonal, the iterate cannot vanish"
-        nxt = [x / norm for x in nxt]
-        radius = norm
-        residual = max(
-            abs(sum(shifted[i][j] * nxt[j] for j in range(r)) - radius * nxt[i])
-            for i in range(r)
-        )
-        vec = nxt
+        vec = [x / norm for x in product]
+        product = [sum(c * vec[j] for j, c in row) for row in shifted]
+        residual = max(abs(p - norm * x) for p, x in zip(product, vec))
         if residual <= 1e-10:
             break
     else:
         raise ArithmeticError("power iteration did not reach the 1e-10 residual")
-    spectral_radius = radius - 1.0
+    spectral_radius = norm - 1.0
 
     simple = _top_real_root_is_simple(char_poly(matrix))
     top = max(vec)

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
-from .dihedral import GroupElement, dihedral_group, render
+from .dihedral import GroupElement, dihedral_group, other_letter, render
 from .exact import (
     IntMatrix,
     freeze_matrix,
@@ -230,9 +230,10 @@ class Decomposition:
 def _group_matrices(n: int, a_s: IntMatrix, a_t: IntMatrix) -> dict[GroupElement, IntMatrix]:
     """Matrices of the group elements themselves, built along reduced words.
 
-    rho(w) is rho(prefix) times the matrix of w's last letter, where the
-    prefix drops that letter; all_elements is ordered by length, so the
-    prefix is always built first and each element costs one product.
+    rho(w) is the matrix of w's first letter times rho(suffix), where the
+    suffix drops that letter; all_elements is ordered by length, so the
+    suffix is always built first and each element costs one product, whose
+    left factor (A_s - I or A_t - I) is as sparse as the generator.
     """
     group = dihedral_group(n)
     r = len(a_s)
@@ -245,8 +246,8 @@ def _group_matrices(n: int, a_s: IntMatrix, a_t: IntMatrix) -> dict[GroupElement
         if w.length == 1:
             out[w] = gen[w.leading]
         else:
-            prefix = group.element(w.length - 1, w.leading)
-            out[w] = mat_mul(out[prefix], gen[w.trailing()])
+            suffix = group.element(w.length - 1, other_letter(w.leading))
+            out[w] = mat_mul(gen[w.leading], out[suffix])
     return out
 
 

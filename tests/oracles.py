@@ -9,17 +9,53 @@ the F1 variety into one unit per A_s, and ``evaluate_raw_unit`` runs
 ``run_filters`` on every pair of a unit of either kind, which is the search
 before orbit representatives; the reports of ``classify`` must be the same
 bytes.
+``mat_mul_oracle`` is the dense integer product, one dot product per row
+and column, that ``exact.mat_mul`` must equal.  ``perron_iteration_oracle``
+is the power iteration on the dense Q + I with two products per step, one
+for the next iterate and one for the residual; ``nimrep.perron_analysis``
+must give the same floats, bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 
 from klcells.classify import canonical_pair, canonicalize, run_filters
 from klcells.dihedral import dihedral_group, other_letter, render
 from klcells.exact import first_negative_entry, identity_matrix, mat_mul, mat_scale, mat_sub
-from klcells.nimrep import ExtendedRep, ExtensionFailure, MatrixPair
+from klcells.nimrep import ExtendedRep, ExtensionFailure, MatrixPair, _strongly_connected
+
+
+def mat_mul_oracle(a, b):
+    if a and len(a[0]) != len(b):
+        raise ValueError("matrix shapes do not compose")
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def perron_iteration_oracle(q):
+    """(spectral_radius, positive_eigenvector or None) from the dense
+    two-product power iteration on Q + I; ArithmeticError after 200,000
+    steps without the 1e-10 residual."""
+    r = len(q)
+    shifted = tuple(tuple(v + (1 if i == j else 0) for j, v in enumerate(row)) for i, row in enumerate(q))
+    vec = [1.0 / r] * r
+    for _ in range(200000):
+        nxt = [sum(map(operator.mul, row, vec)) for row in shifted]
+        norm = sum(abs(x) for x in nxt)
+        nxt = [x / norm for x in nxt]
+        radius = norm
+        residual = max(abs(sum(map(operator.mul, row, nxt)) - radius * x) for row, x in zip(shifted, nxt))
+        vec = nxt
+        if residual <= 1e-10:
+            break
+    else:
+        raise ArithmeticError("power iteration did not reach the 1e-10 residual")
+    top = max(vec)
+    irreducible = _strongly_connected([v for row in q for v in row], r) is None
+    return radius - 1.0, (tuple(x / top for x in vec) if irreducible else None)
 
 
 def extend_oracle(pair):

@@ -33,6 +33,7 @@ from klcells.exact import (
     zero_matrix,
     _top_real_root_is_simple,
 )
+from oracles import mat_mul_oracle
 
 Q3 = ((2, 0, 1), (0, 2, 1), (1, 1, 2))
 
@@ -87,6 +88,45 @@ def test_matrix_arithmetic():
     assert mat_pow(a, 0) == identity_matrix(2)
     assert mat_pow(a, 1) == a
     assert mat_pow(a, 3) == mat_mul(a, mat_mul(a, a))
+
+
+def test_mat_mul_shapes():
+    with pytest.raises(ValueError, match="matrix shapes do not compose"):
+        mat_mul(((1, 2, 3), (4, 5, 6)), ())
+    with pytest.raises(ValueError, match="matrix shapes do not compose"):
+        mat_mul(((1, 2),), ((1, 2),))
+    assert mat_mul((), ((1, 2),)) == ()
+    assert mat_mul(((), ()), ()) == ((), ())
+    assert mat_mul(((1,), (-2,)), ((3, 0, 5),)) == ((3, 0, 5), (-6, 0, -10))
+
+
+def test_mat_mul_matches_the_dense_oracle():
+    # the product skips the zeros of its left factor: sparse, signed,
+    # rectangular and empty operands, zero rows and zero columns
+    rng = random.Random(1234)
+    for _ in range(2000):
+        rows, inner, cols = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+        density = rng.random()
+
+        def entries(height, width):
+            zero_row = rng.randrange(height + 1)
+            zero_col = rng.randrange(width + 1)
+            return tuple(
+                tuple(
+                    0 if i == zero_row or j == zero_col or rng.random() > density else rng.randint(-9, 9)
+                    for j in range(width)
+                )
+                for i in range(height)
+            )
+
+        a, b = entries(rows, inner), entries(inner, cols)
+        assert mat_mul(a, b) == mat_mul_oracle(a, b), (a, b)
+        c = entries(rows, inner + 1)
+        if rows:
+            with pytest.raises(ValueError):
+                mat_mul(c, b)
+            with pytest.raises(ValueError):
+                mat_mul_oracle(c, b)
 
 
 def test_block_matrix():

@@ -9,7 +9,7 @@ import pytest
 from klcells.cells import cell_module
 from klcells.classify import _f1_matrices, normalize_filters, run_filters
 from klcells.dihedral import dihedral_group, render
-from klcells.exact import char_poly, is_zero_matrix, mat_add, poly_eval_matrix, poly_mul
+from klcells.exact import _top_real_root_is_simple, char_poly, is_zero_matrix, mat_add, poly_eval_matrix, poly_mul
 from klcells.nimrep import (
     ExtendedRep,
     ExtensionFailure,
@@ -30,7 +30,7 @@ from klcells.nimrep import (
     _square,
 )
 from klcells.algebra import kl_regular_matrices
-from oracles import extend_oracle, raw_block_pairs
+from oracles import extend_oracle, mat_mul_oracle, perron_iteration_oracle, raw_block_pairs
 
 CELL3_S = ((0, 0, 0), (0, 0, 0), (1, 1, 2))
 CELL3_T = ((2, 0, 1), (0, 2, 1), (0, 0, 0))
@@ -229,6 +229,19 @@ def test_check_idempotent():
     bad_t = check_idempotent(pair(4, ((2,),), ((1,),)))
     assert not bad_t.passed
     assert bad_t.witness == "A_t^2 != 2 A_t"
+    # the flat entry-by-entry predicate against A^2 = 2A by the dense product
+    rng = random.Random(77)
+    for _ in range(500):
+        rank = rng.randint(1, 4)
+        theta_s, theta_t = (
+            tuple(tuple(rng.choice((0, 0, 1, 2, 2, 3)) for _ in range(rank)) for _ in range(rank)) for _ in range(2)
+        )
+        expected = None
+        for name, m in (("A_s", theta_s), ("A_t", theta_t)):
+            if mat_mul_oracle(m, m) != tuple(tuple(2 * v for v in row) for row in m):
+                expected = f"{name}^2 != 2 {name}"
+                break
+        assert check_idempotent(pair(4, theta_s, theta_t)).witness == expected, (theta_s, theta_t)
 
 
 def test_check_transitive():
@@ -395,6 +408,55 @@ def test_perron_analysis_jordan_blocks():
     # a repeated eigenvalue below the radius leaves the top one simple
     lower_double = perron_analysis(((3, 0, 0), (0, 1, 0), (0, 0, 1)))
     assert lower_double.top_eigenvalue_simple
+
+
+def random_nonnegative(rng):
+    """A random nonnegative matrix of rank <= 6: dense, sparse, block
+    triangular (reducible) or a weighted permutation (periodic)."""
+    r = rng.randint(1, 6)
+    kind = rng.choice(("dense", "sparse", "reducible", "periodic"))
+    if kind == "periodic":
+        perm = rng.sample(range(r), r)
+        return tuple(tuple(rng.randint(1, 3) if j == perm[i] else 0 for j in range(r)) for i in range(r))
+    if kind == "reducible" and r > 1:
+        k = rng.randint(1, r - 1)
+        return tuple(tuple(0 if i >= k > j else rng.randint(0, 3) for j in range(r)) for i in range(r))
+    values = (0, 1, 2, 3) if kind == "dense" else (0, 0, 0, 1, 2)
+    return tuple(tuple(rng.choice(values) for _ in range(r)) for _ in range(r))
+
+
+def assert_same_perron(q):
+    """perron_analysis(q) has the oracle's floats or raises as it does;
+    returns whether it raised."""
+    try:
+        expected = perron_iteration_oracle(q)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            perron_analysis(q)
+        return True
+    got = perron_analysis(q)
+    assert (got.spectral_radius, got.positive_eigenvector) == expected, q
+    return False
+
+
+def test_perron_analysis_matches_the_dense_iteration_oracle():
+    # the same floats, bit for bit, as the dense iteration with two products
+    # per step: every cell module for n = 3..30 and 400 random matrices
+    for n in range(3, 31):
+        for name in ("Le", "Ls", "Lt", "Lw0"):
+            assert not assert_same_perron(mat_add(*cell_module(n, name).generator_pair()))
+    # A defective top eigenvalue takes up to 200,000 steps (about a second
+    # each), so the random matrices are those whose top eigenvalue is simple,
+    # and two Jordan blocks stand for the rest: one converges, one raises.
+    rng = random.Random(2015)
+    random_cases = 0
+    while random_cases < 400:
+        q = random_nonnegative(rng)
+        if _top_real_root_is_simple(char_poly(q)):
+            assert not assert_same_perron(q)
+            random_cases += 1
+    assert not assert_same_perron(((0, 1), (0, 0)))
+    assert assert_same_perron(((2, 1), (0, 2)))
 
 
 def test_perron_analysis_edge_cases():
