@@ -11,26 +11,33 @@ Both bases are integral and the change of basis is unitriangular with
 respect to length, so conversion is exact over Z in both directions.
 
 Products of KL basis elements expand again in the KL basis with nonnegative
-integer coefficients.  They are computed by one route: a recursion on the
-length of the left factor, seeded by the four-case rule for multiplication
-by b(s) and b(t) (double when the generator already leads the word,
-concatenate for the identity and the opposite generator, and otherwise split
-as b(xw) + b(yw) for the two generators x, y).  The recursion never changes
-the right factor, so it is evaluated one column {u: b(u) b(w)} at a time:
-``structure_constants`` assembles the cached table of all 4n^2 products from
-the 2n columns and ``kl_multiply`` reads that table, while a cell module
-computes only the columns of its own basis.
+integer coefficients.  They are computed by one route.  Left
+multiplication by b(s) and b(t) follows the four-case generator rule
+(double when the generator already leads the word, concatenate for the
+identity and the opposite generator, and otherwise split as b(xw) + b(yw)
+for the two generators x, y); ``kl_regular_matrices`` writes it as the
+regular pair of matrices.  Every longer b(u) with leading letter x is
+forced by b(u) = b(x) b(u') - b(u''), where u' drops the leading letter and
+u'' is the alternating word of length l(u) - 2 that also leads with x (no
+u'' term at length two), so in any module A_u = A_x A_u' - A_u''.  One
+kernel evaluates that recursion, ``_kl_recursion``, on a flat generator
+pair with packed integer rows: ``structure_constants`` is the family of the
+regular pair and ``kl_multiply`` reads it, a cell module is the family of
+its own generator pair (``cells.cell_module``), and ``nimrep.extend`` and
+the classification search run it on candidate pairs.
 
 The independent route, plain convolution in the group basis followed by
 conversion back, lives in the checks: verification check A1 compares every
-table entry against it for n <= 10, and so does the test suite for small n.
+table entry against it for n <= 10, and so does the test suite.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .dihedral import (
     DihedralGroup,
@@ -40,6 +47,7 @@ from .dihedral import (
     other_letter,
     render,
 )
+from .exact import IntMatrix, identity_matrix
 
 __all__ = [
     "GROUP",
@@ -218,20 +226,6 @@ def _kl_left_gen_dict(group: DihedralGroup, letter: str, w: GroupElement) -> Coe
     return {xw: 1, group.multiply(y, w): 1}
 
 
-def _apply_left_generator(group: DihedralGroup, letter: str, coeffs: CoeffDict) -> CoeffDict:
-    out: CoeffDict = {}
-    for w, c in coeffs.items():
-        if c == 0:
-            continue
-        for v, e in _kl_left_gen_dict(group, letter, w).items():
-            new = out.get(v, 0) + c * e
-            if new:
-                out[v] = new
-            else:
-                out.pop(v, None)
-    return out
-
-
 def kl_multiply_elements(u: GroupElement, w: GroupElement) -> CoeffDict:
     """b(u) * b(w) as a sparse KL-coefficient dictionary.
 
@@ -256,6 +250,131 @@ def kl_left_multiply_generator(letter: str, w: GroupElement) -> GroupAlgebraElem
     return GroupAlgebraElement.from_dict(w.n, KL, _kl_left_gen_dict(group, letter, w))
 
 
+# -- the flat extension kernel ----------------------------------------------
+#
+# The recursion runs on flat row-major generator matrices.  Every matrix of
+# the family is held as one integer per row, entry j in the bit field
+# [width*j, width*(j+1)): packing is linear, so adding rows and scaling them
+# by integers is exact whatever the signs, and a row whose entries all lie
+# strictly between -2^(width-1) and 2^(width-1) is read back without loss.
+# The width comes from an a-priori bound: with c the largest row sum of the
+# two generators, no row of a matrix of length l has absolute values summing
+# to more than (c+1)^l (induction on A_w = A_x A_w' - A_w''), so width =
+# n * bitlength(c+1) + 1 suffices up to w0.  Adding the offset that puts
+# 2^(width-1) in every field turns "some entry is negative" into "some high
+# bit is clear", one integer operation per row.
+
+
+def _kl_recursion(
+    n: int, rank: int, a_s: Sequence[int], a_t: Sequence[int], check_support: bool = False
+) -> tuple[list[list[int]], int, str | None, list[int] | None]:
+    """The KL family of a flat row-major generator pair, in packed rows.
+
+    Returns (matrices, width, outcome, negative).  ``matrices`` lists the
+    family built so far in the order e, s, t, st, ts, sts, tst, ..., then
+    w0 when the extension completes: the element of length l leading with
+    s (t) sits at index 2l - 1 (2l), w0 at 2n - 1.  ``outcome`` is None for a
+    complete family, "F2" for a negative matrix (``negative`` holds it; its
+    element is the next index, or w0 when all 2n - 1 lower matrices are
+    built), "F5" when the two routes to w0 disagree, and "F4" when
+    ``check_support`` is set, A_s or A_t is nonzero and a matrix of length
+    1..n-1 vanishes.  That is exactly when the partial family meets the
+    middle two-sided cell in a mix of zero and nonzero matrices: e and w0
+    are cells of their own, and a family whose middle cell vanishes has
+    A_s = A_t = 0, so w0 vanishes too and the support is downward closed.
+    """
+    r = rank
+    generators = [[a[i * r : (i + 1) * r] for i in range(r)] for a in (a_s, a_t)]
+    width = n * (max(map(sum, generators[0] + generators[1])) + 1).bit_length() + 1
+    shifts = range(0, width * r, width)
+    offset = sum(1 << (shift + width - 1) for shift in shifts)
+    # the nonzero entries (l, v) of each generator row
+    terms = [[tuple(itertools.compress(enumerate(row), row)) for row in rows] for rows in generators]
+    matrices: list[list[int]] = [[1 << shift for shift in shifts]]
+    matrices += [[sum(map(operator.lshift, row, shifts)) for row in rows] for rows in generators]
+    check_support = check_support and (any(a_s) or any(a_t))
+    if check_support and not (any(a_s) and any(a_t)):
+        return matrices, width, "F4", None
+
+    def product(x: int, m: list[int], back: list[int] | None) -> list[int]:
+        # A_x m - back, row by row
+        out = []
+        for i, row_terms in enumerate(terms[x]):
+            acc = -back[i] if back is not None else 0
+            for l, v in row_terms:
+                acc += v * m[l]
+            out.append(acc)
+        return out
+
+    for length in range(2, n):
+        for x in (0, 1):
+            shorter = matrices[2 * length - 2 - x]
+            back = matrices[2 * length - 5 + x] if length > 2 else None
+            a = product(x, shorter, back)
+            if any((row + offset) & offset != offset for row in a):
+                return matrices, width, "F2", a
+            matrices.append(a)
+            if check_support and not any(a):
+                return matrices, width, "F4", None
+    via_s = product(0, matrices[2 * n - 2], matrices[2 * n - 5])
+    via_t = product(1, matrices[2 * n - 3], matrices[2 * n - 4])
+    for route in (via_s, via_t):
+        if any((row + offset) & offset != offset for row in route):
+            return matrices, width, "F2", route
+    if via_s != via_t:
+        return matrices, width, "F5", None
+    matrices.append(via_s)
+    return matrices, width, None, None
+
+
+def _unpack(packed: Sequence[list[int]], width: int) -> list[IntMatrix]:
+    """Read packed matrices back as tuples of tuples."""
+    if not packed:
+        return []
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    shifts = range(0, width * len(packed[0]), width)
+    offset = sum(half << shift for shift in shifts)
+    return [
+        tuple(tuple((row >> shift & mask) - half for shift in shifts) for row in [r + offset for r in m])
+        for m in packed
+    ]
+
+
+def _flatten(m: IntMatrix) -> list[int]:
+    return [v for row in m for v in row]
+
+
+def _kl_family(
+    n: int, theta_s: IntMatrix, theta_t: IntMatrix
+) -> tuple[dict[GroupElement, IntMatrix], str | None, IntMatrix | None]:
+    """The kernel's output for a generator pair, keyed by group element.
+
+    Returns (family, outcome, negative): every matrix built, in the
+    all_elements order (A_e, A_s and A_t are the inputs themselves), the
+    kernel's outcome, and for F2 the negative matrix, which is not in the
+    family.
+    """
+    rank = len(theta_s)
+    matrices, width, outcome, negative = _kl_recursion(n, rank, _flatten(theta_s), _flatten(theta_t))
+    elements = dihedral_group(n).all_elements()
+    family = {elements[0]: identity_matrix(rank), elements[1]: theta_s, elements[2]: theta_t}
+    unpacked = _unpack(matrices[3:] + ([negative] if negative is not None else []), width)
+    family.update(zip(elements[3 : len(matrices)], unpacked))
+    return family, outcome, (unpacked[-1] if negative is not None else None)
+
+
+def _module_family(n: int, theta_s: IntMatrix, theta_t: IntMatrix) -> dict[GroupElement, IntMatrix]:
+    """The KL family of the generator pair of a module, checked complete.
+
+    A module of the KL basis realises the whole family, so the kernel can
+    meet neither a negative matrix (F2) nor two different A_w0 (F5).
+    """
+    family, outcome, _ = _kl_family(n, theta_s, theta_t)
+    assert outcome is None, f"the KL family of a module cannot fail {outcome}"
+    return family
+
+
 # -- the full structure-constant table -------------------------------------
 
 
@@ -274,57 +393,22 @@ class StructureConstantTable:
         return self.entries[(u, w)]
 
 
-def _kl_column(group: DihedralGroup, w: GroupElement) -> dict[GroupElement, CoeffDict]:
-    """{u: b(u) b(w) for every u}, checked positive.
-
-    The recursion runs bottom-up in the length of the left factor and stays
-    inside the column, so each entry costs a constant number of dictionary
-    merges.  For l(u) >= 3 with leading letter x and u = x u', the generator
-    rule gives b(x) b(u') = b(u) + b(u'') where u'' is the alternating word
-    of length l(u) - 2 that also leads with x, so b(u) b(w) = b(x) (b(u')
-    b(w)) - b(u'') b(w); for l(u) = 2, b(u) = b(x) b(y) with y the other
-    letter.
-    """
-    column: dict[GroupElement, CoeffDict] = {}
-    # all_elements is ordered by length, so u' and u'' are always done first.
-    for u in group.all_elements():
-        if u.length == 0:
-            result: CoeffDict = {w: 1}
-        elif u.length == 1:
-            result = _kl_left_gen_dict(group, u.leading, w)
-        elif u.length == 2:
-            inner = column[group.generator(other_letter(u.leading))]
-            result = _apply_left_generator(group, u.leading, inner)
-        else:
-            u_prime = group.element(u.length - 1, other_letter(u.leading))
-            u_second = group.element(u.length - 2, u.leading)
-            result = _apply_left_generator(group, u.leading, column[u_prime])
-            for v, c in column[u_second].items():
-                new = result.get(v, 0) - c
-                if new:
-                    result[v] = new
-                else:
-                    result.pop(v, None)
-        assert all(c > 0 for c in result.values()), "KL structure constants must be positive"
-        column[u] = result
-    return column
-
-
 @functools.lru_cache(maxsize=None)
 def structure_constants(n: int) -> StructureConstantTable:
     """Compute (and cache) the full KL structure-constant table for D_n.
 
-    The table is assembled from the columns {u: b(u) b(w)}, one per right
-    factor w, each computed by the bottom-up recursion of ``_kl_column``.
-    Callers that need only a few columns (a cell module) compute those
-    columns directly instead.
+    The table is the KL family of the regular pair ``kl_regular_matrices(n)``
+    built by the flat kernel: column j of A_u holds the KL coefficients of
+    b(u) b(w_j), w_j the j-th element in all_elements order.  The family of
+    a module is complete, so every coefficient is nonnegative.
     """
-    group = dihedral_group(n)
-    elements = group.all_elements()
-    columns = {w: _kl_column(group, w) for w in elements}
-    return StructureConstantTable(
-        n, {(u, w): columns[w][u] for u in elements for w in elements}
-    )
+    elements = dihedral_group(n).all_elements()
+    family = _module_family(n, *kl_regular_matrices(n))
+    entries: dict[tuple[GroupElement, GroupElement], CoeffDict] = {}
+    for u in elements:
+        for w, column in zip(elements, zip(*family[u])):
+            entries[(u, w)] = {v: c for v, c in zip(elements, column) if c}
+    return StructureConstantTable(n, entries)
 
 
 def kl_regular_matrices(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:

@@ -17,12 +17,13 @@ Verification check A2 re-derives the cells and preorders from the structure
 constants for n <= 12 and compares them with this closed form.
 
 A left cell L carries a module: act by b(u) in the KL basis and keep only
-the coefficients of basis elements inside L.  The products b(u) b(w) for w
-in L are exactly the KL columns of the basis elements, so cell_module
-computes those columns and nothing else of the structure-constant table.
-Every discarded term is checked to lie strictly above L in the left
-preorder, which is what makes the truncation a quotient of modules rather
-than an arbitrary projection.
+the coefficients of basis elements inside L.  The truncation is checked on
+the generator pair: cell_module restricts the regular matrices of b(s) and
+b(t) to the basis of L, checks that every discarded term lies strictly
+above L in the left preorder, which is what makes the truncation a
+quotient of modules rather than an arbitrary projection, and then builds
+the matrix of every b(u) with the flat KL kernel of ``klcells.algebra``.
+It never reads the structure-constant table.
 The basis of L is ordered by (leading letter, length) with s before t; for
 n = 4 this is (s, sts, ts), the order in which the standard matrices for
 the generators are triangular-looking blocks.  The module of a right cell R
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 # structure_constants is unused here but stays bound: perfbench/tracing.py wraps this name.
-from .algebra import _kl_column, structure_constants
+from .algebra import _kl_left_gen_dict, _module_family, structure_constants
 from .dihedral import GroupElement, dihedral_group, display_key, render
 from .exact import IntMatrix
 
@@ -270,31 +271,29 @@ def cell_module(n: int, cell) -> CellModule:
     resolved = _resolve_cell(n, cell, partition.left_cells, "left")
     basis = tuple(sorted(resolved, key=_basis_key))
     index = {w: i for i, w in enumerate(basis)}
-    in_cell = set(basis)
     left_index = {w: i for i, c in enumerate(partition.left_cells) for w in c}
+    here = left_index[basis[0]]
     group = dihedral_group(n)
-    columns = [_kl_column(group, b) for b in basis]
 
-    matrices: dict[GroupElement, IntMatrix] = {}
-    for u in group.all_elements():
+    generators = []
+    for letter in ("s", "t"):
         rows = [[0] * len(basis) for _ in basis]
         for j, b in enumerate(basis):
-            for v, c in columns[j][u].items():
-                if v in in_cell:
+            for v, c in _kl_left_gen_dict(group, letter, b).items():
+                if v in index:
                     rows[index[v]][j] = c
                 else:
                     # Truncation is only sound if the term sits strictly
                     # above the cell in the left preorder.
                     dropped = left_index[v]
-                    here = left_index[b]
                     assert (here, dropped) in partition.left_leq and (
                         dropped,
                         here,
                     ) not in partition.left_leq, (
                         f"dropped term {render(v)} not strictly above the cell"
                     )
-        matrices[u] = tuple(tuple(row) for row in rows)
-    return CellModule(n=n, cell=basis, matrices=matrices)
+        generators.append(tuple(tuple(row) for row in rows))
+    return CellModule(n=n, cell=basis, matrices=_module_family(n, *generators))
 
 
 def right_cell_module(n: int, cell) -> CellModule:
@@ -311,10 +310,10 @@ def right_cell_module(n: int, cell) -> CellModule:
     left = cell_module(n, tuple(group.inverse(w) for w in resolved))
     basis = tuple(sorted(resolved, key=_basis_key))
     sigma = [left.cell.index(group.inverse(w)) for w in basis]
-    matrices = {
-        u: tuple(tuple(left.matrices[group.inverse(u)][a][b] for b in sigma) for a in sigma)
-        for u in group.all_elements()
-    }
+    matrices = {}
+    for u in group.all_elements():
+        m = left.matrices[group.inverse(u)]
+        matrices[u] = tuple(tuple(m[a][b] for b in sigma) for a in sigma)
     return CellModule(n=n, cell=basis, matrices=matrices)
 
 

@@ -733,6 +733,8 @@ def _check_search_arguments(n: int, ranks: tuple[int, ...], entry_bound: int, jo
         raise ValueError("classify needs at least one rank")
     if any(r < 1 for r in ranks):
         raise ValueError("ranks must be positive")
+    if len(set(ranks)) != len(ranks):
+        raise ValueError("ranks must not repeat")
     if any(r > MAX_CANONICAL_RANK for r in ranks):
         raise ValueError(f"ranks above {MAX_CANONICAL_RANK} are not supported")
     if entry_bound < 1:

@@ -17,12 +17,14 @@ computed and compared.
 failures: a negative entry (filter F2, with the offending element and
 position as witness) or disagreement of the two w0 routes (filter F5).
 
-One kernel runs the recursion.  It takes the generators as flat row-major
-integer lists and holds each matrix of the family as one packed integer per
-row, so a step A_x A_w' - A_w'' costs one integer operation per nonzero
-entry of A_x and the sign test one per row.  ``extend`` is a thin wrapper
-that reads the packed matrices back into the family keyed by group element
-and writes the witness.  The classification search calls the kernel through
+One kernel runs the recursion: ``algebra._kl_recursion``, the same one
+that builds the structure constants and the cell modules.  It takes the
+generators as flat row-major integer lists and holds each matrix of the
+family as one packed integer per row, so a step A_x A_w' - A_w'' costs one
+integer operation per nonzero entry of A_x and the sign test one per row.
+``extend`` is a thin wrapper that reads the packed matrices back into the
+family keyed by group element (``algebra._kl_family``) and writes the
+witness.  The classification search calls the kernel through
 ``_first_failure``, which gives ``run_filters``' verdict for a pair that
 satisfies F1 without building the family: F3 from the zero pattern of
 A_s + A_t, F4 from which matrices vanish as the family grows, F2 and F5
@@ -60,11 +62,11 @@ for even n and 0 otherwise.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from .algebra import _flatten, _kl_family, _kl_recursion
 from .dihedral import GroupElement, dihedral_group, display_key, render
 from .exact import (
     IntMatrix,
@@ -73,7 +75,6 @@ from .exact import (
     char_poly,
     first_negative_entry,
     freeze_matrix,
-    identity_matrix,
     is_zero_matrix,
     mat_add,
     mat_mul,  # not called here, but perfbench's tracer wraps klcells.nimrep.mat_mul
@@ -182,101 +183,6 @@ class FilterReport:
         return {"id": self.filter_id, "passed": self.passed, "witness": self.witness}
 
 
-# -- the flat extension kernel ----------------------------------------------
-#
-# The recursion runs on flat row-major generator matrices.  Every matrix of
-# the family is held as one integer per row, entry j in the bit field
-# [width*j, width*(j+1)): packing is linear, so adding rows and scaling them
-# by integers is exact whatever the signs, and a row whose entries all lie
-# strictly between -2^(width-1) and 2^(width-1) is read back without loss.
-# The width comes from an a-priori bound: with c the largest row sum of the
-# two generators, no row of a matrix of length l has absolute values summing
-# to more than (c+1)^l (induction on A_w = A_x A_w' - A_w''), so width =
-# n * bitlength(c+1) + 1 suffices up to w0.  Adding the offset that puts
-# 2^(width-1) in every field turns "some entry is negative" into "some high
-# bit is clear", one integer operation per row.
-
-
-def _kl_recursion(
-    n: int, rank: int, a_s: Sequence[int], a_t: Sequence[int], check_support: bool = False
-) -> tuple[list[list[int]], int, str | None, list[int] | None]:
-    """The KL family of a flat row-major generator pair, in packed rows.
-
-    Returns (matrices, width, outcome, negative).  ``matrices`` lists the
-    family built so far in the order e, s, t, st, ts, sts, tst, ..., then
-    w0 when the extension completes: the element of length l leading with
-    s (t) sits at index 2l - 1 (2l), w0 at 2n - 1.  ``outcome`` is None for a
-    complete family, "F2" for a negative matrix (``negative`` holds it; its
-    element is the next index, or w0 when all 2n - 1 lower matrices are
-    built), "F5" when the two routes to w0 disagree, and "F4" when
-    ``check_support`` is set, A_s or A_t is nonzero and a matrix of length
-    1..n-1 vanishes.  That is exactly when the partial family meets the
-    middle two-sided cell in a mix of zero and nonzero matrices: e and w0
-    are cells of their own, and a family whose middle cell vanishes has
-    A_s = A_t = 0, so w0 vanishes too and the support is downward closed.
-    """
-    r = rank
-    generators = [[a[i * r : (i + 1) * r] for i in range(r)] for a in (a_s, a_t)]
-    width = n * (max(map(sum, generators[0] + generators[1])) + 1).bit_length() + 1
-    shifts = range(0, width * r, width)
-    offset = sum(1 << (shift + width - 1) for shift in shifts)
-    # the nonzero entries (l, v) of each generator row
-    terms = [[tuple(itertools.compress(enumerate(row), row)) for row in rows] for rows in generators]
-    matrices: list[list[int]] = [[1 << shift for shift in shifts]]
-    matrices += [[sum(map(operator.lshift, row, shifts)) for row in rows] for rows in generators]
-    check_support = check_support and (any(a_s) or any(a_t))
-    if check_support and not (any(a_s) and any(a_t)):
-        return matrices, width, "F4", None
-
-    def product(x: int, m: list[int], back: list[int] | None) -> list[int]:
-        # A_x m - back, row by row
-        out = []
-        for i, row_terms in enumerate(terms[x]):
-            acc = -back[i] if back is not None else 0
-            for l, v in row_terms:
-                acc += v * m[l]
-            out.append(acc)
-        return out
-
-    for length in range(2, n):
-        for x in (0, 1):
-            shorter = matrices[2 * length - 2 - x]
-            back = matrices[2 * length - 5 + x] if length > 2 else None
-            a = product(x, shorter, back)
-            if any((row + offset) & offset != offset for row in a):
-                return matrices, width, "F2", a
-            matrices.append(a)
-            if check_support and not any(a):
-                return matrices, width, "F4", None
-    via_s = product(0, matrices[2 * n - 2], matrices[2 * n - 5])
-    via_t = product(1, matrices[2 * n - 3], matrices[2 * n - 4])
-    for route in (via_s, via_t):
-        if any((row + offset) & offset != offset for row in route):
-            return matrices, width, "F2", route
-    if via_s != via_t:
-        return matrices, width, "F5", None
-    matrices.append(via_s)
-    return matrices, width, None, None
-
-
-def _unpack(packed: Sequence[list[int]], width: int) -> list[IntMatrix]:
-    """Read packed matrices back as tuples of tuples."""
-    if not packed:
-        return []
-    half = 1 << (width - 1)
-    mask = (1 << width) - 1
-    shifts = range(0, width * len(packed[0]), width)
-    offset = sum(half << shift for shift in shifts)
-    return [
-        tuple(tuple(((row + offset) >> shift & mask) - half for shift in shifts) for row in m)
-        for m in packed
-    ]
-
-
-def _flatten(m: IntMatrix) -> list[int]:
-    return [v for row in m for v in row]
-
-
 def _square(flat: Sequence[int], r: int) -> IntMatrix:
     return tuple(tuple(flat[i * r : (i + 1) * r]) for i in range(r))
 
@@ -305,28 +211,16 @@ def _first_failure(n: int, rank: int, a_s: Sequence[int], a_t: Sequence[int], en
 
 def extend(pair: MatrixPair) -> ExtendedRep | ExtensionFailure:
     """Force the whole KL family from the generator pair, or report F2/F5."""
-    group = dihedral_group(pair.n)
-    n = pair.n
-    matrices, width, outcome, negative = _kl_recursion(
-        n, pair.rank, _flatten(pair.theta_s), _flatten(pair.theta_t)
-    )
-    elements = group.all_elements()  # the kernel's order
-    family: dict[GroupElement, IntMatrix] = {
-        elements[0]: identity_matrix(pair.rank),
-        elements[1]: pair.theta_s,
-        elements[2]: pair.theta_t,
-    }
-    unpacked = _unpack(matrices[3:] + ([negative] if negative is not None else []), width)
-    family.update(zip(elements[3 : len(matrices)], unpacked))
+    family, outcome, negative = _kl_family(pair.n, pair.theta_s, pair.theta_t)
     if outcome is None:
         return ExtendedRep(pair=pair, family=family)
-    w = elements[len(matrices)] if outcome == "F2" else elements[-1]
+    elements = dihedral_group(pair.n).all_elements()  # the kernel's order
+    w = elements[len(family)] if outcome == "F2" else elements[-1]
     if outcome == "F5":
         witness = "the s-leading and t-leading recursions for A_w0 disagree"
     else:
-        a = unpacked[-1]
-        i, j = first_negative_entry(a)
-        witness = f"A_{render(w)}[{i}][{j}] = {a[i][j]} is negative"
+        i, j = first_negative_entry(negative)
+        witness = f"A_{render(w)}[{i}][{j}] = {negative[i][j]} is negative"
     return ExtensionFailure(pair=pair, filter_id=outcome, element=w, witness=witness, partial=family)
 
 

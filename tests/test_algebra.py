@@ -132,8 +132,9 @@ def convolution(group, u, w):
 
 
 def test_multiply_via_group_algebra_oracle():
-    # independent route: expand both factors, convolve in the group, convert back
-    for n in (3, 4, 5):
+    # independent route: expand both factors, convolve in the group, convert
+    # back; the same range as check A1's full sweep
+    for n in range(3, 11):
         group = dihedral_group(n)
         for u in group.all_elements():
             for w in group.all_elements():

@@ -267,7 +267,7 @@ def test_right_cell_module_transport():
 def test_right_cell_module_matches_right_products():
     # entry [i][j] of matrices[u] is the coefficient of basis element i in
     # b(basis element j) b(u), read straight from the table
-    for n in (3, 4, 5, 6):
+    for n in range(3, 17):
         table = structure_constants(n)
         for name in ("Re", "Rs", "Rt", "Rw0"):
             module = right_cell_module(n, name)

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from klcells.algebra import structure_constants
-from klcells.cells import cell_module
+from klcells.cells import cell_module, right_cell_module
 from klcells.classify import (
     ALL_FILTERS,
     DEFAULT_MAX_STATES,
@@ -283,12 +283,16 @@ def test_f7_off_admits_the_all_ones_pair():
 
 
 def test_cold_classify_builds_no_structure_constant_table():
-    # matching survivors against cell modules needs only the KL columns of
-    # the small cells, never the whole 4n^2 table
+    # matching survivors against cell modules, and building any cell module,
+    # needs only the generator pair of the cell, never the whole 4n^2 table
     structure_constants.cache_clear()
     _cell_keys.cache_clear()
     report = classify(24, ranks=(1,))
     assert [c.tag.detail for c in report.candidates] == ["Le", "Lw0"]
+    for name in ("Le", "Ls", "Lt", "Lw0"):
+        cell_module(24, name)
+    for name in ("Re", "Rs", "Rt", "Rw0"):
+        right_cell_module(24, name)
     assert structure_constants.cache_info().currsize == 0
 
 
@@ -497,6 +501,8 @@ def test_validation_errors():
         classify(4, ranks=(0,))
     with pytest.raises(ValueError):
         classify(4, ranks=(7,))
+    with pytest.raises(ValueError, match="ranks must not repeat"):
+        classify(4, ranks=(1, 1), entry_bound=1)
     with pytest.raises(ValueError):
         classify(4, entry_bound=0)
     with pytest.raises(ValueError):

@@ -248,6 +248,10 @@ def test_classify_bad_ranks(capsys):
     code, _, err = run(capsys, "classify", "--n", "4", "--ranks", "x")
     assert code == EXIT_USAGE
     assert "cannot parse ranks" in err
+    code, out, err = run(capsys, "classify", "--n", "4", "--ranks", "1,1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "ranks must not repeat" in err
 
 
 def test_classify_env_jobs(capsys, monkeypatch):
