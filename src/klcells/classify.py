@@ -9,8 +9,8 @@ cannot split and instead contributes the four diagonal pairs built from
 (0) and (2) (their diagonal 2 is structural, like the 2I blocks, so the
 entry bound does not apply to it).  With F7 off, the space is the full
 variety of pairs of matrices satisfying A^2 = 2A with entries up to the
-bound; its matrices are enumerated flat, each dropped at the first entry
-of A^2 that differs from 2A.
+bound; its matrices are built from the normal form of nonnegative
+idempotents (see ``_f1_matrices``), not found by scanning the entry cube.
 
 Both spaces are searched by orbits of a group that changes no filter
 verdict, and one representative per orbit is judged and its verdict is
@@ -96,7 +96,6 @@ from .nimrep import (
     perron_analysis,
     _first_failure,
     _square,
-    _twice_idempotent,
 )
 from .reps import Decomposition, NotAModuleError, decompose
 
@@ -161,7 +160,11 @@ def canonical_pair(pair: MatrixPair) -> MatrixPair:
 
 def canonicalize(pair: MatrixPair) -> bytes:
     """Canonical bytes of the pair's class (stable across processes/runs)."""
-    rep = canonical_pair(pair)
+    return _serialise(canonical_pair(pair))
+
+
+def _serialise(rep: MatrixPair) -> bytes:
+    """The canonical bytes of a pair that is its class's canonical pair."""
     payload = {
         "rank": rep.rank,
         "theta_s": [list(row) for row in rep.theta_s],
@@ -313,18 +316,17 @@ def _cell_keys(n: int) -> tuple[tuple[int, bytes, str], ...]:
     return tuple(out)
 
 
+def _cell_name(n: int, rank: int, key: bytes) -> str | None:
+    """The name of the left cell whose generator pair has this canonical key."""
+    for size, cell_key, name in _cell_keys(n):
+        if size == rank and cell_key == key:
+            return name
+    return None
+
+
 def match_cell_reps(n: int, pairs: Sequence[MatrixPair]) -> tuple[str | None, ...]:
     """For each pair, the name of the left cell realizing it, or None."""
-    matches = []
-    for pair in pairs:
-        key = canonicalize(pair)
-        found = None
-        for size, cell_key, name in _cell_keys(n):
-            if size == pair.rank and cell_key == key:
-                found = name
-                break
-        matches.append(found)
-    return tuple(matches)
+    return tuple(_cell_name(n, pair.rank, canonicalize(pair)) for pair in pairs)
 
 
 # -- candidates and reports ---------------------------------------------------
@@ -461,9 +463,100 @@ class ClassificationReport:
 
 
 def _f1_matrices(rank: int, bound: int) -> tuple[tuple[int, ...], ...]:
-    """All flat row-major matrices with entries in 0..bound satisfying A^2 = 2A
-    (F1, by the predicate ``check_idempotent`` uses)."""
-    return tuple(a for a in itertools.product(range(bound + 1), repeat=rank * rank) if _twice_idempotent(a, rank))
+    """All flat row-major matrices with entries in 0..bound satisfying
+    A^2 = 2A (F1), ascending and without repeats, built from their normal
+    form (that of the nonnegative idempotent A/2; Flor 1969).
+
+    Let i -> j mean A[i][j] > 0.  As A >= 0, A^2 = 2A says that i -> j
+    exactly when i -> k -> j for some k: the relation is transitive and
+    every edge factors.  Factoring i -> j again and again gives vertices
+    with ... -> k2 -> k1 -> j and i -> k_m for every m; one repeats, so by
+    transitivity some d with d -> d lies on it, and i -> d -> j.  Entry
+    (d, d) reads A[d][d]^2 + sum_{k != d} A[d][k] A[k][d] = 2 A[d][d], so a
+    looped d has A[d][d] = 2 and no 2-cycle through it, or A[d][d] = 1
+    and exactly one partner e with A[d][e] = A[e][d] = 1, and then entry
+    (e, e) gives A[e][e] = 1.  For looped d -> d', d' != d, entry (d, d')
+    holds the terms A[d][d] A[d][d'] + A[d][d'] A[d'][d'] >= 2 A[d][d'],
+    so A[d][d] = A[d'][d'] = 1 and every other term is zero; the term
+    A[d][e] A[e][d'] of d's partner e is not (e -> d -> d' gives e -> d')
+    unless d' = e.  So:
+
+    * the looped indices form J blocks (2) and [[1, 1], [1, 1]], with no
+      edge between two blocks; both have trace 2 and rank one;
+    * any other index i has a zero row or a zero column: i -> d and
+      d' -> i with d, d' looped give d' -> d, so d and d' share a block,
+      d -> d' -> i, and i -> d -> i contradicts A[i][i] = 0.
+
+    Order the indices as [J blocks | column-only | row-only | zero], where
+    a column-only index has a zero row and a row-only one a zero column.
+    The other entries of A^2 = 2A then say exactly this, and any matrix
+    so built satisfies A^2 = 2A:
+
+    * each column-only column holds one value a in 0..bound per J block,
+      repeated across a 2-block {d, e} (entry (d, c) reads
+      A[d][c] + A[e][c] = 2 A[d][c]); each row-only row likewise holds
+      one value b per J block;
+    * the row-only x column-only corner is
+      sum_{k in J} A[rho][k] A[k][c] / 2, that is the sum of a*b/2 over
+      the (2) blocks and of a*b over the 2-blocks, and must be an integer
+      in 0..bound;
+    * every other entry is zero.
+
+    Reordering the column-only (or the row-only) indices is a conjugation,
+    so their nonzero value vectors are chosen as multisets; the normal
+    forms are then closed under the r! conjugations.  The entry-cube scan
+    this replaces is the oracle in ``tests/oracles.py``.
+    """
+    conjugations = _conjugations(rank)
+    found: set[tuple[int, ...]] = set()
+    for flat in _normal_forms(rank, bound):
+        found.add(flat)
+        found.update(g(flat) for g in conjugations)
+    return tuple(sorted(found))
+
+
+def _normal_forms(rank: int, bound: int) -> Iterator[tuple[int, ...]]:
+    """The F1 matrices in the normal form of ``_f1_matrices``: the (2)
+    blocks, then the 2-blocks, column-only, row-only and zero indices, with
+    the column-only columns and the row-only rows each in multiset order."""
+    r = rank
+    for twos in range(r + 1 if bound >= 2 else 1):
+        for ones in range((r - twos) // 2 + 1 if bound >= 1 else 1):
+            width = twos + 2 * ones
+            blocks = [(d,) for d in range(twos)] + [(d, d + 1) for d in range(twos, width, 2)]
+            # twice a corner entry: a*b over a (2) block, 2*a*b over a 2-block
+            weights = [1] * twos + [2] * ones
+            vectors = list(itertools.product(range(bound + 1), repeat=len(blocks)))[1:]
+            # each J block has trace 2: (2), or [[1, 1], [1, 1]]
+            j_part = [0] * (r * r)
+            for block in blocks:
+                for d in block:
+                    for e in block:
+                        j_part[d * r + e] = 2 // len(block)
+            for cols in range(r - width + 1):
+                for rows in range(r - width - cols + 1):
+                    for col_vectors, row_vectors in itertools.product(
+                        itertools.combinations_with_replacement(vectors, cols),
+                        itertools.combinations_with_replacement(vectors, rows),
+                    ):
+                        corners = [
+                            [sum(map(operator.mul, weights, map(operator.mul, a, b))) for a in col_vectors]
+                            for b in row_vectors
+                        ]
+                        if any(v % 2 or v > 2 * bound for row in corners for v in row):
+                            continue
+                        m = list(j_part)
+                        for c, a in enumerate(col_vectors, start=width):
+                            for block, v in zip(blocks, a):
+                                for d in block:
+                                    m[d * r + c] = v
+                        for rho, (b, row) in enumerate(zip(row_vectors, corners), start=width + cols):
+                            for block, v in zip(blocks, b):
+                                for d in block:
+                                    m[rho * r + d] = v
+                            for c, v in enumerate(row, start=width):
+                                m[rho * r + c] = v // 2
+                        yield tuple(m)
 
 
 def _conjugations(rank: int) -> list[operator.itemgetter]:
@@ -604,7 +697,7 @@ def _evaluate_unit(payload: tuple) -> tuple[int, tuple[tuple[str, int], ...], li
             continue
         pair = MatrixPair(n=n, rank=rank, theta_s=_square(a_s, rank), theta_t=_square(a_t, rank))
         rep = canonical_pair(pair)
-        key = canonicalize(rep)
+        key = _serialise(rep)
         if key not in survivors:
             survivors[key] = (key, rep.theta_s, rep.theta_t)
     return evaluated, tuple(sorted(rejections.items())), list(survivors.values())
@@ -628,7 +721,7 @@ def _annotate_survivor(
 ) -> Candidate:
     n, rank = pair.n, pair.rank
     apex = apex_of(ext)
-    cell_match = match_cell_reps(n, [pair])[0]
+    cell_match = _cell_name(n, rank, key)
     if cell_match is not None:
         tag = Tag("REALIZED_CELL", cell_match)
     else:

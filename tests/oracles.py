@@ -3,7 +3,8 @@
 ``extend_oracle`` is the KL recursion on tuple-of-tuples matrices, one
 ``mat_mul`` per element; ``nimrep.extend`` must give the same family,
 element and witness text.  ``f1_matrices_oracle`` is the F1 variety by
-brute force with ``mat_mul`` and ``mat_scale``.  ``raw_block_pairs``
+scanning the entry cube with the F1 predicate of ``check_idempotent``,
+which ``classify._f1_matrices`` builds from the normal form instead.  ``raw_block_pairs``
 enumerates every pair of the F7 block space, ``raw_variety_units`` splits
 the F1 variety into one unit per A_s, and ``evaluate_raw_unit`` runs
 ``run_filters`` on every pair of a unit of either kind, which is the search
@@ -24,8 +25,8 @@ import operator
 
 from klcells.classify import canonical_pair, canonicalize, run_filters
 from klcells.dihedral import dihedral_group, other_letter, render
-from klcells.exact import first_negative_entry, identity_matrix, mat_mul, mat_scale, mat_sub
-from klcells.nimrep import ExtendedRep, ExtensionFailure, MatrixPair, _strongly_connected
+from klcells.exact import first_negative_entry, identity_matrix, mat_mul, mat_sub
+from klcells.nimrep import ExtendedRep, ExtensionFailure, MatrixPair, _square, _strongly_connected, _twice_idempotent
 
 
 def mat_mul_oracle(a, b):
@@ -114,13 +115,9 @@ def extend_oracle(pair):
 
 @functools.lru_cache(maxsize=None)
 def f1_matrices_oracle(rank, bound):
-    """Every matrix with entries in 0..bound and A^2 = 2A, as tuples of rows."""
-    found = []
-    for flat in itertools.product(range(bound + 1), repeat=rank * rank):
-        m = tuple(tuple(flat[i * rank + j] for j in range(rank)) for i in range(rank))
-        if mat_mul(m, m) == mat_scale(2, m):
-            found.append(m)
-    return tuple(found)
+    """Every flat row-major matrix with entries in 0..bound and A^2 = 2A,
+    ascending: all (bound+1)^(rank^2) tuples of the entry cube, tested."""
+    return tuple(a for a in itertools.product(range(bound + 1), repeat=rank * rank) if _twice_idempotent(a, rank))
 
 
 def block_pair(n, rank, k, b_rows, bp_rows):
@@ -147,7 +144,7 @@ def raw_block_units(rank, bound):
 
 def raw_variety_units(rank, bound):
     """The F7-off search's work units before orbits: every A_s of the variety."""
-    matrices = f1_matrices_oracle(rank, bound)
+    matrices = tuple(_square(a, rank) for a in f1_matrices_oracle(rank, bound))
     return [("pair_row", matrices, i) for i in range(len(matrices))]
 
 

@@ -31,8 +31,8 @@ from klcells.classify import (
     normalize_filters,
     run_filters,
 )
-from klcells.nimrep import MatrixPair, _flatten
-from oracles import evaluate_raw_unit, extend_oracle, f1_matrices_oracle, raw_units
+from klcells.nimrep import MatrixPair, _flatten, _square, check_block_form
+from oracles import evaluate_raw_unit, extend_oracle, f1_matrices_oracle, mat_mul_oracle, raw_units
 
 # the package's ``classify`` attribute is the function; this is the module
 classify_module = sys.modules["klcells.classify"]
@@ -454,9 +454,44 @@ def conjugate(flat, perm):
     return tuple(flat[perm[i] * r + perm[j]] for i in range(r) for j in range(r))
 
 
-@pytest.mark.parametrize("rank, bound", VARIETY_SPACES)
+@pytest.mark.parametrize("rank, bound", VARIETY_SPACES + [(1, 3), (2, 3), (3, 3)])
 def test_f1_matrices_match_the_tuple_oracle(rank, bound):
-    assert _f1_matrices(rank, bound) == tuple(tuple(_flatten(m)) for m in f1_matrices_oracle(rank, bound))
+    # the normal-form generator against the scan of the whole entry cube
+    assert _f1_matrices(rank, bound) == f1_matrices_oracle(rank, bound)
+
+
+@pytest.mark.parametrize("rank, bound, count", [(4, 2, 2451), (5, 1, 376)])
+def test_f1_matrices_beyond_the_scan(rank, bound, count):
+    # the scan of 3^16 or 2^25 tuples takes about a minute, so these spaces
+    # are checked by their defining properties instead
+    matrices = _f1_matrices(rank, bound)
+    assert len(matrices) == count
+    assert all(a < b for a, b in zip(matrices, matrices[1:]))
+    members = set(matrices)
+    for flat in matrices:
+        m = _square(flat, rank)
+        assert mat_mul_oracle(m, m) == tuple(tuple(2 * v for v in row) for row in m)
+        assert max(flat) <= bound
+        for perm in itertools.permutations(range(rank)):
+            assert conjugate(flat, perm) in members
+
+
+def test_variety_search_at_rank_five():
+    # 376 matrices at r=5, E=1, so 376^2 pairs; the survivors are the pairs
+    # of the reported classes, under S_5 conjugation and the s <-> t swap
+    report = classify(4, ranks=(5,), entry_bound=1, disabled=("F7",), max_states=10**30)
+    assert report.pairs_evaluated == 376**2 == 141_376
+    surviving = set()
+    for candidate in report.candidates:
+        flat_s, flat_t = (tuple(_flatten(m)) for m in (candidate.pair.theta_s, candidate.pair.theta_t))
+        for perm in itertools.permutations(range(5)):
+            image = (conjugate(flat_s, perm), conjugate(flat_t, perm))
+            surviving |= {image, image[::-1]}
+    assert sum(count for _, count in report.rejection_counts) == report.pairs_evaluated - len(surviving)
+    # none of the classes is in block form, and the block space has none
+    assert len(report.candidates) == 10
+    assert not any(check_block_form(c.pair).passed for c in report.candidates)
+    assert classify(4, ranks=(5,), entry_bound=1).candidates == ()
 
 
 def test_variety_weights_sum_to_the_pair_space():

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from klcells.classify import _f1_matrices, normalize_filters, run_filters
 from klcells.nimrep import MatrixPair, _square
 
-SPACES = ((1, 2), (2, 2), (3, 2), (4, 1))
+SPACES = ((1, 2), (2, 2), (3, 2), (4, 1), (5, 1))
 
 
 @functools.lru_cache(maxsize=None)
