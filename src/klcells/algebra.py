@@ -20,11 +20,12 @@ regular pair of matrices.  Every longer b(u) with leading letter x is
 forced by b(u) = b(x) b(u') - b(u''), where u' drops the leading letter and
 u'' is the alternating word of length l(u) - 2 that also leads with x (no
 u'' term at length two), so in any module A_u = A_x A_u' - A_u''.  One
-kernel evaluates that recursion, ``_kl_recursion``, on a flat generator
-pair with packed integer rows: ``structure_constants`` is the family of the
-regular pair and ``kl_multiply`` reads it, a cell module is the family of
-its own generator pair (``cells.cell_module``), and ``nimrep.extend`` and
-the classification search run it on candidate pairs.
+kernel evaluates that recursion, ``_kl_recursion``, on a pair of prepared
+generators (``_Generator``) with packed integer rows: ``structure_constants``
+is the family of the regular pair and ``kl_multiply`` reads it, a cell
+module is the family of its own generator pair (``cells.cell_module``),
+``nimrep.extend`` runs it on one candidate pair, and the classification
+search prepares each generator once and runs it on every pair it forms.
 
 The independent route, plain convolution in the group basis followed by
 conversion back, lives in the checks: verification check A1 compares every
@@ -252,48 +253,94 @@ def kl_left_multiply_generator(letter: str, w: GroupElement) -> GroupAlgebraElem
 
 # -- the flat extension kernel ----------------------------------------------
 #
-# The recursion runs on flat row-major generator matrices.  Every matrix of
-# the family is held as one integer per row, entry j in the bit field
-# [width*j, width*(j+1)): packing is linear, so adding rows and scaling them
-# by integers is exact whatever the signs, and a row whose entries all lie
-# strictly between -2^(width-1) and 2^(width-1) is read back without loss.
-# The width comes from an a-priori bound: with c the largest row sum of the
-# two generators, no row of a matrix of length l has absolute values summing
-# to more than (c+1)^l (induction on A_w = A_x A_w' - A_w''), so width =
-# n * bitlength(c+1) + 1 suffices up to w0.  Adding the offset that puts
+# The recursion runs on prepared generators (``_Generator``): each holds its
+# flat row-major tuple, the nonzero terms of each row, its largest row sum,
+# its support bitmask and its packed rows, so a caller that pairs one matrix
+# with many others prepares it once.  Every matrix of the family is held as
+# one integer per row, entry j in the bit field [width*j, width*(j+1)):
+# packing is linear, so adding rows and scaling them by integers is exact
+# whatever the signs, and a row whose entries all lie strictly between
+# -2^(width-1) and 2^(width-1) is read back without loss.  The width comes
+# from an a-priori bound: with c the largest row sum of the two generators,
+# no row of a matrix of length l has absolute values summing to more than
+# (c+1)^l (induction on A_w = A_x A_w' - A_w''), so width =
+# n * bitlength(c+1) + 1 suffices up to w0.  A generator keeps its packed
+# rows for each width it has been asked for.  Adding the offset that puts
 # 2^(width-1) in every field turns "some entry is negative" into "some high
 # bit is clear", one integer operation per row.
 
 
+def _support(flat: Sequence[int]) -> int:
+    """The zero pattern of a flat row-major matrix: bit i*r + j is set
+    exactly when entry (i, j) is nonzero."""
+    return sum(1 << index for index, v in enumerate(flat) if v)
+
+
+class _Generator:
+    """A generator matrix prepared once for ``_kl_recursion``.
+
+    flat    -- the flat row-major tuple
+    rank    -- r, the matrix is r x r
+    terms   -- the nonzero entries (l, v) of each row
+    row_sum -- the largest row sum
+    support -- the bitmask of ``_support``
+    """
+
+    __slots__ = ("flat", "rank", "terms", "row_sum", "support", "_packed")
+
+    def __init__(self, flat: Sequence[int], rank: int) -> None:
+        self.flat = flat = tuple(flat)
+        self.rank = rank
+        rows = [flat[i * rank : (i + 1) * rank] for i in range(rank)]
+        self.terms = tuple(tuple(itertools.compress(enumerate(row), row)) for row in rows)
+        self.row_sum = max(map(sum, rows))
+        self.support = _support(flat)
+        self._packed: dict[int, list[int]] = {}
+
+    def packed(self, width: int) -> list[int]:
+        """The packed rows at this width (shared: callers must not mutate)."""
+        rows = self._packed.get(width)
+        if rows is None:
+            r = self.rank
+            shifts = range(0, width * r, width)
+            flat = self.flat
+            rows = [sum(map(operator.lshift, flat[i * r : (i + 1) * r], shifts)) for i in range(r)]
+            self._packed[width] = rows
+        return rows
+
+
+@functools.lru_cache(maxsize=None)
+def _frame(width: int, rank: int) -> tuple[list[int], int]:
+    """(packed identity rows, sign offset) for a width and a rank."""
+    shifts = range(0, width * rank, width)
+    return [1 << shift for shift in shifts], sum(1 << (shift + width - 1) for shift in shifts)
+
+
 def _kl_recursion(
-    n: int, rank: int, a_s: Sequence[int], a_t: Sequence[int], check_support: bool = False
+    n: int, gen_s: _Generator, gen_t: _Generator, check_support: bool = False
 ) -> tuple[list[list[int]], int, str | None, list[int] | None]:
-    """The KL family of a flat row-major generator pair, in packed rows.
+    """The KL family of a pair of prepared generators, in packed rows.
 
     Returns (matrices, width, outcome, negative).  ``matrices`` lists the
     family built so far in the order e, s, t, st, ts, sts, tst, ..., then
     w0 when the extension completes: the element of length l leading with
-    s (t) sits at index 2l - 1 (2l), w0 at 2n - 1.  ``outcome`` is None for a
-    complete family, "F2" for a negative matrix (``negative`` holds it; its
-    element is the next index, or w0 when all 2n - 1 lower matrices are
-    built), "F5" when the two routes to w0 disagree, and "F4" when
-    ``check_support`` is set, A_s or A_t is nonzero and a matrix of length
-    1..n-1 vanishes.  That is exactly when the partial family meets the
-    middle two-sided cell in a mix of zero and nonzero matrices: e and w0
-    are cells of their own, and a family whose middle cell vanishes has
+    s (t) sits at index 2l - 1 (2l), w0 at 2n - 1.  The first three are
+    shared with the generators and must not be mutated.  ``outcome`` is
+    None for a complete family, "F2" for a negative matrix (``negative``
+    holds it; its element is the next index, or w0 when all 2n - 1 lower
+    matrices are built), "F5" when the two routes to w0 disagree, and "F4"
+    when ``check_support`` is set, A_s or A_t is nonzero and a matrix of
+    length 1..n-1 vanishes.  That is exactly when the partial family meets
+    the middle two-sided cell in a mix of zero and nonzero matrices: e and
+    w0 are cells of their own, and a family whose middle cell vanishes has
     A_s = A_t = 0, so w0 vanishes too and the support is downward closed.
     """
-    r = rank
-    generators = [[a[i * r : (i + 1) * r] for i in range(r)] for a in (a_s, a_t)]
-    width = n * (max(map(sum, generators[0] + generators[1])) + 1).bit_length() + 1
-    shifts = range(0, width * r, width)
-    offset = sum(1 << (shift + width - 1) for shift in shifts)
-    # the nonzero entries (l, v) of each generator row
-    terms = [[tuple(itertools.compress(enumerate(row), row)) for row in rows] for rows in generators]
-    matrices: list[list[int]] = [[1 << shift for shift in shifts]]
-    matrices += [[sum(map(operator.lshift, row, shifts)) for row in rows] for rows in generators]
-    check_support = check_support and (any(a_s) or any(a_t))
-    if check_support and not (any(a_s) and any(a_t)):
+    width = n * (max(gen_s.row_sum, gen_t.row_sum) + 1).bit_length() + 1
+    identity, offset = _frame(width, gen_s.rank)
+    terms = (gen_s.terms, gen_t.terms)
+    matrices: list[list[int]] = [identity, gen_s.packed(width), gen_t.packed(width)]
+    check_support = check_support and bool(gen_s.support or gen_t.support)
+    if check_support and not (gen_s.support and gen_t.support):
         return matrices, width, "F4", None
 
     def product(x: int, m: list[int], back: list[int] | None) -> list[int]:
@@ -356,7 +403,8 @@ def _kl_family(
     family.
     """
     rank = len(theta_s)
-    matrices, width, outcome, negative = _kl_recursion(n, rank, _flatten(theta_s), _flatten(theta_t))
+    gen_s, gen_t = _Generator(_flatten(theta_s), rank), _Generator(_flatten(theta_t), rank)
+    matrices, width, outcome, negative = _kl_recursion(n, gen_s, gen_t)
     elements = dihedral_group(n).all_elements()
     family = {elements[0]: identity_matrix(rank), elements[1]: theta_s, elements[2]: theta_t}
     unpacked = _unpack(matrices[3:] + ([negative] if negative is not None else []), width)

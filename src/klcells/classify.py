@@ -28,10 +28,16 @@ every rejection count are those of the raw pair-by-pair search.
   representatives are the A_t that are least under the stabiliser of A_s,
   and a pair's weight is r! over the order of its stabiliser.
 
-Representatives are judged by ``nimrep``'s flat kernel, which skips F1 and
+Both orbit enumerations yield prepared generators (``algebra._Generator``),
+each matrix prepared once: the variety once per search (``_variety``,
+which forked workers inherit, so a variety unit ships only the index of
+its A_s), the block space once per work unit for each B and each B'.
+Representatives are judged by ``nimrep._first_failure``, which skips F1 and
 F7: F1 holds by construction in both spaces, F7 in the block space (and it
 is off in the variety), and both are still reported for every survivor,
-whose canonical pair re-runs ``run_filters``.  The s <-> t swap, which
+whose canonical pair re-runs ``run_filters``.  Each work unit keeps its own
+table of F3 verdicts by zero pattern; only survivors are squared into a
+``MatrixPair``.  The s <-> t swap, which
 maps the block space of split k onto that of r-k, is not used to merge
 orbits in either space: F4 is judged on the partial family built before
 an F2 failure, and a swapped pair can fail at the other leading letter.
@@ -77,6 +83,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Iterator, Sequence
 
+from .algebra import _Generator
 from .cells import cell_module, compute_cells, left_cell_name
 from .exact import IntMatrix, mat_add
 from .nimrep import (
@@ -569,13 +576,22 @@ def _conjugations(rank: int) -> list[operator.itemgetter]:
     ][1:]
 
 
+@functools.lru_cache(maxsize=1)
+def _variety(rank: int, bound: int) -> tuple[tuple[tuple[int, ...], ...], tuple[_Generator, ...]]:
+    """The F1 matrices of ``_f1_matrices`` and their prepared forms, kept
+    for the last (rank, bound) asked for; forked workers inherit it."""
+    matrices = _f1_matrices(rank, bound)
+    return matrices, tuple(_Generator(a, rank) for a in matrices)
+
+
 def _rank_units(n: int, rank: int, bound: int, block_space: bool) -> list[tuple]:
     """Deterministic work units for one rank (shipped to workers as-is).
 
     A block unit (k, row0) holds the orbits whose least member has B row 0
     equal to row0; that row is sorted, so only sorted rows get a unit.  A
-    variety unit (matrices, i) holds the orbits whose least member has
-    A_s = matrices[i]; only an A_s that is least in its S_r orbit gets one.
+    variety unit i holds the orbits whose least member has A_s equal to the
+    i-th matrix of ``_variety(rank, bound)``; only an A_s that is least in
+    its S_r orbit gets one.
     """
     units: list[tuple] = []
     if block_space:
@@ -588,27 +604,29 @@ def _rank_units(n: int, rank: int, bound: int, block_space: bool) -> list[tuple]
             for row0 in itertools.combinations_with_replacement(range(bound + 1), rank - k):
                 units.append(("block", k, row0))
         return units
-    matrices = _f1_matrices(rank, bound)
+    matrices, _ = _variety(rank, bound)
     conjugations = _conjugations(rank)
     for i, a in enumerate(matrices):
         if all(g(a) >= a for g in conjugations):
-            units.append(("variety", matrices, i))
+            units.append(("variety", i))
     return units
 
 
-def _variety_orbits(rank: int, unit: tuple) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
-    """(flat A_s, flat A_t, orbit size) for each S_r orbit of a variety unit.
+def _variety_orbits(rank: int, bound: int, unit: tuple) -> Iterator[tuple[_Generator, _Generator, int]]:
+    """(prepared A_s, prepared A_t, orbit size) for each S_r orbit of a
+    variety unit.
 
     S_r acts on pairs by simultaneous conjugation.  A_s is fixed by the
     unit and least in its orbit, so the orbits of pairs through it are the
     orbits of A_t under Stab(A_s); the representative is the least A_t of
     each, and the pair's orbit has r! / |Stab(A_s) & Stab(A_t)| members.
     """
-    _, matrices, i = unit
-    a_s = matrices[i]
+    matrices, prepared = _variety(rank, bound)
+    _, i = unit
+    a_s, gen_s = matrices[i], prepared[i]
     stabiliser = [g for g in _conjugations(rank) if g(a_s) == a_s]
     group_order = math.factorial(rank)
-    for a_t in matrices:
+    for a_t, gen_t in zip(matrices, prepared):
         fixed = 1
         for g in stabiliser:
             image = g(a_t)
@@ -616,11 +634,11 @@ def _variety_orbits(rank: int, unit: tuple) -> Iterator[tuple[tuple[int, ...], t
                 break
             fixed += image == a_t
         else:
-            yield a_s, a_t, group_order // fixed
+            yield gen_s, gen_t, group_order // fixed
 
 
-def _block_orbits(rank: int, bound: int, unit: tuple) -> Iterator[tuple[list[int], list[int], int]]:
-    """(flat A_s, flat A_t, orbit size) for each orbit of a unit.
+def _block_orbits(rank: int, bound: int, unit: tuple) -> Iterator[tuple[_Generator, _Generator, int]]:
+    """(prepared A_s, prepared A_t, orbit size) for each orbit of a unit.
 
     S_k x S_{r-k} permutes the rows and columns of the k x (r-k) grid of
     joint entries (B[i][j], B'[j][i]), coded as B[i][j] * (bound+1) +
@@ -630,10 +648,12 @@ def _block_orbits(rank: int, bound: int, unit: tuple) -> Iterator[tuple[list[int
     permutation followed by re-sorting the rows gives a smaller grid.  The
     orbit size is k! (r-k)! over the stabiliser: the column permutations
     that give the grid back, times the row permutations among equal rows.
+    Many grids share a B or a B', so the unit prepares A_s once per B and
+    A_t once per B'.
     """
     if unit[0] == "degenerate":
         _, a, b = unit
-        yield [a], [b], 1
+        yield _Generator((a,), 1), _Generator((b,), 1), 1
         return
     _, k, row0 = unit
     m = rank - k
@@ -642,6 +662,9 @@ def _block_orbits(rank: int, bound: int, unit: tuple) -> Iterator[tuple[list[int
     column_perms = list(itertools.permutations(range(m)))[1:]
     rows = list(itertools.product(range(base * base), repeat=m)) if k > 1 else []
     least = [tuple(sorted(row)) for row in rows]
+    # A_s by B and A_t by B' (as its columns, one per grid row)
+    gens_s: dict[tuple, _Generator] = {}
+    gens_t: dict[tuple, _Generator] = {}
     for first in itertools.product(*([b * base + c for c in range(base)] for b in row0)):
         # row 0 is the least row under every column permutation, so it is
         # sorted and no other row sorts below it
@@ -660,15 +683,24 @@ def _block_orbits(rank: int, bound: int, unit: tuple) -> Iterator[tuple[list[int
             else:
                 for count in collections.Counter(grid).values():
                     stabiliser *= math.factorial(count)
-                a_s = [0] * (rank * rank)
-                a_t = [0] * (rank * rank)
-                for i, row in enumerate(grid):
-                    a_s[i * rank + i] = 2
-                    for j, code in enumerate(row):
-                        a_s[i * rank + k + j], a_t[(k + j) * rank + i] = divmod(code, base)
-                for j in range(k, rank):
-                    a_t[j * rank + j] = 2
-                yield a_s, a_t, group_order // stabiliser
+                b = tuple(tuple(code // base for code in row) for row in grid)
+                gen_s = gens_s.get(b)
+                if gen_s is None:
+                    a_s = [0] * (rank * rank)
+                    for i, b_row in enumerate(b):
+                        a_s[i * rank + i] = 2
+                        a_s[i * rank + k : (i + 1) * rank] = b_row
+                    gen_s = gens_s[b] = _Generator(a_s, rank)
+                b_columns = tuple(tuple(code % base for code in row) for row in grid)
+                gen_t = gens_t.get(b_columns)
+                if gen_t is None:
+                    a_t = [0] * (rank * rank)
+                    for i, column in enumerate(b_columns):
+                        a_t[k * rank + i :: rank] = column
+                    for j in range(k, rank):
+                        a_t[j * rank + j] = 2
+                    gen_t = gens_t[b_columns] = _Generator(a_t, rank)
+                yield gen_s, gen_t, group_order // stabiliser
 
 
 def _evaluate_unit(payload: tuple) -> tuple[int, tuple[tuple[str, int], ...], list[tuple]]:
@@ -682,20 +714,21 @@ def _evaluate_unit(payload: tuple) -> tuple[int, tuple[tuple[str, int], ...], li
     """
     n, rank, bound, enabled, unit = payload
     if unit[0] == "variety":
-        orbits = _variety_orbits(rank, unit)
+        orbits = _variety_orbits(rank, bound, unit)
     else:
         orbits = _block_orbits(rank, bound, unit)
     enabled_set = frozenset(enabled)
+    connected: dict[int, bool] = {}
     evaluated = 0
     rejections: dict[str, int] = {}
     survivors: dict[bytes, tuple] = {}
-    for a_s, a_t, weight in orbits:
+    for gen_s, gen_t, weight in orbits:
         evaluated += weight
-        failed = _first_failure(n, rank, a_s, a_t, enabled_set)
+        failed = _first_failure(n, gen_s, gen_t, enabled_set, connected)
         if failed is not None:
             rejections[failed] = rejections.get(failed, 0) + weight
             continue
-        pair = MatrixPair(n=n, rank=rank, theta_s=_square(a_s, rank), theta_t=_square(a_t, rank))
+        pair = MatrixPair(n=n, rank=rank, theta_s=_square(gen_s.flat, rank), theta_t=_square(gen_t.flat, rank))
         rep = canonical_pair(pair)
         key = _serialise(rep)
         if key not in survivors:

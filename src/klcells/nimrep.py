@@ -18,17 +18,20 @@ failures: a negative entry (filter F2, with the offending element and
 position as witness) or disagreement of the two w0 routes (filter F5).
 
 One kernel runs the recursion: ``algebra._kl_recursion``, the same one
-that builds the structure constants and the cell modules.  It takes the
-generators as flat row-major integer lists and holds each matrix of the
-family as one packed integer per row, so a step A_x A_w' - A_w'' costs one
-integer operation per nonzero entry of A_x and the sign test one per row.
-``extend`` is a thin wrapper that reads the packed matrices back into the
-family keyed by group element (``algebra._kl_family``) and writes the
-witness.  The classification search calls the kernel through
-``_first_failure``, which gives ``run_filters``' verdict for a pair that
-satisfies F1 without building the family: F3 from the zero pattern of
-A_s + A_t, F4 from which matrices vanish as the family grows, F2 and F5
-from the recursion, and F6 from ``check_group_relations``.  It judges one
+that builds the structure constants and the cell modules.  It takes two
+prepared generators (``algebra._Generator``: the flat row-major matrix,
+its nonzero terms, largest row sum, support bitmask and packed rows) and
+holds each matrix of the family as one packed integer per row, so a step
+A_x A_w' - A_w'' costs one integer operation per nonzero entry of A_x and
+the sign test one per row.  ``extend`` is a thin wrapper that reads the
+packed matrices back into the family keyed by group element
+(``algebra._kl_family``) and writes the witness.  The classification
+search calls the kernel through ``_first_failure``, which gives
+``run_filters``' verdict for a pair without building the family: F3 from
+the support bitmasks of the two generators, F4 from which matrices vanish
+as the family grows, F2 and F5 from the recursion, and F6 from
+``check_group_relations``.  Its preconditions are F1 and nonnegative
+entries, which both search spaces meet by construction.  It judges one
 representative per orbit of the block space and of the F1 variety.
 
 The named filters on candidates:
@@ -66,7 +69,7 @@ import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .algebra import _flatten, _kl_family, _kl_recursion
+from .algebra import _Generator, _flatten, _kl_family, _kl_recursion, _support
 from .dihedral import GroupElement, dihedral_group, display_key, render
 from .exact import (
     IntMatrix,
@@ -187,23 +190,35 @@ def _square(flat: Sequence[int], r: int) -> IntMatrix:
     return tuple(tuple(flat[i * r : (i + 1) * r]) for i in range(r))
 
 
-def _first_failure(n: int, rank: int, a_s: Sequence[int], a_t: Sequence[int], enabled: frozenset[str]) -> str | None:
-    """First failing filter of a flat pair in the order F3, F4, F2, F5, F6.
+def _first_failure(
+    n: int, gen_s: _Generator, gen_t: _Generator, enabled: frozenset[str], connected: dict[int, bool]
+) -> str | None:
+    """First failing filter of a prepared pair in the order F3, F4, F2, F5, F6.
 
-    Its only precondition is F1: for a pair whose matrices satisfy
-    A^2 = 2A this is ``classify.run_filters``' verdict with F7 off.  F1 and
-    F7 are not tested; F7 comes last, so with it on the verdict differs
-    only where F7 fails, which it never does in the block space.  F3 reads
-    the zero pattern before any product, and F4 is judged on the partial
-    family as the recursion grows.
+    Its preconditions are F1 and nonnegative entries: for a pair of
+    nonnegative matrices with A^2 = 2A this is ``classify.run_filters``'
+    verdict with F7 off.  F1 and F7 are not tested; F7 comes last, so with
+    it on the verdict differs only where F7 fails, which it never does in
+    the block space.  F3 reads the zero pattern of A_s + A_t before any
+    product.  With nonnegative entries nothing cancels, so that pattern is
+    exactly ``gen_s.support | gen_t.support``; its verdict is looked up in,
+    or added to, ``connected``, a dict that the caller keeps for pairs of
+    one rank (the search keeps one per work unit).  F4 is judged on the
+    partial family as the recursion grows.
     """
-    if "F3" in enabled and _strongly_connected([x + y for x, y in zip(a_s, a_t)], rank) is not None:
-        return "F3"
-    _, _, outcome, _ = _kl_recursion(n, rank, a_s, a_t, check_support="F4" in enabled)
+    if "F3" in enabled:
+        support = gen_s.support | gen_t.support
+        verdict = connected.get(support)
+        if verdict is None:
+            verdict = connected[support] = _strongly_connected(support, gen_s.rank) is None
+        if not verdict:
+            return "F3"
+    _, _, outcome, _ = _kl_recursion(n, gen_s, gen_t, check_support="F4" in enabled)
     if outcome is not None:
         return outcome
     if "F6" in enabled:
-        pair = MatrixPair(n=n, rank=rank, theta_s=_square(a_s, rank), theta_t=_square(a_t, rank))
+        rank = gen_s.rank
+        pair = MatrixPair(n=n, rank=rank, theta_s=_square(gen_s.flat, rank), theta_t=_square(gen_t.flat, rank))
         if not check_group_relations(pair).passed:
             return "F6"
     return None
@@ -246,20 +261,23 @@ def check_idempotent(pair: MatrixPair) -> FilterReport:
     return FilterReport("F1", True, None)
 
 
-def _strongly_connected(q: Sequence[int], r: int) -> int | None:
-    """None when the action graph of the flat row-major r x r matrix q (edge
-    i -> j iff q[j][i] != 0) is strongly connected, else a vertex missing
-    from some orbit of vertex 0."""
+def _strongly_connected(support: int, r: int) -> int | None:
+    """None when the action graph of an r x r support bitmask (see
+    ``algebra._support``; edge i -> j iff bit j*r + i is set, that is
+    q[j][i] != 0) is strongly connected, else a vertex missing from some
+    orbit of vertex 0: the least vertex that vertex 0 does not reach, or,
+    when it reaches every vertex, the least one that does not reach it."""
     if r == 0:
         return None
-    successors = [0] * r
-    predecessors = [0] * r
-    for index, v in enumerate(q):
-        if v:
-            j, i = divmod(index, r)
-            successors[i] |= 1 << j
-            predecessors[j] |= 1 << i
     everything = (1 << r) - 1
+    # row j of the bitmask is the set of predecessors of j
+    predecessors = [support >> (j * r) & everything for j in range(r)]
+    successors = [0] * r
+    for j, row in enumerate(predecessors):
+        while row:
+            low = row & -row
+            successors[low.bit_length() - 1] |= 1 << j
+            row ^= low
     for adjacency in (successors, predecessors):
         seen = frontier = 1
         while frontier:
@@ -283,7 +301,7 @@ def check_transitive(pair: MatrixPair) -> FilterReport:
     reaches vector j under the action).
     """
     q = [x + y for row_s, row_t in zip(pair.theta_s, pair.theta_t) for x, y in zip(row_s, row_t)]
-    missing = _strongly_connected(q, pair.rank)
+    missing = _strongly_connected(_support(q), pair.rank)
     if missing is None:
         return FilterReport("F3", True, None)
     return FilterReport(
@@ -534,7 +552,7 @@ def perron_analysis(q: Sequence[Sequence[int]]) -> PerronAnalysis:
     if any(x < 0 for row in matrix for x in row):
         raise ValueError("perron_analysis expects a nonnegative matrix")
 
-    irreducible = _strongly_connected(_flatten(matrix), r) is None
+    irreducible = _strongly_connected(_support(_flatten(matrix)), r) is None
 
     # Power iteration on Q + I over its nonzero entries (j, c), row by row
     # in ascending j; the product that gives the residual is the next step's.

@@ -10,6 +10,12 @@ the F1 variety into one unit per A_s, and ``evaluate_raw_unit`` runs
 ``run_filters`` on every pair of a unit of either kind, which is the search
 before orbit representatives; the reports of ``classify`` must be the same
 bytes.
+``kl_recursion_oracle`` is the flat-pair KL kernel that slices, sums and
+packs both generators on every call; ``algebra._kl_recursion``, which takes
+generators prepared once, must return the same tuple.
+``strongly_connected_oracle`` is F3 by breadth-first search over adjacency
+sets; ``nimrep._strongly_connected`` on a support bitmask must give the
+same verdict and the same missing vertex.
 ``mat_mul_oracle`` is the dense integer product, one dot product per row
 and column, that ``exact.mat_mul`` must equal.  ``perron_iteration_oracle``
 is the power iteration on the dense Q + I with two products per step, one
@@ -22,11 +28,12 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from collections import deque
 
 from klcells.classify import canonical_pair, canonicalize, run_filters
 from klcells.dihedral import dihedral_group, other_letter, render
 from klcells.exact import first_negative_entry, identity_matrix, mat_mul, mat_sub
-from klcells.nimrep import ExtendedRep, ExtensionFailure, MatrixPair, _square, _strongly_connected, _twice_idempotent
+from klcells.nimrep import ExtendedRep, ExtensionFailure, MatrixPair, _square, _twice_idempotent
 
 
 def mat_mul_oracle(a, b):
@@ -55,8 +62,73 @@ def perron_iteration_oracle(q):
     else:
         raise ArithmeticError("power iteration did not reach the 1e-10 residual")
     top = max(vec)
-    irreducible = _strongly_connected([v for row in q for v in row], r) is None
+    irreducible = strongly_connected_oracle([v for row in q for v in row], r) is None
     return radius - 1.0, (tuple(x / top for x in vec) if irreducible else None)
+
+
+def strongly_connected_oracle(q, r):
+    """None when the action graph of the flat r x r matrix q (edge i -> j
+    iff q[j][i] != 0) is strongly connected; else the least vertex that
+    vertex 0 does not reach, or, if it reaches all, the least vertex that
+    does not reach vertex 0."""
+    successors = {i: {j for j in range(r) if q[j * r + i]} for i in range(r)}
+    predecessors = {j: {i for i in range(r) if q[j * r + i]} for j in range(r)}
+    for adjacency in (successors, predecessors):
+        seen = {0}
+        queue = deque([0])
+        while queue:
+            for j in adjacency[queue.popleft()] - seen:
+                seen.add(j)
+                queue.append(j)
+        missing = set(range(r)) - seen
+        if missing:
+            return min(missing)
+    return None
+
+
+def kl_recursion_oracle(n, rank, a_s, a_t, check_support=False):
+    """The KL kernel on a flat generator pair, everything rebuilt per call:
+    (matrices, width, outcome, negative) as ``algebra._kl_recursion``."""
+    r = rank
+    generators = [[a[i * r : (i + 1) * r] for i in range(r)] for a in (a_s, a_t)]
+    width = n * (max(map(sum, generators[0] + generators[1])) + 1).bit_length() + 1
+    shifts = range(0, width * r, width)
+    offset = sum(1 << (shift + width - 1) for shift in shifts)
+    terms = [[tuple(itertools.compress(enumerate(row), row)) for row in rows] for rows in generators]
+    matrices = [[1 << shift for shift in shifts]]
+    matrices += [[sum(map(operator.lshift, row, shifts)) for row in rows] for rows in generators]
+    check_support = check_support and (any(a_s) or any(a_t))
+    if check_support and not (any(a_s) and any(a_t)):
+        return matrices, width, "F4", None
+
+    def product(x, m, back):
+        out = []
+        for i, row_terms in enumerate(terms[x]):
+            acc = -back[i] if back is not None else 0
+            for l, v in row_terms:
+                acc += v * m[l]
+            out.append(acc)
+        return out
+
+    for length in range(2, n):
+        for x in (0, 1):
+            shorter = matrices[2 * length - 2 - x]
+            back = matrices[2 * length - 5 + x] if length > 2 else None
+            a = product(x, shorter, back)
+            if any((row + offset) & offset != offset for row in a):
+                return matrices, width, "F2", a
+            matrices.append(a)
+            if check_support and not any(a):
+                return matrices, width, "F4", None
+    via_s = product(0, matrices[2 * n - 2], matrices[2 * n - 5])
+    via_t = product(1, matrices[2 * n - 3], matrices[2 * n - 4])
+    for route in (via_s, via_t):
+        if any((row + offset) & offset != offset for row in route):
+            return matrices, width, "F2", route
+    if via_s != via_t:
+        return matrices, width, "F5", None
+    matrices.append(via_s)
+    return matrices, width, None, None
 
 
 def extend_oracle(pair):

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import pickle
 import random
 import sys
 
@@ -367,7 +368,8 @@ def block_orbits(rank, bound, k):
     for unit in _rank_units(4, rank, bound, True):
         if unit[1] != k:
             continue
-        for a_s, a_t, weight in _block_orbits(rank, bound, unit):
+        for gen_s, gen_t, weight in _block_orbits(rank, bound, unit):
+            a_s, a_t = gen_s.flat, gen_t.flat
             grid = tuple(
                 tuple(a_s[i * rank + k + j] * base + a_t[(k + j) * rank + i] for j in range(rank - k))
                 for i in range(k)
@@ -405,8 +407,8 @@ def test_orbit_representatives_are_least_and_partition_the_space():
 
 def test_degenerate_rank_one_units():
     units = _rank_units(4, 1, 2, True)
-    items = [item for unit in units for item in _block_orbits(1, 2, unit)]
-    assert items == [([0], [0], 1), ([0], [2], 1), ([2], [0], 1), ([2], [2], 1)]
+    items = [(g_s.flat, g_t.flat, weight) for unit in units for g_s, g_t, weight in _block_orbits(1, 2, unit)]
+    assert items == [((0,), (0,), 1), ((0,), (2,), 1), ((2,), (0,), 1), ((2,), (2,), 1)]
 
 
 def raw_pair_report(monkeypatch, n, **kwargs):
@@ -446,7 +448,8 @@ VARIETY_SPACES = [(rank, bound) for rank in (1, 2, 3) for bound in (1, 2)] + [(4
 
 def variety_orbits(rank, bound):
     for unit in _rank_units(4, rank, bound, False):
-        yield from _variety_orbits(rank, unit)
+        for gen_s, gen_t, weight in _variety_orbits(rank, bound, unit):
+            yield gen_s.flat, gen_t.flat, weight
 
 
 def conjugate(flat, perm):
@@ -492,6 +495,16 @@ def test_variety_search_at_rank_five():
     assert len(report.candidates) == 10
     assert not any(check_block_form(c.pair).passed for c in report.candidates)
     assert classify(4, ranks=(5,), entry_bound=1).candidates == ()
+
+
+def test_variety_units_pickle_small():
+    # a variety unit names its A_s by index; workers read the matrices from
+    # their own _variety cache, so no payload carries the 2,451 matrices
+    enabled = normalize_filters(("F7",))
+    units = _rank_units(4, 4, 2, False)
+    assert len(units) == 160
+    for unit in units:
+        assert len(pickle.dumps((4, 4, 2, enabled, unit))) < 200, unit
 
 
 def test_variety_weights_sum_to_the_pair_space():

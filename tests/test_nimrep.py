@@ -28,9 +28,17 @@ from klcells.nimrep import (
     _first_failure,
     _flatten,
     _square,
+    _strongly_connected,
 )
-from klcells.algebra import kl_regular_matrices
-from oracles import extend_oracle, mat_mul_oracle, perron_iteration_oracle, raw_block_pairs
+from klcells.algebra import _Generator, _kl_recursion, _support, kl_regular_matrices
+from oracles import (
+    extend_oracle,
+    kl_recursion_oracle,
+    mat_mul_oracle,
+    perron_iteration_oracle,
+    raw_block_pairs,
+    strongly_connected_oracle,
+)
 
 CELL3_S = ((0, 0, 0), (0, 0, 0), (1, 1, 2))
 CELL3_T = ((2, 0, 1), (0, 2, 1), (0, 0, 0))
@@ -117,9 +125,8 @@ def test_extend_matches_the_tuple_oracle_on_whole_spaces(n):
             assert_same_extension(p)
 
 
-def test_extend_matches_the_tuple_oracle_on_random_pairs():
-    # arbitrary nonnegative pairs, large entries and long words: the packed
-    # rows must hold every entry the recursion reaches
+def random_pairs():
+    """600 arbitrary nonnegative pairs, large entries and long words."""
     rng = random.Random(4242)
     for _ in range(600):
         rank = rng.randint(1, 5)
@@ -129,7 +136,13 @@ def test_extend_matches_the_tuple_oracle_on_random_pairs():
             [[rng.randint(0, bound) if rng.random() < 0.5 else 0 for _ in range(rank)] for _ in range(rank)]
             for _ in range(2)
         ]
-        assert_same_extension(pair(n, *matrices))
+        yield pair(n, *matrices)
+
+
+def test_extend_matches_the_tuple_oracle_on_random_pairs():
+    # the packed rows must hold every entry the recursion reaches
+    for p in random_pairs():
+        assert_same_extension(p)
 
 
 # The kernel judges every block pair and every pair of the F1 variety the way
@@ -143,12 +156,14 @@ def assert_kernel_verdicts(n, pairs, base_disabled, offs=("F3", "F4", "F6")):
     default = normalize_filters(base_disabled)
     variants = [(None, default)] + [(off, normalize_filters(base_disabled + (off,))) for off in offs]
     seen = set()
+    connected = {}  # one F3 memo per rank, as the search keeps one per unit
     for p in pairs:
-        a_s, a_t = _flatten(p.theta_s), _flatten(p.theta_t)
+        gen_s, gen_t = _Generator(_flatten(p.theta_s), p.rank), _Generator(_flatten(p.theta_t), p.rank)
+        memo = connected.setdefault(p.rank, {})
         first = run_filters(p, default)[2]
         for off, enabled in variants:
             expected = run_filters(p, enabled)[2] if off is not None and first == off else first
-            assert _first_failure(n, p.rank, a_s, a_t, frozenset(enabled)) == expected, (p, off)
+            assert _first_failure(n, gen_s, gen_t, frozenset(enabled), memo) == expected, (p, off)
             seen.add(expected)
     return seen
 
@@ -167,15 +182,49 @@ def test_kernel_verdict_matches_run_filters(n):
     assert {"F3", "F4", None} <= assert_kernel_verdicts(n, pairs, ("F7",), offs)
 
 
+@pytest.mark.parametrize("n", range(3, 8))
+def test_prepared_kernel_matches_the_flat_pair_oracle(n):
+    # the kernel on generators prepared once against the flat-pair kernel
+    # that rebuilds everything per call: the same matrices, width, outcome
+    # and negative matrix, with and without the support check.  Every block
+    # pair for each n; the F1 variety at rank <= 3, E = 2 at n = 4, where
+    # the benchmark searches it; the random pairs once, each at its own n.
+    prepared = {}
+
+    def generator(flat, rank):
+        if flat not in prepared:
+            prepared[flat] = _Generator(flat, rank)
+        return prepared[flat]
+
+    def flat(pairs):
+        return [(p.n, p.rank, tuple(_flatten(p.theta_s)), tuple(_flatten(p.theta_t))) for p in pairs]
+
+    cases = flat(p for rank, bound in BLOCK_SPACES for p in raw_block_pairs(n, rank, bound))
+    if n == 4:
+        cases += [(n, rank, *ab) for rank in (1, 2, 3) for ab in itertools.product(_f1_matrices(rank, 2), repeat=2)]
+    if n == 3:
+        cases += flat(random_pairs())
+    assert len(cases) == 8766 + (19773 if n == 4 else 0) + (600 if n == 3 else 0)
+    for m, rank, a_s, a_t in cases:
+        gen_s, gen_t = generator(a_s, rank), generator(a_t, rank)
+        for check_support in (False, True):
+            expected = kl_recursion_oracle(m, rank, a_s, a_t, check_support)
+            assert _kl_recursion(m, gen_s, gen_t, check_support) == expected, (m, a_s, a_t, check_support)
+
+
+def first_failure(n, rank, a_s, a_t, enabled):
+    return _first_failure(n, _Generator(a_s, rank), _Generator(a_t, rank), frozenset(enabled), {})
+
+
 def test_kernel_verdict_outside_the_block_space():
     # F4 from a vanishing generator, F6 on a pair that extends, F3 skipped
-    assert _first_failure(4, 1, [2], [0], frozenset({"F3", "F4", "F6"})) == "F4"
-    assert _first_failure(4, 1, [2], [0], frozenset({"F3", "F6"})) == "F2"
-    assert _first_failure(4, 2, [2, 1, 0, 0], [0, 0, 1, 2], frozenset({"F3", "F4", "F6"})) == "F4"
-    assert _first_failure(3, 2, [2, 1, 0, 0], [0, 0, 1, 2], frozenset({"F3", "F4", "F6"})) is None
-    assert _first_failure(4, 2, [2, 0, 0, 2], [2, 0, 0, 2], frozenset({"F3"})) == "F3"
-    assert _first_failure(3, 1, [1], [1], frozenset({"F3", "F4", "F6"})) == "F6"
-    assert _first_failure(3, 1, [1], [1], frozenset({"F3", "F4"})) is None
+    assert first_failure(4, 1, [2], [0], {"F3", "F4", "F6"}) == "F4"
+    assert first_failure(4, 1, [2], [0], {"F3", "F6"}) == "F2"
+    assert first_failure(4, 2, [2, 1, 0, 0], [0, 0, 1, 2], {"F3", "F4", "F6"}) == "F4"
+    assert first_failure(3, 2, [2, 1, 0, 0], [0, 0, 1, 2], {"F3", "F4", "F6"}) is None
+    assert first_failure(4, 2, [2, 0, 0, 2], [2, 0, 0, 2], {"F3"}) == "F3"
+    assert first_failure(3, 1, [1], [1], {"F3", "F4", "F6"}) == "F6"
+    assert first_failure(3, 1, [1], [1], {"F3", "F4"}) is None
 
 
 def test_extend_failure_negative_entry():
@@ -254,6 +303,31 @@ def test_check_transitive():
     # one-way flow is not enough; the orbit must be two-sided
     one_way = check_transitive(pair(4, ((0, 1), (0, 0)), ((0, 0), (0, 0))))
     assert not one_way.passed
+
+
+def test_strongly_connected_matches_the_adjacency_set_oracle():
+    # every support pattern of rank <= 4: verdict and missing vertex
+    for r in range(1, 5):
+        for support in range(1 << (r * r)):
+            flat = [support >> index & 1 for index in range(r * r)]
+            assert _support(flat) == support
+            assert _strongly_connected(support, r) == strongly_connected_oracle(flat, r), (r, support)
+
+
+def test_shared_f3_memo_gives_the_fresh_verdicts():
+    # one memo per A_s over the whole rank-3 variety, as a work unit keeps
+    # it, against a fresh memo for every pair
+    matrices = [_Generator(a, 3) for a in _f1_matrices(3, 2)]
+    enabled = frozenset({"F3"})
+    verdicts = set()
+    for gen_s in matrices:
+        shared = {}
+        for gen_t in matrices:
+            verdict = _first_failure(4, gen_s, gen_t, enabled, shared)
+            assert verdict == _first_failure(4, gen_s, gen_t, enabled, {}), (gen_s.flat, gen_t.flat)
+            verdicts.add(verdict)
+        assert set(shared) == {gen_s.support | gen_t.support for gen_t in matrices}
+    assert "F3" in verdicts and len(verdicts) > 1
 
 
 def test_check_apex_support():
