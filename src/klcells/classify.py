@@ -12,26 +12,22 @@ variety of pairs of matrices satisfying A^2 = 2A with entries up to the
 bound; its matrices are built from the normal form of nonnegative
 idempotents (see ``_f1_matrices``), not found by scanning the entry cube.
 
-Both spaces are searched by orbits of a group that changes no filter
-verdict, and one representative per orbit is judged and its verdict is
-charged to all |G|/|Stab| pairs of the orbit: ``pairs_evaluated`` and
-every rejection count are those of the raw pair-by-pair search.
+Both spaces are searched by orbits of a group of simultaneous
+conjugations (A_s, A_t) -> (P A_s P^-1, P A_t P^-1), which commute with
+the KL recursion and so change no filter verdict.  One representative per
+orbit is judged and its verdict is charged to all |G|/|Stab| pairs of the
+orbit: ``pairs_evaluated`` and every rejection count are those of the raw
+pair-by-pair search.  The variety is one space under S_r.  The block space
+of split k is the set of pairs (A_s for every B, A_t for every B') under
+S_k x S_{r-k}, which permutes the first k and the last r-k indices; its
+rank one is the variety of rank one at bound 2 under the trivial group.
+In every space (``_spaces``) the representative is the orbit's least
+(flat A_s, flat A_t): a work unit is an A_s that is least in its orbit,
+and its representatives are the A_t that are least under the stabiliser
+of A_s (``_orbits``), so each orbit falls in exactly one work unit.
 
-* In the block space, reindexing within the two blocks, S_k x S_{r-k},
-  permutes the rows and columns of the k x (r-k) grid of joint entries
-  (B[i][j], B'[j][i]).  The representative is the orbit's
-  lexicographically least grid, so each orbit falls in exactly one work
-  unit.
-* In the variety, S_r acts by simultaneous conjugation
-  (A_s, A_t) -> (P A_s P^-1, P A_t P^-1), which commutes with the KL
-  recursion.  A work unit is an A_s that is least in its S_r orbit, its
-  representatives are the A_t that are least under the stabiliser of A_s,
-  and a pair's weight is r! over the order of its stabiliser.
-
-Both orbit enumerations yield prepared generators (``algebra._Generator``),
-each matrix prepared once: the variety once per search (``_variety``,
-which forked workers inherit, so a variety unit ships only the index of
-its A_s), the block space once per work unit for each B and each B'.
+Every matrix is prepared once per rank (``algebra._Generator``), and
+forked workers inherit the spaces, so a unit ships only two indices.
 Representatives are judged by ``nimrep._first_failure``, which skips F1 and
 F7: F1 holds by construction in both spaces, F7 in the block space (and it
 is off in the variety), and both are still reported for every survivor,
@@ -70,12 +66,9 @@ states.
 
 from __future__ import annotations
 
-import bisect
-import collections
 import functools
 import itertools
 import json
-import math
 import multiprocessing
 import operator
 import time
@@ -83,7 +76,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import _Generator
+from .algebra import _Generator, _flatten
 from .cells import cell_module, compute_cells, left_cell_name
 from .exact import IntMatrix, mat_add
 from .nimrep import (
@@ -135,11 +128,6 @@ MAX_CANONICAL_RANK = 6
 # -- canonical representatives ---------------------------------------------
 
 
-def _apply_permutation(m: IntMatrix, perm: Sequence[int]) -> tuple[int, ...]:
-    r = len(perm)
-    return tuple(m[perm[i]][perm[j]] for i in range(r) for j in range(r))
-
-
 def _canonical_flat(pair: MatrixPair) -> tuple[tuple[int, ...], tuple[int, ...]]:
     r = pair.rank
     if r > MAX_CANONICAL_RANK:
@@ -147,15 +135,9 @@ def _canonical_flat(pair: MatrixPair) -> tuple[tuple[int, ...], tuple[int, ...]]
             f"canonical keys are only computed up to rank {MAX_CANONICAL_RANK} "
             f"(got {r}); the orbit grows factorially beyond that"
         )
-    best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    for perm in itertools.permutations(range(r)):
-        flat_s = _apply_permutation(pair.theta_s, perm)
-        flat_t = _apply_permutation(pair.theta_t, perm)
-        for candidate in ((flat_s, flat_t), (flat_t, flat_s)):
-            if best is None or candidate < best:
-                best = candidate
-    assert best is not None
-    return best
+    flat_s, flat_t = tuple(_flatten(pair.theta_s)), tuple(_flatten(pair.theta_t))
+    images = [(flat_s, flat_t)] + [(g(flat_s), g(flat_t)) for g in _conjugations(r)]
+    return min(min(image, image[::-1]) for image in images)
 
 
 def canonical_pair(pair: MatrixPair) -> MatrixPair:
@@ -566,67 +548,90 @@ def _normal_forms(rank: int, bound: int) -> Iterator[tuple[int, ...]]:
                         yield tuple(m)
 
 
-def _conjugations(rank: int) -> list[operator.itemgetter]:
-    """The non-identity elements of S_r acting on flat r x r matrices,
-    A -> (A[p(i)][p(j)])_{ij}, as item getters (empty for rank one)."""
-    r = rank
-    return [
-        operator.itemgetter(*(p[i] * r + p[j] for i in range(r) for j in range(r)))
-        for p in itertools.permutations(range(r))
-    ][1:]
+@functools.lru_cache(maxsize=None)
+def _conjugations(*blocks: int) -> tuple[operator.itemgetter, ...]:
+    """The non-identity elements of S_b1 x S_b2 x ..., each factor permuting
+    its own run of consecutive indices, acting on flat r x r matrices
+    (r = b1 + b2 + ...) by A -> (A[p(i)][p(j)])_{ij}, as item getters
+    (empty when every run has length one)."""
+    r = sum(blocks)
+    starts = itertools.accumulate(blocks, initial=0)
+    runs = [list(itertools.permutations(range(start, start + b))) for start, b in zip(starts, blocks)]
+    perms = [sum(parts, ()) for parts in itertools.product(*runs)][1:]
+    return tuple(operator.itemgetter(*(p[i] * r + p[j] for i in range(r) for j in range(r))) for p in perms)
 
 
 @functools.lru_cache(maxsize=1)
-def _variety(rank: int, bound: int) -> tuple[tuple[tuple[int, ...], ...], tuple[_Generator, ...]]:
-    """The F1 matrices of ``_f1_matrices`` and their prepared forms, kept
-    for the last (rank, bound) asked for; forked workers inherit it."""
-    matrices = _f1_matrices(rank, bound)
-    return matrices, tuple(_Generator(a, rank) for a in matrices)
+def _spaces(
+    rank: int, bound: int, block_space: bool
+) -> tuple[tuple[tuple[operator.itemgetter, ...], tuple[_Generator, ...], tuple[_Generator, ...]], ...]:
+    """The search spaces of one rank as (conjugations, prepared A_s,
+    prepared A_t), each list ascending by flat matrix and closed under the
+    conjugations; kept for the last (rank, bound, block_space) asked for,
+    so forked workers inherit it.
+
+    The block space has one space per split k in 1..r-1: A_s for every B
+    and A_t for every B', under S_k x S_{r-k}, which permutes the first k
+    and the last r-k indices by (sigma, tau) and so sends the blocks to
+    (P_sigma B P_tau^-1, P_tau B' P_sigma^-1).  Rank one cannot split: its
+    block space is the rank-one variety at bound 2, (0) and (2), under the
+    trivial group.  The F1 variety is one space, under S_r.
+    """
+    if not block_space or rank == 1:
+        variety = tuple(_Generator(a, rank) for a in _f1_matrices(rank, 2 if block_space else bound))
+        return ((_conjugations(rank), variety, variety),)
+    spaces = []
+    for k in range(1, rank):
+        m = rank - k
+        gens_s, gens_t = [], []
+        for entries in itertools.product(range(bound + 1), repeat=k * m):
+            a_s = [0] * (rank * rank)
+            a_t = [0] * (rank * rank)
+            for i in range(k):
+                a_s[i * rank + i] = 2
+                a_s[i * rank + k : (i + 1) * rank] = entries[i * m : (i + 1) * m]
+            for j in range(k, rank):
+                a_t[j * rank : j * rank + k] = entries[(j - k) * k : (j - k + 1) * k]
+                a_t[j * rank + j] = 2
+            gens_s.append(_Generator(a_s, rank))
+            gens_t.append(_Generator(a_t, rank))
+        spaces.append((_conjugations(k, m), tuple(gens_s), tuple(gens_t)))
+    return tuple(spaces)
 
 
-def _rank_units(n: int, rank: int, bound: int, block_space: bool) -> list[tuple]:
+def _rank_units(rank: int, bound: int, block_space: bool) -> list[tuple[int, int]]:
     """Deterministic work units for one rank (shipped to workers as-is).
 
-    A block unit (k, row0) holds the orbits whose least member has B row 0
-    equal to row0; that row is sorted, so only sorted rows get a unit.  A
-    variety unit i holds the orbits whose least member has A_s equal to the
-    i-th matrix of ``_variety(rank, bound)``; only an A_s that is least in
-    its S_r orbit gets one.
+    A unit (j, i) holds the orbits of space j of ``_spaces`` whose least
+    member has the i-th A_s of that space; only an A_s that is least in its
+    orbit gets one.
     """
-    units: list[tuple] = []
-    if block_space:
-        if rank == 1:
-            for a in (0, 2):
-                for b in (0, 2):
-                    units.append(("degenerate", a, b))
-            return units
-        for k in range(1, rank):
-            for row0 in itertools.combinations_with_replacement(range(bound + 1), rank - k):
-                units.append(("block", k, row0))
-        return units
-    matrices, _ = _variety(rank, bound)
-    conjugations = _conjugations(rank)
-    for i, a in enumerate(matrices):
-        if all(g(a) >= a for g in conjugations):
-            units.append(("variety", i))
-    return units
+    return [
+        (j, i)
+        for j, (conjugations, gens_s, _) in enumerate(_spaces(rank, bound, block_space))
+        for i, gen_s in enumerate(gens_s)
+        if all(g(gen_s.flat) >= gen_s.flat for g in conjugations)
+    ]
 
 
-def _variety_orbits(rank: int, bound: int, unit: tuple) -> Iterator[tuple[_Generator, _Generator, int]]:
-    """(prepared A_s, prepared A_t, orbit size) for each S_r orbit of a
-    variety unit.
+def _orbits(
+    rank: int, bound: int, block_space: bool, unit: tuple[int, int]
+) -> Iterator[tuple[_Generator, _Generator, int]]:
+    """(prepared A_s, prepared A_t, orbit size) for each orbit of a unit.
 
-    S_r acts on pairs by simultaneous conjugation.  A_s is fixed by the
+    The space's group G acts on pairs by simultaneous conjugation, and an
+    orbit's representative is its least (A_s, A_t).  A_s is fixed by the
     unit and least in its orbit, so the orbits of pairs through it are the
-    orbits of A_t under Stab(A_s); the representative is the least A_t of
-    each, and the pair's orbit has r! / |Stab(A_s) & Stab(A_t)| members.
+    orbits of A_t under Stab(A_s); the representative has the least A_t of
+    each, and the orbit has |G| / |Stab(A_s) & Stab(A_t)| members.
     """
-    matrices, prepared = _variety(rank, bound)
-    _, i = unit
-    a_s, gen_s = matrices[i], prepared[i]
-    stabiliser = [g for g in _conjugations(rank) if g(a_s) == a_s]
-    group_order = math.factorial(rank)
-    for a_t, gen_t in zip(matrices, prepared):
+    j, i = unit
+    conjugations, gens_s, gens_t = _spaces(rank, bound, block_space)[j]
+    gen_s = gens_s[i]
+    stabiliser = [g for g in conjugations if g(gen_s.flat) == gen_s.flat]
+    group_order = len(conjugations) + 1
+    for gen_t in gens_t:
+        a_t = gen_t.flat
         fixed = 1
         for g in stabiliser:
             image = g(a_t)
@@ -635,72 +640,6 @@ def _variety_orbits(rank: int, bound: int, unit: tuple) -> Iterator[tuple[_Gener
             fixed += image == a_t
         else:
             yield gen_s, gen_t, group_order // fixed
-
-
-def _block_orbits(rank: int, bound: int, unit: tuple) -> Iterator[tuple[_Generator, _Generator, int]]:
-    """(prepared A_s, prepared A_t, orbit size) for each orbit of a unit.
-
-    S_k x S_{r-k} permutes the rows and columns of the k x (r-k) grid of
-    joint entries (B[i][j], B'[j][i]), coded as B[i][j] * (bound+1) +
-    B'[j][i].  The representative is the orbit's least grid, read row by
-    row: its rows are sorted, which the choice of rows as a multiset
-    (combinations with replacement) already ensures, and no column
-    permutation followed by re-sorting the rows gives a smaller grid.  The
-    orbit size is k! (r-k)! over the stabiliser: the column permutations
-    that give the grid back, times the row permutations among equal rows.
-    Many grids share a B or a B', so the unit prepares A_s once per B and
-    A_t once per B'.
-    """
-    if unit[0] == "degenerate":
-        _, a, b = unit
-        yield _Generator((a,), 1), _Generator((b,), 1), 1
-        return
-    _, k, row0 = unit
-    m = rank - k
-    base = bound + 1
-    group_order = math.factorial(k) * math.factorial(m)
-    column_perms = list(itertools.permutations(range(m)))[1:]
-    rows = list(itertools.product(range(base * base), repeat=m)) if k > 1 else []
-    least = [tuple(sorted(row)) for row in rows]
-    # A_s by B and A_t by B' (as its columns, one per grid row)
-    gens_s: dict[tuple, _Generator] = {}
-    gens_t: dict[tuple, _Generator] = {}
-    for first in itertools.product(*([b * base + c for c in range(base)] for b in row0)):
-        # row 0 is the least row under every column permutation, so it is
-        # sorted and no other row sorts below it
-        if first != tuple(sorted(first)):
-            continue
-        start = bisect.bisect_left(rows, first)
-        pool = [row for row, low in zip(rows[start:], least[start:]) if low >= first]
-        for rest in itertools.combinations_with_replacement(pool, k - 1):
-            grid = [first, *rest]
-            stabiliser = 1
-            for perm in column_perms:
-                image = sorted(tuple(row[j] for j in perm) for row in grid)
-                if image < grid:
-                    break
-                stabiliser += image == grid
-            else:
-                for count in collections.Counter(grid).values():
-                    stabiliser *= math.factorial(count)
-                b = tuple(tuple(code // base for code in row) for row in grid)
-                gen_s = gens_s.get(b)
-                if gen_s is None:
-                    a_s = [0] * (rank * rank)
-                    for i, b_row in enumerate(b):
-                        a_s[i * rank + i] = 2
-                        a_s[i * rank + k : (i + 1) * rank] = b_row
-                    gen_s = gens_s[b] = _Generator(a_s, rank)
-                b_columns = tuple(tuple(code % base for code in row) for row in grid)
-                gen_t = gens_t.get(b_columns)
-                if gen_t is None:
-                    a_t = [0] * (rank * rank)
-                    for i, column in enumerate(b_columns):
-                        a_t[k * rank + i :: rank] = column
-                    for j in range(k, rank):
-                        a_t[j * rank + j] = 2
-                    gen_t = gens_t[b_columns] = _Generator(a_t, rank)
-                yield gen_s, gen_t, group_order // stabiliser
 
 
 def _evaluate_unit(payload: tuple) -> tuple[int, tuple[tuple[str, int], ...], list[tuple]]:
@@ -713,16 +652,12 @@ def _evaluate_unit(payload: tuple) -> tuple[int, tuple[tuple[str, int], ...], li
     verdict is charged to every pair of the orbit.
     """
     n, rank, bound, enabled, unit = payload
-    if unit[0] == "variety":
-        orbits = _variety_orbits(rank, bound, unit)
-    else:
-        orbits = _block_orbits(rank, bound, unit)
     enabled_set = frozenset(enabled)
     connected: dict[int, bool] = {}
     evaluated = 0
     rejections: dict[str, int] = {}
     survivors: dict[bytes, tuple] = {}
-    for gen_s, gen_t, weight in orbits:
+    for gen_s, gen_t, weight in _orbits(rank, bound, "F7" in enabled_set, unit):
         evaluated += weight
         failed = _first_failure(n, gen_s, gen_t, enabled_set, connected)
         if failed is not None:
@@ -742,7 +677,6 @@ def _rank_budget(rank: int, bound: int, block_space: bool) -> int:
         if rank == 1:
             return 4
         return sum((bound + 1) ** (2 * k * (rank - k)) for k in range(1, rank))
-    # Worst case for the brute-force space: every matrix could satisfy F1.
     return (bound + 1) ** (rank * rank) + (bound + 1) ** (2 * rank * rank)
 
 
@@ -835,7 +769,7 @@ def _classify_rank(
     n: int, rank: int, bound: int, enabled: tuple[str, ...], jobs: int
 ) -> tuple[int, dict[str, int], list[Candidate]]:
     block_space = "F7" in enabled
-    units = _rank_units(n, rank, bound, block_space)
+    units = _rank_units(rank, bound, block_space)
     payloads = [(n, rank, bound, enabled, unit) for unit in units]
     if jobs > 1 and len(payloads) > 1:
         with multiprocessing.Pool(processes=jobs) as pool:

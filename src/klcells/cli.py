@@ -7,7 +7,8 @@ the candidate classification report, ``verify`` the acceptance suites,
 multiplies two KL basis elements.
 
 Exit codes: 0 success, 1 a verification or decomposition check failed,
-2 usage or parse error, 3 the classification resource guard tripped.
+2 usage or parse error or an unwritable output file, 3 the classification
+resource guard tripped.
 JSON output is serialised with sorted keys, so identical invocations are
 byte-identical regardless of the worker count.
 """
@@ -161,8 +162,11 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     else:
         rendered = report.render_text(include_timing=args.timing)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
+        except OSError as exc:
+            return _error(f"cannot write {args.output}: {exc}")
     else:
         sys.stdout.write(rendered)
     return EXIT_RESOURCE_GUARD if report.guard_tripped else EXIT_OK

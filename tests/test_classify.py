@@ -17,11 +17,10 @@ from klcells.classify import (
     TOGGLEABLE_FILTERS,
     UNKNOWN_CITATION,
     KnowledgeEntry,
-    _block_orbits,
     _cell_keys,
     _f1_matrices,
+    _orbits,
     _rank_units,
-    _variety_orbits,
     canonical_pair,
     canonicalize,
     classify,
@@ -33,7 +32,7 @@ from klcells.classify import (
     run_filters,
 )
 from klcells.nimrep import MatrixPair, _flatten, _square, check_block_form
-from oracles import evaluate_raw_unit, extend_oracle, f1_matrices_oracle, mat_mul_oracle, raw_units
+from oracles import block_pair, evaluate_raw_unit, extend_oracle, f1_matrices_oracle, mat_mul_oracle, raw_units
 
 # the package's ``classify`` attribute is the function; this is the module
 classify_module = sys.modules["klcells.classify"]
@@ -74,6 +73,23 @@ def test_canonicalize_is_orbit_invariant():
         rng.shuffle(perm)
         other = permuted(p, perm, rng.random() < 0.5)
         assert canonicalize(other) == canonicalize(p)
+
+
+def test_canonical_pair_matches_the_permutation_oracle():
+    # the least (flat A_s, flat A_t) over every simultaneous permutation,
+    # with and without the s <-> t swap
+    rng = random.Random(5040)
+    for _ in range(120):
+        rank = rng.randint(1, 5)
+        p = pair(
+            4,
+            tuple(tuple(rng.randint(0, 2) for _ in range(rank)) for _ in range(rank)),
+            tuple(tuple(rng.randint(0, 2) for _ in range(rank)) for _ in range(rank)),
+        )
+        flat_s, flat_t = tuple(_flatten(p.theta_s)), tuple(_flatten(p.theta_t))
+        images = [(conjugate(flat_s, perm), conjugate(flat_t, perm)) for perm in itertools.permutations(range(rank))]
+        best = min(min(image, image[::-1]) for image in images)
+        assert canonical_pair(p) == pair(4, _square(best[0], rank), _square(best[1], rank))
 
 
 def test_canonical_pair_is_idempotent():
@@ -362,53 +378,75 @@ def test_classify_parallel_matches_serial():
 # -- orbit representatives of the block space ----------------------------------
 
 
+def orbits(rank, bound, block_space):
+    """(flat A_s, flat A_t, orbit size) of the representatives of one rank."""
+    for unit in _rank_units(rank, bound, block_space):
+        for gen_s, gen_t, weight in _orbits(rank, bound, block_space, unit):
+            yield gen_s.flat, gen_t.flat, weight
+
+
+def block_split(rank, a_s):
+    """k of a block pair: A_s = [[2I_k, B], [0, 0]]."""
+    return sum(a_s[i * (rank + 1)] for i in range(rank)) // 2
+
+
+def block_grid(rank, k, a_s, a_t):
+    """The k x (r-k) grid of joint entries (B[i][j], B'[j][i])."""
+    return tuple(
+        tuple((a_s[i * rank + k + j], a_t[(k + j) * rank + i]) for j in range(rank - k)) for i in range(k)
+    )
+
+
+def block_flats(rank, k, grid):
+    """The flat (A_s, A_t) of the block pair with this joint grid."""
+    b_rows = [[b for b, _ in row] for row in grid]
+    bp_rows = [[grid[i][j][1] for i in range(k)] for j in range(rank - k)]
+    p = block_pair(4, rank, k, b_rows, bp_rows)
+    return tuple(_flatten(p.theta_s)), tuple(_flatten(p.theta_t))
+
+
 def block_orbits(rank, bound, k):
-    """Representatives of one split, as (joint grid, orbit size)."""
-    base = bound + 1
-    for unit in _rank_units(4, rank, bound, True):
-        if unit[1] != k:
-            continue
-        for gen_s, gen_t, weight in _block_orbits(rank, bound, unit):
-            a_s, a_t = gen_s.flat, gen_t.flat
-            grid = tuple(
-                tuple(a_s[i * rank + k + j] * base + a_t[(k + j) * rank + i] for j in range(rank - k))
-                for i in range(k)
-            )
-            yield grid, weight
+    """Representatives of one split, as (flat A_s, flat A_t, orbit size)."""
+    for a_s, a_t, weight in orbits(rank, bound, True):
+        if block_split(rank, a_s) == k:
+            yield a_s, a_t, weight
 
 
 def test_orbit_weights_sum_to_the_block_space():
+    for bound in (1, 2):
+        # rank one cannot split: the four pairs of (0) and (2), one per orbit
+        assert list(orbits(1, bound, True)) == [
+            ((0,), (0,), 1), ((0,), (2,), 1), ((2,), (0,), 1), ((2,), (2,), 1)
+        ]
     for rank in range(2, 6):
         for bound in (1, 2):
             for k in range(1, rank):
-                total = sum(weight for _, weight in block_orbits(rank, bound, k))
+                total = sum(weight for _, _, weight in block_orbits(rank, bound, k))
                 assert total == (bound + 1) ** (2 * k * (rank - k)), (rank, bound, k)
 
 
 def test_orbit_representatives_are_least_and_partition_the_space():
+    # the oracle orbit permutes the rows and the columns of the joint grid
     for rank in range(2, 5):
         for bound in (1, 2):
             base = bound + 1
             for k in range(1, rank):
                 m = rank - k
                 covered = set()
-                for grid, weight in block_orbits(rank, bound, k):
+                for a_s, a_t, weight in block_orbits(rank, bound, k):
+                    grid = block_grid(rank, k, a_s, a_t)
+                    assert block_flats(rank, k, grid) == (a_s, a_t)
                     orbit = {
-                        tuple(tuple(grid[rows[i]][cols[j]] for j in range(m)) for i in range(k))
+                        block_flats(rank, k, [[grid[rows[i]][cols[j]] for j in range(m)] for i in range(k)])
                         for rows in itertools.permutations(range(k))
                         for cols in itertools.permutations(range(m))
                     }
-                    assert min(orbit) == grid
+                    assert min(orbit) == (a_s, a_t)
                     assert len(orbit) == weight
+                    assert len({canonicalize(pair(4, _square(s, rank), _square(t, rank))) for s, t in orbit}) == 1
                     assert not orbit & covered
                     covered |= orbit
                 assert len(covered) == base ** (2 * k * m)
-
-
-def test_degenerate_rank_one_units():
-    units = _rank_units(4, 1, 2, True)
-    items = [(g_s.flat, g_t.flat, weight) for unit in units for g_s, g_t, weight in _block_orbits(1, 2, unit)]
-    assert items == [((0,), (0,), 1), ((0,), (2,), 1), ((2,), (0,), 1), ((2,), (2,), 1)]
 
 
 def raw_pair_report(monkeypatch, n, **kwargs):
@@ -418,7 +456,7 @@ def raw_pair_report(monkeypatch, n, **kwargs):
     ``extend``, which the whole-space tests compare with that oracle.
     """
     with monkeypatch.context() as patched:
-        patched.setattr(classify_module, "_rank_units", lambda n, rank, bound, block: raw_units(rank, bound, block))
+        patched.setattr(classify_module, "_rank_units", raw_units)
         patched.setattr(classify_module, "_evaluate_unit", evaluate_raw_unit)
         if "F7" not in kwargs.get("disabled", ()):
             patched.setattr(classify_module, "extend", extend_oracle)
@@ -444,12 +482,6 @@ def test_variety_reports_match_the_raw_pair_oracle(monkeypatch, n, disabled):
 # -- orbit representatives of the F1 variety ------------------------------------
 
 VARIETY_SPACES = [(rank, bound) for rank in (1, 2, 3) for bound in (1, 2)] + [(4, 1)]
-
-
-def variety_orbits(rank, bound):
-    for unit in _rank_units(4, rank, bound, False):
-        for gen_s, gen_t, weight in _variety_orbits(rank, bound, unit):
-            yield gen_s.flat, gen_t.flat, weight
 
 
 def conjugate(flat, perm):
@@ -498,25 +530,27 @@ def test_variety_search_at_rank_five():
 
 
 def test_variety_units_pickle_small():
-    # a variety unit names its A_s by index; workers read the matrices from
-    # their own _variety cache, so no payload carries the 2,451 matrices
-    enabled = normalize_filters(("F7",))
-    units = _rank_units(4, 4, 2, False)
-    assert len(units) == 160
-    for unit in units:
-        assert len(pickle.dumps((4, 4, 2, enabled, unit))) < 200, unit
+    # a unit names its space and its A_s by index; workers read the matrices
+    # from their own _spaces cache, so no payload carries the 2,451 matrices
+    # of the variety or the 2 x 135 matrices of the block space
+    for disabled, block_space, count in ((("F7",), False, 160), ((), True, 47)):
+        enabled = normalize_filters(disabled)
+        units = _rank_units(4, 2, block_space)
+        assert len(units) == count
+        for unit in units:
+            assert len(pickle.dumps((4, 4, 2, enabled, unit))) < 200, unit
 
 
 def test_variety_weights_sum_to_the_pair_space():
     for rank, bound in VARIETY_SPACES:
-        total = sum(weight for _, _, weight in variety_orbits(rank, bound))
+        total = sum(weight for _, _, weight in orbits(rank, bound, False))
         assert total == len(_f1_matrices(rank, bound)) ** 2, (rank, bound)
 
 
 def test_variety_representatives_are_least_and_partition_the_space():
     for rank, bound in VARIETY_SPACES:
         covered = set()
-        for a_s, a_t, weight in variety_orbits(rank, bound):
+        for a_s, a_t, weight in orbits(rank, bound, False):
             orbit = {
                 (conjugate(a_s, perm), conjugate(a_t, perm))
                 for perm in itertools.permutations(range(rank))

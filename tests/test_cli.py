@@ -231,6 +231,17 @@ def test_classify_output_file(capsys, tmp_path):
     assert out == ""
 
 
+def test_classify_output_file_not_writable(capsys, tmp_path):
+    target = tmp_path / "no" / "such" / "dir" / "report.json"
+    code, out, err = run(
+        capsys, "classify", "--n", "4", "--ranks", "1", "--output", str(target),
+    )
+    assert code == EXIT_USAGE
+    assert err.startswith(f"error: cannot write {target}")
+    assert out == ""
+    assert not target.exists()
+
+
 def test_classify_no_filter(capsys):
     code, out, _ = run(capsys, "classify", "--n", "4", "--ranks", "2", "--no-filter", "F7")
     assert code == EXIT_OK
