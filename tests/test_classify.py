@@ -412,12 +412,15 @@ def block_orbits(rank, bound, k):
             yield a_s, a_t, weight
 
 
-def test_orbit_weights_sum_to_the_block_space():
+def test_degenerate_rank_one_units():
     for bound in (1, 2):
         # rank one cannot split: the four pairs of (0) and (2), one per orbit
         assert list(orbits(1, bound, True)) == [
             ((0,), (0,), 1), ((0,), (2,), 1), ((2,), (0,), 1), ((2,), (2,), 1)
         ]
+
+
+def test_orbit_weights_sum_to_the_block_space():
     for rank in range(2, 6):
         for bound in (1, 2):
             for k in range(1, rank):
