@@ -20,12 +20,15 @@ regular pair of matrices.  Every longer b(u) with leading letter x is
 forced by b(u) = b(x) b(u') - b(u''), where u' drops the leading letter and
 u'' is the alternating word of length l(u) - 2 that also leads with x (no
 u'' term at length two), so in any module A_u = A_x A_u' - A_u''.  One
-kernel evaluates that recursion, ``_kl_recursion``, on a pair of prepared
-generators (``_Generator``) with packed integer rows: ``structure_constants``
-is the family of the regular pair and ``kl_multiply`` reads it, a cell
-module is the family of its own generator pair (``cells.cell_module``),
-``nimrep.extend`` runs it on one candidate pair, and the classification
-search prepares each generator once and runs it on every pair it forms.
+kernel evaluates that recursion, ``_kl_recursion``, on one prepared A_s
+and a list of prepared A_t (``_Generator``), the lanes, with the rows of
+every lane packed side by side into integers.  A single pair is one lane:
+``structure_constants`` is the family of the regular pair and
+``kl_multiply`` reads it, a cell module is the family of its own
+generator pair (``cells.cell_module``), and ``nimrep.extend`` runs it on
+one candidate pair.  The classification search prepares each generator
+once and judges all the pairs of a work unit, which share A_s, in one
+call.
 
 The independent route, plain convolution in the group basis followed by
 conversion back, lives in the checks: verification check A1 compares every
@@ -254,20 +257,36 @@ def kl_left_multiply_generator(letter: str, w: GroupElement) -> GroupAlgebraElem
 # -- the flat extension kernel ----------------------------------------------
 #
 # The recursion runs on prepared generators (``_Generator``): each holds its
-# flat row-major tuple, the nonzero terms of each row, its largest row sum,
-# its support bitmask and its packed rows, so a caller that pairs one matrix
-# with many others prepares it once.  Every matrix of the family is held as
-# one integer per row, entry j in the bit field [width*j, width*(j+1)):
-# packing is linear, so adding rows and scaling them by integers is exact
-# whatever the signs, and a row whose entries all lie strictly between
-# -2^(width-1) and 2^(width-1) is read back without loss.  The width comes
-# from an a-priori bound: with c the largest row sum of the two generators,
-# no row of a matrix of length l has absolute values summing to more than
-# (c+1)^l (induction on A_w = A_x A_w' - A_w''), so width =
-# n * bitlength(c+1) + 1 suffices up to w0.  A generator keeps its packed
-# rows for each width it has been asked for.  Adding the offset that puts
-# 2^(width-1) in every field turns "some entry is negative" into "some high
-# bit is clear", one integer operation per row.
+# flat row-major tuple, the nonzero terms of each row, its largest row sum
+# and its support bitmask, so a caller that pairs one matrix with many
+# others prepares it once.  One call judges one A_s against a list of A_t,
+# the lanes.  Every matrix of the family is held as one integer per row:
+# entry j of lane L sits in the bit field [L*R + width*j, L*R + width*(j+1)),
+# so lane L holds its rows in [L*R, (L+1)*R).  R is rank * width rounded up
+# to whole bytes, with at least one spare bit on top.  Packing is linear, so
+# adding rows and scaling them by integers is exact whatever the signs, and
+# the s-leading step, whose A_s every lane shares, is the one-pair code run
+# on the wide integers.  The width comes from an a-priori bound: with c the
+# largest row sum of A_s and of every A_t, no row of a matrix of length l
+# has absolute values summing to more than (c+1)^l (induction on
+# A_w = A_x A_w' - A_w'', whatever the signs), so width =
+# n * bitlength(c+1) + 1 keeps every entry of every lane strictly between
+# -2^(width-1) and 2^(width-1) up to w0, also in a lane that has already
+# failed and is carried along.
+#
+# A negative entry borrows from the fields above it, across lanes too, so
+# the raw rows are never tested bit by bit.  Adding ``offsets``, which puts
+# 2^(width-1) in every field of every lane, gives the offset form: each
+# field then holds entry + 2^(width-1), a value in [0, 2^width), and as a
+# sum of such fields at disjoint places the offset form has no carry at
+# all; it is the plain binary form of the entries.  On it, "entry
+# negative" is "high bit of the field clear", "matrix zero" is "equal to
+# the offsets", two matrices agree where their offset forms do, and a lane
+# is cut out by a mask.  A term (l, v) of row i of A_t that only some lanes
+# have adds v * ((M_l + offsets) & mask - offsets & mask), mask covering
+# those lanes.  The spare bit makes the test "is lane L's part of x
+# nonzero" one addition: x + (2^(R-1) - 1) in every lane sets bit R-1 of
+# exactly those lanes (x < 2^(R-1) in each), so no operation runs per lane.
 
 
 def _support(flat: Sequence[int]) -> int:
@@ -277,16 +296,17 @@ def _support(flat: Sequence[int]) -> int:
 
 
 class _Generator:
-    """A generator matrix prepared once for ``_kl_recursion``.
+    """A nonnegative generator matrix prepared once for ``_kl_recursion``.
 
-    flat    -- the flat row-major tuple
-    rank    -- r, the matrix is r x r
-    terms   -- the nonzero entries (l, v) of each row
-    row_sum -- the largest row sum
-    support -- the bitmask of ``_support``
+    flat        -- the flat row-major tuple
+    rank        -- r, the matrix is r x r
+    terms       -- the nonzero entries (l, v) of each row
+    row_sum     -- the largest row sum
+    support     -- the bitmask of ``_support``
+    entry_bytes -- the flat tuple as bytes, or None when an entry exceeds 255
     """
 
-    __slots__ = ("flat", "rank", "terms", "row_sum", "support", "_packed")
+    __slots__ = ("flat", "rank", "terms", "row_sum", "support", "entry_bytes")
 
     def __init__(self, flat: Sequence[int], rank: int) -> None:
         self.flat = flat = tuple(flat)
@@ -295,97 +315,203 @@ class _Generator:
         self.terms = tuple(tuple(itertools.compress(enumerate(row), row)) for row in rows)
         self.row_sum = max(map(sum, rows))
         self.support = _support(flat)
-        self._packed: dict[int, list[int]] = {}
+        self.entry_bytes = bytes(flat) if max(flat) < 256 else None
 
-    def packed(self, width: int) -> list[int]:
-        """The packed rows at this width (shared: callers must not mutate)."""
-        rows = self._packed.get(width)
-        if rows is None:
-            r = self.rank
-            shifts = range(0, width * r, width)
-            flat = self.flat
-            rows = [sum(map(operator.lshift, flat[i * r : (i + 1) * r], shifts)) for i in range(r)]
-            self._packed[width] = rows
-        return rows
+
+_FLAT, _ROW_SUM, _SUPPORT, _ENTRY_BYTES = map(operator.attrgetter, ("flat", "row_sum", "support", "entry_bytes"))
 
 
 @functools.lru_cache(maxsize=None)
-def _frame(width: int, rank: int) -> tuple[list[int], int]:
-    """(packed identity rows, sign offset) for a width and a rank."""
+def _frame(width: int, rank: int) -> tuple[tuple[int, ...], int]:
+    """(packed identity rows, sign offset) of one lane, for a width and a rank."""
     shifts = range(0, width * rank, width)
-    return [1 << shift for shift in shifts], sum(1 << (shift + width - 1) for shift in shifts)
+    return tuple(1 << shift for shift in shifts), sum(1 << (shift + width - 1) for shift in shifts)
+
+
+def _lane_starts(flags: bytes, stride: int) -> int:
+    """Bit 8 * stride * L set for each lane L whose flag (0 or 1) is set."""
+    buf = bytearray(len(flags) * stride)
+    buf[::stride] = flags
+    return int.from_bytes(buf, "little")
 
 
 def _kl_recursion(
-    n: int, gen_s: _Generator, gen_t: _Generator, check_support: bool = False
-) -> tuple[list[list[int]], int, str | None, list[int] | None]:
-    """The KL family of a pair of prepared generators, in packed rows.
+    n: int, gen_s: _Generator, gens_t: Sequence[_Generator], check_support: bool = False
+) -> tuple[list[list[int]], int, list[str | None], list[int] | None]:
+    """The KL families of A_s with each A_t of ``gens_t`` (the lanes), packed.
 
-    Returns (matrices, width, outcome, negative).  ``matrices`` lists the
-    family built so far in the order e, s, t, st, ts, sts, tst, ..., then
-    w0 when the extension completes: the element of length l leading with
-    s (t) sits at index 2l - 1 (2l), w0 at 2n - 1.  The first three are
-    shared with the generators and must not be mutated.  ``outcome`` is
-    None for a complete family, "F2" for a negative matrix (``negative``
-    holds it; its element is the next index, or w0 when all 2n - 1 lower
-    matrices are built), "F5" when the two routes to w0 disagree, and "F4"
-    when ``check_support`` is set, A_s or A_t is nonzero and a matrix of
-    length 1..n-1 vanishes.  That is exactly when the partial family meets
-    the middle two-sided cell in a mix of zero and nonzero matrices: e and
-    w0 are cells of their own, and a family whose middle cell vanishes has
-    A_s = A_t = 0, so w0 vanishes too and the support is downward closed.
+    Returns (matrices, width, outcomes, negative).  ``matrices`` lists the
+    lane-packed family in the order e, s, t, st, ts, sts, tst, ..., then w0:
+    the element of length l leading with s (t) sits at index 2l - 1 (2l),
+    w0 at 2n - 1.  The recursion stops as soon as every lane has failed;
+    the list holds what was built before that.  ``outcomes`` has one entry
+    per lane: None for a complete family, "F2" for a negative matrix, "F5"
+    when the two routes to w0 disagree, and "F4" when ``check_support`` is
+    set, A_s or A_t is nonzero and a matrix of length 1..n-1 vanishes.
+    That is exactly when the partial family meets the middle two-sided cell
+    in a mix of zero and nonzero matrices: e and w0 are cells of their own,
+    and a family whose middle cell vanishes has A_s = A_t = 0, so w0
+    vanishes too and the support is downward closed.  ``negative`` is the
+    matrix in which the last lanes still alive failed F2, else None.
+
+    Each lane gets the first event of the one-pair recursion: at each
+    length F2 on the s-leading product, then F4 on it, then F2 and F4 on
+    the t-leading one; at w0 F2 on the s route, F2 on the t route, then F5.
+    With one lane, ``matrices`` is that pair's packed family and, for F2,
+    its element is the next index (w0 when all 2n - 1 lower matrices are
+    built).
     """
-    width = n * (max(gen_s.row_sum, gen_t.row_sum) + 1).bit_length() + 1
-    identity, offset = _frame(width, gen_s.rank)
-    terms = (gen_s.terms, gen_t.terms)
-    matrices: list[list[int]] = [identity, gen_s.packed(width), gen_t.packed(width)]
-    check_support = check_support and bool(gen_s.support or gen_t.support)
-    if check_support and not (gen_s.support and gen_t.support):
-        return matrices, width, "F4", None
+    rank, lanes = gen_s.rank, len(gens_t)
+    width = n * (max(gen_s.row_sum, max(map(_ROW_SUM, gens_t), default=0)) + 1).bit_length() + 1
+    stride = rank * width // 8 + 1
+    lane_bits = 8 * stride
+    starts = _lane_starts(b"\1" * lanes, stride)
+    top = starts << (lane_bits - 1)
+    low = starts * ((1 << (lane_bits - 1)) - 1)
+    identity, offset = _frame(width, rank)
+    offsets = offset * starts
+
+    # Entry p of every A_t: a bytes column, one byte per lane, when every
+    # entry fits in a byte.
+    entry_bytes = list(map(_ENTRY_BYTES, gens_t))
+    if None in entry_bytes:
+        columns: list = list(zip(*map(_FLAT, gens_t)))
+    else:
+        table = b"".join(entry_bytes)
+        columns = [table[p :: rank * rank] for p in range(rank * rank)]
+    # Terms of each row: (l, v) shared by every lane, and (l, v, mask) for
+    # the lanes under mask; ``scaled`` holds v at the start of each lane of
+    # each mask of a row, for the constant those terms leave to subtract.
+    shared: tuple[list, list] = (list(gen_s.terms), [[] for _ in range(rank)])
+    partial: tuple[list, list] = ([()] * rank, [[] for _ in range(rank)])
+    scaled = [0] * rank
+    rows_t = [0] * rank
+    for index, column in enumerate(columns):
+        i, l = divmod(index, rank)
+        first = column[0]
+        if column.count(first) == lanes:
+            if first:
+                shared[1][i].append((l, first))
+                rows_t[i] += first * starts << (l * width)
+            continue
+        for v in set(column) - {0}:
+            if isinstance(column, bytes):
+                flags = column.translate(bytes(v) + b"\1" + bytes(255 - v))
+            else:
+                flags = bytes(map(v.__eq__, column))
+            chosen = _lane_starts(flags, stride)
+            partial[1][i].append((l, v, (chosen << lane_bits) - chosen))
+            scaled[i] += v * chosen
+            rows_t[i] += v * chosen << (l * width)
+    # v * ((M_l + offsets) & mask) leaves v * (offsets & mask) to subtract
+    constants = ([0] * rank, [offset * row for row in scaled])
+    masked = (False, any(partial[1]))
+    rows_s = [sum(v << (l * width) for l, v in row) * starts for row in gen_s.terms]
+    matrices: list[list[int]] = [[row * starts for row in identity], rows_s, rows_t]
 
     def product(x: int, m: list[int], back: list[int] | None) -> list[int]:
         # A_x m - back, row by row
+        shifted = [row + offsets for row in m] if masked[x] else m
         out = []
-        for i, row_terms in enumerate(terms[x]):
-            acc = -back[i] if back is not None else 0
-            for l, v in row_terms:
+        for i, constant in enumerate(constants[x]):
+            acc = -constant if back is None else -constant - back[i]
+            for l, v in shared[x][i]:
                 acc += v * m[l]
+            for l, v, mask in partial[x][i]:
+                acc += v * (shifted[l] & mask)
             out.append(acc)
         return out
+
+    def lanes_nonzero(bits: int) -> int:
+        # the top bit of each lane whose part of ``bits`` is nonzero
+        return (bits + low) & top
+
+    failed = {"F2": 0, "F4": 0, "F5": 0}
+    alive = top
+
+    def fail(tag: str, event: int) -> bool:
+        # charge the lanes of ``event`` to ``tag``; True when none is left
+        nonlocal alive
+        failed[tag] |= event
+        alive ^= event
+        return not alive
+
+    def outcomes() -> list[str | None]:
+        out: list[str | None] = [None] * lanes
+        for tag, bits in failed.items():
+            flags = bits.to_bytes(lanes * stride, "little")[stride - 1 :: stride]
+            for lane in itertools.compress(range(lanes), flags):
+                out[lane] = tag
+        return out
+
+    def negative_lanes(shifted: list[int]) -> int:
+        # the live lanes with an entry whose field has its high bit clear
+        return lanes_nonzero(offsets & ~functools.reduce(operator.and_, shifted)) & alive
+
+    if check_support:
+        zero_t = _lane_starts(bytes(map(operator.not_, map(_SUPPORT, gens_t))), stride) << (lane_bits - 1)
+        # a zero A_s fails every nonzero A_t; the all-zero pairs are exempt
+        check_support = bool(gen_s.support)
+        if fail("F4", zero_t if check_support else top ^ zero_t):
+            return matrices, width, outcomes(), None
 
     for length in range(2, n):
         for x in (0, 1):
             shorter = matrices[2 * length - 2 - x]
             back = matrices[2 * length - 5 + x] if length > 2 else None
             a = product(x, shorter, back)
-            if any((row + offset) & offset != offset for row in a):
-                return matrices, width, "F2", a
+            shifted = [row + offsets for row in a]
+            event = negative_lanes(shifted)
+            if event and fail("F2", event):
+                return matrices, width, outcomes(), a
             matrices.append(a)
-            if check_support and not any(a):
-                return matrices, width, "F4", None
+            if check_support:
+                event = alive & ~lanes_nonzero(functools.reduce(operator.or_, [row ^ offsets for row in shifted]))
+                if event and fail("F4", event):
+                    return matrices, width, outcomes(), None
     via_s = product(0, matrices[2 * n - 2], matrices[2 * n - 5])
     via_t = product(1, matrices[2 * n - 3], matrices[2 * n - 4])
-    for route in (via_s, via_t):
-        if any((row + offset) & offset != offset for row in route):
-            return matrices, width, "F2", route
-    if via_s != via_t:
-        return matrices, width, "F5", None
+    shifted_routes = [[row + offsets for row in route] for route in (via_s, via_t)]
+    for route, shifted in zip((via_s, via_t), shifted_routes):
+        event = negative_lanes(shifted)
+        if event and fail("F2", event):
+            return matrices, width, outcomes(), route
+    event = lanes_nonzero(functools.reduce(operator.or_, map(operator.xor, *shifted_routes))) & alive
+    if event and fail("F5", event):
+        return matrices, width, outcomes(), None
     matrices.append(via_s)
-    return matrices, width, None, None
+    return matrices, width, outcomes(), None
 
 
 def _unpack(packed: Sequence[list[int]], width: int) -> list[IntMatrix]:
-    """Read packed matrices back as tuples of tuples."""
+    """Read one-lane packed matrices back as tuples of tuples.
+
+    Eight fields of ``width`` bits fill exactly ``width`` bytes, so the
+    offset form of a row is turned into bytes once and read eight fields
+    at a time from a byte-aligned slice: an entry costs O(width), not a
+    shift of the whole row.
+    """
     if not packed:
         return []
-    half = 1 << (width - 1)
-    mask = (1 << width) - 1
-    shifts = range(0, width * len(packed[0]), width)
-    offset = sum(half << shift for shift in shifts)
-    return [
-        tuple(tuple((row >> shift & mask) - half for shift in shifts) for row in [r + offset for r in m])
-        for m in packed
+    rank = len(packed[0])
+    offset = _frame(width, rank)[1]
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    size = (rank * width + 7) // 8
+    groups = [
+        (slice(first * width // 8, (last * width + 7) // 8), range(0, (last - first) * width, width))
+        for first, last in ((first, min(first + 8, rank)) for first in range(0, rank, 8))
     ]
+
+    def entries(row: int) -> tuple[int, ...]:
+        data = (row + offset).to_bytes(size, "little")
+        return tuple(
+            (chunk >> shift & mask) - half
+            for part, shifts in groups
+            for chunk in (int.from_bytes(data[part], "little"),)
+            for shift in shifts
+        )
+
+    return [tuple(map(entries, m)) for m in packed]
 
 
 def _flatten(m: IntMatrix) -> list[int]:
@@ -404,7 +530,7 @@ def _kl_family(
     """
     rank = len(theta_s)
     gen_s, gen_t = _Generator(_flatten(theta_s), rank), _Generator(_flatten(theta_t), rank)
-    matrices, width, outcome, negative = _kl_recursion(n, gen_s, gen_t)
+    matrices, width, (outcome,), negative = _kl_recursion(n, gen_s, [gen_t])
     elements = dihedral_group(n).all_elements()
     family = {elements[0]: identity_matrix(rank), elements[1]: theta_s, elements[2]: theta_t}
     unpacked = _unpack(matrices[3:] + ([negative] if negative is not None else []), width)

@@ -26,14 +26,20 @@ In every space (``_spaces``) the representative is the orbit's least
 and its representatives are the A_t that are least under the stabiliser
 of A_s (``_orbits``), so each orbit falls in exactly one work unit.
 
-Every matrix is prepared once per rank (``algebra._Generator``), and
-forked workers inherit the spaces, so a unit ships only two indices.
-Representatives are judged by ``nimrep._first_failure``, which skips F1 and
-F7: F1 holds by construction in both spaces, F7 in the block space (and it
-is off in the variety), and both are still reported for every survivor,
-whose canonical pair re-runs ``run_filters``.  Each work unit keeps its own
-table of F3 verdicts by zero pattern; only survivors are squared into a
-``MatrixPair``.  The s <-> t swap, which
+Every matrix is prepared once per rank (``algebra._Generator``); the
+spaces of every rank of a search stay cached, and forked workers inherit
+them, so a unit ships only two indices.  F3 reads only the zero pattern of
+A_s + A_t and is invariant under conjugation, so each space groups its A_t
+by zero pattern once, one table of F3 verdicts by pattern serves every
+space of a rank, and a unit charges |O_s| = |G|/|Stab(A_s)| rejections to
+each A_t whose pattern fails with A_s (``_f3_split``); only the A_t that
+pass reach the stabiliser test.  The unit's representatives are then
+judged together by ``nimrep._first_failure``, one lane each of a single
+lane-packed KL recursion.  It skips F1 and F7: F1 holds by construction in
+both spaces, F7 in the block space (and it is off in the variety), and
+both are still reported for every survivor, whose canonical pair re-runs
+``run_filters``.  Only survivors are squared into a ``MatrixPair``.
+The s <-> t swap, which
 maps the block space of split k onto that of r-k, is not used to merge
 orbits in either space: F4 is judged on the partial family built before
 an F2 failure, and a swapped pair can fail at the other leading letter.
@@ -74,7 +80,7 @@ import operator
 import time
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .algebra import _Generator, _flatten
 from .cells import cell_module, compute_cells, left_cell_name
@@ -96,6 +102,7 @@ from .nimrep import (
     perron_analysis,
     _first_failure,
     _square,
+    _strongly_connected,
 )
 from .reps import Decomposition, NotAModuleError, decompose
 
@@ -561,14 +568,56 @@ def _conjugations(*blocks: int) -> tuple[operator.itemgetter, ...]:
     return tuple(operator.itemgetter(*(p[i] * r + p[j] for i in range(r) for j in range(r))) for p in perms)
 
 
-@functools.lru_cache(maxsize=1)
-def _spaces(
-    rank: int, bound: int, block_space: bool
-) -> tuple[tuple[tuple[operator.itemgetter, ...], tuple[_Generator, ...], tuple[_Generator, ...]], ...]:
-    """The search spaces of one rank as (conjugations, prepared A_s,
-    prepared A_t), each list ascending by flat matrix and closed under the
-    conjugations; kept for the last (rank, bound, block_space) asked for,
-    so forked workers inherit it.
+class _Space(NamedTuple):
+    """One search space: A_s and A_t lists, each ascending by flat matrix
+    and closed under the conjugations, the A_t grouped by support, and
+    the F3 verdicts by support, one table for every space of a rank."""
+
+    conjugations: tuple[operator.itemgetter, ...]
+    gens_s: tuple[_Generator, ...]
+    gens_t: tuple[_Generator, ...]
+    classes: tuple[tuple[int, tuple[_Generator, ...]], ...]
+    connected: dict[int, bool]
+
+
+def _support_classes(gens: Iterable[_Generator]) -> tuple[tuple[int, tuple[_Generator, ...]], ...]:
+    """(support, generators with that support) for each support, in order
+    of first appearance; each group keeps the order of ``gens``."""
+    classes: dict[int, list[_Generator]] = {}
+    for gen in gens:
+        classes.setdefault(gen.support, []).append(gen)
+    return tuple((support, tuple(members)) for support, members in classes.items())
+
+
+def _f3_split(
+    rank: int, support_s: int, classes: Iterable[tuple[int, Sequence[_Generator]]], connected: dict[int, bool]
+) -> tuple[int, list[_Generator]]:
+    """(number of A_t that fail F3 with A_s, the A_t that pass, class by class).
+
+    The pairs are nonnegative, so nothing cancels in A_s + A_t and its zero
+    pattern is ``support_s | support``: F3 is judged once per support
+    class.  Verdicts are looked up in, or added to, ``connected``, a table
+    of verdicts by zero pattern for matrices of this rank.
+    """
+    failing = 0
+    passing: list[_Generator] = []
+    for support, members in classes:
+        union = support_s | support
+        verdict = connected.get(union)
+        if verdict is None:
+            verdict = connected[union] = _strongly_connected(union, rank) is None
+        if verdict:
+            passing += members
+        else:
+            failing += len(members)
+    return failing, passing
+
+
+@functools.lru_cache(maxsize=MAX_CANONICAL_RANK)
+def _spaces(rank: int, bound: int, block_space: bool) -> tuple[_Space, ...]:
+    """The search spaces of one rank; kept for as many (rank, bound,
+    block_space) as one search has ranks, so a search that follows one
+    with the same ranks builds none, and forked workers inherit them.
 
     The block space has one space per split k in 1..r-1: A_s for every B
     and A_t for every B', under S_k x S_{r-k}, which permutes the first k
@@ -577,9 +626,10 @@ def _spaces(
     block space is the rank-one variety at bound 2, (0) and (2), under the
     trivial group.  The F1 variety is one space, under S_r.
     """
+    connected: dict[int, bool] = {}
     if not block_space or rank == 1:
         variety = tuple(_Generator(a, rank) for a in _f1_matrices(rank, 2 if block_space else bound))
-        return ((_conjugations(rank), variety, variety),)
+        return (_Space(_conjugations(rank), variety, variety, _support_classes(variety), connected),)
     spaces = []
     for k in range(1, rank):
         m = rank - k
@@ -595,7 +645,7 @@ def _spaces(
                 a_t[j * rank + j] = 2
             gens_s.append(_Generator(a_s, rank))
             gens_t.append(_Generator(a_t, rank))
-        spaces.append((_conjugations(k, m), tuple(gens_s), tuple(gens_t)))
+        spaces.append(_Space(_conjugations(k, m), tuple(gens_s), tuple(gens_t), _support_classes(gens_t), connected))
     return tuple(spaces)
 
 
@@ -608,29 +658,38 @@ def _rank_units(rank: int, bound: int, block_space: bool) -> list[tuple[int, int
     """
     return [
         (j, i)
-        for j, (conjugations, gens_s, _) in enumerate(_spaces(rank, bound, block_space))
-        for i, gen_s in enumerate(gens_s)
-        if all(g(gen_s.flat) >= gen_s.flat for g in conjugations)
+        for j, space in enumerate(_spaces(rank, bound, block_space))
+        for i, gen_s in enumerate(space.gens_s)
+        if all(g(gen_s.flat) >= gen_s.flat for g in space.conjugations)
     ]
 
 
 def _orbits(
-    rank: int, bound: int, block_space: bool, unit: tuple[int, int]
-) -> Iterator[tuple[_Generator, _Generator, int]]:
-    """(prepared A_s, prepared A_t, orbit size) for each orbit of a unit.
+    rank: int, bound: int, block_space: bool, unit: tuple[int, int], judge_f3: bool
+) -> tuple[_Generator, int, list[tuple[_Generator, int]]]:
+    """(prepared A_s, pairs of the unit that fail F3, representatives) of a
+    unit, each representative an (A_t, orbit size).
 
     The space's group G acts on pairs by simultaneous conjugation, and an
     orbit's representative is its least (A_s, A_t).  A_s is fixed by the
-    unit and least in its orbit, so the orbits of pairs through it are the
-    orbits of A_t under Stab(A_s); the representative has the least A_t of
-    each, and the orbit has |G| / |Stab(A_s) & Stab(A_t)| members.
+    unit and least in its orbit O_s, so the unit holds the pairs of
+    O_s x (every A_t), and the orbits through A_s are the orbits of A_t
+    under Stab(A_s); the representative has the least A_t of each, and the
+    orbit has |G| / |Stab(A_s) & Stab(A_t)| members.  F3 is invariant under
+    conjugation and reads only the supports, so with ``judge_f3`` the unit
+    has |O_s| = |G| / |Stab(A_s)| times as many F3 failures as A_t fail
+    with A_s (``_f3_split``), and only the A_t that pass get representatives.
     """
     j, i = unit
-    conjugations, gens_s, gens_t = _spaces(rank, bound, block_space)[j]
-    gen_s = gens_s[i]
-    stabiliser = [g for g in conjugations if g(gen_s.flat) == gen_s.flat]
-    group_order = len(conjugations) + 1
-    for gen_t in gens_t:
+    space = _spaces(rank, bound, block_space)[j]
+    gen_s = space.gens_s[i]
+    stabiliser = [g for g in space.conjugations if g(gen_s.flat) == gen_s.flat]
+    group_order = len(space.conjugations) + 1
+    failing, candidates = (
+        _f3_split(rank, gen_s.support, space.classes, space.connected) if judge_f3 else (0, space.gens_t)
+    )
+    representatives = []
+    for gen_t in candidates:
         a_t = gen_t.flat
         fixed = 1
         for g in stabiliser:
@@ -639,7 +698,8 @@ def _orbits(
                 break
             fixed += image == a_t
         else:
-            yield gen_s, gen_t, group_order // fixed
+            representatives.append((gen_t, group_order // fixed))
+    return gen_s, failing * (group_order // (len(stabiliser) + 1)), representatives
 
 
 def _evaluate_unit(payload: tuple) -> tuple[int, tuple[tuple[str, int], ...], list[tuple]]:
@@ -648,22 +708,24 @@ def _evaluate_unit(payload: tuple) -> tuple[int, tuple[tuple[str, int], ...], li
     Returns (pairs evaluated, rejection counts, survivors), where each
     survivor is (canonical key, canonical theta_s, canonical theta_t).
     Survivors are deduplicated within the unit, preserving first-seen order.
-    One representative per orbit is judged with the flat kernel, and its
-    verdict is charged to every pair of the orbit.
+    F3 is charged per support class; the representatives of the other
+    orbits are judged together, one lane each, and each verdict is charged
+    to every pair of its orbit.
     """
     n, rank, bound, enabled, unit = payload
     enabled_set = frozenset(enabled)
-    connected: dict[int, bool] = {}
-    evaluated = 0
-    rejections: dict[str, int] = {}
+    gen_s, f3_failures, representatives = _orbits(rank, bound, "F7" in enabled_set, unit, "F3" in enabled_set)
+    evaluated = f3_failures
+    rejections: dict[str, int] = {"F3": f3_failures} if f3_failures else {}
     survivors: dict[bytes, tuple] = {}
-    for gen_s, gen_t, weight in _orbits(rank, bound, "F7" in enabled_set, unit):
+    outcomes = _first_failure(n, gen_s, [gen_t for gen_t, _ in representatives], enabled_set)
+    theta_s = _square(gen_s.flat, rank)
+    for (gen_t, weight), failed in zip(representatives, outcomes):
         evaluated += weight
-        failed = _first_failure(n, gen_s, gen_t, enabled_set, connected)
         if failed is not None:
             rejections[failed] = rejections.get(failed, 0) + weight
             continue
-        pair = MatrixPair(n=n, rank=rank, theta_s=_square(gen_s.flat, rank), theta_t=_square(gen_t.flat, rank))
+        pair = MatrixPair(n=n, rank=rank, theta_s=theta_s, theta_t=_square(gen_t.flat, rank))
         rep = canonical_pair(pair)
         key = _serialise(rep)
         if key not in survivors:

@@ -133,6 +133,21 @@ def _default_jobs() -> int | str:
         return f"KLCELLS_JOBS must be an integer, got {raw!r}"
 
 
+def _unwritable(path: str) -> str | None:
+    """Why ``path`` cannot be opened for writing, or None; checked before a
+    search so that a bad path does not cost the search.  The file is left
+    as it was: opened for appending, and removed again if this made it."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        return f"cannot write {path}: {exc}"
+    if not existed:
+        os.remove(path)
+    return None
+
+
 def _cmd_classify(args: argparse.Namespace) -> int:
     problem = _bad_n(args.n)
     if problem:
@@ -146,6 +161,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         jobs = _default_jobs()
         if isinstance(jobs, str):
             return _error(jobs)
+    if args.output:
+        problem = _unwritable(args.output)
+        if problem:
+            return _error(problem)
     try:
         report = classify(
             args.n,

@@ -18,21 +18,22 @@ failures: a negative entry (filter F2, with the offending element and
 position as witness) or disagreement of the two w0 routes (filter F5).
 
 One kernel runs the recursion: ``algebra._kl_recursion``, the same one
-that builds the structure constants and the cell modules.  It takes two
-prepared generators (``algebra._Generator``: the flat row-major matrix,
-its nonzero terms, largest row sum, support bitmask and packed rows) and
-holds each matrix of the family as one packed integer per row, so a step
-A_x A_w' - A_w'' costs one integer operation per nonzero entry of A_x and
-the sign test one per row.  ``extend`` is a thin wrapper that reads the
-packed matrices back into the family keyed by group element
-(``algebra._kl_family``) and writes the witness.  The classification
-search calls the kernel through ``_first_failure``, which gives
-``run_filters``' verdict for a pair without building the family: F3 from
-the support bitmasks of the two generators, F4 from which matrices vanish
-as the family grows, F2 and F5 from the recursion, and F6 from
-``check_group_relations``.  Its preconditions are F1 and nonnegative
-entries, which both search spaces meet by construction.  It judges one
-representative per orbit of the block space and of the F1 variety.
+that builds the structure constants and the cell modules.  It takes one
+prepared A_s and a list of prepared A_t, the lanes (``algebra._Generator``:
+the flat row-major matrix, its nonzero terms, largest row sum and support
+bitmask), and holds each matrix of every lane's family as one integer per
+row, the lanes side by side, so a step A_x A_w' - A_w'' serves every lane
+with a few integer operations per term of A_x, and the sign and zero tests
+cost a few operations per row whatever the number of lanes.  ``extend``
+is a one-lane call that reads the packed matrices back into the family
+keyed by group element (``algebra._kl_family``) and writes the witness.
+The classification search calls the kernel through ``_first_failure``,
+which gives ``run_filters``' verdict for each lane without building any
+family: F4 from which matrices vanish as the family grows, F2 and F5 from
+the recursion, and F6 from ``check_group_relations``.  Its preconditions
+are F1, nonnegative entries and F3, which the search judges before, once
+per support class.  It judges one representative per orbit of the block
+space and of the F1 variety, all those of a work unit in one call.
 
 The named filters on candidates:
 
@@ -191,37 +192,32 @@ def _square(flat: Sequence[int], r: int) -> IntMatrix:
 
 
 def _first_failure(
-    n: int, gen_s: _Generator, gen_t: _Generator, enabled: frozenset[str], connected: dict[int, bool]
-) -> str | None:
-    """First failing filter of a prepared pair in the order F3, F4, F2, F5, F6.
+    n: int, gen_s: _Generator, gens_t: Sequence[_Generator], enabled: frozenset[str]
+) -> list[str | None]:
+    """First failing filter of each pair (A_s, A_t), A_t in ``gens_t``, in
+    the order F4, F2, F5, F6, from one lane-packed recursion.
 
-    Its preconditions are F1 and nonnegative entries: for a pair of
-    nonnegative matrices with A^2 = 2A this is ``classify.run_filters``'
-    verdict with F7 off.  F1 and F7 are not tested; F7 comes last, so with
-    it on the verdict differs only where F7 fails, which it never does in
-    the block space.  F3 reads the zero pattern of A_s + A_t before any
-    product.  With nonnegative entries nothing cancels, so that pattern is
-    exactly ``gen_s.support | gen_t.support``; its verdict is looked up in,
-    or added to, ``connected``, a dict that the caller keeps for pairs of
-    one rank (the search keeps one per work unit).  F4 is judged on the
-    partial family as the recursion grows.
+    Its preconditions are F1, nonnegative entries and, when F3 is enabled,
+    F3: for such pairs this is ``classify.run_filters``' verdict with F7
+    off.  The search judges F3 before, once per support class of A_t
+    (``classify._f3_split``), so only the pairs that pass it reach the
+    kernel.  F1 and F7 are not tested; F7 comes last, so with it on the
+    verdict differs only where F7 fails, which it never does in the block
+    space.  F4 is judged on the partial family as the recursion grows, and
+    F6 on each pair that extends.
     """
-    if "F3" in enabled:
-        support = gen_s.support | gen_t.support
-        verdict = connected.get(support)
-        if verdict is None:
-            verdict = connected[support] = _strongly_connected(support, gen_s.rank) is None
-        if not verdict:
-            return "F3"
-    _, _, outcome, _ = _kl_recursion(n, gen_s, gen_t, check_support="F4" in enabled)
-    if outcome is not None:
-        return outcome
+    if not gens_t:
+        return []
+    _, _, outcomes, _ = _kl_recursion(n, gen_s, gens_t, check_support="F4" in enabled)
     if "F6" in enabled:
         rank = gen_s.rank
-        pair = MatrixPair(n=n, rank=rank, theta_s=_square(gen_s.flat, rank), theta_t=_square(gen_t.flat, rank))
-        if not check_group_relations(pair).passed:
-            return "F6"
-    return None
+        theta_s = _square(gen_s.flat, rank)
+        for lane, outcome in enumerate(outcomes):
+            if outcome is None:
+                pair = MatrixPair(n=n, rank=rank, theta_s=theta_s, theta_t=_square(gens_t[lane].flat, rank))
+                if not check_group_relations(pair).passed:
+                    outcomes[lane] = "F6"
+    return outcomes
 
 
 def extend(pair: MatrixPair) -> ExtendedRep | ExtensionFailure:

@@ -2,9 +2,12 @@
 
 import itertools
 import json
+import os
 import pickle
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -31,7 +34,7 @@ from klcells.classify import (
     normalize_filters,
     run_filters,
 )
-from klcells.nimrep import MatrixPair, _flatten, _square, check_block_form
+from klcells.nimrep import MatrixPair, _flatten, _square, check_block_form, check_transitive
 from oracles import block_pair, evaluate_raw_unit, extend_oracle, f1_matrices_oracle, mat_mul_oracle, raw_units
 
 # the package's ``classify`` attribute is the function; this is the module
@@ -381,7 +384,8 @@ def test_classify_parallel_matches_serial():
 def orbits(rank, bound, block_space):
     """(flat A_s, flat A_t, orbit size) of the representatives of one rank."""
     for unit in _rank_units(rank, bound, block_space):
-        for gen_s, gen_t, weight in _orbits(rank, bound, block_space, unit):
+        gen_s, _, representatives = _orbits(rank, bound, block_space, unit, False)
+        for gen_t, weight in representatives:
             yield gen_s.flat, gen_t.flat, weight
 
 
@@ -563,6 +567,51 @@ def test_variety_representatives_are_least_and_partition_the_space():
             assert not orbit & covered
             covered |= orbit
         assert len(covered) == len(_f1_matrices(rank, bound)) ** 2, (rank, bound)
+
+
+ORBIT_SPACES = (
+    [(rank, bound, True) for rank in range(1, 6) for bound in (1, 2)]
+    + [(rank, bound, False) for rank, bound in VARIETY_SPACES]
+)
+
+
+@pytest.mark.parametrize("rank, bound, block_space", ORBIT_SPACES)
+def test_bulk_f3_matches_plain_enumeration_of_each_unit(rank, bound, block_space):
+    # F3 charged per support class against check_transitive on every
+    # representative of the unit: the same rejected pairs and the same
+    # surviving representatives with the same orbit sizes
+    for unit in _rank_units(rank, bound, block_space):
+        gen_s, failing, representatives = _orbits(rank, bound, block_space, unit, True)
+        plain_s, zero, everything = _orbits(rank, bound, block_space, unit, False)
+        assert plain_s is gen_s and zero == 0
+        theta_s = _square(gen_s.flat, rank)
+        transitive = [
+            check_transitive(MatrixPair(4, rank, theta_s, _square(gen_t.flat, rank))).passed
+            for gen_t, _ in everything
+        ]
+        assert failing == sum(weight for (_, weight), ok in zip(everything, transitive) if not ok), unit
+        kept = [(gen_t.flat, weight) for (gen_t, weight), ok in zip(everything, transitive) if ok]
+        assert sorted((gen_t.flat, weight) for gen_t, weight in representatives) == kept, unit
+
+
+def test_a_search_after_another_builds_no_space():
+    # every rank of a search stays cached, so the next search with the same
+    # ranks and bound builds none; both reports are those of a cold process
+    search = {"ranks": (1, 2, 3, 4), "entry_bound": 2}
+    first = classify(4, **search).to_json_bytes()
+    misses = classify_module._spaces.cache_info().misses
+    second = classify(5, **search).to_json_bytes()
+    assert classify_module._spaces.cache_info().misses == misses
+    script = (
+        "import sys; from klcells.classify import classify; "
+        "sys.stdout.write(classify(4, ranks=(1, 2, 3, 4), entry_bound=2).to_json_bytes().decode()); "
+        "sys.stdout.write(classify(5, ranks=(1, 2, 3, 4), entry_bound=2).to_json_bytes().decode())"
+    )
+    src = str(Path(classify_module.__file__).resolve().parents[1])
+    cold = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, check=True, env={**os.environ, "PYTHONPATH": src}
+    )
+    assert cold.stdout == first + second
 
 
 def test_resource_guard():

@@ -1,6 +1,7 @@
 """The command-line interface, driven through main() with captured output."""
 
 import json
+import sys
 
 import pytest
 
@@ -13,6 +14,8 @@ from klcells.cli import (
     main,
 )
 from klcells.dihedral import dihedral_group, render
+
+cli_module = sys.modules["klcells.cli"]
 
 
 def run(capsys, *argv):
@@ -240,6 +243,28 @@ def test_classify_output_file_not_writable(capsys, tmp_path):
     assert err.startswith(f"error: cannot write {target}")
     assert out == ""
     assert not target.exists()
+
+
+def test_classify_checks_the_output_path_before_the_search(capsys, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli_module, "classify", lambda *args, **kwargs: calls.append((args, kwargs)))
+    target = tmp_path / "no" / "such" / "dir" / "report.json"
+    code, out, err = run(capsys, "classify", "--n", "6", "--ranks", "4", "--output", str(target))
+    assert code == EXIT_USAGE
+    assert err.startswith(f"error: cannot write {target}")
+    assert out == ""
+    assert calls == []
+    # a writable path is left as it was until the report is written
+    monkeypatch.undo()
+    kept = tmp_path / "kept.json"
+    kept.write_text("old")
+    code, _, _ = run(capsys, "classify", "--n", "4", "--ranks", "1", "--entry-bound", "0", "--output", str(kept))
+    assert code == EXIT_USAGE
+    assert kept.read_text() == "old"
+    fresh = tmp_path / "fresh.json"
+    code, _, _ = run(capsys, "classify", "--n", "4", "--ranks", "1", "--entry-bound", "0", "--output", str(fresh))
+    assert code == EXIT_USAGE
+    assert not fresh.exists()
 
 
 def test_classify_no_filter(capsys):

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from klcells.cells import cell_module
-from klcells.classify import _f1_matrices, normalize_filters, run_filters
+from klcells.classify import _f1_matrices, _f3_split, _support_classes, normalize_filters, run_filters
 from klcells.dihedral import dihedral_group, render
 from klcells.exact import _top_real_root_is_simple, char_poly, is_zero_matrix, mat_add, poly_eval_matrix, poly_mul
 from klcells.nimrep import (
@@ -30,7 +30,7 @@ from klcells.nimrep import (
     _square,
     _strongly_connected,
 )
-from klcells.algebra import _Generator, _kl_recursion, _support, kl_regular_matrices
+from klcells.algebra import _Generator, _kl_recursion, _support, _unpack, kl_regular_matrices
 from oracles import (
     extend_oracle,
     kl_recursion_oracle,
@@ -152,19 +152,40 @@ def test_extend_matches_the_tuple_oracle_on_random_pairs():
 BLOCK_SPACES = [(rank, 2) for rank in (1, 2, 3, 4)] + [(rank, bound) for bound in (1, 3) for rank in (1, 2, 3)]
 
 
+def kernel_verdicts(n, gen_s, gens_t, enabled, connected):
+    """The search's verdict on each pair (A_s, A_t): F3 per support class,
+    then one kernel call with a lane for each A_t that passes."""
+    if "F3" in enabled:
+        _, passing = _f3_split(gen_s.rank, gen_s.support, _support_classes(gens_t), connected)
+    else:
+        passing = list(gens_t)
+    verdicts = {id(gen_t): "F3" for gen_t in gens_t}
+    verdicts.update(zip(map(id, passing), _first_failure(n, gen_s, passing, frozenset(enabled))))
+    return [verdicts[id(gen_t)] for gen_t in gens_t]
+
+
 def assert_kernel_verdicts(n, pairs, base_disabled, offs=("F3", "F4", "F6")):
+    # the pairs are batched by A_s, so pairs with different outcomes share
+    # one kernel call
     default = normalize_filters(base_disabled)
     variants = [(None, default)] + [(off, normalize_filters(base_disabled + (off,))) for off in offs]
-    seen = set()
-    connected = {}  # one F3 memo per rank, as the search keeps one per unit
+    batches = {}
     for p in pairs:
-        gen_s, gen_t = _Generator(_flatten(p.theta_s), p.rank), _Generator(_flatten(p.theta_t), p.rank)
-        memo = connected.setdefault(p.rank, {})
-        first = run_filters(p, default)[2]
+        batches.setdefault((p.rank, tuple(_flatten(p.theta_s))), []).append(p)
+    seen = set()
+    connected = {}  # one F3 table per rank, as the search keeps one
+    for (rank, a_s), batch in batches.items():
+        gen_s = _Generator(a_s, rank)
+        gens_t = [_Generator(_flatten(p.theta_t), rank) for p in batch]
+        firsts = [run_filters(p, default)[2] for p in batch]
+        memo = connected.setdefault(rank, {})
         for off, enabled in variants:
-            expected = run_filters(p, enabled)[2] if off is not None and first == off else first
-            assert _first_failure(n, gen_s, gen_t, frozenset(enabled), memo) == expected, (p, off)
-            seen.add(expected)
+            expected = [
+                run_filters(p, enabled)[2] if off is not None and first == off else first
+                for p, first in zip(batch, firsts)
+            ]
+            assert kernel_verdicts(n, gen_s, gens_t, enabled, memo) == expected, (a_s, off)
+            seen.update(expected)
     return seen
 
 
@@ -185,10 +206,12 @@ def test_kernel_verdict_matches_run_filters(n):
 @pytest.mark.parametrize("n", range(3, 8))
 def test_prepared_kernel_matches_the_flat_pair_oracle(n):
     # the kernel on generators prepared once against the flat-pair kernel
-    # that rebuilds everything per call: the same matrices, width, outcome
-    # and negative matrix, with and without the support check.  Every block
-    # pair for each n; the F1 variety at rank <= 3, E = 2 at n = 4, where
-    # the benchmark searches it; the random pairs once, each at its own n.
+    # that rebuilds everything per call: a one-lane call gives the same
+    # matrices, width, outcome and negative matrix, and one call with a
+    # lane for every A_t of the same A_s gives each lane's outcome, with
+    # and without the support check.  Every block pair for each n; the F1
+    # variety at rank <= 3, E = 2 at n = 4, where the benchmark searches
+    # it; the random pairs once, each at its own n.
     prepared = {}
 
     def generator(flat, rank):
@@ -205,15 +228,91 @@ def test_prepared_kernel_matches_the_flat_pair_oracle(n):
     if n == 3:
         cases += flat(random_pairs())
     assert len(cases) == 8766 + (19773 if n == 4 else 0) + (600 if n == 3 else 0)
+    batches = {}
     for m, rank, a_s, a_t in cases:
         gen_s, gen_t = generator(a_s, rank), generator(a_t, rank)
         for check_support in (False, True):
             expected = kl_recursion_oracle(m, rank, a_s, a_t, check_support)
-            assert _kl_recursion(m, gen_s, gen_t, check_support) == expected, (m, a_s, a_t, check_support)
+            matrices, width, (outcome,), negative = _kl_recursion(m, gen_s, [gen_t], check_support)
+            assert (matrices, width, outcome, negative) == expected, (m, a_s, a_t, check_support)
+            batches.setdefault((m, rank, a_s, check_support), []).append((gen_t, expected[2]))
+    for (m, rank, a_s, check_support), lanes in batches.items():
+        gens_t = [gen_t for gen_t, _ in lanes]
+        outcomes = _kl_recursion(m, generator(a_s, rank), gens_t, check_support)[2]
+        assert outcomes == [outcome for _, outcome in lanes], (m, a_s, check_support)
+
+
+def lane_entries(matrices, lane, width):
+    """The entries of lane ``lane`` of lane-packed matrices."""
+    rank = len(matrices[0])
+    lane_bits = 8 * (rank * width // 8 + 1)
+    offset = sum(1 << (width * j + width - 1) for j in range(rank))
+    offsets = sum(offset << (lane_bits * l) for l in range(lane + 1))
+    rows = [[((row + offsets) >> (lane_bits * lane) & ((1 << lane_bits) - 1)) - offset for row in m] for m in matrices]
+    return _unpack(rows, width)
+
+
+def test_lanes_with_mixed_outcomes_share_one_call():
+    # A_s = [[1, 2], [1, 0]] at n = 5 with eleven lanes: F2 at lengths 3
+    # (both letters) and 4 and at w0, F4 from a zero A_t and at lengths 3
+    # and 4, F5 and two survivors.  Both F4 lanes and a survivor sit
+    # directly above a lane that is negative there, so a bit test on raw
+    # rows would see that lane's borrow.  Lanes hold their one-lane
+    # families bit for bit until they fail.
+    n, rank, a_s = 5, 2, (1, 2, 1, 0)
+    lanes = [
+        (0, 0, 0, 1), (1, 0, 0, 0), (1, 0, 0, 2), (1, 2, 1, 0), (0, 0, 0, 0), (0, 1, 1, 0),
+        (1, 1, 0, 0), (0, 3, 2, 0), (0, 2, 1, 0), (1, 0, 0, 1), (1, 2, 1, 0),
+    ]
+    gen_s, gens_t = _Generator(a_s, rank), [_Generator(a_t, rank) for a_t in lanes]
+    expected = {
+        True: ["F2", "F4", "F2", None, "F4", "F2", "F4", "F5", "F2", "F2", None],
+        False: ["F2", "F2", "F2", None, "F2", "F2", "F2", "F5", "F2", "F2", None],
+    }
+    for check_support in (False, True):
+        oracles = [kl_recursion_oracle(n, rank, a_s, a_t, check_support) for a_t in lanes]
+        assert [oracle[2] for oracle in oracles] == expected[check_support]
+        matrices, width, outcomes, negative = _kl_recursion(n, gen_s, gens_t, check_support)
+        assert outcomes == expected[check_support]
+        for lane, (family, lane_width, _, _) in enumerate(oracles):
+            assert lane_entries(matrices[: len(family)], lane, width) == _unpack(family, lane_width), lane
+        assert len(matrices) == 2 * n and negative is None
+    # entries above 255 do not fit the byte columns of the lane set-up
+    big = [(0, 0, 0, 1), (256, 0, 0, 0), (1, 2, 1, 0), (1, 0, 0, 300), (0, 0, 0, 0), (1, 2, 1, 0), (300, 300, 0, 0)]
+    for check_support in (False, True):
+        oracles = [kl_recursion_oracle(n, rank, a_s, a_t, check_support) for a_t in big]
+        matrices, width, outcomes, _ = _kl_recursion(n, gen_s, [_Generator(a_t, rank) for a_t in big], check_support)
+        assert outcomes == [oracle[2] for oracle in oracles]
+        for lane, (family, lane_width, _, _) in enumerate(oracles):
+            assert lane_entries(matrices[: len(family)], lane, width) == _unpack(family, lane_width), lane
+    assert outcomes == ["F2", "F5", None, "F2", "F4", None, "F5"]
+    # the lanes of a zero A_s: the all-zero pairs are exempt from F4, the
+    # others fail it at once, whatever lies between them
+    zero = (0, 0, 0, 0)
+    lanes = [zero, (2, 0, 0, 0), zero, (1, 1, 1, 1), zero]
+    gens_t = [_Generator(a_t, rank) for a_t in lanes]
+    for check_support in (False, True):
+        expected = [kl_recursion_oracle(n, rank, zero, a_t, check_support)[2] for a_t in lanes]
+        assert _kl_recursion(n, _Generator(zero, rank), gens_t, check_support)[2] == expected
+    assert expected == [None, "F4", None, "F4", None]
+
+
+def test_one_lane_call_is_the_oracle_family_at_large_rank():
+    # the regular pair (rank 2n) and the cell modules' pairs, one lane
+    # each, against the flat-pair oracle matrix for matrix
+    for n in range(3, 13):
+        pairs = [kl_regular_matrices(n)] + [cell_module(n, name).generator_pair() for name in ("Ls", "Lt")]
+        for theta_s, theta_t in pairs:
+            rank = len(theta_s)
+            a_s, a_t = tuple(_flatten(theta_s)), tuple(_flatten(theta_t))
+            matrices, width, (outcome,), negative = _kl_recursion(n, _Generator(a_s, rank), [_Generator(a_t, rank)])
+            assert (matrices, width, outcome, negative) == kl_recursion_oracle(n, rank, a_s, a_t), (n, rank)
+            assert outcome is None and len(matrices) == 2 * n
 
 
 def first_failure(n, rank, a_s, a_t, enabled):
-    return _first_failure(n, _Generator(a_s, rank), _Generator(a_t, rank), frozenset(enabled), {})
+    (verdict,) = kernel_verdicts(n, _Generator(a_s, rank), [_Generator(a_t, rank)], enabled, {})
+    return verdict
 
 
 def test_kernel_verdict_outside_the_block_space():
@@ -315,19 +414,22 @@ def test_strongly_connected_matches_the_adjacency_set_oracle():
 
 
 def test_shared_f3_memo_gives_the_fresh_verdicts():
-    # one memo per A_s over the whole rank-3 variety, as a work unit keeps
-    # it, against a fresh memo for every pair
+    # one table over the whole rank-3 variety, as the search keeps one per
+    # rank, against a fresh table for every A_s and against check_transitive
     matrices = [_Generator(a, 3) for a in _f1_matrices(3, 2)]
-    enabled = frozenset({"F3"})
-    verdicts = set()
+    classes = _support_classes(matrices)
+    shared = {}
+    failures = set()
     for gen_s in matrices:
-        shared = {}
-        for gen_t in matrices:
-            verdict = _first_failure(4, gen_s, gen_t, enabled, shared)
-            assert verdict == _first_failure(4, gen_s, gen_t, enabled, {}), (gen_s.flat, gen_t.flat)
-            verdicts.add(verdict)
-        assert set(shared) == {gen_s.support | gen_t.support for gen_t in matrices}
-    assert "F3" in verdicts and len(verdicts) > 1
+        failing, passing = _f3_split(3, gen_s.support, classes, shared)
+        assert (failing, passing) == _f3_split(3, gen_s.support, classes, {}), gen_s.flat
+        theta_s = _square(gen_s.flat, 3)
+        passed = [g for g in matrices if check_transitive(MatrixPair(4, 3, theta_s, _square(g.flat, 3))).passed]
+        assert sorted(g.flat for g in passing) == [g.flat for g in passed]
+        assert failing == len(matrices) - len(passed)
+        failures.add(failing)
+    assert set(shared) == {gen_s.support | gen_t.support for gen_s in matrices for gen_t in matrices}
+    assert max(failures) > 0 and min(failures) < len(matrices)
 
 
 def test_check_apex_support():
