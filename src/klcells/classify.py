@@ -36,13 +36,15 @@ each A_t whose pattern fails with A_s (``_f3_split``); only the A_t that
 pass reach the stabiliser test.  The unit's representatives are then
 judged together by ``nimrep._first_failure``, one lane each of a single
 lane-packed KL recursion.  It skips F1 and F7: F1 holds by construction in
-both spaces, F7 in the block space (and it is off in the variety), and
-both are still reported for every survivor, whose canonical pair re-runs
-``run_filters``.  Only survivors are squared into a ``MatrixPair``.
-The s <-> t swap, which
-maps the block space of split k onto that of r-k, is not used to merge
-orbits in either space: F4 is judged on the partial family built before
-an F2 failure, and a swapped pair can fail at the other leading letter.
+both spaces, F7 in the block space (and it is off in the variety).  It
+skips F6 too, which F1 and F5 imply.  Only survivors are squared into a
+``MatrixPair``, and each surviving class is judged once more, on its
+canonical pair, by the one-lane kernel call (``extend``) that also gives
+the family its annotation reads (``_build_candidate``); ``run_filters``
+serves ``inspect_pair`` and the tests.  The s <-> t swap, which maps the block
+space of split k onto that of r-k, is not used to merge orbits in either
+space: F4 is judged on the partial family built before an F2 failure, and
+a swapped pair can fail at the other leading letter.
 
 Pairs count as the same candidate when simultaneous row/column permutation
 and/or exchanging the roles of s and t carries one to the other;
@@ -125,6 +127,8 @@ __all__ = [
 ]
 
 ALL_FILTERS = ("F1", "F2", "F3", "F4", "F5", "F6", "F7")
+# the order in which run_filters evaluates them and charges a failure
+_ATTRIBUTION_ORDER = ("F1", "F3", "F4", "F2", "F5", "F6", "F7")
 # F1 defines the variety, F2/F5 are produced by the extension itself; only
 # the remaining checks can be switched off.
 TOGGLEABLE_FILTERS = frozenset({"F3", "F4", "F6", "F7"})
@@ -297,25 +301,25 @@ def _knowledge_keys() -> tuple[tuple[int, bytes, KnowledgeEntry], ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _cell_keys(n: int) -> tuple[tuple[int, bytes, str], ...]:
-    """(size, canonical key, cell name) for Le, Ls, Lt, Lw0 in that order."""
-    partition = compute_cells(n)
-    ordered = sorted(partition.left_cells, key=lambda c: ["Le", "Ls", "Lt", "Lw0"].index(left_cell_name(c)))
+def _cell_keys(n: int, rank: int) -> tuple[tuple[bytes, str], ...]:
+    """(canonical key, cell name) of each left cell of size ``rank``, in the
+    order Le, Ls, Lt, Lw0; only those cells' modules are built."""
+    order = ["Le", "Ls", "Lt", "Lw0"]
+    cells = sorted(
+        (cell for cell in compute_cells(n).left_cells if len(cell) == rank),
+        key=lambda cell: order.index(left_cell_name(cell)),
+    )
     out = []
-    for cell in ordered:
-        if len(cell) > MAX_CANONICAL_RANK:
-            continue
-        module = cell_module(n, cell)
-        a_s, a_t = module.generator_pair()
-        probe = MatrixPair(n=n, rank=len(cell), theta_s=a_s, theta_t=a_t)
-        out.append((len(cell), canonicalize(probe), left_cell_name(cell)))
+    for cell in cells:
+        a_s, a_t = cell_module(n, cell).generator_pair()
+        out.append((canonicalize(MatrixPair(n=n, rank=rank, theta_s=a_s, theta_t=a_t)), left_cell_name(cell)))
     return tuple(out)
 
 
 def _cell_name(n: int, rank: int, key: bytes) -> str | None:
     """The name of the left cell whose generator pair has this canonical key."""
-    for size, cell_key, name in _cell_keys(n):
-        if size == rank and cell_key == key:
+    for cell_key, name in _cell_keys(n, rank):
+        if cell_key == key:
             return name
     return None
 
@@ -804,9 +808,28 @@ def inspect_pair(pair: MatrixPair, disabled: Iterable[str] = ()) -> Candidate:
 
 
 def _build_candidate(n: int, rank: int, key: bytes, theta_s: IntMatrix, theta_t: IntMatrix, enabled: tuple[str, ...]) -> Candidate:
+    """Annotate a surviving class on its canonical pair, judged once.
+
+    The canonical pair is a conjugate of a pair the search judged a
+    survivor, possibly with s and t exchanged, so it passes F1 and the
+    same filters.  One one-lane kernel call (``extend``) gives the family
+    that ``apex_of`` and ``annihilator_check`` read, and is asserted to
+    extend (F2 and F5); F3 is asserted on its support bitmask
+    (``check_transitive``) and F7 with ``check_block_form``.  F4 is not
+    judged again: the search judged it on a conjugate, and a full family
+    is conjugated with its pair.  F6 follows from F1 and F5
+    (``nimrep._first_failure``).  The filter reports are then the pass
+    reports of the enabled filters in attribution order, as ``run_filters``
+    gives them for a survivor; ``inspect_pair`` still goes through
+    ``run_filters``, and the tests compare every candidate with it.
+    """
     pair = MatrixPair(n=n, rank=rank, theta_s=theta_s, theta_t=theta_t)
-    reports, ext, failed = run_filters(pair, enabled)
-    assert failed is None and isinstance(ext, ExtendedRep), (
+    ext = extend(pair)
+    judged = {"F3": check_transitive, "F7": check_block_form}
+    reports = tuple(
+        judged[f](pair) if f in judged else FilterReport(f, True, None) for f in _ATTRIBUTION_ORDER if f in enabled
+    )
+    assert isinstance(ext, ExtendedRep) and all(report.passed for report in reports), (
         "canonical representatives must survive the same filters"
     )
     return _annotate_survivor(pair, key, reports, ext)

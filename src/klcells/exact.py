@@ -137,7 +137,7 @@ def trace(a: IntMatrix) -> int:
 
 
 def is_zero_matrix(a: IntMatrix) -> bool:
-    return all(all(v == 0 for v in row) for row in a)
+    return not any(map(any, a))
 
 
 def first_negative_entry(a: IntMatrix) -> tuple[int, int] | None:
@@ -282,13 +282,12 @@ def poly_eval_matrix(p: Sequence[int], m: IntMatrix) -> IntMatrix:
     """Evaluate p at a square matrix (Horner, exact).
 
     Each partial result is a polynomial in m and commutes with it, so m
-    is taken as the left factor, where ``mat_mul`` skips its zeros.
+    is taken as the left factor, where ``mat_mul`` skips its zeros; each
+    coefficient is then added on the diagonal of that product.
     """
-    r = len(m)
-    result = zero_matrix(r)
-    ident = identity_matrix(r)
+    result = zero_matrix(len(m))
     for c in reversed(p):
-        result = mat_add(mat_mul(m, result), mat_scale(c, ident))
+        result = tuple(row[:i] + (row[i] + c,) + row[i + 1 :] for i, row in enumerate(mat_mul(m, result)))
     return result
 
 

@@ -30,10 +30,11 @@ keyed by group element (``algebra._kl_family``) and writes the witness.
 The classification search calls the kernel through ``_first_failure``,
 which gives ``run_filters``' verdict for each lane without building any
 family: F4 from which matrices vanish as the family grows, F2 and F5 from
-the recursion, and F6 from ``check_group_relations``.  Its preconditions
-are F1, nonnegative entries and F3, which the search judges before, once
-per support class.  It judges one representative per orbit of the block
-space and of the F1 variety, all those of a work unit in one call.
+the recursion.  F6 follows from F1 and F5 (proved in its docstring), so it
+is not run.  Its preconditions are F1, nonnegative entries and F3, which
+the search judges before, once per support class.  It judges one
+representative per orbit of the block space and of the F1 variety, all
+those of a work unit in one call.
 
 The named filters on candidates:
 
@@ -195,7 +196,7 @@ def _first_failure(
     n: int, gen_s: _Generator, gens_t: Sequence[_Generator], enabled: frozenset[str]
 ) -> list[str | None]:
     """First failing filter of each pair (A_s, A_t), A_t in ``gens_t``, in
-    the order F4, F2, F5, F6, from one lane-packed recursion.
+    the order F4, F2, F5, from one lane-packed recursion.
 
     Its preconditions are F1, nonnegative entries and, when F3 is enabled,
     F3: for such pairs this is ``classify.run_filters``' verdict with F7
@@ -203,21 +204,30 @@ def _first_failure(
     (``classify._f3_split``), so only the pairs that pass it reach the
     kernel.  F1 and F7 are not tested; F7 comes last, so with it on the
     verdict differs only where F7 fails, which it never does in the block
-    space.  F4 is judged on the partial family as the recursion grows, and
-    F6 on each pair that extends.
+    space.  F4 is judged on the partial family as the recursion grows.
+
+    F6 (``check_group_relations``) is not run: it holds for every pair
+    that passes F1 and F5.  F1 makes S = A_s - I and T = A_t - I
+    involutions, as A^2 = 2A is (A - I)^2 = I.  In the infinite dihedral
+    group <s, t | s^2 = t^2 = 1>, where u <= w exactly when u = w or
+    l(u) < l(w), let b_w be the sum of the u <= w.  For w of length l >= 3
+    leading with x, w' and w'' as in the recursion, b_x b_w' = b_w + b_w'':
+    b_x = 1 + x takes w' to w' + w and each u of length <= l - 2 to
+    u + xu, and the xu are the element of length l - 1 leading with x,
+    w'' and every element of length <= l - 3, once each.  With rho(s) = S
+    and rho(t) = T, A_e = I = rho(b_e), A_x = I + rho(x) = rho(b_x) and
+    A_st = A_s A_t = rho(b_st), so the recursion gives A_w = rho(b_w)
+    below length n, and its two routes to w0 are rho(b) of the two
+    alternating words of length n.  Those share every shorter element, so
+    the routes differ by exactly rho(sts...) - rho(tst...), which vanishes
+    exactly when rho(sts...) rho(tst...)^-1 = (ST)^n is I.  So F5 is
+    (ST)^n = I, the third relation of F6.  The reports still list F6, and
+    ``tests/test_nimrep.py`` compares this verdict with that of
+    ``run_filters``, which runs F6, over whole search spaces.
     """
     if not gens_t:
         return []
-    _, _, outcomes, _ = _kl_recursion(n, gen_s, gens_t, check_support="F4" in enabled)
-    if "F6" in enabled:
-        rank = gen_s.rank
-        theta_s = _square(gen_s.flat, rank)
-        for lane, outcome in enumerate(outcomes):
-            if outcome is None:
-                pair = MatrixPair(n=n, rank=rank, theta_s=theta_s, theta_t=_square(gens_t[lane].flat, rank))
-                if not check_group_relations(pair).passed:
-                    outcomes[lane] = "F6"
-    return outcomes
+    return _kl_recursion(n, gen_s, gens_t, check_support="F4" in enabled)[2]
 
 
 def extend(pair: MatrixPair) -> ExtendedRep | ExtensionFailure:
@@ -526,11 +536,13 @@ class PerronAnalysis:
     entry is nonnegative and every row has its diagonal term, so dropping
     the zero terms from a row's sum drops only exact additions of 0.0: the
     floats are those of the dense iteration, bit for bit.
-    top_eigenvalue_simple is decided exactly: the spectral radius of a
-    nonnegative matrix is the largest real root of its characteristic
-    polynomial p, which is simple when gcd(p, p') is constant and otherwise
-    exactly when gcd(p, p') has no root in a rational interval that Sturm
-    sequences isolate around it; the float radius plays no part.
+    top_eigenvalue_simple is decided exactly, and the float radius plays no
+    part.  The spectral radius of a nonnegative matrix is the largest real
+    root of its characteristic polynomial p.  When the matrix is
+    irreducible, Perron-Frobenius makes that root simple, and p is not
+    computed.  Otherwise the root is simple when gcd(p, p') is constant,
+    and else exactly when gcd(p, p') has no root in a rational interval
+    that Sturm sequences isolate around it.
     positive_eigenvector is present exactly when the matrix is irreducible.
     """
 
@@ -570,7 +582,8 @@ def perron_analysis(q: Sequence[Sequence[int]]) -> PerronAnalysis:
         raise ArithmeticError("power iteration did not reach the 1e-10 residual")
     spectral_radius = norm - 1.0
 
-    simple = _top_real_root_is_simple(char_poly(matrix))
+    # Perron-Frobenius: the radius of an irreducible Q is a simple root
+    simple = irreducible or _top_real_root_is_simple(char_poly(matrix))
     top = max(vec)
     eigenvector = tuple(x / top for x in vec) if irreducible else None
     return PerronAnalysis(

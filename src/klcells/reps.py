@@ -29,11 +29,12 @@ and the total dimension is re-checked exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
-from .dihedral import GroupElement, dihedral_group, other_letter, render
+from .dihedral import GroupElement, dihedral_group
 from .exact import (
     IntMatrix,
     freeze_matrix,
@@ -227,68 +228,102 @@ class Decomposition:
         return " ⊕ ".join(parts)
 
 
-def _group_matrices(n: int, a_s: IntMatrix, a_t: IntMatrix) -> dict[GroupElement, IntMatrix]:
-    """Matrices of the group elements themselves, built along reduced words.
-
-    rho(w) is the matrix of w's first letter times rho(suffix), where the
-    suffix drops that letter; all_elements is ordered by length, so the
-    suffix is always built first and each element costs one product, whose
-    left factor (A_s - I or A_t - I) is as sparse as the generator.
-    """
-    group = dihedral_group(n)
-    r = len(a_s)
-    ident = identity_matrix(r)
-    s_mat = mat_sub(a_s, ident)
-    t_mat = mat_sub(a_t, ident)
-    gen = {"s": s_mat, "t": t_mat}
-    out: dict[GroupElement, IntMatrix] = {group.identity(): ident}
-    for w in group.all_elements()[1:]:
-        if w.length == 1:
-            out[w] = gen[w.leading]
-        else:
-            suffix = group.element(w.length - 1, other_letter(w.leading))
-            out[w] = mat_mul(gen[w.leading], out[suffix])
-    return out
-
-
-def check_module_relations(n: int, a_s: IntMatrix, a_t: IntMatrix) -> str | None:
-    """Exact relation check; returns the violated relation or None."""
+def _involutions(a_s: IntMatrix, a_t: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """(I, S, T) with S = A_s - I and T = A_t - I, once the matrices are
+    square of one size and S^2 = T^2 = I hold exactly; otherwise
+    NotAModuleError names the first condition that fails."""
     r = len(a_s)
     if any(len(row) != r for row in a_s) or len(a_t) != r or any(len(row) != r for row in a_t):
-        return "matrices must be square and of equal size"
+        raise NotAModuleError("matrices must be square and of equal size")
     ident = identity_matrix(r)
     s_mat = mat_sub(a_s, ident)
     t_mat = mat_sub(a_t, ident)
     if mat_mul(s_mat, s_mat) != ident:
-        return "(A_s - I)^2 != I"
+        raise NotAModuleError("(A_s - I)^2 != I")
     if mat_mul(t_mat, t_mat) != ident:
-        return "(A_t - I)^2 != I"
+        raise NotAModuleError("(A_t - I)^2 != I")
+    return ident, s_mat, t_mat
+
+
+def _rotation_relation(n: int) -> str:
+    return f"((A_s - I)(A_t - I))^{n} != I"
+
+
+def _rotation_powers(n: int, a_s: IntMatrix, a_t: IntMatrix) -> tuple[IntMatrix, IntMatrix, list[IntMatrix]]:
+    """(S, T, [P_0, ..., P_h]) with S = A_s - I, T = A_t - I, P_j = (ST)^j
+    and h = ceil(n/2), once the defining relations S^2 = T^2 = (ST)^n = I
+    hold exactly; otherwise NotAModuleError names the first that fails.
+
+    P_{j+1} = P_1 P_j, so each power costs what the nonzero entries of P_1
+    cost, and (ST)^n is the one further product P_h P_{n-h}.
+    """
+    ident, s_mat, t_mat = _involutions(a_s, a_t)
+    half = (n + 1) // 2
+    powers = [ident, mat_mul(s_mat, t_mat)]
+    while len(powers) <= half:
+        powers.append(mat_mul(powers[1], powers[-1]))
+    if mat_mul(powers[half], powers[n - half]) != ident:
+        raise NotAModuleError(_rotation_relation(n))
+    return s_mat, t_mat, powers
+
+
+def check_module_relations(n: int, a_s: IntMatrix, a_t: IntMatrix) -> str | None:
+    """Exact relation check; returns the violated relation or None.
+
+    (ST)^n is built by repeated squaring (``mat_pow``), about 2 log2 n
+    products, where ``decompose`` keeps the ceil(n/2) powers it reads.
+    """
+    try:
+        ident, s_mat, t_mat = _involutions(a_s, a_t)
+    except NotAModuleError as error:
+        return error.relation
     if mat_pow(mat_mul(s_mat, t_mat), n) != ident:
-        return f"((A_s - I)(A_t - I))^{n} != I"
+        return _rotation_relation(n)
     return None
+
+
+@functools.lru_cache(maxsize=None)
+def _character_table(n: int) -> tuple[tuple[SimpleModule, tuple[float, ...]], ...]:
+    """Each simple module of D_n with its character on every element, in
+    the all_elements order."""
+    elements = dihedral_group(n).all_elements()
+    return tuple((module, tuple(character(module, n, w) for w in elements)) for module in simples(n))
+
+
+def _reflection_trace(p: IntMatrix, reflection: IntMatrix) -> int:
+    """tr(p x) = sum of p[i][j] x[j][i], over the nonzero entries of x."""
+    return sum(v * p[i][j] for j, row in enumerate(reflection) for i, v in enumerate(row) if v)
 
 
 def decompose(n: int, a_s: Sequence[Sequence[int]], a_t: Sequence[Sequence[int]]) -> Decomposition:
     """Decompose the representation with b(s), b(t) acting by a_s, a_t.
 
     Raises NotAModuleError when the defining relations fail (checked exactly
-    over the integers before any floating point happens).
+    over the integers before any floating point happens).  The traces come
+    from the powers P_m = (ST)^m, m <= ceil(n/2), of that check
+    (``_rotation_powers``): the rotations of length 2m, (st)^m and
+    (ts)^m = T P_m T, have trace tr P_m, and the reflections of length
+    2m + 1, (st)^m s and t (st)^m, have traces tr(P_m S) and tr(P_m T),
+    read off without a product.  Each multiplicity is the character sum
+    over the elements in all_elements order, so its floats are those of
+    the sum over the matrices of the group elements themselves.
     """
     frozen_s = freeze_matrix(a_s)
     frozen_t = freeze_matrix(a_t)
-    violation = check_module_relations(n, frozen_s, frozen_t)
-    if violation is not None:
-        raise NotAModuleError(violation)
+    s_mat, t_mat, powers = _rotation_powers(n, frozen_s, frozen_t)
     r = len(frozen_s)
-    group = dihedral_group(n)
-    rho = _group_matrices(n, frozen_s, frozen_t)
-    traces: dict[GroupElement, int] = {w: trace(m) for w, m in rho.items()}
+    traces = [r]
+    for length in range(1, n + 1):
+        m, odd = divmod(length, 2)
+        # the s-leading element, then the t-leading one; w0 is one element
+        letters = (s_mat, t_mat) if length < n else (s_mat,)
+        traces += [_reflection_trace(powers[m], x) if odd else trace(powers[m]) for x in letters]
 
     terms: list[tuple[SimpleModule, int]] = []
-    for module in simples(n):
+    for module, characters in _character_table(n):
         total = 0.0
-        for w in group.all_elements():
-            total += character(module, n, w) * traces[w]
+        for chi, count in zip(characters, traces):
+            total += chi * count
         value = total / (2 * n)
         nearest = round(value)
         if abs(value - nearest) > 1e-6 or nearest < 0:

@@ -21,6 +21,11 @@ and column, that ``exact.mat_mul`` must equal.  ``perron_iteration_oracle``
 is the power iteration on the dense Q + I with two products per step, one
 for the next iterate and one for the residual; ``nimrep.perron_analysis``
 must give the same floats, bit for bit.
+``group_matrices_oracle`` builds the matrix of every group element from
+its reduced word, one product per element, and ``decompose_oracle`` reads
+the multiplicities from their traces after ``module_relations_oracle``,
+which checks the relations with ``mat_pow``; ``reps.decompose`` must give
+the same decomposition, or raise with the same text.
 """
 
 from __future__ import annotations
@@ -32,8 +37,9 @@ from collections import deque
 
 from klcells.classify import canonical_pair, canonicalize, run_filters
 from klcells.dihedral import dihedral_group, other_letter, render
-from klcells.exact import first_negative_entry, identity_matrix, mat_mul, mat_sub
+from klcells.exact import first_negative_entry, freeze_matrix, identity_matrix, mat_mul, mat_pow, mat_sub, trace
 from klcells.nimrep import ExtendedRep, ExtensionFailure, MatrixPair, _square, _twice_idempotent
+from klcells.reps import Decomposition, NotAModuleError, _module_sort_key, character, simple_name, simples
 
 
 def mat_mul_oracle(a, b):
@@ -264,3 +270,65 @@ def evaluate_raw_unit(payload):
         if key not in survivors:
             survivors[key] = (key, rep.theta_s, rep.theta_t)
     return evaluated, tuple(sorted(rejections.items())), list(survivors.values())
+
+
+def group_matrices_oracle(n, a_s, a_t):
+    """Matrices of the group elements themselves, built along reduced words.
+
+    rho(w) is the matrix of w's first letter times rho(suffix), where the
+    suffix drops that letter; all_elements is ordered by length, so the
+    suffix is always built first and each element costs one product.
+    """
+    group = dihedral_group(n)
+    ident = identity_matrix(len(a_s))
+    gen = {"s": mat_sub(a_s, ident), "t": mat_sub(a_t, ident)}
+    out = {group.identity(): ident}
+    for w in group.all_elements()[1:]:
+        if w.length == 1:
+            out[w] = gen[w.leading]
+        else:
+            suffix = group.element(w.length - 1, other_letter(w.leading))
+            out[w] = mat_mul(gen[w.leading], out[suffix])
+    return out
+
+
+def module_relations_oracle(n, a_s, a_t):
+    """The first violated relation of D_n, or None: S^2, T^2, (ST)^n."""
+    r = len(a_s)
+    if any(len(row) != r for row in a_s) or len(a_t) != r or any(len(row) != r for row in a_t):
+        return "matrices must be square and of equal size"
+    ident = identity_matrix(r)
+    s_mat, t_mat = mat_sub(a_s, ident), mat_sub(a_t, ident)
+    if mat_mul(s_mat, s_mat) != ident:
+        return "(A_s - I)^2 != I"
+    if mat_mul(t_mat, t_mat) != ident:
+        return "(A_t - I)^2 != I"
+    if mat_pow(mat_mul(s_mat, t_mat), n) != ident:
+        return f"((A_s - I)(A_t - I))^{n} != I"
+    return None
+
+
+def decompose_oracle(n, a_s, a_t):
+    """The decomposition from the traces of every group element's matrix,
+    summed in all_elements order; NotAModuleError as ``reps.decompose``."""
+    a_s, a_t = freeze_matrix(a_s), freeze_matrix(a_t)
+    violation = module_relations_oracle(n, a_s, a_t)
+    if violation is not None:
+        raise NotAModuleError(violation)
+    rho = group_matrices_oracle(n, a_s, a_t)
+    terms = []
+    for module in simples(n):
+        total = 0.0
+        for w in dihedral_group(n).all_elements():
+            total += character(module, n, w) * trace(rho[w])
+        value = total / (2 * n)
+        nearest = round(value)
+        if abs(value - nearest) > 1e-6 or nearest < 0:
+            raise NotAModuleError(f"multiplicity of {simple_name(module, n)} is {value}, not a nonnegative integer")
+        if nearest:
+            terms.append((module, nearest))
+    terms.sort(key=lambda item: _module_sort_key(item[0]))
+    result = Decomposition(n=n, terms=tuple(terms))
+    if result.total_dim() != len(a_s):
+        raise NotAModuleError(f"multiplicities account for dimension {result.total_dim()}, matrix size is {len(a_s)}")
+    return result

@@ -20,6 +20,7 @@ from klcells.classify import (
     TOGGLEABLE_FILTERS,
     UNKNOWN_CITATION,
     KnowledgeEntry,
+    _ATTRIBUTION_ORDER,
     _cell_keys,
     _f1_matrices,
     _orbits,
@@ -35,7 +36,15 @@ from klcells.classify import (
     run_filters,
 )
 from klcells.nimrep import MatrixPair, _flatten, _square, check_block_form, check_transitive
-from oracles import block_pair, evaluate_raw_unit, extend_oracle, f1_matrices_oracle, mat_mul_oracle, raw_units
+from oracles import (
+    block_pair,
+    decompose_oracle,
+    evaluate_raw_unit,
+    extend_oracle,
+    f1_matrices_oracle,
+    mat_mul_oracle,
+    raw_units,
+)
 
 # the package's ``classify`` attribute is the function; this is the module
 classify_module = sys.modules["klcells.classify"]
@@ -316,6 +325,31 @@ def test_cold_classify_builds_no_structure_constant_table():
     assert structure_constants.cache_info().currsize == 0
 
 
+def test_cell_matching_builds_only_the_cells_of_a_searched_rank(monkeypatch):
+    # at n = 6, Ls and Lt have five elements: a search of ranks 1-4 builds
+    # the modules of Le and Lw0 only, a rank-5 search those of Ls and Lt
+    built = []
+    original = classify_module.cell_module
+
+    def counting(n, cell):
+        built.append(len(cell))
+        return original(n, cell)
+
+    monkeypatch.setattr(classify_module, "cell_module", counting)
+    _cell_keys.cache_clear()
+    try:
+        report = classify(6, ranks=(1, 2, 3, 4), entry_bound=2)
+        assert built == [1, 1]
+        assert [c.tag.detail for c in report.candidates if c.tag.kind == "REALIZED_CELL"] == ["Le", "Lw0"]
+        assert _cell_keys(6, 5) == (
+            (canonicalize(pair(6, *original(6, "Ls").generator_pair())), "Ls"),
+            (canonicalize(pair(6, *original(6, "Lt").generator_pair())), "Lt"),
+        )
+        assert built == [1, 1, 5, 5]
+    finally:
+        _cell_keys.cache_clear()
+
+
 def test_entry_bound_stability_small():
     # raising the entry bound does not create or destroy rank <= 2 candidates
     for n in (3, 4):
@@ -484,6 +518,45 @@ VARIETY_REPORTS = [(n, ("F7",)) for n in range(3, 7)] + [(4, ("F7", off)) for of
 def test_variety_reports_match_the_raw_pair_oracle(monkeypatch, n, disabled):
     search = {"ranks": (1, 2, 3), "entry_bound": 2, "disabled": disabled, "max_states": 10**9}
     assert classify(n, **search).to_json_bytes() == raw_pair_report(monkeypatch, n, **search)
+
+
+BLOCK_SEARCH = {"ranks": (1, 2, 3, 4), "entry_bound": 2}
+VARIETY_SEARCH = {"ranks": (1, 2, 3), "entry_bound": 2, "disabled": ("F7",), "max_states": 10**9}
+SURVIVOR_SEARCHES = (
+    [(n, BLOCK_SEARCH) for n in range(3, 9)]
+    + [(n, VARIETY_SEARCH) for n in range(3, 9)]
+    + [(4, {**BLOCK_SEARCH, "disabled": (off,)}) for off in ("F3", "F4", "F6")]
+    + [(4, {**VARIETY_SEARCH, "disabled": ("F7", off)}) for off in ("F3", "F4", "F6")]
+)
+
+
+@pytest.mark.parametrize("n, search", SURVIVOR_SEARCHES)
+def test_every_candidate_is_its_inspect_pair(n, search):
+    # a surviving class is annotated from one kernel call on its canonical
+    # pair; inspect_pair runs the whole run_filters pipeline on that pair
+    # and must give the same candidate, family included, and decompose the
+    # word-product oracle's decomposition
+    disabled = search.get("disabled", ())
+    report = classify(n, **search)
+    assert report.candidates
+    for candidate in report.candidates:
+        expected = inspect_pair(candidate.pair, disabled)
+        assert candidate.to_jsonable() == expected.to_jsonable(), candidate.pair
+        assert candidate.canonical_key == expected.canonical_key
+        assert list(candidate.extension.family.items()) == list(expected.extension.family.items())
+        assert candidate.decomposition == decompose_oracle(n, candidate.pair.theta_s, candidate.pair.theta_t)
+
+
+def test_survivor_reports_follow_the_run_filters_order():
+    # survivors list their pass reports in _ATTRIBUTION_ORDER without
+    # running run_filters, so the two orders must agree
+    report = classify(4, ranks=(1, 2, 3), entry_bound=2)
+    assert report.candidates
+    for candidate in report.candidates:
+        reports, _, failed = run_filters(candidate.pair, ALL_FILTERS)
+        assert failed is None
+        assert tuple(r.filter_id for r in reports) == _ATTRIBUTION_ORDER
+        assert tuple(r.filter_id for r in candidate.filters) == _ATTRIBUTION_ORDER
 
 
 # -- orbit representatives of the F1 variety ------------------------------------

@@ -207,6 +207,21 @@ def test_poly_eval():
     assert poly_eval_matrix((2, 1), identity_matrix(2)) == ((3, 0), (0, 3))
 
 
+def test_poly_eval_matrix_matches_the_power_sum():
+    # Horner with the coefficient added on the diagonal against the sum of
+    # c_k m^k, for sparse and dense matrices and trailing zero coefficients
+    rng = random.Random(1729)
+    for _ in range(80):
+        r = rng.randint(1, 5)
+        m = random_matrix(rng, r, -3, 3) if rng.random() < 0.5 else random_matrix(rng, r, 0, 1)
+        p = tuple(rng.randint(-9, 9) for _ in range(rng.randint(0, 7)))
+        expected = zero_matrix(r)
+        for k, c in enumerate(p):
+            expected = mat_add(expected, mat_scale(c, mat_pow(m, k)))
+        assert poly_eval_matrix(p, m) == expected, (p, m)
+    assert poly_eval_matrix((), Q3) == zero_matrix(3)
+
+
 def test_poly_gcd():
     # gcd((x-1)(x-2), (x-1)(x-3)) = x - 1
     assert poly_gcd((2, -3, 1), (3, -4, 1)) == (-1, 1)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -316,14 +317,26 @@ def first_failure(n, rank, a_s, a_t, enabled):
 
 
 def test_kernel_verdict_outside_the_block_space():
-    # F4 from a vanishing generator, F6 on a pair that extends, F3 skipped
+    # F4 from a vanishing generator, F3 skipped, and F6 never judged
     assert first_failure(4, 1, [2], [0], {"F3", "F4", "F6"}) == "F4"
     assert first_failure(4, 1, [2], [0], {"F3", "F6"}) == "F2"
     assert first_failure(4, 2, [2, 1, 0, 0], [0, 0, 1, 2], {"F3", "F4", "F6"}) == "F4"
     assert first_failure(3, 2, [2, 1, 0, 0], [0, 0, 1, 2], {"F3", "F4", "F6"}) is None
     assert first_failure(4, 2, [2, 0, 0, 2], [2, 0, 0, 2], {"F3"}) == "F3"
-    assert first_failure(3, 1, [1], [1], {"F3", "F4", "F6"}) == "F6"
+    # F1, a precondition of the kernel, and F5 imply F6.  The pair (1), (1)
+    # fails F1, which run_filters charges first, and F6 at n = 3; the
+    # kernel does not run F6, so it passes it with F6 on or off
+    bad = pair(3, ((1,),), ((1,),))
+    assert run_filters(bad, normalize_filters(("F7",)))[2] == "F1"
+    assert not check_group_relations(bad).passed
+    assert first_failure(3, 1, [1], [1], {"F3", "F4", "F6"}) is None
     assert first_failure(3, 1, [1], [1], {"F3", "F4"}) is None
+    # with F1, F5 is (ST)^n = I: here ST = [[1, 0], [1, 1]] has infinite
+    # order, so with F3 off (Q is not transitive) the kernel charges F5 at
+    # every n, and F6 fails with it
+    for n in (3, 4, 5, 6):
+        assert first_failure(n, 2, [0, 0, 0, 2], [0, 0, 1, 2], {"F6"}) == "F5"
+        assert not check_group_relations(pair(n, ((0, 0), (0, 2)), ((0, 0), (1, 2)))).passed
 
 
 def test_extend_failure_negative_entry():
@@ -624,15 +637,56 @@ def test_perron_analysis_matches_the_dense_iteration_oracle():
     # A defective top eigenvalue takes up to 200,000 steps (about a second
     # each), so the random matrices are those whose top eigenvalue is simple,
     # and two Jordan blocks stand for the rest: one converges, one raises.
-    rng = random.Random(2015)
-    random_cases = 0
-    while random_cases < 400:
-        q = random_nonnegative(rng)
-        if _top_real_root_is_simple(char_poly(q)):
-            assert not assert_same_perron(q)
-            random_cases += 1
+    for q in random_simple_top_matrices():
+        assert not assert_same_perron(q)
     assert not assert_same_perron(((0, 1), (0, 0)))
     assert assert_same_perron(((2, 1), (0, 2)))
+
+
+def random_simple_top_matrices():
+    """The first 400 matrices of ``random_nonnegative`` whose largest real
+    eigenvalue is simple, from a fixed seed."""
+    rng = random.Random(2015)
+    found = []
+    while len(found) < 400:
+        q = random_nonnegative(rng)
+        if _top_real_root_is_simple(char_poly(q)):
+            found.append(q)
+    return found
+
+
+def test_perron_simplicity_matches_the_sturm_path(monkeypatch):
+    # Perron-Frobenius decides an irreducible matrix without its
+    # characteristic polynomial; the verdict is the Sturm path's on every
+    # cell module for n = 3..30, the 400 random matrices and reducible
+    # matrices with a simple or a repeated top eigenvalue
+    ones = ((1, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 1), (0, 0, 1, 1))
+    reducible = {
+        ((2, 0), (0, 2)): False,
+        ((2, 0), (0, 1)): True,
+        ((3, 0, 0), (0, 1, 0), (0, 0, 1)): True,
+        ((0, 1, 0), (1, 0, 0), (0, 0, 1)): False,
+        ones: False,
+        tuple(row[:3] for row in ones[:3]): True,
+    }
+    cells = [mat_add(*cell_module(n, name).generator_pair()) for n in range(3, 31) for name in ("Le", "Ls", "Lt", "Lw0")]
+    cases = cells + random_simple_top_matrices() + list(reducible)
+    verdicts = {}
+    for q in cases:
+        analysis = perron_analysis(q)
+        assert analysis.top_eigenvalue_simple == _top_real_root_is_simple(char_poly(q)), q
+        verdicts[q] = analysis.irreducible
+    assert {q: _top_real_root_is_simple(char_poly(q)) for q in reducible} == reducible
+    assert not any(verdicts[q] for q in reducible)
+    assert all(verdicts[q] for q in cells) and 0 < sum(verdicts.values()) < len(verdicts)
+
+    def refuse(q):
+        raise AssertionError("char_poly on an irreducible matrix")
+
+    monkeypatch.setattr(sys.modules["klcells.nimrep"], "char_poly", refuse)
+    for q, irreducible in verdicts.items():
+        if irreducible:
+            assert perron_analysis(q).top_eigenvalue_simple
 
 
 def test_perron_analysis_edge_cases():

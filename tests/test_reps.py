@@ -1,5 +1,6 @@
 """Simple modules, characters, and decomposition of integer representations."""
 
+import itertools
 import math
 import random
 
@@ -9,6 +10,7 @@ from klcells.algebra import kl_regular_matrices
 from klcells.cells import cell_module
 from klcells.dihedral import dihedral_group
 from klcells.exact import block_matrix, identity_matrix, mat_mul, mat_sub, zero_matrix
+from klcells.nimrep import _square
 from klcells.reps import (
     Decomposition,
     NotAModuleError,
@@ -20,9 +22,10 @@ from klcells.reps import (
     kl_generator_matrices,
     module_dim,
     simple_name,
+    check_module_relations,
     simples,
-    _group_matrices,
 )
+from oracles import decompose_oracle, group_matrices_oracle, module_relations_oracle
 
 
 def test_simples_inventory():
@@ -255,10 +258,58 @@ def test_group_matrices_match_word_products():
         for a_s, a_t in pairs:
             ident = identity_matrix(len(a_s))
             gen = {"s": mat_sub(a_s, ident), "t": mat_sub(a_t, ident)}
-            rho = _group_matrices(n, a_s, a_t)
+            rho = group_matrices_oracle(n, a_s, a_t)
             assert set(rho) == set(group.all_elements())
             for w in group.all_elements():
                 product = ident
                 for letter in w.word():
                     product = mat_mul(product, gen[letter])
                 assert rho[w] == product
+
+
+def same_decomposition(n, a_s, a_t):
+    """decompose(n, a_s, a_t) against the word-product oracle: the same
+    terms, or NotAModuleError with the same relation text."""
+    try:
+        expected = decompose_oracle(n, a_s, a_t)
+    except NotAModuleError as error:
+        with pytest.raises(NotAModuleError) as info:
+            decompose(n, a_s, a_t)
+        assert info.value.relation == error.relation, (n, a_s, a_t)
+        return error.relation
+    assert decompose(n, a_s, a_t) == expected, (n, a_s, a_t)
+    return None
+
+
+def test_decompose_matches_the_word_product_oracle_on_cell_modules():
+    # the traces from the powers of ST against the matrices of all 2n
+    # elements: every cell module for n = 3..30, the regular pair up to 12
+    for n in range(3, 31):
+        pairs = [cell_module(n, name).generator_pair() for name in ("Le", "Ls", "Lt", "Lw0")]
+        if n <= 12:
+            pairs.append(kl_regular_matrices(n))
+        for a_s, a_t in pairs:
+            assert same_decomposition(n, a_s, a_t) is None
+
+
+def test_decompose_relation_errors_match_the_oracle():
+    # each relation text, the non-square and unequal shapes, and every pair
+    # of rank <= 2 with entries up to 2 at n = 3 and 4
+    cases = {
+        "(A_s - I)^2 != I": (4, ((3,),), ((0,),)),
+        "(A_t - I)^2 != I": (4, ((2,),), ((3,),)),
+        "((A_s - I)(A_t - I))^4 != I": (4, ((2, 1), (0, 0)), ((0, 0), (1, 2))),
+        "matrices must be square and of equal size": (4, ((1, 0),), ((0,),)),
+    }
+    for relation, (n, a_s, a_t) in cases.items():
+        assert same_decomposition(n, a_s, a_t) == relation
+        assert check_module_relations(n, a_s, a_t) == module_relations_oracle(n, a_s, a_t) == relation
+    assert same_decomposition(4, ((2, 0), (0, 2)), ((0,),)) == "matrices must be square and of equal size"
+    seen = set()
+    for rank in (1, 2):
+        matrices = [_square(flat, rank) for flat in itertools.product(range(3), repeat=rank * rank)]
+        for n in (3, 4):
+            for a_s, a_t in itertools.product(matrices, repeat=2):
+                seen.add(same_decomposition(n, a_s, a_t))
+                assert check_module_relations(n, a_s, a_t) == module_relations_oracle(n, a_s, a_t)
+    assert {None, "(A_s - I)^2 != I", "(A_t - I)^2 != I", "((A_s - I)(A_t - I))^3 != I"} <= seen
