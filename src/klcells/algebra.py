@@ -519,7 +519,7 @@ def _flatten(m: IntMatrix) -> list[int]:
 
 
 def _kl_family(
-    n: int, theta_s: IntMatrix, theta_t: IntMatrix
+    n: int, theta_s: IntMatrix, theta_t: IntMatrix, check_support: bool = False
 ) -> tuple[dict[GroupElement, IntMatrix], str | None, IntMatrix | None]:
     """The kernel's output for a generator pair, keyed by group element.
 
@@ -530,7 +530,7 @@ def _kl_family(
     """
     rank = len(theta_s)
     gen_s, gen_t = _Generator(_flatten(theta_s), rank), _Generator(_flatten(theta_t), rank)
-    matrices, width, (outcome,), negative = _kl_recursion(n, gen_s, [gen_t])
+    matrices, width, (outcome,), negative = _kl_recursion(n, gen_s, [gen_t], check_support)
     elements = dihedral_group(n).all_elements()
     family = {elements[0]: identity_matrix(rank), elements[1]: theta_s, elements[2]: theta_t}
     unpacked = _unpack(matrices[3:] + ([negative] if negative is not None else []), width)

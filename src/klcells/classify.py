@@ -38,22 +38,23 @@ judged together by ``nimrep._first_failure``, one lane each of a single
 lane-packed KL recursion.  It skips F1 and F7: F1 holds by construction in
 both spaces, F7 in the block space (and it is off in the variety).  It
 skips F6 too, which F1 and F5 imply.  Only survivors are squared into a
-``MatrixPair``, and each surviving class is judged once more, on its
-canonical pair, by the one-lane kernel call (``extend``) that also gives
-the family its annotation reads (``_build_candidate``); ``run_filters``
-serves ``inspect_pair`` and the tests.  The s <-> t swap, which maps the block
-space of split k onto that of r-k, is not used to merge orbits in either
-space: F4 is judged on the partial family built before an F2 failure, and
-a swapped pair can fail at the other leading letter.
+``MatrixPair``.  The s <-> t swap, which maps the block space of split k
+onto that of r-k, is not used to merge orbits in either space: F4 is
+judged on the partial family built before an F2 failure, and a swapped
+pair can fail at the other leading letter.
+
+``run_filters`` is the one pipeline that renders a verdict with its
+witnesses.  Each surviving class goes through it once more, on its
+canonical pair, and its extension gives the family the annotation reads
+(``_build_candidate``); ``inspect_pair`` runs it on any pair.
 
 Pairs count as the same candidate when simultaneous row/column permutation
 and/or exchanging the roles of s and t carries one to the other;
 ``canonicalize`` picks the lexicographically smallest representative and
 serialises it to bytes.  Filters are evaluated in the attribution order
 F1, F3, F4, F2, F5, F6, F7 and a rejected pair is charged to the first
-failure (F4 inspects whatever part of the family the extension managed to
-build, so a support defect is reported as F4 even when the extension also
-broke down slightly later).
+failure (F4 is judged as the extension grows, so a support defect is
+reported as F4 even when the extension would break down slightly later).
 
 Survivors are tagged:
 
@@ -95,9 +96,7 @@ from .nimrep import (
     PerronAnalysis,
     annihilator_check,
     apex_of,
-    check_apex_support,
     check_block_form,
-    check_group_relations,
     check_idempotent,
     check_transitive,
     extend,
@@ -106,6 +105,8 @@ from .nimrep import (
     _square,
     _strongly_connected,
 )
+# unused here but stay bound: perfbench/tracing.py wraps these names
+from .nimrep import check_apex_support, check_group_relations
 from .reps import Decomposition, NotAModuleError, decompose
 
 __all__ = [
@@ -127,8 +128,6 @@ __all__ = [
 ]
 
 ALL_FILTERS = ("F1", "F2", "F3", "F4", "F5", "F6", "F7")
-# the order in which run_filters evaluates them and charges a failure
-_ATTRIBUTION_ORDER = ("F1", "F3", "F4", "F2", "F5", "F6", "F7")
 # F1 defines the variety, F2/F5 are produced by the extension itself; only
 # the remaining checks can be switched off.
 TOGGLEABLE_FILTERS = frozenset({"F3", "F4", "F6", "F7"})
@@ -190,52 +189,56 @@ def normalize_filters(disabled: Iterable[str] = ()) -> tuple[str, ...]:
 def run_filters(
     pair: MatrixPair, enabled: Sequence[str]
 ) -> tuple[tuple[FilterReport, ...], ExtendedRep | ExtensionFailure | None, str | None]:
-    """Evaluate the enabled filters in attribution order.
+    """Evaluate the enabled filters in the attribution order F1, F3, F4, F2,
+    F5, F6, F7.
 
     Returns (reports, extension outcome, first failing filter id or None).
     Evaluation stops at the first failure; the reports list covers exactly
-    the filters that ran.
-    """
-    enabled_set = set(enabled)
-    reports: list[FilterReport] = []
+    the filters that ran.  F2 and F5 are the extension itself and always
+    run.  After F1 and F3, one one-lane kernel call, ``extend`` with the
+    support checked when F4 is enabled, gives F4, F2 and F5 with their
+    witnesses: the first of them to fail stops it.
 
-    f1 = check_idempotent(pair)
-    reports.append(f1)
-    if not f1.passed:
+    F6 is reported passed without a check: it holds for every pair that
+    passes F1 and F5.  F1 makes S = A_s - I and T = A_t - I involutions,
+    as A^2 = 2A is (A - I)^2 = I.  In the infinite dihedral group
+    <s, t | s^2 = t^2 = 1>, where u <= w exactly when u = w or
+    l(u) < l(w), let b_w be the sum of the u <= w.  For w of length l >= 3
+    leading with x, w' and w'' as in the recursion, b_x b_w' = b_w + b_w'':
+    b_x = 1 + x takes w' to w' + w and each u of length <= l - 2 to
+    u + xu, and the xu are the element of length l - 1 leading with x,
+    w'' and every element of length <= l - 3, once each.  With rho(s) = S
+    and rho(t) = T, A_e = I = rho(b_e), A_x = I + rho(x) = rho(b_x) and
+    A_st = A_s A_t = rho(b_st), so the recursion gives A_w = rho(b_w)
+    below length n, and its two routes to w0 are rho(b) of the two
+    alternating words of length n.  Those share every shorter element, so
+    the routes differ by exactly rho(sts...) - rho(tst...), which vanishes
+    exactly when rho(sts...) rho(tst...)^-1 = (ST)^n is I.  So F5 is
+    (ST)^n = I, the third relation of F6 (``check_group_relations``, which
+    the tests run in their oracle of this pipeline).
+    """
+    enabled_set = set(enabled) | {"F2", "F5"}
+    reports = [check_idempotent(pair)]
+    if not reports[-1].passed:
         return tuple(reports), None, "F1"
 
     if "F3" in enabled_set:
-        f3 = check_transitive(pair)
-        reports.append(f3)
-        if not f3.passed:
+        reports.append(check_transitive(pair))
+        if not reports[-1].passed:
             return tuple(reports), None, "F3"
 
-    ext = extend(pair)
-
-    if "F4" in enabled_set:
-        f4 = check_apex_support(pair.n, ext)
-        reports.append(f4)
-        if not f4.passed:
-            return tuple(reports), ext, "F4"
-
-    if isinstance(ext, ExtensionFailure):
-        if ext.filter_id == "F5":
-            reports.append(FilterReport("F2", True, None))
-        reports.append(FilterReport(ext.filter_id, False, ext.witness))
-        return tuple(reports), ext, ext.filter_id
-    reports.append(FilterReport("F2", True, None))
-    reports.append(FilterReport("F5", True, None))
-
-    if "F6" in enabled_set:
-        f6 = check_group_relations(pair)
-        reports.append(f6)
-        if not f6.passed:
-            return tuple(reports), ext, "F6"
+    ext = extend(pair, check_support="F4" in enabled_set)
+    outcome = ext.filter_id if isinstance(ext, ExtensionFailure) else None
+    for filter_id in ("F4", "F2", "F5", "F6"):
+        if filter_id == outcome:
+            reports.append(FilterReport(filter_id, False, ext.witness))
+            return tuple(reports), ext, outcome
+        if filter_id in enabled_set:
+            reports.append(FilterReport(filter_id, True, None))
 
     if "F7" in enabled_set:
-        f7 = check_block_form(pair)
-        reports.append(f7)
-        if not f7.passed:
+        reports.append(check_block_form(pair))
+        if not reports[-1].passed:
             return tuple(reports), ext, "F7"
 
     return tuple(reports), ext, None
@@ -808,30 +811,16 @@ def inspect_pair(pair: MatrixPair, disabled: Iterable[str] = ()) -> Candidate:
 
 
 def _build_candidate(n: int, rank: int, key: bytes, theta_s: IntMatrix, theta_t: IntMatrix, enabled: tuple[str, ...]) -> Candidate:
-    """Annotate a surviving class on its canonical pair, judged once.
+    """Annotate a surviving class on its canonical pair.
 
     The canonical pair is a conjugate of a pair the search judged a
-    survivor, possibly with s and t exchanged, so it passes F1 and the
-    same filters.  One one-lane kernel call (``extend``) gives the family
-    that ``apex_of`` and ``annihilator_check`` read, and is asserted to
-    extend (F2 and F5); F3 is asserted on its support bitmask
-    (``check_transitive``) and F7 with ``check_block_form``.  F4 is not
-    judged again: the search judged it on a conjugate, and a full family
-    is conjugated with its pair.  F6 follows from F1 and F5
-    (``nimrep._first_failure``).  The filter reports are then the pass
-    reports of the enabled filters in attribution order, as ``run_filters``
-    gives them for a survivor; ``inspect_pair`` still goes through
-    ``run_filters``, and the tests compare every candidate with it.
+    survivor, possibly with s and t exchanged, so it survives
+    ``run_filters``, whose extension gives the family that ``apex_of`` and
+    ``annihilator_check`` read.
     """
     pair = MatrixPair(n=n, rank=rank, theta_s=theta_s, theta_t=theta_t)
-    ext = extend(pair)
-    judged = {"F3": check_transitive, "F7": check_block_form}
-    reports = tuple(
-        judged[f](pair) if f in judged else FilterReport(f, True, None) for f in _ATTRIBUTION_ORDER if f in enabled
-    )
-    assert isinstance(ext, ExtendedRep) and all(report.passed for report in reports), (
-        "canonical representatives must survive the same filters"
-    )
+    reports, ext, failed = run_filters(pair, enabled)
+    assert failed is None, "canonical representatives must survive the same filters"
     return _annotate_survivor(pair, key, reports, ext)
 
 

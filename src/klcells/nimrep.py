@@ -16,6 +16,9 @@ computed and compared.
 ``extend`` walks lengths upwards and stops at the first of two structural
 failures: a negative entry (filter F2, with the offending element and
 position as witness) or disagreement of the two w0 routes (filter F5).
+Asked to check the support, it also stops at the first matrix that
+vanishes while A_s or A_t does not (filter F4, with that element as
+witness).
 
 One kernel runs the recursion: ``algebra._kl_recursion``, the same one
 that builds the structure constants and the cell modules.  It takes one
@@ -26,11 +29,12 @@ row, the lanes side by side, so a step A_x A_w' - A_w'' serves every lane
 with a few integer operations per term of A_x, and the sign and zero tests
 cost a few operations per row whatever the number of lanes.  ``extend``
 is a one-lane call that reads the packed matrices back into the family
-keyed by group element (``algebra._kl_family``) and writes the witness.
-The classification search calls the kernel through ``_first_failure``,
-which gives ``run_filters``' verdict for each lane without building any
-family: F4 from which matrices vanish as the family grows, F2 and F5 from
-the recursion.  F6 follows from F1 and F5 (proved in its docstring), so it
+keyed by group element (``algebra._kl_family``) and writes the witness;
+``classify.run_filters`` renders its F4, F2 and F5 reports from it.  The
+classification search calls the kernel through ``_first_failure``, which
+gives ``run_filters``' verdict for each lane without building any family:
+F4 from which matrices vanish as the family grows, F2 and F5 from the
+recursion.  F6 follows from F1 and F5 (proved in ``run_filters``), so it
 is not run.  Its preconditions are F1, nonnegative entries and F3, which
 the search judges before, once per support class.  It judges one
 representative per orbit of the block space and of the F1 variety, all
@@ -43,11 +47,12 @@ The named filters on candidates:
 * F3  the action graph of Q = A_s + A_t (edge i -> j when Q[j][i] != 0) is
       strongly connected,
 * F4  the set of elements with nonzero matrix is a union of two-sided cells
-      and is downward closed in the two-sided order (checked on whatever
-      part of the family exists, so a failed extension can still be
-      attributed to its support),
+      and is downward closed in the two-sided order (judged by the kernel
+      as the family grows, so a failed extension can still be attributed
+      to its support; ``check_apex_support`` reads it off a family),
 * F5  the two recursions for A_w0 agree (produced by ``extend``),
-* F6  the defining group relations hold exactly,
+* F6  the defining group relations hold exactly (``check_group_relations``;
+      F1 and F5 imply them),
 * F7  up to simultaneous reindexing the pair has the two-block shape
       A_s = [[2I, B], [0, 0]], A_t = [[0, 0], [B', 2I]] with both blocks
       nonempty (rank one is degenerate: each matrix is just (0) or (2)).
@@ -167,8 +172,11 @@ class ExtendedRep:
 class ExtensionFailure:
     """Where and why the forced extension broke down.
 
-    filter_id is F2 (negative entry) or F5 (w0 routes disagree); partial
-    holds every matrix that was built before the failure.
+    filter_id is F2 (negative entry), F5 (w0 routes disagree) or, when the
+    support was checked, F4 (a matrix vanishes inside the middle cell).
+    partial holds every matrix that was built: for F2 and F5 those before
+    the failure, for F4 those up to the vanishing matrix (A_s and A_t are
+    both there even when A_s vanishes).
     """
 
     pair: MatrixPair
@@ -204,42 +212,35 @@ def _first_failure(
     (``classify._f3_split``), so only the pairs that pass it reach the
     kernel.  F1 and F7 are not tested; F7 comes last, so with it on the
     verdict differs only where F7 fails, which it never does in the block
-    space.  F4 is judged on the partial family as the recursion grows.
-
-    F6 (``check_group_relations``) is not run: it holds for every pair
-    that passes F1 and F5.  F1 makes S = A_s - I and T = A_t - I
-    involutions, as A^2 = 2A is (A - I)^2 = I.  In the infinite dihedral
-    group <s, t | s^2 = t^2 = 1>, where u <= w exactly when u = w or
-    l(u) < l(w), let b_w be the sum of the u <= w.  For w of length l >= 3
-    leading with x, w' and w'' as in the recursion, b_x b_w' = b_w + b_w'':
-    b_x = 1 + x takes w' to w' + w and each u of length <= l - 2 to
-    u + xu, and the xu are the element of length l - 1 leading with x,
-    w'' and every element of length <= l - 3, once each.  With rho(s) = S
-    and rho(t) = T, A_e = I = rho(b_e), A_x = I + rho(x) = rho(b_x) and
-    A_st = A_s A_t = rho(b_st), so the recursion gives A_w = rho(b_w)
-    below length n, and its two routes to w0 are rho(b) of the two
-    alternating words of length n.  Those share every shorter element, so
-    the routes differ by exactly rho(sts...) - rho(tst...), which vanishes
-    exactly when rho(sts...) rho(tst...)^-1 = (ST)^n is I.  So F5 is
-    (ST)^n = I, the third relation of F6.  The reports still list F6, and
-    ``tests/test_nimrep.py`` compares this verdict with that of
-    ``run_filters``, which runs F6, over whole search spaces.
+    space.  F4 is judged on the partial family as the recursion grows, and
+    F6 is not run: F1 and F5 imply it (``classify.run_filters``).
     """
     if not gens_t:
         return []
     return _kl_recursion(n, gen_s, gens_t, check_support="F4" in enabled)[2]
 
 
-def extend(pair: MatrixPair) -> ExtendedRep | ExtensionFailure:
-    """Force the whole KL family from the generator pair, or report F2/F5."""
-    family, outcome, negative = _kl_family(pair.n, pair.theta_s, pair.theta_t)
+def extend(pair: MatrixPair, check_support: bool = False) -> ExtendedRep | ExtensionFailure:
+    """Force the whole KL family from the generator pair, or report where
+    it breaks down: F2 or F5, and with ``check_support`` also F4, at the
+    first matrix where the kernel meets one (``algebra._kl_recursion``).
+
+    The F4 witness is the first vanishing matrix in all_elements order: A_s
+    when A_s = 0, though A_t is built too; otherwise the last matrix built,
+    as the kernel stops at the first that vanishes.
+    """
+    family, outcome, negative = _kl_family(pair.n, pair.theta_s, pair.theta_t, check_support)
     if outcome is None:
         return ExtendedRep(pair=pair, family=family)
     elements = dihedral_group(pair.n).all_elements()  # the kernel's order
-    w = elements[len(family)] if outcome == "F2" else elements[-1]
-    if outcome == "F5":
+    if outcome == "F4":
+        w = next(w for w, m in family.items() if is_zero_matrix(m))
+        witness = f"A_{render(w)} = 0 inside a two-sided cell with nonzero members"
+    elif outcome == "F5":
+        w = elements[-1]
         witness = "the s-leading and t-leading recursions for A_w0 disagree"
     else:
+        w = elements[len(family)]
         i, j = first_negative_entry(negative)
         witness = f"A_{render(w)}[{i}][{j}] = {negative[i][j]} is negative"
     return ExtensionFailure(pair=pair, filter_id=outcome, element=w, witness=witness, partial=family)

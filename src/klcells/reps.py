@@ -40,7 +40,6 @@ from .exact import (
     freeze_matrix,
     identity_matrix,
     mat_mul,
-    mat_pow,
     mat_sub,
     trace,
 )
@@ -228,57 +227,42 @@ class Decomposition:
         return " ⊕ ".join(parts)
 
 
-def _involutions(a_s: IntMatrix, a_t: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """(I, S, T) with S = A_s - I and T = A_t - I, once the matrices are
-    square of one size and S^2 = T^2 = I hold exactly; otherwise
-    NotAModuleError names the first condition that fails."""
-    r = len(a_s)
-    if any(len(row) != r for row in a_s) or len(a_t) != r or any(len(row) != r for row in a_t):
-        raise NotAModuleError("matrices must be square and of equal size")
-    ident = identity_matrix(r)
-    s_mat = mat_sub(a_s, ident)
-    t_mat = mat_sub(a_t, ident)
-    if mat_mul(s_mat, s_mat) != ident:
-        raise NotAModuleError("(A_s - I)^2 != I")
-    if mat_mul(t_mat, t_mat) != ident:
-        raise NotAModuleError("(A_t - I)^2 != I")
-    return ident, s_mat, t_mat
-
-
-def _rotation_relation(n: int) -> str:
-    return f"((A_s - I)(A_t - I))^{n} != I"
-
-
 def _rotation_powers(n: int, a_s: IntMatrix, a_t: IntMatrix) -> tuple[IntMatrix, IntMatrix, list[IntMatrix]]:
     """(S, T, [P_0, ..., P_h]) with S = A_s - I, T = A_t - I, P_j = (ST)^j
-    and h = ceil(n/2), once the defining relations S^2 = T^2 = (ST)^n = I
-    hold exactly; otherwise NotAModuleError names the first that fails.
+    and h = ceil(n/2), once the matrices are square of one size and the
+    defining relations S^2 = T^2 = (ST)^n = I hold exactly; otherwise
+    NotAModuleError names the first condition that fails.
 
     P_{j+1} = P_1 P_j, so each power costs what the nonzero entries of P_1
     cost, and (ST)^n is the one further product P_h P_{n-h}.
     """
-    ident, s_mat, t_mat = _involutions(a_s, a_t)
+    r = len(a_s)
+    if any(len(row) != r for row in a_s) or len(a_t) != r or any(len(row) != r for row in a_t):
+        raise NotAModuleError("matrices must be square and of equal size")
+    ident = identity_matrix(r)
+    s_mat, t_mat = mat_sub(a_s, ident), mat_sub(a_t, ident)
+    if mat_mul(s_mat, s_mat) != ident:
+        raise NotAModuleError("(A_s - I)^2 != I")
+    if mat_mul(t_mat, t_mat) != ident:
+        raise NotAModuleError("(A_t - I)^2 != I")
     half = (n + 1) // 2
     powers = [ident, mat_mul(s_mat, t_mat)]
     while len(powers) <= half:
         powers.append(mat_mul(powers[1], powers[-1]))
     if mat_mul(powers[half], powers[n - half]) != ident:
-        raise NotAModuleError(_rotation_relation(n))
+        raise NotAModuleError(f"((A_s - I)(A_t - I))^{n} != I")
     return s_mat, t_mat, powers
 
 
 def check_module_relations(n: int, a_s: IntMatrix, a_t: IntMatrix) -> str | None:
     """Exact relation check; returns the violated relation or None.
 
-    (ST)^n is built by repeated squaring (``mat_pow``), about 2 log2 n
-    products, where ``decompose`` keeps the ceil(n/2) powers it reads.
+    The check is the one ``decompose`` makes first (``_rotation_powers``).
     """
     try:
-        ident, s_mat, t_mat = _involutions(a_s, a_t)
+        _rotation_powers(n, a_s, a_t)
     except NotAModuleError as error:
         return error.relation
-    if mat_pow(mat_mul(s_mat, t_mat), n) != ident:
-        return _rotation_relation(n)
     return None
 
 

@@ -2,14 +2,19 @@
 
 ``extend_oracle`` is the KL recursion on tuple-of-tuples matrices, one
 ``mat_mul`` per element; ``nimrep.extend`` must give the same family,
-element and witness text.  ``f1_matrices_oracle`` is the F1 variety by
+element and witness text.  ``run_filters_oracle`` is the filter pipeline
+that reads F4 off the extended family with ``check_apex_support`` (a walk
+over ``compute_cells``) and checks F6 with ``check_group_relations``;
+``classify.run_filters``, which renders F4, F2 and F5 from one kernel call
+and F6 from F1 and F5, must give the same reports, failing filter and
+apex.  ``f1_matrices_oracle`` is the F1 variety by
 scanning the entry cube with the F1 predicate of ``check_idempotent``,
 which ``classify._f1_matrices`` builds from the normal form instead.  ``raw_block_pairs``
 enumerates every pair of the F7 block space, ``raw_variety_units`` splits
 the F1 variety into one unit per A_s, and ``evaluate_raw_unit`` runs
-``run_filters`` on every pair of a unit of either kind, which is the search
-before orbit representatives; the reports of ``classify`` must be the same
-bytes.
+``run_filters_oracle`` on every pair of a unit of either kind, which is the
+search before orbit representatives; the reports of ``classify`` must be
+the same bytes.
 ``kl_recursion_oracle`` is the flat-pair KL kernel that slices, sums and
 packs both generators on every call; ``algebra._kl_recursion``, which takes
 generators prepared once, must return the same tuple.
@@ -35,10 +40,32 @@ import itertools
 import operator
 from collections import deque
 
-from klcells.classify import canonical_pair, canonicalize, run_filters
+from klcells.classify import canonical_pair, canonicalize
 from klcells.dihedral import dihedral_group, other_letter, render
-from klcells.exact import first_negative_entry, freeze_matrix, identity_matrix, mat_mul, mat_pow, mat_sub, trace
-from klcells.nimrep import ExtendedRep, ExtensionFailure, MatrixPair, _square, _twice_idempotent
+from klcells.exact import (
+    first_negative_entry,
+    freeze_matrix,
+    identity_matrix,
+    is_zero_matrix,
+    mat_mul,
+    mat_pow,
+    mat_sub,
+    trace,
+)
+from klcells.nimrep import (
+    ExtendedRep,
+    ExtensionFailure,
+    FilterReport,
+    MatrixPair,
+    check_apex_support,
+    check_block_form,
+    check_group_relations,
+    check_idempotent,
+    check_transitive,
+    extend,
+    _square,
+    _twice_idempotent,
+)
 from klcells.reps import Decomposition, NotAModuleError, _module_sort_key, character, simple_name, simples
 
 
@@ -137,7 +164,10 @@ def kl_recursion_oracle(n, rank, a_s, a_t, check_support=False):
     return matrices, width, None, None
 
 
-def extend_oracle(pair):
+def extend_oracle(pair, check_support=False):
+    """``nimrep.extend`` on tuples.  With ``check_support`` and a nonzero
+    A_s or A_t, the first vanishing matrix of length 1..n-1 is an F4
+    failure, checked after F2 on the same matrix."""
     group = dihedral_group(pair.n)
     n = pair.n
     family = {
@@ -145,6 +175,21 @@ def extend_oracle(pair):
         group.generator("s"): pair.theta_s,
         group.generator("t"): pair.theta_t,
     }
+    check_support = check_support and not (is_zero_matrix(pair.theta_s) and is_zero_matrix(pair.theta_t))
+
+    def vanishing(w):
+        return ExtensionFailure(
+            pair=pair,
+            filter_id="F4",
+            element=w,
+            witness=f"A_{render(w)} = 0 inside a two-sided cell with nonzero members",
+            partial=dict(family),
+        )
+
+    if check_support:
+        for letter in ("s", "t"):
+            if is_zero_matrix(family[group.generator(letter)]):
+                return vanishing(group.generator(letter))
 
     def build(length, leading):
         if length == 2:
@@ -170,6 +215,8 @@ def extend_oracle(pair):
             if first_negative_entry(a) is not None:
                 return negative(w, a)
             family[w] = a
+            if check_support and is_zero_matrix(a):
+                return vanishing(w)
     w0 = group.longest_element()
     via_s = build(n, "s")
     via_t = mat_sub(
@@ -189,6 +236,65 @@ def extend_oracle(pair):
         )
     family[w0] = via_s
     return ExtendedRep(pair=pair, family=dict(family))
+
+
+def run_filters_oracle(pair, enabled):
+    """The filter pipeline with F4 from ``check_apex_support`` and F6 from
+    ``check_group_relations``: (reports, extension outcome, first failing
+    filter id or None), as ``classify.run_filters``."""
+    enabled_set = set(enabled)
+    reports = []
+
+    f1 = check_idempotent(pair)
+    reports.append(f1)
+    if not f1.passed:
+        return tuple(reports), None, "F1"
+
+    if "F3" in enabled_set:
+        f3 = check_transitive(pair)
+        reports.append(f3)
+        if not f3.passed:
+            return tuple(reports), None, "F3"
+
+    return run_filters_oracle_from_extension(pair, enabled, reports)
+
+
+def run_filters_oracle_from_extension(pair, enabled, reports):
+    """``run_filters_oracle`` from the extension on, for a pair whose
+    passing F1 and F3 reports are ``reports``.  Both pipelines run F1 and F3
+    with the same functions, so a test that has them from
+    ``classify.run_filters`` need not run them again."""
+    enabled_set = set(enabled)
+    reports = list(reports)
+    ext = extend(pair)
+
+    if "F4" in enabled_set:
+        f4 = check_apex_support(pair.n, ext)
+        reports.append(f4)
+        if not f4.passed:
+            return tuple(reports), ext, "F4"
+
+    if isinstance(ext, ExtensionFailure):
+        if ext.filter_id == "F5":
+            reports.append(FilterReport("F2", True, None))
+        reports.append(FilterReport(ext.filter_id, False, ext.witness))
+        return tuple(reports), ext, ext.filter_id
+    reports.append(FilterReport("F2", True, None))
+    reports.append(FilterReport("F5", True, None))
+
+    if "F6" in enabled_set:
+        f6 = check_group_relations(pair)
+        reports.append(f6)
+        if not f6.passed:
+            return tuple(reports), ext, "F6"
+
+    if "F7" in enabled_set:
+        f7 = check_block_form(pair)
+        reports.append(f7)
+        if not f7.passed:
+            return tuple(reports), ext, "F7"
+
+    return tuple(reports), ext, None
 
 
 @functools.lru_cache(maxsize=None)
@@ -254,14 +360,15 @@ def raw_block_pairs(n, rank, bound):
 
 
 def evaluate_raw_unit(payload):
-    """Every pair of a raw unit through run_filters, as the search did."""
+    """Every pair of a raw unit through ``run_filters_oracle``, as the
+    search did before orbit representatives."""
     n, rank, bound, enabled, unit = payload
     evaluated = 0
     rejections = {}
     survivors = {}
     for pair in raw_unit_pairs(n, rank, bound, unit):
         evaluated += 1
-        _, _, failed = run_filters(pair, enabled)
+        _, _, failed = run_filters_oracle(pair, enabled)
         if failed is not None:
             rejections[failed] = rejections.get(failed, 0) + 1
             continue

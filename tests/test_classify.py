@@ -20,7 +20,6 @@ from klcells.classify import (
     TOGGLEABLE_FILTERS,
     UNKNOWN_CITATION,
     KnowledgeEntry,
-    _ATTRIBUTION_ORDER,
     _cell_keys,
     _f1_matrices,
     _orbits,
@@ -36,6 +35,7 @@ from klcells.classify import (
     run_filters,
 )
 from klcells.nimrep import MatrixPair, _flatten, _square, check_block_form, check_transitive
+import oracles
 from oracles import (
     block_pair,
     decompose_oracle,
@@ -44,6 +44,7 @@ from oracles import (
     f1_matrices_oracle,
     mat_mul_oracle,
     raw_units,
+    run_filters_oracle,
 )
 
 # the package's ``classify`` attribute is the function; this is the module
@@ -218,6 +219,22 @@ def test_run_filters_attribution_order():
     reports, extension, first_fail = run_filters(pair(4, ONES, ONES), normalize_filters(("F7",)))
     assert first_fail is None
     assert extension is not None
+    # the F4 witness is the first vanishing matrix, one input per length (F3
+    # off, which the first four fail): A_s though A_t is built too, A_t,
+    # then the first matrix the extension finds zero
+    no_f3 = normalize_filters(("F3",))
+    for n, theta_s, theta_t, element in (
+        (4, ((0, 0), (0, 0)), ((0, 0), (0, 2)), "s"),
+        (4, ((0, 0), (0, 2)), ((0, 0), (0, 0)), "t"),
+        (4, ((0, 0), (0, 2)), ((2, 0), (0, 0)), "st"),
+        (4, ((0, 0), (0, 2)), ((2, 0), (1, 0)), "ts"),
+        (4, ((0, 0), (1, 2)), ((2, 1), (0, 0)), "sts"),
+        (5, ((0, 0), (0, 2)), ((1, 1), (1, 1)), "stst"),
+    ):
+        witness = f"A_{element} = 0 inside a two-sided cell with nonzero members"
+        for pipeline in (run_filters, run_filters_oracle):
+            reports, _, first_fail = pipeline(pair(n, theta_s, theta_t), no_f3)
+            assert first_fail == "F4" and reports[-1].witness == witness, (pipeline.__name__, element)
 
 
 def test_inspect_pair_rejected():
@@ -491,15 +508,17 @@ def test_orbit_representatives_are_least_and_partition_the_space():
 
 
 def raw_pair_report(monkeypatch, n, **kwargs):
-    """The report of a search that runs run_filters on every raw pair.
+    """The report of a search that runs run_filters_oracle on every raw pair.
 
-    Block pairs are extended by the tuple oracle; variety pairs by
+    Block pairs are extended by the tuple oracle, both for their verdicts
+    and for the family of each survivor's annotation; variety pairs by
     ``extend``, which the whole-space tests compare with that oracle.
     """
     with monkeypatch.context() as patched:
         patched.setattr(classify_module, "_rank_units", raw_units)
         patched.setattr(classify_module, "_evaluate_unit", evaluate_raw_unit)
         if "F7" not in kwargs.get("disabled", ()):
+            patched.setattr(oracles, "extend", extend_oracle)
             patched.setattr(classify_module, "extend", extend_oracle)
         return classify(n, **kwargs).to_json_bytes()
 
@@ -532,10 +551,9 @@ SURVIVOR_SEARCHES = (
 
 @pytest.mark.parametrize("n, search", SURVIVOR_SEARCHES)
 def test_every_candidate_is_its_inspect_pair(n, search):
-    # a surviving class is annotated from one kernel call on its canonical
-    # pair; inspect_pair runs the whole run_filters pipeline on that pair
-    # and must give the same candidate, family included, and decompose the
-    # word-product oracle's decomposition
+    # a surviving class is annotated on its canonical pair; inspect_pair
+    # on that pair must give the same candidate, key and family included,
+    # and decompose the word-product oracle's decomposition
     disabled = search.get("disabled", ())
     report = classify(n, **search)
     assert report.candidates
@@ -548,15 +566,15 @@ def test_every_candidate_is_its_inspect_pair(n, search):
 
 
 def test_survivor_reports_follow_the_run_filters_order():
-    # survivors list their pass reports in _ATTRIBUTION_ORDER without
-    # running run_filters, so the two orders must agree
+    # survivors list their pass reports in the attribution order
+    order = ("F1", "F3", "F4", "F2", "F5", "F6", "F7")
     report = classify(4, ranks=(1, 2, 3), entry_bound=2)
     assert report.candidates
     for candidate in report.candidates:
         reports, _, failed = run_filters(candidate.pair, ALL_FILTERS)
         assert failed is None
-        assert tuple(r.filter_id for r in reports) == _ATTRIBUTION_ORDER
-        assert tuple(r.filter_id for r in candidate.filters) == _ATTRIBUTION_ORDER
+        assert tuple(r.filter_id for r in reports) == order
+        assert tuple(r.filter_id for r in candidate.filters) == order
 
 
 # -- orbit representatives of the F1 variety ------------------------------------

@@ -38,6 +38,7 @@ from oracles import (
     mat_mul_oracle,
     perron_iteration_oracle,
     raw_block_pairs,
+    run_filters_oracle_from_extension,
     strongly_connected_oracle,
 )
 
@@ -99,8 +100,8 @@ def variety_pairs(n, rank, bound):
         yield MatrixPair(n=n, rank=rank, theta_s=theta_s, theta_t=theta_t)
 
 
-def assert_same_extension(pair):
-    got, expected = extend(pair), extend_oracle(pair)
+def assert_same_extension(pair, check_support=False):
+    got, expected = extend(pair, check_support), extend_oracle(pair, check_support)
     assert type(got) is type(expected), pair
     if isinstance(expected, ExtendedRep):
         assert list(got.family.items()) == list(expected.family.items()), pair
@@ -141,15 +142,17 @@ def random_pairs():
 
 
 def test_extend_matches_the_tuple_oracle_on_random_pairs():
-    # the packed rows must hold every entry the recursion reaches
+    # the packed rows must hold every entry the recursion reaches; with the
+    # support checked, F4 stops both at the same vanishing matrix
     for p in random_pairs():
         assert_same_extension(p)
+        assert_same_extension(p, check_support=True)
 
 
 # The kernel judges every block pair and every pair of the F1 variety the way
-# run_filters does.  Disabling a filter can only change run_filters' verdict
-# when that filter is the one that failed, so run_filters is re-run with a
-# filter off only for those pairs.
+# run_filters_oracle does, and run_filters renders the oracle's reports.
+# Disabling a filter can only change the verdict when that filter is the one
+# that failed, so the oracle is re-run with a filter off only for those pairs.
 BLOCK_SPACES = [(rank, 2) for rank in (1, 2, 3, 4)] + [(rank, bound) for bound in (1, 3) for rank in (1, 2, 3)]
 
 
@@ -178,12 +181,26 @@ def assert_kernel_verdicts(n, pairs, base_disabled, offs=("F3", "F4", "F6")):
     for (rank, a_s), batch in batches.items():
         gen_s = _Generator(a_s, rank)
         gens_t = [_Generator(_flatten(p.theta_t), rank) for p in batch]
-        firsts = [run_filters(p, default)[2] for p in batch]
+        # F1 and F3 are the same checks in both pipelines, so the oracle
+        # takes their reports from run_filters and starts at the extension
+        prefixes, firsts = [], []
+        for p in batch:
+            got_reports, got_ext, first = run_filters(p, default)
+            prefixes.append([r for r in got_reports if r.filter_id in ("F1", "F3")])
+            if first not in ("F1", "F3"):
+                reports, ext, expected = run_filters_oracle_from_extension(p, default, prefixes[-1])
+                assert (got_reports, first) == (reports, expected), p
+                assert apex_of(got_ext) == apex_of(ext), p
+            firsts.append(first)
         memo = connected.setdefault(rank, {})
         for off, enabled in variants:
+            # a pair re-run with the filter it failed off passed the checks
+            # before that filter
             expected = [
-                run_filters(p, enabled)[2] if off is not None and first == off else first
-                for p, first in zip(batch, firsts)
+                run_filters_oracle_from_extension(p, enabled, [r for r in prefix if r.filter_id in enabled])[2]
+                if off is not None and first == off
+                else first
+                for p, prefix, first in zip(batch, prefixes, firsts)
             ]
             assert kernel_verdicts(n, gen_s, gens_t, enabled, memo) == expected, (a_s, off)
             seen.update(expected)
@@ -356,6 +373,29 @@ def test_extend_failure_at_longest_element():
     assert result.filter_id == "F2"
     assert result.element == dihedral_group(4).longest_element()
     assert result.witness == "A_w0[0][0] = -1 is negative"
+
+
+def test_extend_failure_vanishing_matrix():
+    # with the support checked, the extension stops at the first vanishing
+    # matrix, which the partial family ends with, before the F2 at sts
+    result = extend(pair(4, ((2,),), ((0,),)), check_support=True)
+    assert isinstance(result, ExtensionFailure)
+    assert (result.filter_id, render(result.element)) == ("F4", "t")
+    assert result.witness == "A_t = 0 inside a two-sided cell with nonzero members"
+    assert [render(w) for w in result.partial] == ["e", "s", "t"]
+    # A_s = 0 is the witness although A_t is built too
+    result = extend(pair(4, ((0,),), ((2,),)), check_support=True)
+    assert (result.filter_id, render(result.element)) == ("F4", "s")
+    assert [render(w) for w in result.partial] == ["e", "s", "t"]
+    # A_sts = 0 at n = 4: the partial family ends there, and it would
+    # otherwise fail F2 at w0
+    result = extend(pair(4, ((2, 1), (0, 0)), ((0, 0), (1, 2))), check_support=True)
+    assert (result.filter_id, render(result.element)) == ("F4", "sts")
+    assert [render(w) for w in result.partial] == ["e", "s", "t", "st", "ts", "sts"]
+    assert is_zero_matrix(result.partial[result.element])
+    # the zero pair has no support to break, and a full family passes
+    assert isinstance(extend(pair(4, ((0,),), ((0,),)), check_support=True), ExtendedRep)
+    assert isinstance(extend(pair(4, CELL3_S, CELL3_T), check_support=True), ExtendedRep)
 
 
 def test_extend_failure_route_disagreement():
