@@ -486,30 +486,29 @@ def _kl_recursion(
 def _unpack(packed: Sequence[list[int]], width: int) -> list[IntMatrix]:
     """Read one-lane packed matrices back as tuples of tuples.
 
-    Eight fields of ``width`` bits fill exactly ``width`` bytes, so the
-    offset form of a row is turned into bytes once and read eight fields
-    at a time from a byte-aligned slice: an entry costs O(width), not a
-    shift of the whole row.
+    ``(row + offset) ^ offset`` holds each entry as its own ``width``-bit
+    two's-complement field: the offset form never borrows across fields,
+    and the xor flips each field's high bit back.  A zero row is one
+    shared tuple; otherwise the nonzero fields are peeled from the top by
+    ``bit_length``, so the cost follows the nonzero entries, not the rank.
     """
-    if not packed:
-        return []
-    rank = len(packed[0])
+    rank = len(packed[0]) if packed else 0
     offset = _frame(width, rank)[1]
-    half, mask = 1 << (width - 1), (1 << width) - 1
-    size = (rank * width + 7) // 8
-    groups = [
-        (slice(first * width // 8, (last * width + 7) // 8), range(0, (last - first) * width, width))
-        for first, last in ((first, min(first + 8, rank)) for first in range(0, rank, 8))
-    ]
+    half, full = 1 << (width - 1), 1 << width
+    zero = (0,) * rank
+    field_at = [(j, j * width) for j in range(rank) for _ in range(width)]
 
     def entries(row: int) -> tuple[int, ...]:
-        data = (row + offset).to_bytes(size, "little")
-        return tuple(
-            (chunk >> shift & mask) - half
-            for part, shifts in groups
-            for chunk in (int.from_bytes(data[part], "little"),)
-            for shift in shifts
-        )
+        x = (row + offset) ^ offset
+        if not x:
+            return zero
+        out = [0] * rank
+        while x:
+            j, shift = field_at[x.bit_length() - 1]
+            v = x >> shift
+            x ^= v << shift
+            out[j] = v - full if v >= half else v
+        return tuple(out)
 
     return [tuple(map(entries, m)) for m in packed]
 

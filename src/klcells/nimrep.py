@@ -72,6 +72,7 @@ for even n and 0 otherwise.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -532,11 +533,8 @@ class PerronAnalysis:
     spectral_radius comes from power iteration on Q + I (the shift makes the
     iteration converge even for periodic matrices) to residual 1e-10, at
     most 200,000 steps (ArithmeticError beyond).  Each step makes one
-    product, over the nonzero entries of Q + I only: the product that gives
-    a step's residual is the next step's iterate before scaling.  Every
-    entry is nonnegative and every row has its diagonal term, so dropping
-    the zero terms from a row's sum drops only exact additions of 0.0: the
-    floats are those of the dense iteration, bit for bit.
+    product, a sweep over the nonzero terms of Q + I (see perron_analysis):
+    the product that gives a step's residual is the next iterate unscaled.
     top_eigenvalue_simple is decided exactly, and the float radius plays no
     part.  The spectral radius of a nonnegative matrix is the largest real
     root of its characteristic polynomial p.  When the matrix is
@@ -554,6 +552,16 @@ class PerronAnalysis:
 
 
 def perron_analysis(q: Sequence[Sequence[int]]) -> PerronAnalysis:
+    """The PerronAnalysis of a nonempty square nonnegative integer matrix.
+
+    The product sweeps Q + I by columns of terms: column k holds the k-th
+    nonzero term (ascending j) of every row, a shorter row padded with 0.0
+    on column 0.  Each row is then added left to right in C doubles, as
+    ``sum`` adds floats on Python 3.11; 0.0 * v is +0.0 and x + 0.0 == x,
+    since every iterate is finite and nonnegative; a small integer is exact
+    as a float; and abs is the identity on the iterates.  So the floats are
+    the dense iteration's (``math.fsum`` would round differently).
+    """
     matrix = freeze_matrix(q)
     r = len(matrix)
     if r == 0 or any(len(row) != r for row in matrix):
@@ -563,20 +571,23 @@ def perron_analysis(q: Sequence[Sequence[int]]) -> PerronAnalysis:
 
     irreducible = _strongly_connected(_support(_flatten(matrix)), r) is None
 
-    # Power iteration on Q + I over its nonzero entries (j, c), row by row
-    # in ascending j; the product that gives the residual is the next step's.
-    shifted = [
-        [(j, v + 1 if i == j else v) for j, v in enumerate(row) if v or i == j]
-        for i, row in enumerate(matrix)
-    ]
-    vec = [1.0 / r] * r
-    product = [sum(c * vec[j] for j, c in row) for row in shifted]
+    rows = [[(j, float(v + 1 if i == j else v)) for j, v in enumerate(row) if v or i == j] for i, row in enumerate(matrix)]
+    (cols0, coefs0), *columns = [tuple(zip(*column)) for column in itertools.zip_longest(*rows, fillvalue=(0, 0.0))]
+
+    def step(vec: list[float]) -> list[float]:
+        get = vec.__getitem__
+        acc = map(operator.mul, coefs0, map(get, cols0))
+        for cols, coefs in columns:
+            acc = map(operator.add, acc, map(operator.mul, coefs, map(get, cols)))
+        return list(acc)
+
+    product = step([1.0 / r] * r)
     for _ in range(200000):
-        norm = sum(abs(x) for x in product)
+        norm = sum(product)
         assert norm > 0, "Q + I is positive on the diagonal, the iterate cannot vanish"
-        vec = [x / norm for x in product]
-        product = [sum(c * vec[j] for j, c in row) for row in shifted]
-        residual = max(abs(p - norm * x) for p, x in zip(product, vec))
+        vec = list(map(norm.__rtruediv__, product))
+        product = step(vec)
+        residual = max(map(abs, map(operator.sub, product, map(norm.__mul__, vec))))
         if residual <= 1e-10:
             break
     else:

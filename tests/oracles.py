@@ -26,6 +26,10 @@ and column, that ``exact.mat_mul`` must equal.  ``perron_iteration_oracle``
 is the power iteration on the dense Q + I with two products per step, one
 for the next iterate and one for the residual; ``nimrep.perron_analysis``
 must give the same floats, bit for bit.
+``unpack_oracle`` reads a one-lane packed matrix field by field from the
+bottom, masking each field and taking its two's complement;
+``algebra._unpack``, which peels the nonzero fields of the offset form from
+the top, must give the same tuples.
 ``group_matrices_oracle`` builds the matrix of every group element from
 its reduced word, one product per element, and ``decompose_oracle`` reads
 the multiplicities from their traces after ``module_relations_oracle``,
@@ -74,6 +78,26 @@ def mat_mul_oracle(a, b):
         raise ValueError("matrix shapes do not compose")
     bt = tuple(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def unpack_oracle(packed, width):
+    """The entries of packed rows, each row the sum of entry_j << (j * width)
+    over signed entries in [-2^(width-1), 2^(width-1)): shift and mask the
+    lowest field, read it as two's complement, and drop it with its borrow."""
+    rank = len(packed[0]) if packed else 0
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+
+    def entries(row):
+        out = []
+        for _ in range(rank):
+            field = row & mask
+            entry = field - (1 << width) if field >= half else field
+            out.append(entry)
+            row = (row - entry) >> width
+        assert row == 0, "a packed row holds exactly rank fields"
+        return tuple(out)
+
+    return [tuple(entries(row) for row in m) for m in packed]
 
 
 def perron_iteration_oracle(q):

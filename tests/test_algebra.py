@@ -17,8 +17,10 @@ from klcells.algebra import (
     kl_regular_matrices,
     kl_to_group,
     structure_constants,
+    _unpack,
 )
 from klcells.dihedral import bruhat_lt, dihedral_group
+from oracles import unpack_oracle
 
 
 def test_kl_expansion_is_bruhat_interval():
@@ -252,3 +254,37 @@ def test_jsonable_roundtrip():
     obj = element.to_jsonable()
     assert obj == {"n": 4, "basis": "KL", "coeffs": {"st": 1, "w0": 1}}
     assert GroupAlgebraElement.from_jsonable(obj) == element
+
+
+def pack(matrix, width):
+    """One-lane packed rows: entry j of a row at bit j * width, signed."""
+    return [sum(v << (j * width) for j, v in enumerate(row)) for row in matrix]
+
+
+def test_unpack_matches_the_field_by_field_oracle():
+    # widths 2..130 (fields across byte boundaries and across 64 bits),
+    # ranks 1..24, entries of both signs over the whole field range, sparse
+    # and dense rows, zero rows and matrices, and a lone nonzero entry in
+    # the first and in the last field
+    rng = random.Random(2015)
+    cases = 0
+    for width in range(2, 131):
+        half = 1 << (width - 1)
+        extremes = (-half, -1, 1, half - 1)
+        for rank in (width % 24 + 1, rng.randint(1, 24)):
+            matrices = [[[0] * rank for _ in range(rank)]]
+            for density in (0.2, 0.5, 1.0):
+                matrices.append([[rng.randrange(-half, half) if rng.random() < density else 0 for _ in range(rank)] for _ in range(rank)])
+            matrices.append([[rng.choice(extremes) for _ in range(rank)] for _ in range(rank)])
+            for v in extremes:
+                for j in (0, rank - 1):
+                    lone = [[0] * rank for _ in range(rank)]
+                    lone[rng.randrange(rank)][j] = v
+                    matrices.append(lone)
+            packed = [pack(m, width) for m in matrices]
+            expected = unpack_oracle(packed, width)
+            assert expected == [tuple(map(tuple, m)) for m in matrices]
+            assert _unpack(packed, width) == expected, (width, rank)
+            cases += len(matrices)
+    assert _unpack([], 5) == unpack_oracle([], 5) == []
+    assert cases == 129 * 2 * 13

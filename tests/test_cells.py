@@ -1,8 +1,11 @@
 """Cell partitions, the preorders, regularity, and cell modules."""
 
+import hashlib
+import json
+
 import pytest
 
-from klcells.algebra import kl_regular_matrices, structure_constants
+from klcells.algebra import KL, GroupAlgebraElement, kl_regular_matrices, structure_constants
 from klcells.cells import (
     cell_by_name,
     cell_diagram_dot,
@@ -96,6 +99,36 @@ def test_strong_regularity():
 
     with pytest.raises(ValueError):
         is_strongly_regular(compute_cells(4), "Ls")
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_whole_families_frozen():
+    # every matrix of the four cell modules at n = 24 and 30, and every
+    # product of the table at n = 16, not only the generator pairs
+    modules = {
+        (24, "Le"): "9db9a80258cd0f0a47115b28873af221b5188ce1f0ce89331b754ce819db9a04",
+        (24, "Ls"): "4f0ab322dede97a161a1eac2fcfc3018d82030f17ab11cad96544b0d00d5eacd",
+        (24, "Lt"): "daa710204539e46ce902dbedcd9edcd163b664834a1f1abb7e7d1860778b1712",
+        (24, "Lw0"): "93f0a6107fe015cd34110d78109e094f7d7c3bee121eb6aedec9c2b70c4712de",
+        (30, "Le"): "2a7e4fb391fd87f6e65a4126054a9655a2f6d4938defb6c9f0246093d478ff12",
+        (30, "Ls"): "b518570782c634d0e58ea4fdc0449e80ca3f2be1d1aeba1128112c9381a2b368",
+        (30, "Lt"): "d39504a877d58fa66c95a5a098ccd80cc84574bacd7a9a1fcd9da0dddc1c2ad6",
+        (30, "Lw0"): "4877822928a1905446cf7debc745e65ff39842e51f0ff25bbb057ad4b6b0a9ed",
+    }
+    for (n, name), digest in modules.items():
+        text = json.dumps(cell_module(n, name).to_jsonable(), sort_keys=True, separators=(",", ":"))
+        assert sha256(text) == digest, (n, name)
+    table = structure_constants(16)
+    elements = dihedral_group(16).all_elements()
+    rendered = "".join(
+        f"b({render(u)}) b({render(w)}) = {GroupAlgebraElement.from_dict(16, KL, table.product(u, w)).render()}\n"
+        for u in elements
+        for w in elements
+    )
+    assert sha256(rendered) == "654104b32770014cf087371146798189dbf1a4c071bc5fd2a7586c542faa2a0b"
 
 
 def test_cell_module_basis_order():

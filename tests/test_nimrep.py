@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from klcells.cells import cell_module
-from klcells.classify import _f1_matrices, _f3_split, _support_classes, normalize_filters, run_filters
+from klcells.classify import _f1_matrices, _f3_split, _support_classes, classify, normalize_filters, run_filters
 from klcells.dihedral import dihedral_group, render
 from klcells.exact import _top_real_root_is_simple, char_poly, is_zero_matrix, mat_add, poly_eval_matrix, poly_mul
 from klcells.nimrep import (
@@ -670,10 +670,18 @@ def assert_same_perron(q):
 
 def test_perron_analysis_matches_the_dense_iteration_oracle():
     # the same floats, bit for bit, as the dense iteration with two products
-    # per step: every cell module for n = 3..30 and 400 random matrices
+    # per step: every cell module for n = 3..30, the A_s + A_t that the
+    # annotation of classify's survivors analyses, the rank-1 matrices and
+    # 400 random matrices
     for n in range(3, 31):
         for name in ("Le", "Ls", "Lt", "Lw0"):
             assert not assert_same_perron(mat_add(*cell_module(n, name).generator_pair()))
+    reports = [classify(n, ranks=(1, 2, 3, 4), entry_bound=2) for n in range(3, 9)]
+    reports += [classify(n, ranks=(1, 2, 3), entry_bound=2, disabled=("F7",), max_states=10**16) for n in (4, 6)]
+    survivors = {mat_add(c.pair.theta_s, c.pair.theta_t) for report in reports for c in report.candidates}
+    assert len(survivors) == 62
+    for q in sorted(survivors) + [((0,),), ((1,),), ((2,),)]:
+        assert not assert_same_perron(q)
     # A defective top eigenvalue takes up to 200,000 steps (about a second
     # each), so the random matrices are those whose top eigenvalue is simple,
     # and two Jordan blocks stand for the rest: one converges, one raises.
