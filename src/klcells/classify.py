@@ -34,19 +34,21 @@ by zero pattern once, one table of F3 verdicts by pattern serves every
 space of a rank, and a unit charges |O_s| = |G|/|Stab(A_s)| rejections to
 each A_t whose pattern fails with A_s (``_f3_split``); only the A_t that
 pass reach the stabiliser test.  The unit's representatives are then
-judged together by ``nimrep._first_failure``, one lane each of a single
-lane-packed KL recursion.  It skips F1 and F7: F1 holds by construction in
-both spaces, F7 in the block space (and it is off in the variety).  It
-skips F6 too, which F1 and F5 imply.  Only survivors are squared into a
-``MatrixPair``.  The s <-> t swap, which maps the block space of split k
-onto that of r-k, is not used to merge orbits in either space: F4 is
-judged on the partial family built before an F2 failure, and a swapped
+judged together by one lane-packed KL recursion, one lane each
+(``_evaluate_unit``), which skips F1, F6 and F7: F1 holds by construction
+in both spaces, F6 follows from F1 and F5, and F7 holds in the block space
+(and it is off in the variety).  A worker returns its surviving
+representatives as flat (A_s, A_t); the parent canonicalises them and
+keeps one per class.  The s <-> t swap, which maps the block space of
+split k onto that of r-k, is not used to merge orbits in either space: F4
+is judged on the partial family built before an F2 failure, and a swapped
 pair can fail at the other leading letter.
 
 ``run_filters`` is the one pipeline that renders a verdict with its
-witnesses.  Each surviving class goes through it once more, on its
-canonical pair, and its extension gives the family the annotation reads
-(``_build_candidate``); ``inspect_pair`` runs it on any pair.
+witnesses, and ``_candidate`` the one builder of a ``Candidate``: it runs
+``run_filters`` on a pair and reads the annotation from the family of its
+extension.  The search calls it on the canonical pair of each surviving
+class, ``inspect_pair`` on any pair.
 
 Pairs count as the same candidate when simultaneous row/column permutation
 and/or exchanging the roles of s and t carries one to the other;
@@ -85,7 +87,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .algebra import _Generator, _flatten
+from .algebra import _Generator, _flatten, _kl_recursion
 from .cells import cell_module, compute_cells, left_cell_name
 from .exact import IntMatrix, mat_add
 from .nimrep import (
@@ -101,7 +103,6 @@ from .nimrep import (
     check_transitive,
     extend,
     perron_analysis,
-    _first_failure,
     _square,
     _strongly_connected,
 )
@@ -709,35 +710,42 @@ def _orbits(
     return gen_s, failing * (group_order // (len(stabiliser) + 1)), representatives
 
 
-def _evaluate_unit(payload: tuple) -> tuple[int, tuple[tuple[str, int], ...], list[tuple]]:
-    """Worker entry point: run the pipeline over one unit.
+def _evaluate_unit(
+    payload: tuple,
+) -> tuple[int, tuple[tuple[str, int], ...], list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """Worker entry point: judge the orbits of one unit.
 
-    Returns (pairs evaluated, rejection counts, survivors), where each
-    survivor is (canonical key, canonical theta_s, canonical theta_t).
-    Survivors are deduplicated within the unit, preserving first-seen order.
-    F3 is charged per support class; the representatives of the other
-    orbits are judged together, one lane each, and each verdict is charged
-    to every pair of its orbit.
+    Returns (pairs evaluated, rejection counts, survivors), each survivor
+    the flat (A_s, A_t) of a surviving representative.  F3 is charged per
+    support class; the representatives of the other orbits are judged
+    together, one lane each of one ``algebra._kl_recursion`` call, and each
+    verdict is charged to every pair of its orbit.
+
+    The kernel gives each lane's first failing filter in the order F4, F2,
+    F5.  Its preconditions are F1, nonnegative entries and, when F3 is
+    enabled, F3: for such pairs this is ``run_filters``' verdict with F7
+    off.  F3 is judged before, once per support class of A_t
+    (``_f3_split``), so only the pairs that pass it reach the kernel.  F1
+    and F7 are not tested; F7 comes last, so with it on the verdict differs
+    only where F7 fails, which it never does in the block space.  F4 is
+    judged on the partial family as the recursion grows, and F6 is not run:
+    F1 and F5 imply it (``run_filters``).
     """
     n, rank, bound, enabled, unit = payload
-    enabled_set = frozenset(enabled)
-    gen_s, f3_failures, representatives = _orbits(rank, bound, "F7" in enabled_set, unit, "F3" in enabled_set)
+    gen_s, f3_failures, representatives = _orbits(rank, bound, "F7" in enabled, unit, "F3" in enabled)
     evaluated = f3_failures
     rejections: dict[str, int] = {"F3": f3_failures} if f3_failures else {}
-    survivors: dict[bytes, tuple] = {}
-    outcomes = _first_failure(n, gen_s, [gen_t for gen_t, _ in representatives], enabled_set)
-    theta_s = _square(gen_s.flat, rank)
-    for (gen_t, weight), failed in zip(representatives, outcomes):
-        evaluated += weight
-        if failed is not None:
-            rejections[failed] = rejections.get(failed, 0) + weight
-            continue
-        pair = MatrixPair(n=n, rank=rank, theta_s=theta_s, theta_t=_square(gen_t.flat, rank))
-        rep = canonical_pair(pair)
-        key = _serialise(rep)
-        if key not in survivors:
-            survivors[key] = (key, rep.theta_s, rep.theta_t)
-    return evaluated, tuple(sorted(rejections.items())), list(survivors.values())
+    survivors = []
+    if representatives:
+        gens_t = [gen_t for gen_t, _ in representatives]
+        outcomes = _kl_recursion(n, gen_s, gens_t, check_support="F4" in enabled)[2]
+        for (gen_t, weight), failed in zip(representatives, outcomes):
+            evaluated += weight
+            if failed is None:
+                survivors.append((gen_s.flat, gen_t.flat))
+            else:
+                rejections[failed] = rejections.get(failed, 0) + weight
+    return evaluated, tuple(sorted(rejections.items())), survivors
 
 
 def _rank_budget(rank: int, bound: int, block_space: bool) -> int:
@@ -749,14 +757,28 @@ def _rank_budget(rank: int, bound: int, block_space: bool) -> int:
     return (bound + 1) ** (rank * rank) + (bound + 1) ** (2 * rank * rank)
 
 
-def _annotate_survivor(
-    pair: MatrixPair,
-    key: bytes,
-    reports: tuple[FilterReport, ...],
-    ext: ExtendedRep,
-) -> Candidate:
+def _candidate(pair: MatrixPair, key: bytes, enabled: Sequence[str]) -> Candidate:
+    """The Candidate of a pair whose class has the canonical key ``key``.
+
+    The pair goes through ``run_filters``.  A rejected pair is tagged
+    REJECTED with the first failing filter; a survivor is annotated from
+    the family of the extension, which ``apex_of`` and
+    ``annihilator_check`` read.
+    """
     n, rank = pair.n, pair.rank
-    apex = apex_of(ext)
+    reports, ext, failed = run_filters(pair, enabled)
+    if failed is not None:
+        return Candidate(
+            pair=pair,
+            canonical_key=key,
+            filters=reports,
+            extension=ext,
+            apex=apex_of(ext) if ext is not None else None,
+            tag=Tag("REJECTED", failed),
+            decomposition=None,
+            annihilator_passed=None,
+            perron=None,
+        )
     cell_match = _cell_name(n, rank, key)
     if cell_match is not None:
         tag = Tag("REALIZED_CELL", cell_match)
@@ -771,7 +793,6 @@ def _annotate_survivor(
         decomposition = decompose(n, pair.theta_s, pair.theta_t)
     except NotAModuleError:
         decomposition = None
-    annihilator = annihilator_check(ext).passed
     try:
         perron = perron_analysis(mat_add(pair.theta_s, pair.theta_t))
     except ArithmeticError:
@@ -781,81 +802,50 @@ def _annotate_survivor(
         canonical_key=key,
         filters=reports,
         extension=ext,
-        apex=apex,
+        apex=apex_of(ext),
         tag=tag,
         decomposition=decomposition,
-        annihilator_passed=annihilator,
+        annihilator_passed=annihilator_check(ext).passed,
         perron=perron,
     )
 
 
 def inspect_pair(pair: MatrixPair, disabled: Iterable[str] = ()) -> Candidate:
     """Run the whole pipeline on one pair, REJECTED tags included."""
-    enabled = normalize_filters(disabled)
-    reports, ext, failed = run_filters(pair, enabled)
-    key = canonicalize(pair)
-    if failed is not None:
-        return Candidate(
-            pair=pair,
-            canonical_key=key,
-            filters=reports,
-            extension=ext,
-            apex=apex_of(ext) if ext is not None else None,
-            tag=Tag("REJECTED", failed),
-            decomposition=None,
-            annihilator_passed=None,
-            perron=None,
-        )
-    assert isinstance(ext, ExtendedRep)
-    return _annotate_survivor(pair, key, reports, ext)
-
-
-def _build_candidate(n: int, rank: int, key: bytes, theta_s: IntMatrix, theta_t: IntMatrix, enabled: tuple[str, ...]) -> Candidate:
-    """Annotate a surviving class on its canonical pair.
-
-    The canonical pair is a conjugate of a pair the search judged a
-    survivor, possibly with s and t exchanged, so it survives
-    ``run_filters``, whose extension gives the family that ``apex_of`` and
-    ``annihilator_check`` read.
-    """
-    pair = MatrixPair(n=n, rank=rank, theta_s=theta_s, theta_t=theta_t)
-    reports, ext, failed = run_filters(pair, enabled)
-    assert failed is None, "canonical representatives must survive the same filters"
-    return _annotate_survivor(pair, key, reports, ext)
-
-
-def _merge_unit_results(
-    results: Iterable[tuple[int, tuple[tuple[str, int], ...], list[tuple]]],
-) -> tuple[int, dict[str, int], dict[bytes, tuple]]:
-    evaluated = 0
-    rejections: dict[str, int] = {}
-    survivors: dict[bytes, tuple] = {}
-    for unit_evaluated, unit_rejections, unit_survivors in results:
-        evaluated += unit_evaluated
-        for filter_id, count in unit_rejections:
-            rejections[filter_id] = rejections.get(filter_id, 0) + count
-        for key, theta_s, theta_t in unit_survivors:
-            survivors.setdefault(key, (key, theta_s, theta_t))
-    return evaluated, rejections, survivors
+    return _candidate(pair, canonicalize(pair), normalize_filters(disabled))
 
 
 def _classify_rank(
     n: int, rank: int, bound: int, enabled: tuple[str, ...], jobs: int
 ) -> tuple[int, dict[str, int], list[Candidate]]:
-    block_space = "F7" in enabled
-    units = _rank_units(rank, bound, block_space)
+    """(pairs evaluated, rejection counts, candidates by canonical key) of
+    one rank.  The workers' counts are summed and their survivors
+    canonicalised, one per class; the canonical pair of a class is a
+    conjugate of a survivor, possibly with s and t exchanged, so it
+    survives ``run_filters`` too."""
+    units = _rank_units(rank, bound, "F7" in enabled)
     payloads = [(n, rank, bound, enabled, unit) for unit in units]
     if jobs > 1 and len(payloads) > 1:
         with multiprocessing.Pool(processes=jobs) as pool:
             results = pool.map(_evaluate_unit, payloads)
     else:
         results = [_evaluate_unit(p) for p in payloads]
-    evaluated, rejections, survivors = _merge_unit_results(results)
-    ordered = sorted(survivors.values(), key=lambda item: item[0])
-    candidates = [
-        _build_candidate(n, rank, key, theta_s, theta_t, enabled)
-        for key, theta_s, theta_t in ordered
-    ]
+    evaluated = 0
+    rejections: dict[str, int] = {}
+    classes: dict[bytes, MatrixPair] = {}
+    for unit_evaluated, unit_rejections, survivors in results:
+        evaluated += unit_evaluated
+        for filter_id, count in unit_rejections:
+            rejections[filter_id] = rejections.get(filter_id, 0) + count
+        for flat_s, flat_t in survivors:
+            pair = MatrixPair(n=n, rank=rank, theta_s=_square(flat_s, rank), theta_t=_square(flat_t, rank))
+            rep = canonical_pair(pair)
+            classes.setdefault(_serialise(rep), rep)
+    candidates = []
+    for key in sorted(classes):
+        candidate = _candidate(classes[key], key, enabled)
+        assert candidate.tag.kind != "REJECTED", "canonical representatives must survive the same filters"
+        candidates.append(candidate)
     return evaluated, rejections, candidates
 
 
@@ -906,24 +896,11 @@ def classify(
     _check_search_arguments(n, ranks, entry_bound, jobs)
     block_space = "F7" in enabled
     budget = sum(_rank_budget(r, entry_bound, block_space) for r in ranks)
-    if budget > max_states:
-        return ClassificationReport(
-            n=n,
-            ranks=ranks,
-            entry_bound=entry_bound,
-            enabled_filters=enabled,
-            candidates=(),
-            states_budget=budget,
-            pairs_evaluated=0,
-            rejection_counts=(),
-            guard_limit=max_states,
-            guard_tripped=True,
-            elapsed_seconds=time.monotonic() - started,
-        )
+    guard_tripped = budget > max_states
     total_evaluated = 0
     total_rejections: dict[str, int] = {}
     all_candidates: list[Candidate] = []
-    for rank in ranks:
+    for rank in () if guard_tripped else ranks:
         evaluated, rejections, candidates = _classify_rank(n, rank, entry_bound, enabled, jobs)
         total_evaluated += evaluated
         for filter_id, count in rejections.items():
@@ -940,6 +917,6 @@ def classify(
         pairs_evaluated=total_evaluated,
         rejection_counts=tuple(sorted(total_rejections.items())),
         guard_limit=max_states,
-        guard_tripped=False,
+        guard_tripped=guard_tripped,
         elapsed_seconds=time.monotonic() - started,
     )

@@ -31,14 +31,9 @@ cost a few operations per row whatever the number of lanes.  ``extend``
 is a one-lane call that reads the packed matrices back into the family
 keyed by group element (``algebra._kl_family``) and writes the witness;
 ``classify.run_filters`` renders its F4, F2 and F5 reports from it.  The
-classification search calls the kernel through ``_first_failure``, which
-gives ``run_filters``' verdict for each lane without building any family:
-F4 from which matrices vanish as the family grows, F2 and F5 from the
-recursion.  F6 follows from F1 and F5 (proved in ``run_filters``), so it
-is not run.  Its preconditions are F1, nonnegative entries and F3, which
-the search judges before, once per support class.  It judges one
-representative per orbit of the block space and of the F1 variety, all
-those of a work unit in one call.
+classification search calls the kernel directly, one representative per
+orbit per lane and a work unit per call, and reads only each lane's
+outcome (``classify._evaluate_unit``).
 
 The named filters on candidates:
 
@@ -77,7 +72,7 @@ import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .algebra import _Generator, _flatten, _kl_family, _kl_recursion, _support
+from .algebra import _flatten, _kl_family, _support
 from .dihedral import GroupElement, dihedral_group, display_key, render
 from .exact import (
     IntMatrix,
@@ -199,26 +194,6 @@ class FilterReport:
 
 def _square(flat: Sequence[int], r: int) -> IntMatrix:
     return tuple(tuple(flat[i * r : (i + 1) * r]) for i in range(r))
-
-
-def _first_failure(
-    n: int, gen_s: _Generator, gens_t: Sequence[_Generator], enabled: frozenset[str]
-) -> list[str | None]:
-    """First failing filter of each pair (A_s, A_t), A_t in ``gens_t``, in
-    the order F4, F2, F5, from one lane-packed recursion.
-
-    Its preconditions are F1, nonnegative entries and, when F3 is enabled,
-    F3: for such pairs this is ``classify.run_filters``' verdict with F7
-    off.  The search judges F3 before, once per support class of A_t
-    (``classify._f3_split``), so only the pairs that pass it reach the
-    kernel.  F1 and F7 are not tested; F7 comes last, so with it on the
-    verdict differs only where F7 fails, which it never does in the block
-    space.  F4 is judged on the partial family as the recursion grows, and
-    F6 is not run: F1 and F5 imply it (``classify.run_filters``).
-    """
-    if not gens_t:
-        return []
-    return _kl_recursion(n, gen_s, gens_t, check_support="F4" in enabled)[2]
 
 
 def extend(pair: MatrixPair, check_support: bool = False) -> ExtendedRep | ExtensionFailure:

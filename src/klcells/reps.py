@@ -186,15 +186,6 @@ class NotAModuleError(ValueError):
         self.relation = relation
 
 
-_REPORT_ORDER = {(1, 1): 0, (1, -1): 1, (-1, 1): 2, (-1, -1): 3}
-
-
-def _module_sort_key(module: SimpleModule) -> tuple[int, int]:
-    if isinstance(module, OneDim):
-        return (0, _REPORT_ORDER[(module.eps, module.delta)])
-    return (1, module.k)
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """Multiplicities of the simple modules in a given representation."""
@@ -290,7 +281,9 @@ def decompose(n: int, a_s: Sequence[Sequence[int]], a_t: Sequence[Sequence[int]]
     2m + 1, (st)^m s and t (st)^m, have traces tr(P_m S) and tr(P_m T),
     read off without a product.  Each multiplicity is the character sum
     over the elements in all_elements order, so its floats are those of
-    the sum over the matrices of the group elements themselves.
+    the sum over the matrices of the group elements themselves.  The terms
+    come in the order of ``simples(n)``: V(1,1), V(1,-1), V(-1,1),
+    V(-1,-1), then k ascending.
     """
     frozen_s = freeze_matrix(a_s)
     frozen_t = freeze_matrix(a_t)
@@ -316,7 +309,6 @@ def decompose(n: int, a_s: Sequence[Sequence[int]], a_t: Sequence[Sequence[int]]
             )
         if nearest:
             terms.append((module, nearest))
-    terms.sort(key=lambda item: _module_sort_key(item[0]))
     result = Decomposition(n=n, terms=tuple(terms))
     if result.total_dim() != r:
         raise NotAModuleError(

@@ -44,7 +44,6 @@ import itertools
 import operator
 from collections import deque
 
-from klcells.classify import canonical_pair, canonicalize
 from klcells.dihedral import dihedral_group, other_letter, render
 from klcells.exact import (
     first_negative_entry,
@@ -67,10 +66,11 @@ from klcells.nimrep import (
     check_idempotent,
     check_transitive,
     extend,
+    _flatten,
     _square,
     _twice_idempotent,
 )
-from klcells.reps import Decomposition, NotAModuleError, _module_sort_key, character, simple_name, simples
+from klcells.reps import Decomposition, NotAModuleError, character, simple_name, simples
 
 
 def mat_mul_oracle(a, b):
@@ -385,22 +385,20 @@ def raw_block_pairs(n, rank, bound):
 
 def evaluate_raw_unit(payload):
     """Every pair of a raw unit through ``run_filters_oracle``, as the
-    search did before orbit representatives."""
+    search did before orbit representatives; returns what
+    ``classify._evaluate_unit`` does, with every surviving pair flat."""
     n, rank, bound, enabled, unit = payload
     evaluated = 0
     rejections = {}
-    survivors = {}
+    survivors = []
     for pair in raw_unit_pairs(n, rank, bound, unit):
         evaluated += 1
         _, _, failed = run_filters_oracle(pair, enabled)
-        if failed is not None:
+        if failed is None:
+            survivors.append((tuple(_flatten(pair.theta_s)), tuple(_flatten(pair.theta_t))))
+        else:
             rejections[failed] = rejections.get(failed, 0) + 1
-            continue
-        rep = canonical_pair(pair)
-        key = canonicalize(rep)
-        if key not in survivors:
-            survivors[key] = (key, rep.theta_s, rep.theta_t)
-    return evaluated, tuple(sorted(rejections.items())), list(survivors.values())
+    return evaluated, tuple(sorted(rejections.items())), survivors
 
 
 def group_matrices_oracle(n, a_s, a_t):
@@ -458,7 +456,6 @@ def decompose_oracle(n, a_s, a_t):
             raise NotAModuleError(f"multiplicity of {simple_name(module, n)} is {value}, not a nonnegative integer")
         if nearest:
             terms.append((module, nearest))
-    terms.sort(key=lambda item: _module_sort_key(item[0]))
     result = Decomposition(n=n, terms=tuple(terms))
     if result.total_dim() != len(a_s):
         raise NotAModuleError(f"multiplicities account for dimension {result.total_dim()}, matrix size is {len(a_s)}")

@@ -1,5 +1,6 @@
 """Canonical forms, the filter pipeline, and the rank-by-rank search."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -703,6 +704,23 @@ def test_a_search_after_another_builds_no_space():
         [sys.executable, "-c", script], capture_output=True, check=True, env={**os.environ, "PYTHONPATH": src}
     )
     assert cold.stdout == first + second
+
+
+# (classes, pairs, sha256 of the JSON report) of the F7-off variety at n=4
+# and E=1.  These ranks canonicalise the most per survivor (5! and 6!
+# conjugations, each with the s <-> t swap), and no other test covers them.
+F7_OFF_FRONTIER = {
+    5: (10, 141_376, "d697fc30fd8bb33b14fd994fc04b9a1c40b8542963dd67f798bd82cf01980787"),
+    6: (19, 11_195_716, "74d06fa6be0215e4ac1b0d99c52c9e2b3f84eb3562998fe9b2c36f7cf7bd2b25"),
+}
+
+
+@pytest.mark.parametrize("rank", sorted(F7_OFF_FRONTIER))
+def test_f7_off_frontier_reports_frozen(rank):
+    classes, pairs, digest = F7_OFF_FRONTIER[rank]
+    report = classify(4, ranks=(rank,), entry_bound=1, disabled=("F7",), max_states=10**22)
+    assert (len(report.candidates), report.pairs_evaluated) == (classes, pairs)
+    assert hashlib.sha256(report.to_json_bytes()).hexdigest() == digest
 
 
 def test_resource_guard():

@@ -26,7 +26,6 @@ from klcells.nimrep import (
     extend,
     global_annihilator,
     perron_analysis,
-    _first_failure,
     _flatten,
     _square,
     _strongly_connected,
@@ -164,7 +163,8 @@ def kernel_verdicts(n, gen_s, gens_t, enabled, connected):
     else:
         passing = list(gens_t)
     verdicts = {id(gen_t): "F3" for gen_t in gens_t}
-    verdicts.update(zip(map(id, passing), _first_failure(n, gen_s, passing, frozenset(enabled))))
+    if passing:
+        verdicts.update(zip(map(id, passing), _kl_recursion(n, gen_s, passing, check_support="F4" in enabled)[2]))
     return [verdicts[id(gen_t)] for gen_t in gens_t]
 
 
