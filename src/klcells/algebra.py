@@ -20,15 +20,15 @@ regular pair of matrices.  Every longer b(u) with leading letter x is
 forced by b(u) = b(x) b(u') - b(u''), where u' drops the leading letter and
 u'' is the alternating word of length l(u) - 2 that also leads with x (no
 u'' term at length two), so in any module A_u = A_x A_u' - A_u''.  One
-kernel evaluates that recursion, ``_kl_recursion``, on one prepared A_s
-and a list of prepared A_t (``_Generator``), the lanes, with the rows of
-every lane packed side by side into integers.  A single pair is one lane:
+kernel evaluates that recursion, ``_kl_recursion``, on a list of pairs of
+prepared generators (``_Generator``), the lanes, with the rows of every
+lane packed side by side into integers.  A single pair is one lane:
 ``structure_constants`` is the family of the regular pair and
 ``kl_multiply`` reads it, a cell module is the family of its own
 generator pair (``cells.cell_module``), and ``nimrep.extend`` runs it on
-one candidate pair.  The classification search prepares each generator
-once and judges all the pairs of a work unit, which share A_s, in one
-call.
+one candidate pair; the family is unpacked matrix by matrix as it is
+read.  The classification search prepares each generator once and judges
+the pairs of several work units in one call.
 
 The independent route, plain convolution in the group basis followed by
 conversion back, lives in the checks: verification check A1 compares every
@@ -40,8 +40,8 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 from .dihedral import (
     DihedralGroup,
@@ -259,16 +259,17 @@ def kl_left_multiply_generator(letter: str, w: GroupElement) -> GroupAlgebraElem
 # The recursion runs on prepared generators (``_Generator``): each holds its
 # flat row-major tuple, the nonzero terms of each row, its largest row sum
 # and its support bitmask, so a caller that pairs one matrix with many
-# others prepares it once.  One call judges one A_s against a list of A_t,
-# the lanes.  Every matrix of the family is held as one integer per row:
-# entry j of lane L sits in the bit field [L*R + width*j, L*R + width*(j+1)),
-# so lane L holds its rows in [L*R, (L+1)*R).  R is rank * width rounded up
-# to whole bytes, with at least one spare bit on top.  Packing is linear, so
-# adding rows and scaling them by integers is exact whatever the signs, and
-# the s-leading step, whose A_s every lane shares, is the one-pair code run
-# on the wide integers.  The width comes from an a-priori bound: with c the
-# largest row sum of A_s and of every A_t, no row of a matrix of length l
-# has absolute values summing to more than (c+1)^l (induction on
+# others prepares it once.  One call judges a list of pairs, the lanes:
+# lane L is (gens_s[L], gens_t[L]).  Every matrix of the family is held as
+# one integer per row: entry j of lane L sits in the bit field
+# [L*R + width*j, L*R + width*(j+1)), so lane L holds its rows in
+# [L*R, (L+1)*R).  R is rank * width rounded up to whole bytes, with at
+# least one spare bit on top.  Packing is linear, so adding rows and
+# scaling them by integers is exact whatever the signs, and a step with a
+# generator that every lane shares is the one-pair code run on the wide
+# integers.  The width comes from an a-priori bound: with c the largest row
+# sum of every A_s and A_t of the call, no row of a matrix of length l has
+# absolute values summing to more than (c+1)^l (induction on
 # A_w = A_x A_w' - A_w'', whatever the signs), so width =
 # n * bitlength(c+1) + 1 keeps every entry of every lane strictly between
 # -2^(width-1) and 2^(width-1) up to w0, also in a lane that has already
@@ -282,11 +283,13 @@ def kl_left_multiply_generator(letter: str, w: GroupElement) -> GroupAlgebraElem
 # all; it is the plain binary form of the entries.  On it, "entry
 # negative" is "high bit of the field clear", "matrix zero" is "equal to
 # the offsets", two matrices agree where their offset forms do, and a lane
-# is cut out by a mask.  A term (l, v) of row i of A_t that only some lanes
-# have adds v * ((M_l + offsets) & mask - offsets & mask), mask covering
-# those lanes.  The spare bit makes the test "is lane L's part of x
-# nonzero" one addition: x + (2^(R-1) - 1) in every lane sets bit R-1 of
-# exactly those lanes (x < 2^(R-1) in each), so no operation runs per lane.
+# is cut out by a mask.  A generator that varies between lanes gets, for
+# each entry (i, l) and each nonzero value v that entry takes in some
+# lanes, a mask covering those lanes; the term adds
+# v * ((M_l + offsets) & mask - offsets & mask).  The spare bit makes the
+# test "is lane L's part of x nonzero" one addition: x + (2^(R-1) - 1) in
+# every lane sets bit R-1 of exactly those lanes (x < 2^(R-1) in each), so
+# no operation runs per lane.
 
 
 def _support(flat: Sequence[int]) -> int:
@@ -318,7 +321,7 @@ class _Generator:
         self.entry_bytes = bytes(flat) if max(flat) < 256 else None
 
 
-_FLAT, _ROW_SUM, _SUPPORT, _ENTRY_BYTES = map(operator.attrgetter, ("flat", "row_sum", "support", "entry_bytes"))
+_FLAT, _ROW_SUM, _ENTRY_BYTES = map(operator.attrgetter, ("flat", "row_sum", "entry_bytes"))
 
 
 @functools.lru_cache(maxsize=None)
@@ -335,10 +338,63 @@ def _lane_starts(flags: bytes, stride: int) -> int:
     return int.from_bytes(buf, "little")
 
 
+def _lane_terms(
+    gens: Sequence[_Generator], width: int, stride: int, starts: int, offset: int
+) -> tuple[Sequence[Sequence[tuple[int, int]]], list[list[tuple[int, int, int]]], list[int], list[int]]:
+    """One generator over the lanes of a call: (shared, partial, constants,
+    rows).  Row i of the product A_x M is the sum of v * M_l over the terms
+    (l, v) of ``shared[i]``, which every lane has, and of
+    v * ((M_l + offsets) & mask) over the terms (l, v, mask) of
+    ``partial[i]``, which only the lanes under mask have, minus
+    ``constants[i]``, the v * (offsets & mask) those terms leave; ``rows``
+    are the generator's own packed rows.
+
+    A generator that is the same object in every lane contributes its
+    terms directly.  Otherwise each entry of the generator is read across
+    the lanes (a bytes column, one byte per lane, when every entry fits in
+    a byte): an entry equal in every lane is shared, and an entry that
+    varies gets one mask per distinct nonzero value.
+    """
+    first = gens[0]
+    rank, lanes = first.rank, len(gens)
+    if gens.count(first) == lanes:
+        rows = [sum(v << (l * width) for l, v in row) * starts for row in first.terms]
+        return first.terms, [[] for _ in range(rank)], [0] * rank, rows
+    entry_bytes = list(map(_ENTRY_BYTES, gens))
+    if None in entry_bytes:
+        columns: list = list(zip(*map(_FLAT, gens)))
+    else:
+        table = b"".join(entry_bytes)
+        columns = [table[p :: rank * rank] for p in range(rank * rank)]
+    lane_bits = 8 * stride
+    shared: list[list[tuple[int, int]]] = [[] for _ in range(rank)]
+    partial: list[list[tuple[int, int, int]]] = [[] for _ in range(rank)]
+    scaled = [0] * rank
+    rows = [0] * rank
+    for index, column in enumerate(columns):
+        i, l = divmod(index, rank)
+        value = column[0]
+        if column.count(value) == lanes:
+            if value:
+                shared[i].append((l, value))
+                rows[i] += value * starts << (l * width)
+            continue
+        for v in set(column) - {0}:
+            if isinstance(column, bytes):
+                flags = column.translate(bytes(v) + b"\1" + bytes(255 - v))
+            else:
+                flags = bytes(map(v.__eq__, column))
+            chosen = _lane_starts(flags, stride)
+            partial[i].append((l, v, (chosen << lane_bits) - chosen))
+            scaled[i] += v * chosen
+            rows[i] += v * chosen << (l * width)
+    return shared, partial, [offset * row for row in scaled], rows
+
+
 def _kl_recursion(
-    n: int, gen_s: _Generator, gens_t: Sequence[_Generator], check_support: bool = False
+    n: int, gens_s: Sequence[_Generator], gens_t: Sequence[_Generator], check_support: bool = False
 ) -> tuple[list[list[int]], int, list[str | None], list[int] | None]:
-    """The KL families of A_s with each A_t of ``gens_t`` (the lanes), packed.
+    """The KL families of the pairs (gens_s[L], gens_t[L]) (the lanes), packed.
 
     Returns (matrices, width, outcomes, negative).  ``matrices`` lists the
     lane-packed family in the order e, s, t, st, ts, sts, tst, ..., then w0:
@@ -346,13 +402,15 @@ def _kl_recursion(
     w0 at 2n - 1.  The recursion stops as soon as every lane has failed;
     the list holds what was built before that.  ``outcomes`` has one entry
     per lane: None for a complete family, "F2" for a negative matrix, "F5"
-    when the two routes to w0 disagree, and "F4" when ``check_support`` is
-    set, A_s or A_t is nonzero and a matrix of length 1..n-1 vanishes.
-    That is exactly when the partial family meets the middle two-sided cell
-    in a mix of zero and nonzero matrices: e and w0 are cells of their own,
-    and a family whose middle cell vanishes has A_s = A_t = 0, so w0
-    vanishes too and the support is downward closed.  ``negative`` is the
-    matrix in which the last lanes still alive failed F2, else None.
+    when the two routes to w0 disagree, and, when ``check_support`` is set,
+    "F4" for a lane whose A_s or A_t is nonzero and in which a matrix of
+    length 1..n-1 vanishes.  That is exactly when the partial family meets
+    the middle two-sided cell in a mix of zero and nonzero matrices: e and
+    w0 are cells of their own, and a family whose middle cell vanishes has
+    A_s = A_t = 0, so w0 vanishes too and the support is downward closed.
+    ``negative`` is the matrix in which the last lanes still alive failed
+    F2, else None.  A call with no lanes builds nothing and returns
+    ([], 0, [], None).
 
     Each lane gets the first event of the one-pair recursion: at each
     length F2 on the s-leading product, then F4 on it, then F2 and F4 on
@@ -361,8 +419,11 @@ def _kl_recursion(
     its element is the next index (w0 when all 2n - 1 lower matrices are
     built).
     """
-    rank, lanes = gen_s.rank, len(gens_t)
-    width = n * (max(gen_s.row_sum, max(map(_ROW_SUM, gens_t), default=0)) + 1).bit_length() + 1
+    lanes = len(gens_t)
+    if not lanes:
+        return [], 0, [], None
+    rank = gens_s[0].rank
+    width = n * (max(max(map(_ROW_SUM, gens_s)), max(map(_ROW_SUM, gens_t))) + 1).bit_length() + 1
     stride = rank * width // 8 + 1
     lane_bits = 8 * stride
     starts = _lane_starts(b"\1" * lanes, stride)
@@ -370,44 +431,11 @@ def _kl_recursion(
     low = starts * ((1 << (lane_bits - 1)) - 1)
     identity, offset = _frame(width, rank)
     offsets = offset * starts
-
-    # Entry p of every A_t: a bytes column, one byte per lane, when every
-    # entry fits in a byte.
-    entry_bytes = list(map(_ENTRY_BYTES, gens_t))
-    if None in entry_bytes:
-        columns: list = list(zip(*map(_FLAT, gens_t)))
-    else:
-        table = b"".join(entry_bytes)
-        columns = [table[p :: rank * rank] for p in range(rank * rank)]
-    # Terms of each row: (l, v) shared by every lane, and (l, v, mask) for
-    # the lanes under mask; ``scaled`` holds v at the start of each lane of
-    # each mask of a row, for the constant those terms leave to subtract.
-    shared: tuple[list, list] = (list(gen_s.terms), [[] for _ in range(rank)])
-    partial: tuple[list, list] = ([()] * rank, [[] for _ in range(rank)])
-    scaled = [0] * rank
-    rows_t = [0] * rank
-    for index, column in enumerate(columns):
-        i, l = divmod(index, rank)
-        first = column[0]
-        if column.count(first) == lanes:
-            if first:
-                shared[1][i].append((l, first))
-                rows_t[i] += first * starts << (l * width)
-            continue
-        for v in set(column) - {0}:
-            if isinstance(column, bytes):
-                flags = column.translate(bytes(v) + b"\1" + bytes(255 - v))
-            else:
-                flags = bytes(map(v.__eq__, column))
-            chosen = _lane_starts(flags, stride)
-            partial[1][i].append((l, v, (chosen << lane_bits) - chosen))
-            scaled[i] += v * chosen
-            rows_t[i] += v * chosen << (l * width)
-    # v * ((M_l + offsets) & mask) leaves v * (offsets & mask) to subtract
-    constants = ([0] * rank, [offset * row for row in scaled])
-    masked = (False, any(partial[1]))
-    rows_s = [sum(v << (l * width) for l, v in row) * starts for row in gen_s.terms]
-    matrices: list[list[int]] = [[row * starts for row in identity], rows_s, rows_t]
+    shared, partial, constants, packed = zip(
+        _lane_terms(gens_s, width, stride, starts, offset), _lane_terms(gens_t, width, stride, starts, offset)
+    )
+    masked = (any(partial[0]), any(partial[1]))
+    matrices: list[list[int]] = [[row * starts for row in identity], *packed]
 
     def product(x: int, m: list[int], back: list[int] | None) -> list[int]:
         # A_x m - back, row by row
@@ -449,10 +477,12 @@ def _kl_recursion(
         return lanes_nonzero(offsets & ~functools.reduce(operator.and_, shifted)) & alive
 
     if check_support:
-        zero_t = _lane_starts(bytes(map(operator.not_, map(_SUPPORT, gens_t))), stride) << (lane_bits - 1)
-        # a zero A_s fails every nonzero A_t; the all-zero pairs are exempt
-        check_support = bool(gen_s.support)
-        if fail("F4", zero_t if check_support else top ^ zero_t):
+        # the generators' entries are nonnegative, so their packed rows
+        # have no borrow.  A lane with one zero generator fails at once; a
+        # lane with both zero is exempt from the checks below.
+        nonzero_s, nonzero_t = (lanes_nonzero(functools.reduce(operator.or_, rows)) for rows in packed)
+        checked = nonzero_s | nonzero_t
+        if fail("F4", nonzero_s ^ nonzero_t):
             return matrices, width, outcomes(), None
 
     for length in range(2, n):
@@ -466,7 +496,8 @@ def _kl_recursion(
                 return matrices, width, outcomes(), a
             matrices.append(a)
             if check_support:
-                event = alive & ~lanes_nonzero(functools.reduce(operator.or_, [row ^ offsets for row in shifted]))
+                nonzero = lanes_nonzero(functools.reduce(operator.or_, [row ^ offsets for row in shifted]))
+                event = alive & checked & ~nonzero
                 if event and fail("F4", event):
                     return matrices, width, outcomes(), None
     via_s = product(0, matrices[2 * n - 2], matrices[2 * n - 5])
@@ -483,6 +514,12 @@ def _kl_recursion(
     return matrices, width, outcomes(), None
 
 
+@functools.lru_cache(maxsize=None)
+def _fields(width: int, rank: int) -> tuple[tuple[int, int], ...]:
+    """(entry j, its shift) for each bit of a one-lane packed row."""
+    return tuple((j, j * width) for j in range(rank) for _ in range(width))
+
+
 def _unpack(packed: Sequence[list[int]], width: int) -> list[IntMatrix]:
     """Read one-lane packed matrices back as tuples of tuples.
 
@@ -496,7 +533,7 @@ def _unpack(packed: Sequence[list[int]], width: int) -> list[IntMatrix]:
     offset = _frame(width, rank)[1]
     half, full = 1 << (width - 1), 1 << width
     zero = (0,) * rank
-    field_at = [(j, j * width) for j in range(rank) for _ in range(width)]
+    field_at = _fields(width, rank)
 
     def entries(row: int) -> tuple[int, ...]:
         x = (row + offset) ^ offset
@@ -517,27 +554,59 @@ def _flatten(m: IntMatrix) -> list[int]:
     return [v for row in m for v in row]
 
 
+class _PackedFamily(Mapping):
+    """A one-lane kernel family keyed by group element, read-only.
+
+    Each matrix is unpacked from its packed rows on first access and kept,
+    so a reader that needs a few matrices of a family pays for those only.
+    """
+
+    __slots__ = ("_packed", "_width", "_matrices")
+
+    def __init__(
+        self, packed: dict[GroupElement, list[int]], width: int, known: dict[GroupElement, IntMatrix]
+    ) -> None:
+        self._packed = packed
+        self._width = width
+        self._matrices = known
+
+    def __getitem__(self, w: GroupElement) -> IntMatrix:
+        matrix = self._matrices.get(w)
+        if matrix is None:
+            (matrix,) = _unpack([self._packed[w]], self._width)
+            self._matrices[w] = matrix
+        return matrix
+
+    def __contains__(self, w: object) -> bool:
+        return w in self._packed
+
+    def __iter__(self):
+        return iter(self._packed)
+
+    def __len__(self) -> int:
+        return len(self._packed)
+
+
 def _kl_family(
     n: int, theta_s: IntMatrix, theta_t: IntMatrix, check_support: bool = False
-) -> tuple[dict[GroupElement, IntMatrix], str | None, IntMatrix | None]:
+) -> tuple[Mapping[GroupElement, IntMatrix], str | None, IntMatrix | None]:
     """The kernel's output for a generator pair, keyed by group element.
 
     Returns (family, outcome, negative): every matrix built, in the
-    all_elements order (A_e, A_s and A_t are the inputs themselves), the
-    kernel's outcome, and for F2 the negative matrix, which is not in the
-    family.
+    all_elements order (A_e, A_s and A_t are the inputs themselves, the
+    others are unpacked when first read), the kernel's outcome, and for F2
+    the negative matrix, which is not in the family.
     """
     rank = len(theta_s)
     gen_s, gen_t = _Generator(_flatten(theta_s), rank), _Generator(_flatten(theta_t), rank)
-    matrices, width, (outcome,), negative = _kl_recursion(n, gen_s, [gen_t], check_support)
+    matrices, width, (outcome,), negative = _kl_recursion(n, [gen_s], [gen_t], check_support)
     elements = dihedral_group(n).all_elements()
-    family = {elements[0]: identity_matrix(rank), elements[1]: theta_s, elements[2]: theta_t}
-    unpacked = _unpack(matrices[3:] + ([negative] if negative is not None else []), width)
-    family.update(zip(elements[3 : len(matrices)], unpacked))
-    return family, outcome, (unpacked[-1] if negative is not None else None)
+    known = {elements[0]: identity_matrix(rank), elements[1]: theta_s, elements[2]: theta_t}
+    family = _PackedFamily(dict(zip(elements, matrices)), width, known)
+    return family, outcome, (_unpack([negative], width)[0] if negative is not None else None)
 
 
-def _module_family(n: int, theta_s: IntMatrix, theta_t: IntMatrix) -> dict[GroupElement, IntMatrix]:
+def _module_family(n: int, theta_s: IntMatrix, theta_t: IntMatrix) -> Mapping[GroupElement, IntMatrix]:
     """The KL family of the generator pair of a module, checked complete.
 
     A module of the KL basis realises the whole family, so the kernel can

@@ -28,21 +28,24 @@ of A_s (``_orbits``), so each orbit falls in exactly one work unit.
 
 Every matrix is prepared once per rank (``algebra._Generator``); the
 spaces of every rank of a search stay cached, and forked workers inherit
-them, so a unit ships only two indices.  F3 reads only the zero pattern of
+them, so a unit ships as two indices.  F3 reads only the zero pattern of
 A_s + A_t and is invariant under conjugation, so each space groups its A_t
 by zero pattern once, one table of F3 verdicts by pattern serves every
 space of a rank, and a unit charges |O_s| = |G|/|Stab(A_s)| rejections to
 each A_t whose pattern fails with A_s (``_f3_split``); only the A_t that
-pass reach the stabiliser test.  The unit's representatives are then
-judged together by one lane-packed KL recursion, one lane each
-(``_evaluate_unit``), which skips F1, F6 and F7: F1 holds by construction
-in both spaces, F6 follows from F1 and F5, and F7 holds in the block space
-(and it is off in the variety).  A worker returns its surviving
-representatives as flat (A_s, A_t); the parent canonicalises them and
-keeps one per class.  The s <-> t swap, which maps the block space of
-split k onto that of r-k, is not used to merge orbits in either space: F4
-is judged on the partial family built before an F2 failure, and a swapped
-pair can fail at the other leading letter.
+pass reach the stabiliser test.  A worker takes a run of consecutive
+units (the whole rank with one job) and judges their representatives by
+lane-packed KL recursions, one lane each (``_judge_units``): a call takes
+whole units in order until it holds at least ``_CALL_LANES`` lanes, so
+small units share one lane set-up and one recursion.  The kernel skips F1,
+F6 and F7: F1 holds by construction in both spaces, F6 follows from F1 and
+F5, and F7 holds in the block space (and it is off in the variety).  A
+worker returns its surviving representatives as flat (A_s, A_t); the
+parent canonicalises them and keeps one per class.  The s <-> t swap,
+which maps the block space of split k onto that of r-k, is not used to
+merge orbits in either space: F4 is judged on the partial family built
+before an F2 failure, and a swapped pair can fail at the other leading
+letter.
 
 ``run_filters`` is the one pipeline that renders a verdict with its
 witnesses, and ``_candidate`` the one builder of a ``Candidate``: it runs
@@ -80,7 +83,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import multiprocessing
 import operator
 import time
 from dataclasses import dataclass
@@ -134,6 +136,11 @@ ALL_FILTERS = ("F1", "F2", "F3", "F4", "F5", "F6", "F7")
 TOGGLEABLE_FILTERS = frozenset({"F3", "F4", "F6", "F7"})
 DEFAULT_MAX_STATES = 10_000_000
 MAX_CANONICAL_RANK = 6
+# A kernel call takes whole work units in order until it holds at least
+# this many lanes: below about this size the fixed cost of a call (lane
+# set-up, Python overhead per step) outweighs its big-integer work, so
+# small units share calls while large ones still run nearly alone.
+_CALL_LANES = 64
 
 
 # -- canonical representatives ---------------------------------------------
@@ -710,15 +717,16 @@ def _orbits(
     return gen_s, failing * (group_order // (len(stabiliser) + 1)), representatives
 
 
-def _evaluate_unit(
+def _judge_units(
     payload: tuple,
 ) -> tuple[int, tuple[tuple[str, int], ...], list[tuple[tuple[int, ...], tuple[int, ...]]]]:
-    """Worker entry point: judge the orbits of one unit.
+    """Worker entry point: judge the orbits of a run of consecutive units.
 
     Returns (pairs evaluated, rejection counts, survivors), each survivor
     the flat (A_s, A_t) of a surviving representative.  F3 is charged per
-    support class; the representatives of the other orbits are judged
-    together, one lane each of one ``algebra._kl_recursion`` call, and each
+    support class; the representatives of the other orbits are judged one
+    lane each in ``algebra._kl_recursion`` calls that take whole units in
+    order until a call holds at least ``_CALL_LANES`` lanes, and each
     verdict is charged to every pair of its orbit.
 
     The kernel gives each lane's first failing filter in the order F4, F2,
@@ -731,20 +739,30 @@ def _evaluate_unit(
     judged on the partial family as the recursion grows, and F6 is not run:
     F1 and F5 imply it (``run_filters``).
     """
-    n, rank, bound, enabled, unit = payload
-    gen_s, f3_failures, representatives = _orbits(rank, bound, "F7" in enabled, unit, "F3" in enabled)
-    evaluated = f3_failures
-    rejections: dict[str, int] = {"F3": f3_failures} if f3_failures else {}
+    n, rank, bound, enabled, units = payload
+    block_space, judge_f3, check_support = "F7" in enabled, "F3" in enabled, "F4" in enabled
+    evaluated = 0
+    rejections: dict[str, int] = {}
     survivors = []
-    if representatives:
-        gens_t = [gen_t for gen_t, _ in representatives]
-        outcomes = _kl_recursion(n, gen_s, gens_t, check_support="F4" in enabled)[2]
-        for (gen_t, weight), failed in zip(representatives, outcomes):
+    gens_s: list[_Generator] = []
+    lanes: list[tuple[_Generator, int]] = []  # (A_t, orbit size)
+    for position, unit in enumerate(units, start=1):
+        gen_s, f3_failures, representatives = _orbits(rank, bound, block_space, unit, judge_f3)
+        if f3_failures:
+            evaluated += f3_failures
+            rejections["F3"] = rejections.get("F3", 0) + f3_failures
+        gens_s += [gen_s] * len(representatives)
+        lanes += representatives
+        if len(lanes) < _CALL_LANES and position < len(units):
+            continue
+        outcomes = _kl_recursion(n, gens_s, [gen_t for gen_t, _ in lanes], check_support)[2]
+        for lane_s, (lane_t, weight), failed in zip(gens_s, lanes, outcomes):
             evaluated += weight
             if failed is None:
-                survivors.append((gen_s.flat, gen_t.flat))
+                survivors.append((lane_s.flat, lane_t.flat))
             else:
                 rejections[failed] = rejections.get(failed, 0) + weight
+        gens_s, lanes = [], []
     return evaluated, tuple(sorted(rejections.items())), survivors
 
 
@@ -824,12 +842,20 @@ def _classify_rank(
     conjugate of a survivor, possibly with s and t exchanged, so it
     survives ``run_filters`` too."""
     units = _rank_units(rank, bound, "F7" in enabled)
-    payloads = [(n, rank, bound, enabled, unit) for unit in units]
-    if jobs > 1 and len(payloads) > 1:
+    if jobs > 1 and len(units) > 1:
+        import multiprocessing
+
+        # four runs of consecutive units per worker, as pool.map's default
+        # chunking cuts a list, so that the runs balance across the pool
+        runs = min(4 * jobs, len(units))
+        payloads = [
+            (n, rank, bound, enabled, units[k * len(units) // runs : (k + 1) * len(units) // runs])
+            for k in range(runs)
+        ]
         with multiprocessing.Pool(processes=jobs) as pool:
-            results = pool.map(_evaluate_unit, payloads)
+            results = pool.map(_judge_units, payloads, chunksize=1)
     else:
-        results = [_evaluate_unit(p) for p in payloads]
+        results = [_judge_units((n, rank, bound, enabled, units))]
     evaluated = 0
     rejections: dict[str, int] = {}
     classes: dict[bytes, MatrixPair] = {}

@@ -21,19 +21,20 @@ vanishes while A_s or A_t does not (filter F4, with that element as
 witness).
 
 One kernel runs the recursion: ``algebra._kl_recursion``, the same one
-that builds the structure constants and the cell modules.  It takes one
-prepared A_s and a list of prepared A_t, the lanes (``algebra._Generator``:
-the flat row-major matrix, its nonzero terms, largest row sum and support
+that builds the structure constants and the cell modules.  It takes a list
+of pairs of prepared generators, the lanes (``algebra._Generator``: the
+flat row-major matrix, its nonzero terms, largest row sum and support
 bitmask), and holds each matrix of every lane's family as one integer per
 row, the lanes side by side, so a step A_x A_w' - A_w'' serves every lane
 with a few integer operations per term of A_x, and the sign and zero tests
 cost a few operations per row whatever the number of lanes.  ``extend``
-is a one-lane call that reads the packed matrices back into the family
-keyed by group element (``algebra._kl_family``) and writes the witness;
-``classify.run_filters`` renders its F4, F2 and F5 reports from it.  The
-classification search calls the kernel directly, one representative per
-orbit per lane and a work unit per call, and reads only each lane's
-outcome (``classify._evaluate_unit``).
+is a one-lane call whose family, keyed by group element, reads each
+packed matrix back when it is first looked up (``algebra._kl_family``);
+it writes the witness, and ``classify.run_filters`` renders its F4, F2
+and F5 reports from it.  The classification search calls the kernel
+directly, one representative per orbit per lane and the lanes of several
+work units per call, and reads only each lane's outcome
+(``classify._judge_units``).
 
 The named filters on candidates:
 
@@ -386,16 +387,20 @@ def check_block_form(pair: MatrixPair) -> FilterReport:
 
 
 def apex_of(extended) -> str:
-    """Name of the highest two-sided cell with a nonzero matrix (J1/J2/J3)."""
+    """Name of the highest two-sided cell with a nonzero matrix (J1/J2/J3).
+
+    The family is read from the longest element down, and only up to the
+    first nonzero matrix.
+    """
     family = _family_of(extended)
-    nonzero = {w for w, m in family.items() if not is_zero_matrix(m)}
-    if not nonzero:
+    for w in sorted(family, key=operator.attrgetter("length"), reverse=True):
+        if not is_zero_matrix(family[w]):
+            break
+    else:
         raise ValueError("the family is identically zero; no apex")
-    top = max(w.length for w in nonzero)
-    n = next(iter(family)).n
-    if top == 0:
+    if w.length == 0:
         return "J1"
-    if top == n:
+    if w.length == w.n:
         return "J3"
     return "J2"
 

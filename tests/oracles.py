@@ -11,13 +11,14 @@ apex.  ``f1_matrices_oracle`` is the F1 variety by
 scanning the entry cube with the F1 predicate of ``check_idempotent``,
 which ``classify._f1_matrices`` builds from the normal form instead.  ``raw_block_pairs``
 enumerates every pair of the F7 block space, ``raw_variety_units`` splits
-the F1 variety into one unit per A_s, and ``evaluate_raw_unit`` runs
-``run_filters_oracle`` on every pair of a unit of either kind, which is the
-search before orbit representatives; the reports of ``classify`` must be
-the same bytes.
+the F1 variety into one unit per A_s, and ``evaluate_raw_units`` runs
+``run_filters_oracle`` on every pair of a run of units of either kind,
+which is the search before orbit representatives; the reports of
+``classify`` must be the same bytes.
 ``kl_recursion_oracle`` is the flat-pair KL kernel that slices, sums and
 packs both generators on every call; ``algebra._kl_recursion``, which takes
-generators prepared once, must return the same tuple.
+generators prepared once, must return the same tuple for one lane, and
+the same outcome and entries for each lane of a call with many.
 ``strongly_connected_oracle`` is F3 by breadth-first search over adjacency
 sets; ``nimrep._strongly_connected`` on a support bitmask must give the
 same verdict and the same missing vertex.
@@ -383,15 +384,15 @@ def raw_block_pairs(n, rank, bound):
         yield from raw_unit_pairs(n, rank, bound, unit)
 
 
-def evaluate_raw_unit(payload):
-    """Every pair of a raw unit through ``run_filters_oracle``, as the
-    search did before orbit representatives; returns what
-    ``classify._evaluate_unit`` does, with every surviving pair flat."""
-    n, rank, bound, enabled, unit = payload
+def evaluate_raw_units(payload):
+    """Every pair of a run of raw units through ``run_filters_oracle``, as
+    the search did before orbit representatives; returns what
+    ``classify._judge_units`` does, with every surviving pair flat."""
+    n, rank, bound, enabled, units = payload
     evaluated = 0
     rejections = {}
     survivors = []
-    for pair in raw_unit_pairs(n, rank, bound, unit):
+    for pair in itertools.chain.from_iterable(raw_unit_pairs(n, rank, bound, unit) for unit in units):
         evaluated += 1
         _, _, failed = run_filters_oracle(pair, enabled)
         if failed is None:

@@ -40,7 +40,7 @@ import oracles
 from oracles import (
     block_pair,
     decompose_oracle,
-    evaluate_raw_unit,
+    evaluate_raw_units,
     extend_oracle,
     f1_matrices_oracle,
     mat_mul_oracle,
@@ -517,7 +517,7 @@ def raw_pair_report(monkeypatch, n, **kwargs):
     """
     with monkeypatch.context() as patched:
         patched.setattr(classify_module, "_rank_units", raw_units)
-        patched.setattr(classify_module, "_evaluate_unit", evaluate_raw_unit)
+        patched.setattr(classify_module, "_judge_units", evaluate_raw_units)
         if "F7" not in kwargs.get("disabled", ()):
             patched.setattr(oracles, "extend", extend_oracle)
             patched.setattr(classify_module, "extend", extend_oracle)

@@ -8,7 +8,16 @@ import sys
 import pytest
 
 from klcells.cells import cell_module
-from klcells.classify import _f1_matrices, _f3_split, _support_classes, classify, normalize_filters, run_filters
+from klcells.classify import (
+    _f1_matrices,
+    _f3_split,
+    _orbits,
+    _rank_units,
+    _support_classes,
+    classify,
+    normalize_filters,
+    run_filters,
+)
 from klcells.dihedral import dihedral_group, render
 from klcells.exact import _top_real_root_is_simple, char_poly, is_zero_matrix, mat_add, poly_eval_matrix, poly_mul
 from klcells.nimrep import (
@@ -155,32 +164,42 @@ def test_extend_matches_the_tuple_oracle_on_random_pairs():
 BLOCK_SPACES = [(rank, 2) for rank in (1, 2, 3, 4)] + [(rank, bound) for bound in (1, 3) for rank in (1, 2, 3)]
 
 
-def kernel_verdicts(n, gen_s, gens_t, enabled, connected):
-    """The search's verdict on each pair (A_s, A_t): F3 per support class,
-    then one kernel call with a lane for each A_t that passes."""
-    if "F3" in enabled:
-        _, passing = _f3_split(gen_s.rank, gen_s.support, _support_classes(gens_t), connected)
-    else:
-        passing = list(gens_t)
-    verdicts = {id(gen_t): "F3" for gen_t in gens_t}
-    if passing:
-        verdicts.update(zip(map(id, passing), _kl_recursion(n, gen_s, passing, check_support="F4" in enabled)[2]))
-    return [verdicts[id(gen_t)] for gen_t in gens_t]
+def kernel_verdicts(n, gens_s, gens_t, enabled, connected):
+    """The search's verdict on each pair (gens_s[L], gens_t[L]): F3 by the
+    support of A_s + A_t from a shared table, then one kernel call with a
+    lane for each pair that passes."""
+    lanes = [
+        lane
+        for lane, (gen_s, gen_t) in enumerate(zip(gens_s, gens_t))
+        if "F3" not in enabled or _f3_split(gen_s.rank, gen_s.support, [(gen_t.support, (gen_t,))], connected)[1]
+    ]
+    verdicts = ["F3"] * len(gens_t)
+    outcomes = _kl_recursion(n, [gens_s[k] for k in lanes], [gens_t[k] for k in lanes], "F4" in enabled)[2]
+    for lane, outcome in zip(lanes, outcomes):
+        verdicts[lane] = outcome
+    return verdicts
 
 
 def assert_kernel_verdicts(n, pairs, base_disabled, offs=("F3", "F4", "F6")):
-    # the pairs are batched by A_s, so pairs with different outcomes share
-    # one kernel call
+    # the pairs of a rank share one kernel call whatever their A_s, so
+    # pairs with different generators and different outcomes share it
     default = normalize_filters(base_disabled)
     variants = [(None, default)] + [(off, normalize_filters(base_disabled + (off,))) for off in offs]
     batches = {}
     for p in pairs:
-        batches.setdefault((p.rank, tuple(_flatten(p.theta_s))), []).append(p)
+        batches.setdefault(p.rank, []).append(p)
+    prepared = {}
+
+    def generator(matrix, rank):
+        flat = tuple(_flatten(matrix))
+        if flat not in prepared:
+            prepared[flat] = _Generator(flat, rank)
+        return prepared[flat]
+
     seen = set()
-    connected = {}  # one F3 table per rank, as the search keeps one
-    for (rank, a_s), batch in batches.items():
-        gen_s = _Generator(a_s, rank)
-        gens_t = [_Generator(_flatten(p.theta_t), rank) for p in batch]
+    for rank, batch in batches.items():
+        gens_s = [generator(p.theta_s, rank) for p in batch]
+        gens_t = [generator(p.theta_t, rank) for p in batch]
         # F1 and F3 are the same checks in both pipelines, so the oracle
         # takes their reports from run_filters and starts at the extension
         prefixes, firsts = [], []
@@ -192,7 +211,7 @@ def assert_kernel_verdicts(n, pairs, base_disabled, offs=("F3", "F4", "F6")):
                 assert (got_reports, first) == (reports, expected), p
                 assert apex_of(got_ext) == apex_of(ext), p
             firsts.append(first)
-        memo = connected.setdefault(rank, {})
+        connected = {}  # one F3 table per rank, as the search keeps one
         for off, enabled in variants:
             # a pair re-run with the filter it failed off passed the checks
             # before that filter
@@ -202,7 +221,9 @@ def assert_kernel_verdicts(n, pairs, base_disabled, offs=("F3", "F4", "F6")):
                 else first
                 for p, prefix, first in zip(batch, prefixes, firsts)
             ]
-            assert kernel_verdicts(n, gen_s, gens_t, enabled, memo) == expected, (a_s, off)
+            got = kernel_verdicts(n, gens_s, gens_t, enabled, connected)
+            wrong = [(p, g, e) for p, g, e in zip(batch, got, expected) if g != e]
+            assert not wrong, (rank, off, wrong[:3])
             seen.update(expected)
     return seen
 
@@ -251,23 +272,75 @@ def test_prepared_kernel_matches_the_flat_pair_oracle(n):
         gen_s, gen_t = generator(a_s, rank), generator(a_t, rank)
         for check_support in (False, True):
             expected = kl_recursion_oracle(m, rank, a_s, a_t, check_support)
-            matrices, width, (outcome,), negative = _kl_recursion(m, gen_s, [gen_t], check_support)
+            matrices, width, (outcome,), negative = _kl_recursion(m, [gen_s], [gen_t], check_support)
             assert (matrices, width, outcome, negative) == expected, (m, a_s, a_t, check_support)
             batches.setdefault((m, rank, a_s, check_support), []).append((gen_t, expected[2]))
     for (m, rank, a_s, check_support), lanes in batches.items():
         gens_t = [gen_t for gen_t, _ in lanes]
-        outcomes = _kl_recursion(m, generator(a_s, rank), gens_t, check_support)[2]
+        outcomes = _kl_recursion(m, [generator(a_s, rank)] * len(gens_t), gens_t, check_support)[2]
         assert outcomes == [outcome for _, outcome in lanes], (m, a_s, check_support)
 
 
-def lane_entries(matrices, lane, width):
-    """The entries of lane ``lane`` of lane-packed matrices."""
+@pytest.mark.parametrize("n", range(3, 8))
+def test_a_lane_is_the_same_alone_in_its_unit_and_among_every_unit(n):
+    # each representative the search judges, in a one-lane call, in its own
+    # unit's call and in one call with the lanes of every unit of its rank,
+    # whose A_s differ: the same outcome and, until the lane fails, the
+    # same family as the flat-pair oracle.  The block space at ranks 1-4,
+    # E = 2, and the F1 variety at ranks 1-3, E = 2, for n <= 6.
+    spaces = [(rank, True) for rank in (1, 2, 3, 4)] + ([(rank, False) for rank in (1, 2, 3)] if n <= 6 else [])
+    for rank, block_space in spaces:
+        units = []
+        for unit in _rank_units(rank, 2, block_space):
+            gen_s, _, representatives = _orbits(rank, 2, block_space, unit, True)
+            units.append([(gen_s, gen_t) for gen_t, _ in representatives])
+        lanes = [lane for unit in units for lane in unit]
+        assert len({gen_s.flat for gen_s, _ in lanes}) > 1
+        for check_support in (False, True):
+            oracles = [kl_recursion_oracle(n, rank, s.flat, t.flat, check_support) for s, t in lanes]
+            calls = [lanes] + [unit for unit in units if unit]
+            got = []
+            for call in calls:
+                matrices, width, outcomes, _ = _kl_recursion(n, *zip(*call), check_support)
+                got += zip(outcomes, lane_entries(matrices, width, len(call)))
+            mixed, alone = got[: len(lanes)], got[len(lanes) :]
+            for lane, ((gen_s, gen_t), oracle) in enumerate(zip(lanes, oracles)):
+                family, oracle_width, outcome, _ = oracle
+                matrices, width, (one,), negative = _kl_recursion(n, [gen_s], [gen_t], check_support)
+                assert (matrices, width, one, negative) == oracle, (rank, gen_s.flat, gen_t.flat)
+                for call_outcome, entries in (mixed[lane], alone[lane]):
+                    assert call_outcome == outcome, (rank, gen_s.flat, gen_t.flat)
+                    assert entries[: len(family)] == _unpack(family, oracle_width), (rank, gen_s.flat, gen_t.flat)
+
+
+def lane_entries(matrices, width, lanes):
+    """The entries of each lane of lane-packed matrices, lane by lane."""
     rank = len(matrices[0])
-    lane_bits = 8 * (rank * width // 8 + 1)
+    stride = rank * width // 8 + 1
     offset = sum(1 << (width * j + width - 1) for j in range(rank))
-    offsets = sum(offset << (lane_bits * l) for l in range(lane + 1))
-    rows = [[((row + offsets) >> (lane_bits * lane) & ((1 << lane_bits) - 1)) - offset for row in m] for m in matrices]
-    return _unpack(rows, width)
+    offsets = int.from_bytes(offset.to_bytes(stride, "little") * lanes, "little")
+    out = [[] for _ in range(lanes)]
+    for m in matrices:
+        rows = [(row + offsets).to_bytes(lanes * stride, "little") for row in m]
+        for lane, packed in enumerate(out):
+            part = slice(lane * stride, (lane + 1) * stride)
+            packed.append([int.from_bytes(row[part], "little") - offset for row in rows])
+    return [_unpack(packed, width) for packed in out]
+
+
+def assert_lanes_match_the_oracle(n, rank, pairs, check_support):
+    """One kernel call over the pairs, one generator object per distinct
+    matrix: each lane's outcome, and its family until it fails, against
+    the flat-pair oracle.  Returns the call's result."""
+    prepared = {flat: _Generator(flat, rank) for pair in pairs for flat in pair}
+    gens_s, gens_t = ([prepared[pair[x]] for pair in pairs] for x in (0, 1))
+    oracles = [kl_recursion_oracle(n, rank, a_s, a_t, check_support) for a_s, a_t in pairs]
+    result = matrices, width, outcomes, _ = _kl_recursion(n, gens_s, gens_t, check_support)
+    assert outcomes == [oracle[2] for oracle in oracles]
+    for lane, entries in enumerate(lane_entries(matrices, width, len(pairs))):
+        family, lane_width, _, _ = oracles[lane]
+        assert entries[: len(family)] == _unpack(family, lane_width), (lane, pairs[lane])
+    return result
 
 
 def test_lanes_with_mixed_outcomes_share_one_call():
@@ -282,37 +355,44 @@ def test_lanes_with_mixed_outcomes_share_one_call():
         (0, 0, 0, 1), (1, 0, 0, 0), (1, 0, 0, 2), (1, 2, 1, 0), (0, 0, 0, 0), (0, 1, 1, 0),
         (1, 1, 0, 0), (0, 3, 2, 0), (0, 2, 1, 0), (1, 0, 0, 1), (1, 2, 1, 0),
     ]
-    gen_s, gens_t = _Generator(a_s, rank), [_Generator(a_t, rank) for a_t in lanes]
     expected = {
         True: ["F2", "F4", "F2", None, "F4", "F2", "F4", "F5", "F2", "F2", None],
         False: ["F2", "F2", "F2", None, "F2", "F2", "F2", "F5", "F2", "F2", None],
     }
     for check_support in (False, True):
-        oracles = [kl_recursion_oracle(n, rank, a_s, a_t, check_support) for a_t in lanes]
-        assert [oracle[2] for oracle in oracles] == expected[check_support]
-        matrices, width, outcomes, negative = _kl_recursion(n, gen_s, gens_t, check_support)
+        pairs = [(a_s, a_t) for a_t in lanes]
+        matrices, _, outcomes, negative = assert_lanes_match_the_oracle(n, rank, pairs, check_support)
         assert outcomes == expected[check_support]
-        for lane, (family, lane_width, _, _) in enumerate(oracles):
-            assert lane_entries(matrices[: len(family)], lane, width) == _unpack(family, lane_width), lane
         assert len(matrices) == 2 * n and negative is None
-    # entries above 255 do not fit the byte columns of the lane set-up
+        # A_s varies too: every other lane exchanges its generators, which
+        # here changes no verdict
+        swapped = [pair[::-1] if lane % 2 else pair for lane, pair in enumerate(pairs)]
+        assert assert_lanes_match_the_oracle(n, rank, swapped, check_support)[2] == expected[check_support]
+    # entries above 255 do not fit the byte columns of the lane set-up, in
+    # A_t alone and in both generators
     big = [(0, 0, 0, 1), (256, 0, 0, 0), (1, 2, 1, 0), (1, 0, 0, 300), (0, 0, 0, 0), (1, 2, 1, 0), (300, 300, 0, 0)]
     for check_support in (False, True):
-        oracles = [kl_recursion_oracle(n, rank, a_s, a_t, check_support) for a_t in big]
-        matrices, width, outcomes, _ = _kl_recursion(n, gen_s, [_Generator(a_t, rank) for a_t in big], check_support)
-        assert outcomes == [oracle[2] for oracle in oracles]
-        for lane, (family, lane_width, _, _) in enumerate(oracles):
-            assert lane_entries(matrices[: len(family)], lane, width) == _unpack(family, lane_width), lane
+        outcomes = assert_lanes_match_the_oracle(n, rank, [(a_s, a_t) for a_t in big], check_support)[2]
+        swapped = [(a_t, a_s) if a_t[0] > 255 else (a_s, a_t) for a_t in big]
+        assert_lanes_match_the_oracle(n, rank, swapped, check_support)
     assert outcomes == ["F2", "F5", None, "F2", "F4", None, "F5"]
-    # the lanes of a zero A_s: the all-zero pairs are exempt from F4, the
-    # others fail it at once, whatever lies between them
+    # the F4 rule for zero generators, lane by lane: a lane with one zero
+    # generator fails at once, one with both zero is exempt, whatever lies
+    # between them and whatever the other lanes' A_s
     zero = (0, 0, 0, 0)
-    lanes = [zero, (2, 0, 0, 0), zero, (1, 1, 1, 1), zero]
-    gens_t = [_Generator(a_t, rank) for a_t in lanes]
+    pairs = [
+        (zero, zero), (zero, (2, 0, 0, 0)), (a_s, zero), (zero, zero), (zero, (1, 1, 1, 1)), (a_s, (1, 2, 1, 0)),
+        (zero, zero),
+    ]
     for check_support in (False, True):
-        expected = [kl_recursion_oracle(n, rank, zero, a_t, check_support)[2] for a_t in lanes]
-        assert _kl_recursion(n, _Generator(zero, rank), gens_t, check_support)[2] == expected
-    assert expected == [None, "F4", None, "F4", None]
+        outcomes = assert_lanes_match_the_oracle(n, rank, pairs, check_support)[2]
+    assert outcomes == [None, "F4", "F4", None, "F4", None, None]
+    assert assert_lanes_match_the_oracle(n, rank, [(zero, zero), (zero, (2, 0, 0, 0))], True)[2] == [None, "F4"]
+
+
+def test_an_empty_call_has_no_lanes():
+    for check_support in (False, True):
+        assert _kl_recursion(5, [], [], check_support) == ([], 0, [], None)
 
 
 def test_one_lane_call_is_the_oracle_family_at_large_rank():
@@ -323,13 +403,13 @@ def test_one_lane_call_is_the_oracle_family_at_large_rank():
         for theta_s, theta_t in pairs:
             rank = len(theta_s)
             a_s, a_t = tuple(_flatten(theta_s)), tuple(_flatten(theta_t))
-            matrices, width, (outcome,), negative = _kl_recursion(n, _Generator(a_s, rank), [_Generator(a_t, rank)])
+            matrices, width, (outcome,), negative = _kl_recursion(n, [_Generator(a_s, rank)], [_Generator(a_t, rank)])
             assert (matrices, width, outcome, negative) == kl_recursion_oracle(n, rank, a_s, a_t), (n, rank)
             assert outcome is None and len(matrices) == 2 * n
 
 
 def first_failure(n, rank, a_s, a_t, enabled):
-    (verdict,) = kernel_verdicts(n, _Generator(a_s, rank), [_Generator(a_t, rank)], enabled, {})
+    (verdict,) = kernel_verdicts(n, [_Generator(a_s, rank)], [_Generator(a_t, rank)], enabled, {})
     return verdict
 
 
