@@ -5,7 +5,7 @@ The package computes, over the integers wherever the mathematics allows:
 * the dihedral group D_n and its KL basis at q = 1 (``dihedral``, ``algebra``),
 * left, right and two-sided cells with their orders, cell modules and the
   strong regularity test (``cells``),
-* the simple modules of D_n and exact-plus-gated character decomposition
+* the simple modules of D_n and exact character decomposition
   (``reps``),
 * extension of a nonnegative integer matrix pair along the KL recursion,
   the filters F1 through F7, apex annihilator polynomials, the block

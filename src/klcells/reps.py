@@ -20,21 +20,21 @@ whose constant term is an integer exactly when n is 3k, 4k or 6k (the
 cosine being -1/2, 0 or 1/2).
 
 ``decompose`` splits an integer representation given by the matrices of
-b(s) and b(t): it first checks the defining relations exactly over Z, then
-computes multiplicities by character orthogonality.  The characters of the
-two-dimensional modules are irrational, so this one computation is floating
-point; multiplicities are gated to be within 1e-6 of nonnegative integers
-and the total dimension is re-checked exactly.
+b(s) and b(t) over the integers alone: it checks the defining relations
+exactly, counts the eigenvalues of the rotation st by their order from the
+traces of its powers, and separates the one-dimensional modules by the
+traces of s and t.  The float helpers here (``character``,
+``kl_generator_matrices``, ``char_poly_two_dim``) describe the simple
+modules and are not used by ``decompose``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .dihedral import GroupElement, dihedral_group
+from .dihedral import GroupElement
 from .exact import (
     IntMatrix,
     freeze_matrix,
@@ -257,61 +257,47 @@ def check_module_relations(n: int, a_s: IntMatrix, a_t: IntMatrix) -> str | None
     return None
 
 
-@functools.lru_cache(maxsize=None)
-def _character_table(n: int) -> tuple[tuple[SimpleModule, tuple[float, ...]], ...]:
-    """Each simple module of D_n with its character on every element, in
-    the all_elements order."""
-    elements = dihedral_group(n).all_elements()
-    return tuple((module, tuple(character(module, n, w) for w in elements)) for module in simples(n))
-
-
-def _reflection_trace(p: IntMatrix, reflection: IntMatrix) -> int:
-    """tr(p x) = sum of p[i][j] x[j][i], over the nonzero entries of x."""
-    return sum(v * p[i][j] for j, row in enumerate(reflection) for i, v in enumerate(row) if v)
-
-
 def decompose(n: int, a_s: Sequence[Sequence[int]], a_t: Sequence[Sequence[int]]) -> Decomposition:
     """Decompose the representation with b(s), b(t) acting by a_s, a_t.
 
-    Raises NotAModuleError when the defining relations fail (checked exactly
-    over the integers before any floating point happens).  The traces come
-    from the powers P_m = (ST)^m, m <= ceil(n/2), of that check
-    (``_rotation_powers``): the rotations of length 2m, (st)^m and
-    (ts)^m = T P_m T, have trace tr P_m, and the reflections of length
-    2m + 1, (st)^m s and t (st)^m, have traces tr(P_m S) and tr(P_m T),
-    read off without a product.  Each multiplicity is the character sum
-    over the elements in all_elements order, so its floats are those of
-    the sum over the matrices of the group elements themselves.  The terms
-    come in the order of ``simples(n)``: V(1,1), V(1,-1), V(-1,1),
-    V(-1,-1), then k ascending.
-    """
-    frozen_s = freeze_matrix(a_s)
-    frozen_t = freeze_matrix(a_t)
-    s_mat, t_mat, powers = _rotation_powers(n, frozen_s, frozen_t)
-    r = len(frozen_s)
-    traces = [r]
-    for length in range(1, n + 1):
-        m, odd = divmod(length, 2)
-        # the s-leading element, then the t-leading one; w0 is one element
-        letters = (s_mat, t_mat) if length < n else (s_mat,)
-        traces += [_reflection_trace(powers[m], x) if odd else trace(powers[m]) for x in letters]
+    Raises NotAModuleError when the defining relations fail
+    (``_rotation_powers``).  Only integers are used: the traces of the
+    powers P_m = (ST)^m, m <= ceil(n/2), that the check builds, and tr S
+    and tr T, with S = A_s - I and T = A_t - I.  The terms come in the
+    order of ``simples(n)``: V(1,1), V(1,-1), V(-1,1), V(-1,-1), then k
+    ascending.
 
+    Why it is exact.  (ST)^n = I, so ST is diagonalisable with n-th roots
+    of unity as eigenvalues; let zeta = exp(2 pi i/n).  The traces
+    a_j = tr (ST)^j are integers and a_(n-j) is the conjugate of a_j, so
+    a_j = tr P_min(j, n-j).  For a divisor e of n, the mean of mu^i over
+    i < n/e is 1 for mu = 1 and 0 for any other (n/e)-th root of unity mu,
+    so (e/n) sum_i a_(e*i) counts the eigenvalues lambda with lambda^e = 1;
+    taking away those of each order d < e that divides e leaves N_e, the
+    number of order exactly e.  Of the simple modules only V(n,k) has the
+    eigenvalue zeta^k (and zeta^-k), and as ST is an integer matrix its
+    phi(d) primitive d-th roots of unity are Galois conjugate and share
+    one multiplicity: V(n,k) occurs N_d/phi(d) times, d = n/gcd(n, k).
+    V(eps, delta) gives ST the eigenvalue eps*delta, of order d = 1 or 2,
+    so N_d = m(eps, delta) + m(-eps, -delta); S and T have trace 0 on
+    every V(n,k), so eps tr S + delta tr T = 2(m(eps, delta) - m(-eps, -delta)).
+    Adding the two, m(eps, delta) = (2 N_d + eps tr S + delta tr T)/4.
+    """
+    s_mat, t_mat, powers = _rotation_powers(n, freeze_matrix(a_s), freeze_matrix(a_t))
+    traces = [trace(powers[min(j, n - j)]) for j in range(n)]
+    orders = [n // math.gcd(n, j) for j in range(n)]  # the order of zeta^j
+    counts: dict[int, int] = {}  # order -> eigenvalues of ST of that order
+    for e in sorted(set(orders)):
+        counts[e] = e * sum(traces[::e]) // n - sum(c for d, c in counts.items() if e % d == 0)
+    tr_s, tr_t = trace(s_mat), trace(t_mat)
     terms: list[tuple[SimpleModule, int]] = []
-    for module, characters in _character_table(n):
-        total = 0.0
-        for chi, count in zip(characters, traces):
-            total += chi * count
-        value = total / (2 * n)
-        nearest = round(value)
-        if abs(value - nearest) > 1e-6 or nearest < 0:
-            raise NotAModuleError(
-                f"multiplicity of {simple_name(module, n)} is {value}, not a nonnegative integer"
-            )
-        if nearest:
-            terms.append((module, nearest))
-    result = Decomposition(n=n, terms=tuple(terms))
-    if result.total_dim() != r:
-        raise NotAModuleError(
-            f"multiplicities account for dimension {result.total_dim()}, matrix size is {r}"
-        )
-    return result
+    for module in simples(n):
+        if isinstance(module, OneDim):
+            order = 1 if module.eps == module.delta else 2
+            mult = (2 * counts[order] + module.eps * tr_s + module.delta * tr_t) // 4
+        else:
+            order = orders[module.k]
+            mult = counts[order] // orders.count(order)
+        if mult:
+            terms.append((module, mult))
+    return Decomposition(n=n, terms=tuple(terms))

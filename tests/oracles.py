@@ -36,12 +36,15 @@ its reduced word, one product per element, and ``decompose_oracle`` reads
 the multiplicities from their traces after ``module_relations_oracle``,
 which checks the relations with ``mat_pow``; ``reps.decompose`` must give
 the same decomposition, or raise with the same text.
+``eigenvalue_orders`` reads from a decomposition how many eigenvalues of ST
+have each order.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from collections import deque
 
@@ -71,7 +74,7 @@ from klcells.nimrep import (
     _square,
     _twice_idempotent,
 )
-from klcells.reps import Decomposition, NotAModuleError, character, simple_name, simples
+from klcells.reps import Decomposition, NotAModuleError, OneDim, character, module_dim, simple_name, simples
 
 
 def mat_mul_oracle(a, b):
@@ -461,3 +464,17 @@ def decompose_oracle(n, a_s, a_t):
     if result.total_dim() != len(a_s):
         raise NotAModuleError(f"multiplicities account for dimension {result.total_dim()}, matrix size is {len(a_s)}")
     return result
+
+
+def eigenvalue_orders(n, decomposition):
+    """Order d -> how many eigenvalues of ST have order exactly d, as the
+    decomposition gives them: V(eps, delta) has eps*delta, V(n, k) has
+    exp(+-2 pi i k/n)."""
+    counts = {}
+    for module, mult in decomposition.terms:
+        if isinstance(module, OneDim):
+            order = 1 if module.eps == module.delta else 2
+        else:
+            order = n // math.gcd(n, module.k)
+        counts[order] = counts.get(order, 0) + mult * module_dim(module)
+    return counts

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 import pickle
 import random
@@ -35,11 +36,13 @@ from klcells.classify import (
     normalize_filters,
     run_filters,
 )
+from klcells.exact import identity_matrix, mat_mul, mat_sub
 from klcells.nimrep import MatrixPair, _flatten, _square, check_block_form, check_transitive
 import oracles
 from oracles import (
     block_pair,
     decompose_oracle,
+    eigenvalue_orders,
     evaluate_raw_units,
     extend_oracle,
     f1_matrices_oracle,
@@ -542,11 +545,17 @@ def test_variety_reports_match_the_raw_pair_oracle(monkeypatch, n, disabled):
 
 BLOCK_SEARCH = {"ranks": (1, 2, 3, 4), "entry_bound": 2}
 VARIETY_SEARCH = {"ranks": (1, 2, 3), "entry_bound": 2, "disabled": ("F7",), "max_states": 10**9}
+RANK4_VARIETY_SEARCH = {**VARIETY_SEARCH, "ranks": (4,), "max_states": 10**16}
 SURVIVOR_SEARCHES = (
     [(n, BLOCK_SEARCH) for n in range(3, 9)]
     + [(n, VARIETY_SEARCH) for n in range(3, 9)]
     + [(4, {**BLOCK_SEARCH, "disabled": (off,)}) for off in ("F3", "F4", "F6")]
     + [(4, {**VARIETY_SEARCH, "disabled": ("F7", off)}) for off in ("F3", "F4", "F6")]
+    # the CI --jobs searches not listed above
+    + [(6, {**BLOCK_SEARCH, "entry_bound": bound}) for bound in (3, 4)]
+    + [(30, BLOCK_SEARCH)]
+    + [(4, RANK4_VARIETY_SEARCH)]
+    + [(4, {**VARIETY_SEARCH, "ranks": (6,), "entry_bound": 1, "max_states": 10**22})]
 )
 
 
@@ -564,6 +573,41 @@ def test_every_candidate_is_its_inspect_pair(n, search):
         assert candidate.canonical_key == expected.canonical_key
         assert list(candidate.extension.family.items()) == list(expected.extension.family.items())
         assert candidate.decomposition == decompose_oracle(n, candidate.pair.theta_s, candidate.pair.theta_t)
+
+
+def rotation_order(n, a_s, a_t):
+    """The least m >= 1 with ((A_s - I)(A_t - I))^m = I, looked for up to n."""
+    ident = identity_matrix(len(a_s))
+    rotation = mat_mul(mat_sub(a_s, ident), mat_sub(a_t, ident))
+    power = ident
+    for m in range(1, n + 1):
+        power = mat_mul(power, rotation)
+        if power == ident:
+            return m
+    return None
+
+
+J2_ORDER_SEARCHES = (
+    [(n, {"ranks": (1, 2, 3, 4), "entry_bound": 3}) for n in range(3, 13)]
+    + [(n, BLOCK_SEARCH) for n in (18, 24, 30)]
+    + [(4, RANK4_VARIETY_SEARCH)]
+    + [(n, VARIETY_SEARCH) for n in (4, 6)]
+)
+
+
+def test_every_j2_survivor_rotates_with_order_n():
+    # ST is conjugate to a bipartite Coxeter element, of order the Coxeter
+    # number; read it from the decomposition (the lcm of the orders of the
+    # eigenvalues of ST) and from the powers of ST themselves
+    seen = 0
+    for n, search in J2_ORDER_SEARCHES:
+        for candidate in classify(n, **search).candidates:
+            if candidate.apex != "J2":
+                continue
+            assert math.lcm(*eigenvalue_orders(n, candidate.decomposition)) == n, (n, candidate.pair)
+            assert rotation_order(n, candidate.pair.theta_s, candidate.pair.theta_t) == n, (n, candidate.pair)
+            seen += 1
+    assert seen == 159
 
 
 def test_survivor_reports_follow_the_run_filters_order():

@@ -25,7 +25,7 @@ from klcells.reps import (
     check_module_relations,
     simples,
 )
-from oracles import decompose_oracle, group_matrices_oracle, module_relations_oracle
+from oracles import decompose_oracle, eigenvalue_orders, group_matrices_oracle, module_relations_oracle
 
 
 def test_simples_inventory():
@@ -200,10 +200,12 @@ def unimodular_pair(rng, dim):
 
 
 def test_decompose_random_conjugated_sums():
+    # sums of cell modules, conjugated by a unimodular matrix: at composite
+    # n (12, 24, 30) a sum mixes eigenvalues of ST of many orders
     rng = random.Random(40320)
     names = ("Le", "Ls", "Lt", "Lw0")
     for _ in range(120):
-        n = rng.randint(3, 6)
+        n = rng.randint(3, 30)
         picks = [rng.choice(names) for _ in range(rng.randint(1, 3))]
         modules = [cell_module(n, name) for name in picks]
         sizes = [len(m.cell) for m in modules]
@@ -265,6 +267,30 @@ def test_group_matrices_match_word_products():
                 for letter in w.word():
                     product = mat_mul(product, gen[letter])
                 assert rho[w] == product
+
+
+def test_decompose_matches_the_cyclotomic_factors_of_the_characteristic_polynomial():
+    # sympy divides the characteristic polynomial of ST by Phi_d for each
+    # d | n; Phi_d has the phi(d) primitive d-th roots as its roots
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in list(range(3, 25)) + [30, 36]:
+        for name in ("Le", "Ls", "Lt", "Lw0"):
+            a_s, a_t = cell_module(n, name).generator_pair()
+            ident = identity_matrix(len(a_s))
+            rotation = sympy.Matrix(mat_mul(mat_sub(a_s, ident), mat_sub(a_t, ident)))
+            remainder = sympy.Poly(rotation.charpoly(x).as_expr(), x)
+            counts = {}
+            for d in sympy.divisors(n):
+                phi_d = sympy.Poly(sympy.cyclotomic_poly(d, x), x)
+                while True:
+                    quotient, rest = sympy.div(remainder, phi_d)
+                    if not rest.is_zero:
+                        break
+                    remainder = quotient
+                    counts[d] = counts.get(d, 0) + phi_d.degree()
+            assert remainder.degree() == 0, (n, name)
+            assert eigenvalue_orders(n, decompose(n, a_s, a_t)) == counts, (n, name)
 
 
 def same_decomposition(n, a_s, a_t):
