@@ -25,9 +25,10 @@ prepared generators (``_Generator``), the lanes, with the rows of every
 lane packed side by side into integers.  A single pair is one lane:
 ``structure_constants`` is the family of the regular pair and
 ``kl_multiply`` reads it, a cell module is the family of its own
-generator pair (``cells.cell_module``), and ``nimrep.extend`` runs it on
-one candidate pair; the family is unpacked matrix by matrix as it is
-read.  The classification search prepares each generator once and judges
+generator pair (``cells.cell_module``, run when a matrix past the
+generators is first read), and ``nimrep.extend`` runs it on one
+candidate pair; the family is unpacked matrix by matrix as it is read,
+and its traces are read off the packed diagonals.  The classification search prepares each generator once and judges
 the pairs of several work units in one call.
 
 The independent route, plain convolution in the group basis followed by
@@ -40,7 +41,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 
 from .dihedral import (
@@ -554,37 +555,81 @@ def _flatten(m: IntMatrix) -> list[int]:
     return [v for row in m for v in row]
 
 
+def _diagonal(rows: Sequence[int], width: int) -> list[int]:
+    """The diagonal of a one-lane packed matrix, field i of row i.
+
+    In the offset form ``row + offset`` field i holds entry i plus
+    2^(width-1), with no borrow from the fields below it (``_unpack``), so
+    the entry is that field less 2^(width-1); no other field is read.
+    """
+    offset = _frame(width, len(rows))[1]
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    return [((row + offset) >> (i * width) & mask) - half for i, row in enumerate(rows)]
+
+
 class _PackedFamily(Mapping):
     """A one-lane kernel family keyed by group element, read-only.
 
-    Each matrix is unpacked from its packed rows on first access and kept,
-    so a reader that needs a few matrices of a family pays for those only.
+    ``elements`` are the keys, in the kernel's order, and ``known`` the
+    matrices given as tuples (A_e, A_s and A_t).  Every other matrix is
+    unpacked from its packed rows on first access and kept, so a reader
+    that needs a few matrices of a family pays for those only.  ``build``
+    returns (packed matrices in the order of ``elements``, width); it runs
+    once, when packed rows are first needed, so a reader that stays with
+    the known matrices never runs the kernel.
     """
 
-    __slots__ = ("_packed", "_width", "_matrices")
+    __slots__ = ("_index", "_matrices", "_build", "_packed", "_width")
 
     def __init__(
-        self, packed: dict[GroupElement, list[int]], width: int, known: dict[GroupElement, IntMatrix]
+        self,
+        elements: Sequence[GroupElement],
+        known: dict[GroupElement, IntMatrix],
+        build: Callable[[], tuple[list[list[int]], int]],
     ) -> None:
-        self._packed = packed
-        self._width = width
+        self._index = {w: i for i, w in enumerate(elements)}
         self._matrices = known
+        self._build = build
+        self._packed: list[list[int]] | None = None
+        self._width = 0
+
+    def _rows(self, w: GroupElement) -> list[int]:
+        index = self._index[w]
+        if self._packed is None:
+            self._packed, self._width = self._build()
+        return self._packed[index]
 
     def __getitem__(self, w: GroupElement) -> IntMatrix:
         matrix = self._matrices.get(w)
         if matrix is None:
-            (matrix,) = _unpack([self._packed[w]], self._width)
+            (matrix,) = _unpack([self._rows(w)], self._width)
             self._matrices[w] = matrix
         return matrix
 
+    def trace(self, w: GroupElement) -> int:
+        """tr A_w, summed from the diagonal of its packed rows (``_diagonal``)."""
+        return sum(_diagonal(self._rows(w), self._width))
+
     def __contains__(self, w: object) -> bool:
-        return w in self._packed
+        return w in self._index
 
     def __iter__(self):
-        return iter(self._packed)
+        return iter(self._index)
 
     def __len__(self) -> int:
-        return len(self._packed)
+        return len(self._index)
+
+
+def _known(n: int, theta_s: IntMatrix, theta_t: IntMatrix) -> dict[GroupElement, IntMatrix]:
+    """A_e, A_s and A_t of a family, keyed by group element."""
+    e, s, t = dihedral_group(n).all_elements()[:3]
+    return {e: identity_matrix(len(theta_s)), s: theta_s, t: theta_t}
+
+
+def _prepared(theta_s: IntMatrix, theta_t: IntMatrix) -> tuple[list[_Generator], list[_Generator]]:
+    """The one lane of a generator pair, prepared for ``_kl_recursion``."""
+    rank = len(theta_s)
+    return [_Generator(_flatten(theta_s), rank)], [_Generator(_flatten(theta_t), rank)]
 
 
 def _kl_family(
@@ -597,24 +642,27 @@ def _kl_family(
     others are unpacked when first read), the kernel's outcome, and for F2
     the negative matrix, which is not in the family.
     """
-    rank = len(theta_s)
-    gen_s, gen_t = _Generator(_flatten(theta_s), rank), _Generator(_flatten(theta_t), rank)
-    matrices, width, (outcome,), negative = _kl_recursion(n, [gen_s], [gen_t], check_support)
-    elements = dihedral_group(n).all_elements()
-    known = {elements[0]: identity_matrix(rank), elements[1]: theta_s, elements[2]: theta_t}
-    family = _PackedFamily(dict(zip(elements, matrices)), width, known)
+    matrices, width, (outcome,), negative = _kl_recursion(n, *_prepared(theta_s, theta_t), check_support)
+    elements = dihedral_group(n).all_elements()[: len(matrices)]
+    family = _PackedFamily(elements, _known(n, theta_s, theta_t), lambda: (matrices, width))
     return family, outcome, (_unpack([negative], width)[0] if negative is not None else None)
 
 
 def _module_family(n: int, theta_s: IntMatrix, theta_t: IntMatrix) -> Mapping[GroupElement, IntMatrix]:
     """The KL family of the generator pair of a module, checked complete.
 
+    The kernel runs when a matrix other than A_e, A_s and A_t is first
+    read, so a caller that wants only the generator pair never runs it.
     A module of the KL basis realises the whole family, so the kernel can
     meet neither a negative matrix (F2) nor two different A_w0 (F5).
     """
-    family, outcome, _ = _kl_family(n, theta_s, theta_t)
-    assert outcome is None, f"the KL family of a module cannot fail {outcome}"
-    return family
+
+    def build() -> tuple[list[list[int]], int]:
+        matrices, width, (outcome,), _ = _kl_recursion(n, *_prepared(theta_s, theta_t))
+        assert outcome is None, f"the KL family of a module cannot fail {outcome}"
+        return matrices, width
+
+    return _PackedFamily(dihedral_group(n).all_elements(), _known(n, theta_s, theta_t), build)
 
 
 # -- the full structure-constant table -------------------------------------

@@ -21,9 +21,11 @@ the coefficients of basis elements inside L.  The truncation is checked on
 the generator pair: cell_module restricts the regular matrices of b(s) and
 b(t) to the basis of L, checks that every discarded term lies strictly
 above L in the left preorder, which is what makes the truncation a
-quotient of modules rather than an arbitrary projection, and then builds
-the matrix of every b(u) with the flat KL kernel of ``klcells.algebra``.
-It never reads the structure-constant table.
+quotient of modules rather than an arbitrary projection.  The matrix of
+every other b(u) comes from the flat KL kernel of ``klcells.algebra``,
+run when such a matrix is first read, so a caller that wants only the
+generator pair never runs it.  It never reads the structure-constant
+table.
 The basis of L is ordered by (leading letter, length) with s before t; for
 n = 4 this is (s, sts, ts), the order in which the standard matrices for
 the generators are triangular-looking blocks.  The module of a right cell R

@@ -91,14 +91,14 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .algebra import _Generator, _flatten, _kl_recursion
 from .cells import cell_module, compute_cells, left_cell_name
-from .exact import IntMatrix, mat_add
+from .dihedral import dihedral_group
+from .exact import IntMatrix, is_zero_matrix, mat_add
 from .nimrep import (
     ExtendedRep,
     ExtensionFailure,
     FilterReport,
     MatrixPair,
     PerronAnalysis,
-    annihilator_check,
     apex_of,
     check_block_form,
     check_idempotent,
@@ -108,9 +108,10 @@ from .nimrep import (
     _square,
     _strongly_connected,
 )
+from .reps import Decomposition, OneDim, _count_simples
 # unused here but stay bound: perfbench/tracing.py wraps these names
-from .nimrep import check_apex_support, check_group_relations
-from .reps import Decomposition, NotAModuleError, decompose
+from .nimrep import annihilator_check, check_apex_support, check_group_relations
+from .reps import decompose
 
 __all__ = [
     "ALL_FILTERS",
@@ -779,9 +780,38 @@ def _candidate(pair: MatrixPair, key: bytes, enabled: Sequence[str]) -> Candidat
     """The Candidate of a pair whose class has the canonical key ``key``.
 
     The pair goes through ``run_filters``.  A rejected pair is tagged
-    REJECTED with the first failing filter; a survivor is annotated from
-    the family of the extension, which ``apex_of`` and
-    ``annihilator_check`` read.
+    REJECTED with the first failing filter.  A survivor's decomposition,
+    apex and annihilator verdict come from the traces of the family of its
+    extension, with no matrix product (``decompose``, ``apex_of`` and
+    ``annihilator_check`` are the tests' oracles for them).  A survivor
+    passes F1 and F5, so it is a D_n-module: F1 makes S = A_s - I and
+    T = A_t - I involutions and F5 is (ST)^n = I (``run_filters``).
+
+    Decomposition.  Below length n, A_w = rho(b_w) with b_w the sum of the
+    u <= w (``run_filters``), and so A_w0 = rho(sum of D_n).  Let C_l be
+    the sum of tr rho(u) over the u of length <= l, so C_0 = r, and let
+    x_l and y_l be the elements of length l that lead with s and t.  Then
+    tr rho(x_l) = tr A_(x_l) - C_(l-1) and
+    C_l = tr A_(x_l) + tr A_(y_l) - C_(l-1).  As x_(2j) = (st)^j, the
+    trace a_j = tr (ST)^j is tr rho(x_(2j)) for 2j < n and
+    tr A_w0 - C_(n-1) for 2j = n; tr S = tr A_s - r and tr T = tr A_t - r.
+    ``reps._count_simples`` turns these into multiplicities.
+
+    Apex.  A_w0 = rho(sum of D_n) = 2n e, with e the projection onto the
+    V(1,1)-isotypic part, so A_w0 is nonzero exactly when V(1,1) occurs:
+    then the apex is J3.  Otherwise it is J1 exactly when A_s = A_t = 0,
+    as every longer A_w is then 0 too and A_e = I is not, and J2 else.
+
+    Annihilator.  By Maschke the module is a sum of simples, on which
+    Q = A_s + A_t = S + T + 2I acts by 2 + eps + delta on V(eps, delta)
+    and on V(n,k) has the two distinct roots of
+    x^2 - 4x + 2 - 2cos(2k pi/n), the k-th quadratic factor of
+    ``nimrep._two_dim_factor_product``.  So Q is diagonalisable, and
+    p(Q) = 0 when p vanishes on its eigenvalues.  Each apex polynomial of
+    ``nimrep.global_annihilator`` does: J1 has Q = 0; J2 has no V(1,1),
+    so no eigenvalue 4, and x (x-2) P(x) covers 0, 2 and every V(n,k);
+    J3's polynomial also has x - 4, and x - 2 for even n, the only n with
+    V(1,-1) and V(-1,1).  So the verdict is True.
     """
     n, rank = pair.n, pair.rank
     reports, ext, failed = run_filters(pair, enabled)
@@ -807,10 +837,23 @@ def _candidate(pair: MatrixPair, key: bytes, enabled: Sequence[str]) -> Candidat
                 citation = entry.citation
                 break
         tag = Tag("MATRIX_ADMISSIBLE_UNREALIZED", citation)
-    try:
-        decomposition = decompose(n, pair.theta_s, pair.theta_t)
-    except NotAModuleError:
-        decomposition = None
+    family, elements = ext.family, dihedral_group(n).all_elements()
+    cumulative = rank  # C_(l-1)
+    rho_traces = []  # (tr rho(x_l), tr rho(y_l)) for l = 1 .. n-1
+    for length in range(1, n):
+        traced = (family.trace(elements[2 * length - 1]) - cumulative, family.trace(elements[2 * length]) - cumulative)
+        rho_traces.append(traced)
+        cumulative += sum(traced)
+    rotation_traces = [rank] + [tr_x for tr_x, _ in rho_traces[1::2]]
+    if n % 2 == 0:
+        rotation_traces.append(family.trace(elements[-1]) - cumulative)
+    decomposition = _count_simples(n, rotation_traces, *rho_traces[0])
+    if decomposition.multiplicity(OneDim(1, 1)):
+        apex = "J3"
+    elif is_zero_matrix(pair.theta_s) and is_zero_matrix(pair.theta_t):
+        apex = "J1"
+    else:
+        apex = "J2"
     try:
         perron = perron_analysis(mat_add(pair.theta_s, pair.theta_t))
     except ArithmeticError:
@@ -820,10 +863,10 @@ def _candidate(pair: MatrixPair, key: bytes, enabled: Sequence[str]) -> Candidat
         canonical_key=key,
         filters=reports,
         extension=ext,
-        apex=apex_of(ext),
+        apex=apex,
         tag=tag,
         decomposition=decomposition,
-        annihilator_passed=annihilator_check(ext).passed,
+        annihilator_passed=True,
         perron=perron,
     )
 

@@ -262,15 +262,28 @@ def decompose(n: int, a_s: Sequence[Sequence[int]], a_t: Sequence[Sequence[int]]
 
     Raises NotAModuleError when the defining relations fail
     (``_rotation_powers``).  Only integers are used: the traces of the
-    powers P_m = (ST)^m, m <= ceil(n/2), that the check builds, and tr S
-    and tr T, with S = A_s - I and T = A_t - I.  The terms come in the
-    order of ``simples(n)``: V(1,1), V(1,-1), V(-1,1), V(-1,-1), then k
-    ascending.
+    powers P_m = (ST)^m, m <= n/2, that the check builds, and tr S and
+    tr T, with S = A_s - I and T = A_t - I; ``_count_simples`` turns them
+    into multiplicities.
+    """
+    s_mat, t_mat, powers = _rotation_powers(n, freeze_matrix(a_s), freeze_matrix(a_t))
+    return _count_simples(n, [trace(p) for p in powers[: n // 2 + 1]], trace(s_mat), trace(t_mat))
+
+
+def _count_simples(n: int, rotation_traces: Sequence[int], tr_s: int, tr_t: int) -> Decomposition:
+    """The decomposition of a D_n-module from its integer traces.
+
+    ``rotation_traces[j]`` is a_j = tr (ST)^j for 0 <= j <= n/2, and tr_s,
+    tr_t are tr S and tr T, where S and T are the actions of s and t, so
+    S^2 = T^2 = (ST)^n = I.  The terms come in the order of ``simples(n)``:
+    V(1,1), V(1,-1), V(-1,1), V(-1,-1), then k ascending.  ``decompose``
+    reads the traces off the powers of ST; ``classify._candidate`` reads
+    them off the KL family that the search has already built.
 
     Why it is exact.  (ST)^n = I, so ST is diagonalisable with n-th roots
     of unity as eigenvalues; let zeta = exp(2 pi i/n).  The traces
     a_j = tr (ST)^j are integers and a_(n-j) is the conjugate of a_j, so
-    a_j = tr P_min(j, n-j).  For a divisor e of n, the mean of mu^i over
+    a_(n-j) = a_j.  For a divisor e of n, the mean of mu^i over
     i < n/e is 1 for mu = 1 and 0 for any other (n/e)-th root of unity mu,
     so (e/n) sum_i a_(e*i) counts the eigenvalues lambda with lambda^e = 1;
     taking away those of each order d < e that divides e leaves N_e, the
@@ -283,13 +296,11 @@ def decompose(n: int, a_s: Sequence[Sequence[int]], a_t: Sequence[Sequence[int]]
     every V(n,k), so eps tr S + delta tr T = 2(m(eps, delta) - m(-eps, -delta)).
     Adding the two, m(eps, delta) = (2 N_d + eps tr S + delta tr T)/4.
     """
-    s_mat, t_mat, powers = _rotation_powers(n, freeze_matrix(a_s), freeze_matrix(a_t))
-    traces = [trace(powers[min(j, n - j)]) for j in range(n)]
+    traces = [rotation_traces[min(j, n - j)] for j in range(n)]
     orders = [n // math.gcd(n, j) for j in range(n)]  # the order of zeta^j
     counts: dict[int, int] = {}  # order -> eigenvalues of ST of that order
     for e in sorted(set(orders)):
         counts[e] = e * sum(traces[::e]) // n - sum(c for d, c in counts.items() if e % d == 0)
-    tr_s, tr_t = trace(s_mat), trace(t_mat)
     terms: list[tuple[SimpleModule, int]] = []
     for module in simples(n):
         if isinstance(module, OneDim):

@@ -2,9 +2,11 @@
 
 ``extend_oracle`` is the KL recursion on tuple-of-tuples matrices, one
 ``mat_mul`` per element; ``nimrep.extend`` must give the same family,
-element and witness text.  ``run_filters_oracle`` is the filter pipeline
-that reads F4 off the extended family with ``check_apex_support`` (a walk
-over ``compute_cells``) and checks F6 with ``check_group_relations``;
+element and witness text.  A complete family is a ``TracedFamily``, a dict
+that also gives each trace, as the survivor annotation reads it.
+``run_filters_oracle`` is the filter pipeline that reads F4 off the
+extended family with ``check_apex_support`` (a walk over
+``compute_cells``) and checks F6 with ``check_group_relations``;
 ``classify.run_filters``, which renders F4, F2 and F5 from one kernel call
 and F6 from F1 and F5, must give the same reports, failing filter and
 apex.  ``f1_matrices_oracle`` is the F1 variety by
@@ -263,7 +265,15 @@ def extend_oracle(pair, check_support=False):
             partial=dict(family),
         )
     family[w0] = via_s
-    return ExtendedRep(pair=pair, family=dict(family))
+    return ExtendedRep(pair=pair, family=TracedFamily(family))
+
+
+class TracedFamily(dict):
+    """A family on tuples that gives tr A_w by ``trace``, as the package's
+    packed family does, so a survivor annotation can read it."""
+
+    def trace(self, w):
+        return trace(self[w])
 
 
 def run_filters_oracle(pair, enabled):

@@ -17,9 +17,12 @@ from klcells.algebra import (
     kl_regular_matrices,
     kl_to_group,
     structure_constants,
+    _diagonal,
     _unpack,
 )
+from klcells.cells import cell_module
 from klcells.dihedral import bruhat_lt, dihedral_group
+from klcells.exact import trace
 from oracles import unpack_oracle
 
 
@@ -288,3 +291,32 @@ def test_unpack_matches_the_field_by_field_oracle():
             cases += len(matrices)
     assert _unpack([], 5) == unpack_oracle([], 5) == []
     assert cases == 129 * 2 * 13
+
+
+def test_diagonal_is_the_diagonal_of_unpack():
+    # widths 2..130, which hold every n=30 width (30 * b + 1 for b <= 4),
+    # entries of both signs, and diagonal fields at and next to
+    # -2^(width-1) and 2^(width-1) - 1 beside neighbours that borrow
+    rng = random.Random(1509)
+    for width in range(2, 131):
+        half = 1 << (width - 1)
+        extremes = (-half, -half + 1, -1, 0, 1, half - 2, half - 1)
+        for rank in (width % 24 + 1, rng.randint(1, 24)):
+            matrices = [[[rng.randrange(-half, half) for _ in range(rank)] for _ in range(rank)]]
+            matrices.append([[rng.choice(extremes) for _ in range(rank)] for _ in range(rank)])
+            for v in extremes:
+                matrices.append([[v if i == j else rng.choice((-1, 0, 1)) for j in range(rank)] for i in range(rank)])
+            for matrix in matrices:
+                rows = pack(matrix, width)
+                (unpacked,) = _unpack([rows], width)
+                assert _diagonal(rows, width) == [unpacked[i][i] for i in range(rank)], (width, rank)
+                assert _diagonal(rows, width) == [matrix[i][i] for i in range(rank)]
+
+
+def test_family_traces_at_n30():
+    # the module of the left cell of the words ending in s at D_30: rank
+    # 29, the kernel's own width, and traces that vary with w
+    family = cell_module(30, "Ls").matrices
+    traces = [family.trace(w) for w in dihedral_group(30).all_elements()]
+    assert traces == [trace(family[w]) for w in dihedral_group(30).all_elements()]
+    assert len(set(traces)) > 10

@@ -5,7 +5,15 @@ import json
 
 import pytest
 
-from klcells.algebra import KL, GroupAlgebraElement, kl_regular_matrices, structure_constants
+import klcells.algebra
+from klcells.algebra import (
+    KL,
+    GroupAlgebraElement,
+    kl_regular_matrices,
+    structure_constants,
+    _kl_family,
+    _module_family,
+)
 from klcells.cells import (
     cell_by_name,
     cell_diagram_dot,
@@ -324,6 +332,46 @@ def test_generator_pair():
     a_s, a_t = module.generator_pair()
     assert a_s == ((2, 0, 1), (0, 2, 1), (0, 0, 0))
     assert a_t == ((0, 0, 0), (0, 0, 0), (1, 1, 2))
+
+
+def test_cell_module_builds_its_family_only_past_the_generators(monkeypatch):
+    # reading e, s and t runs no kernel; the first longer read runs it once,
+    # and the lazy matrices equal the family of one eager kernel run
+    calls = []
+    kernel = klcells.algebra._kl_recursion
+
+    def counted(n, *args, **kwargs):
+        calls.append(n)
+        return kernel(n, *args, **kwargs)
+
+    monkeypatch.setattr(klcells.algebra, "_kl_recursion", counted)
+    for n in range(3, 13):
+        group = dihedral_group(n)
+        for cell in compute_cells(n).left_cells:
+            module = cell_module(n, cell)
+            a_s, a_t = module.generator_pair()
+            assert module.matrices[group.identity()] == tuple(
+                tuple(int(i == j) for j in range(len(cell))) for i in range(len(cell))
+            )
+            assert group.longest_element() in module.matrices
+            assert len(module.matrices) == 2 * n
+            assert calls == [], (n, cell)
+            eager, outcome, _ = _kl_family(n, a_s, a_t)
+            assert outcome is None
+            assert calls == [n]
+            assert list(module.matrices.items()) == list(eager.items()), (n, cell)
+            assert calls == [n, n]
+            del calls[:]
+
+
+def test_module_family_checks_completeness_when_built():
+    # (2), (0) at n=3 is not a module: A_w0 = A_s A_ts - A_s = (-2), so the
+    # kernel fails F2; that shows only once a longer matrix is read
+    group = dihedral_group(3)
+    family = _module_family(3, ((2,),), ((0,),))
+    assert family[group.generator("s")] == ((2,),)
+    with pytest.raises(AssertionError, match="cannot fail F2"):
+        family[group.element(2, "s")]
 
 
 def test_cell_module_jsonable():

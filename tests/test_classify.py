@@ -37,7 +37,16 @@ from klcells.classify import (
     run_filters,
 )
 from klcells.exact import identity_matrix, mat_mul, mat_sub
-from klcells.nimrep import MatrixPair, _flatten, _square, check_block_form, check_transitive
+from klcells.nimrep import (
+    MatrixPair,
+    _flatten,
+    _square,
+    annihilator_check,
+    apex_of,
+    check_block_form,
+    check_transitive,
+)
+from klcells.reps import decompose
 import oracles
 from oracles import (
     block_pair,
@@ -556,14 +565,18 @@ SURVIVOR_SEARCHES = (
     + [(30, BLOCK_SEARCH)]
     + [(4, RANK4_VARIETY_SEARCH)]
     + [(4, {**VARIETY_SEARCH, "ranks": (6,), "entry_bound": 1, "max_states": 10**22})]
+    # Galois-conjugate V(12,1) + V(12,5): two k share the order 12
+    + [(12, {**BLOCK_SEARCH, "entry_bound": 3})]
 )
 
 
 @pytest.mark.parametrize("n, search", SURVIVOR_SEARCHES)
 def test_every_candidate_is_its_inspect_pair(n, search):
     # a surviving class is annotated on its canonical pair; inspect_pair
-    # on that pair must give the same candidate, key and family included,
-    # and decompose the word-product oracle's decomposition
+    # on that pair must give the same candidate, key and family included.
+    # The annotation reads the family's traces; the matrix-product routes
+    # it replaces are its oracles: decompose and the word-product
+    # decomposition, apex_of, and the annihilator evaluated at Q
     disabled = search.get("disabled", ())
     report = classify(n, **search)
     assert report.candidates
@@ -572,7 +585,11 @@ def test_every_candidate_is_its_inspect_pair(n, search):
         assert candidate.to_jsonable() == expected.to_jsonable(), candidate.pair
         assert candidate.canonical_key == expected.canonical_key
         assert list(candidate.extension.family.items()) == list(expected.extension.family.items())
-        assert candidate.decomposition == decompose_oracle(n, candidate.pair.theta_s, candidate.pair.theta_t)
+        theta_s, theta_t = candidate.pair.theta_s, candidate.pair.theta_t
+        assert candidate.decomposition == decompose(n, theta_s, theta_t) == decompose_oracle(n, theta_s, theta_t)
+        assert candidate.apex == apex_of(candidate.extension)
+        assert annihilator_check(candidate.extension).passed is True
+        assert candidate.annihilator_passed is True
 
 
 def rotation_order(n, a_s, a_t):
