@@ -61,13 +61,13 @@ F1, F3, F4, F2, F5, F6, F7 and a rejected pair is charged to the first
 failure (F4 is judged as the extension grows, so a support defect is
 reported as F4 even when the extension would break down slightly later).
 
-Survivors are tagged:
-
-* REALIZED_CELL(name) when the canonical pair equals a cell module's
-  generator pair (checked against Le, Ls, Lt, Lw0 in that order),
-* MATRIX_ADMISSIBLE_UNREALIZED(citation) otherwise, with the citation
-  looked up in the packaged knowledge table (falling back to
-  "unknown: no recorded classification").
+A survivor is tagged by one lookup of its canonical key in the table of
+its (n, rank) (``_tags``): REALIZED_CELL(name) for the class of a left
+cell module's generator pair, MATRIX_ADMISSIBLE_UNREALIZED(citation) for
+that of a packaged knowledge entry whose rank and n_pattern match, and
+MATRIX_ADMISSIBLE_UNREALIZED("unknown: no recorded classification") for
+any other key.  A cell beats an entry, and an earlier cell (Le, Ls, Lt,
+Lw0) or entry beats a later one.
 
 Reports are deterministic byte for byte: candidates are sorted by
 (rank, canonical key), every candidate is re-evaluated on its canonical
@@ -300,48 +300,7 @@ def load_knowledge() -> tuple[KnowledgeEntry, ...]:
     return tuple(entries)
 
 
-@functools.lru_cache(maxsize=None)
-def _knowledge_keys() -> tuple[tuple[int, bytes, KnowledgeEntry], ...]:
-    out = []
-    for entry in load_knowledge():
-        probe = MatrixPair(n=max(3, entry.rank), rank=entry.rank, theta_s=entry.theta_s, theta_t=entry.theta_t)
-        out.append((entry.rank, canonicalize(probe), entry))
-    return tuple(out)
-
-
-# -- matching cell modules ----------------------------------------------------
-
-
-@functools.lru_cache(maxsize=None)
-def _cell_keys(n: int, rank: int) -> tuple[tuple[bytes, str], ...]:
-    """(canonical key, cell name) of each left cell of size ``rank``, in the
-    order Le, Ls, Lt, Lw0; only those cells' modules are built."""
-    order = ["Le", "Ls", "Lt", "Lw0"]
-    cells = sorted(
-        (cell for cell in compute_cells(n).left_cells if len(cell) == rank),
-        key=lambda cell: order.index(left_cell_name(cell)),
-    )
-    out = []
-    for cell in cells:
-        a_s, a_t = cell_module(n, cell).generator_pair()
-        out.append((canonicalize(MatrixPair(n=n, rank=rank, theta_s=a_s, theta_t=a_t)), left_cell_name(cell)))
-    return tuple(out)
-
-
-def _cell_name(n: int, rank: int, key: bytes) -> str | None:
-    """The name of the left cell whose generator pair has this canonical key."""
-    for cell_key, name in _cell_keys(n, rank):
-        if cell_key == key:
-            return name
-    return None
-
-
-def match_cell_reps(n: int, pairs: Sequence[MatrixPair]) -> tuple[str | None, ...]:
-    """For each pair, the name of the left cell realizing it, or None."""
-    return tuple(_cell_name(n, pair.rank, canonicalize(pair)) for pair in pairs)
-
-
-# -- candidates and reports ---------------------------------------------------
+# -- tags of surviving classes ----------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -350,6 +309,46 @@ class Tag:
 
     kind: str
     detail: str
+
+
+@functools.lru_cache(maxsize=None)
+def _cell_keys(n: int, rank: int) -> tuple[tuple[bytes, str], ...]:
+    """(canonical key, cell name) of each left cell of size ``rank``, in the
+    order Le, Ls, Lt, Lw0 of ``compute_cells``; only those cells' modules
+    are built."""
+    out = []
+    for cell in compute_cells(n).left_cells:
+        if len(cell) == rank:
+            a_s, a_t = cell_module(n, cell).generator_pair()
+            out.append((canonicalize(MatrixPair(n=n, rank=rank, theta_s=a_s, theta_t=a_t)), left_cell_name(cell)))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _tags(n: int, rank: int) -> dict[bytes, Tag]:
+    """Canonical key -> Tag of the recorded classes of rank ``rank`` at n:
+    the first item to name a key wins, the cells (``_cell_keys``) before
+    the knowledge entries of this rank whose n_pattern matches n."""
+    tags: dict[bytes, Tag] = {}
+    for key, name in _cell_keys(n, rank):
+        tags.setdefault(key, Tag("REALIZED_CELL", name))
+    for entry in load_knowledge():
+        if entry.rank == rank and entry.matches_n(n):
+            key = canonicalize(MatrixPair(n=n, rank=rank, theta_s=entry.theta_s, theta_t=entry.theta_t))
+            tags.setdefault(key, Tag("MATRIX_ADMISSIBLE_UNREALIZED", entry.citation))
+    return tags
+
+
+def match_cell_reps(n: int, pairs: Sequence[MatrixPair]) -> tuple[str | None, ...]:
+    """For each pair, the name of the left cell realizing it, or None."""
+    names = []
+    for pair in pairs:
+        key = canonicalize(pair)
+        names.append(next((name for cell_key, name in _cell_keys(n, pair.rank) if cell_key == key), None))
+    return tuple(names)
+
+
+# -- candidates and reports ---------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -827,16 +826,7 @@ def _candidate(pair: MatrixPair, key: bytes, enabled: Sequence[str]) -> Candidat
             annihilator_passed=None,
             perron=None,
         )
-    cell_match = _cell_name(n, rank, key)
-    if cell_match is not None:
-        tag = Tag("REALIZED_CELL", cell_match)
-    else:
-        citation = UNKNOWN_CITATION
-        for entry_rank, entry_key, entry in _knowledge_keys():
-            if entry_rank == rank and entry_key == key and entry.matches_n(n):
-                citation = entry.citation
-                break
-        tag = Tag("MATRIX_ADMISSIBLE_UNREALIZED", citation)
+    tag = _tags(n, rank).get(key, Tag("MATRIX_ADMISSIBLE_UNREALIZED", UNKNOWN_CITATION))
     family, elements = ext.family, dihedral_group(n).all_elements()
     cumulative = rank  # C_(l-1)
     rho_traces = []  # (tr rho(x_l), tr rho(y_l)) for l = 1 .. n-1

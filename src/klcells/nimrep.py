@@ -307,7 +307,10 @@ def check_apex_support(n: int, extended) -> FilterReport:
     Accepts an ExtendedRep, an ExtensionFailure (whose partial family is
     used) or a plain element-to-matrix mapping.
     """
-    from .cells import compute_cells  # local import to avoid a cycle
+    # not a cycle (cells imports only algebra, dihedral and exact): the name
+    # is looked up in klcells.cells at each call, where perfbench's tracer
+    # wraps compute_cells
+    from .cells import compute_cells
 
     family = _family_of(extended)
     partition = compute_cells(n)

@@ -40,6 +40,10 @@ which checks the relations with ``mat_pow``; ``reps.decompose`` must give
 the same decomposition, or raise with the same text.
 ``eigenvalue_orders`` reads from a decomposition how many eigenvalues of ST
 have each order.
+``dynkin_block_pairs`` builds, from the Cartan matrix of each Dynkin
+diagram with Coxeter number n, the block pair of each side of its
+bipartition; the survivors of ``classify`` with a symmetric zero pattern
+must be their classes.
 """
 
 from __future__ import annotations
@@ -488,3 +492,57 @@ def eigenvalue_orders(n, decomposition):
             order = n // math.gcd(n, module.k)
         counts[order] = counts.get(order, 0) + mult * module_dim(module)
     return counts
+
+
+def dynkin_diagrams(max_rank):
+    """(name, Coxeter number h, Cartan matrix) of every connected Dynkin
+    diagram of rank 2..max_rank, E7 and E8 aside.  A valued edge has
+    C[i][j] C[j][i] = 2 or 3; C_m is the transpose of B_m, so the two are
+    distinct valued edges (C2 is B2)."""
+    def cartan(rank, edges):
+        c = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+        for i, j, c_ij, c_ji in edges:
+            c[i][j], c[j][i] = c_ij, c_ji
+        return tuple(tuple(row) for row in c)
+
+    def chain(m, last=(-1, -1)):
+        return [(i, i + 1, -1, -1) for i in range(m - 2)] + [(m - 2, m - 1) + last]
+
+    diagrams = []
+    for m in range(2, max_rank + 1):
+        diagrams.append((f"A{m}", m + 1, cartan(m, chain(m))))
+        diagrams.append((f"B{m}", 2 * m, cartan(m, chain(m, (-2, -1)))))
+        if m >= 3:
+            diagrams.append((f"C{m}", 2 * m, cartan(m, chain(m, (-1, -2)))))
+        if m >= 4:
+            diagrams.append((f"D{m}", 2 * m - 2, cartan(m, chain(m - 1) + [(m - 3, m - 1, -1, -1)])))
+    exceptional = [
+        ("G2", 6, cartan(2, [(0, 1, -1, -3)])),
+        ("F4", 12, cartan(4, [(0, 1, -1, -1), (1, 2, -2, -1), (2, 3, -1, -1)])),
+        ("E6", 12, cartan(6, chain(5) + [(2, 5, -1, -1)])),
+    ]
+    return diagrams + [d for d in exceptional if len(d[2]) <= max_rank]
+
+
+def dynkin_block_pairs(n, ranks, bound):
+    """(name, block pair) for each side of the bipartition of every Dynkin
+    diagram with Coxeter number n, a rank in ``ranks`` and largest entry of
+    -C at most ``bound``: the side I first, A_s = [[2I, B], [0, 0]] and
+    A_t = [[0, 0], [B', 2I]] with B = -C[I, J] and B' = -C[J, I]."""
+    out = []
+    for name, h, c in dynkin_diagrams(max(ranks)):
+        rank = len(c)
+        if h != n or rank not in ranks or -min(map(min, c)) > bound:
+            continue
+        # the diagram is a tree in which each vertex past 0 has a neighbour
+        # of smaller index: colour it in index order
+        side = [0]
+        for j in range(1, rank):
+            side.append(1 - side[next(i for i in range(j) if c[i][j])])
+        for colour in (0, 1):
+            first = [i for i in range(rank) if side[i] == colour]
+            second = [j for j in range(rank) if side[j] != colour]
+            b_rows = [[-c[i][j] for j in second] for i in first]
+            bp_rows = [[-c[j][i] for i in first] for j in second]
+            out.append((name, block_pair(n, rank, len(first), b_rows, bp_rows)))
+    return out

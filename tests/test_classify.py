@@ -36,7 +36,7 @@ from klcells.classify import (
     normalize_filters,
     run_filters,
 )
-from klcells.exact import identity_matrix, mat_mul, mat_sub
+from klcells.exact import identity_matrix, mat_add, mat_mul, mat_sub
 from klcells.nimrep import (
     MatrixPair,
     _flatten,
@@ -200,6 +200,31 @@ def test_match_cell_reps():
         pair(4, CELL3_S, CELL3_T),
     )
     assert match_cell_reps(4, probes) == (None, "Le", "Lw0", "Ls")
+
+
+def test_tag_table_precedence(monkeypatch):
+    # one table per (n, rank): a cell name beats a citation, of two entries
+    # for one class the first wins, and an entry whose n_pattern misses n
+    # is ignored
+    ls_s, ls_t = cell_module(4, "Ls").generator_pair()
+    b2 = pair(4, UNREAL2_S, UNREAL2_T)
+    b2_swapped = permuted(b2, (1, 0), swap=True)
+    entries = (
+        KnowledgeEntry("any", 3, ls_s, ls_t, "X", "cites the cell Ls"),
+        KnowledgeEntry("1 mod 4", 2, UNREAL2_S, UNREAL2_T, "X", "misses n = 4"),
+        KnowledgeEntry("0 mod 4", 2, b2_swapped.theta_s, b2_swapped.theta_t, "X", "first"),
+        KnowledgeEntry("0 mod 2", 2, UNREAL2_S, UNREAL2_T, "X", "second"),
+    )
+    monkeypatch.setattr(classify_module, "load_knowledge", lambda: entries)
+    classify_module._tags.cache_clear()
+    _cell_keys.cache_clear()
+    try:
+        tags = {(c.pair.rank, c.tag.kind, c.tag.detail) for c in classify(4, ranks=(2, 3), entry_bound=2).candidates}
+        assert tags == {(2, "MATRIX_ADMISSIBLE_UNREALIZED", "first"), (3, "REALIZED_CELL", "Ls")}
+        assert inspect_pair(pair(4, ls_t, ls_s)).tag.detail == "Ls"
+    finally:
+        classify_module._tags.cache_clear()
+        _cell_keys.cache_clear()
 
 
 def test_run_filters_attribution_order():
@@ -366,6 +391,7 @@ def test_cell_matching_builds_only_the_cells_of_a_searched_rank(monkeypatch):
         return original(n, cell)
 
     monkeypatch.setattr(classify_module, "cell_module", counting)
+    classify_module._tags.cache_clear()
     _cell_keys.cache_clear()
     try:
         report = classify(6, ranks=(1, 2, 3, 4), entry_bound=2)
@@ -377,6 +403,7 @@ def test_cell_matching_builds_only_the_cells_of_a_searched_rank(monkeypatch):
         )
         assert built == [1, 1, 5, 5]
     finally:
+        classify_module._tags.cache_clear()
         _cell_keys.cache_clear()
 
 
@@ -625,6 +652,48 @@ def test_every_j2_survivor_rotates_with_order_n():
             assert rotation_order(n, candidate.pair.theta_s, candidate.pair.theta_t) == n, (n, candidate.pair)
             seen += 1
     assert seen == 159
+
+
+def symmetric_pattern(candidate):
+    """B_ij = 0 exactly when B'_ji = 0: the zero pattern of A_s + A_t is
+    symmetric, which no conjugation or s <-> t swap changes."""
+    q = mat_add(candidate.pair.theta_s, candidate.pair.theta_t)
+    return all((q[i][j] == 0) == (q[j][i] == 0) for i in range(len(q)) for j in range(i))
+
+
+# (n, ranks, E, the Dynkin diagrams with h = n there, off-pattern classes):
+# the off-pattern classes are all rank 4, split 2
+DYNKIN_SEARCHES = [
+    (3, (2, 3, 4), 3, "A2", 0),
+    (4, (2, 3, 4), 3, "A3 B2", 0),
+    (5, (2, 3, 4), 3, "A4", 0),
+    (6, (2, 3, 4), 3, "B3 C3 D4 G2", 1),
+    (7, (2, 3, 4), 3, "", 0),
+    (8, (2, 3, 4), 3, "B4 C4", 2),
+    (9, (2, 3, 4), 3, "", 0),
+    (10, (2, 3, 4), 3, "", 1),
+    (11, (2, 3, 4), 3, "", 0),
+    (12, (2, 3, 4), 3, "F4", 3),
+    (6, (5, 6), 1, "A5", 0),
+    (7, (5, 6), 1, "A6", 0),
+    (8, (5, 6), 1, "D5", 0),
+    (10, (5, 6), 1, "D6", 0),
+    (12, (5, 6), 1, "E6", 0),
+]
+
+
+@pytest.mark.parametrize("n, ranks, bound, names, off_pattern", DYNKIN_SEARCHES)
+def test_pattern_symmetric_survivors_are_the_dynkin_diagrams_with_h_n(n, ranks, bound, names, off_pattern):
+    # with a symmetric zero pattern, C = [[2I, -B], [-B', 2I]] is a Cartan
+    # matrix and ST is conjugate to its bipartite Coxeter element, of order
+    # the Coxeter number h: F5 gives h | n, and the survivors have h = n
+    # (the ADE picture of arXiv:1612.06325)
+    diagrams = oracles.dynkin_block_pairs(n, ranks, bound)
+    assert sorted({name for name, _ in diagrams}) == names.split()
+    candidates = classify(n, ranks=ranks, entry_bound=bound).candidates
+    symmetric = {c.canonical_key for c in candidates if symmetric_pattern(c)}
+    assert symmetric == {canonicalize(p) for _, p in diagrams}
+    assert len(candidates) - len(symmetric) == off_pattern
 
 
 def test_survivor_reports_follow_the_run_filters_order():
