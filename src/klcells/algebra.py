@@ -8,15 +8,17 @@ shorter element:
     b(w) = w + sum of all v with l(v) < l(w).
 
 Both bases are integral and the change of basis is unitriangular with
-respect to length, so conversion is exact over Z in both directions.
+respect to length, so conversion is exact over Z in both directions: the
+group coefficient of v is its KL coefficient plus those of every longer
+element, one suffix sum over the lengths either way.
 
 Products of KL basis elements expand again in the KL basis with nonnegative
-integer coefficients.  They are computed by one route.  Left
-multiplication by b(s) and b(t) follows the four-case generator rule
-(double when the generator already leads the word, concatenate for the
-identity and the opposite generator, and otherwise split as b(xw) + b(yw)
-for the two generators x, y); ``kl_regular_matrices`` writes it as the
-regular pair of matrices.  Every longer b(u) with leading letter x is
+integer coefficients.  They are computed by one route.  With x_m the
+element of length m that leads with the generator x, left multiplication
+by b(x) follows the generator rule, for w of length l: b(x) b(w) is
+2 b(w) when x leads w or w = w0, else b(x_(l+1)) when l <= 1, else
+b(x_(l+1)) + b(x_(l-1)); ``kl_regular_matrices`` writes it as the regular
+pair of matrices.  Every longer b(u) with leading letter x is
 forced by b(u) = b(x) b(u') - b(u''), where u' drops the leading letter and
 u'' is the alternating word of length l(u) - 2 that also leads with x (no
 u'' term at length two), so in any module A_u = A_x A_u' - A_u''.  One
@@ -49,7 +51,6 @@ from .dihedral import (
     GroupElement,
     dihedral_group,
     display_key,
-    other_letter,
     render,
 )
 from .exact import IntMatrix, identity_matrix
@@ -75,6 +76,8 @@ KL = "KL"
 
 # Sparse coefficient dictionaries used by the internal routines.
 CoeffDict = dict[GroupElement, int]
+
+_LENGTH = operator.attrgetter("length")
 
 
 def _sorted_terms(coeffs: Mapping[GroupElement, int]) -> tuple[tuple[GroupElement, int], ...]:
@@ -154,43 +157,27 @@ def group_basis_element(w: GroupElement) -> GroupAlgebraElement:
 # -- basis conversion ------------------------------------------------------
 
 
-def _kl_expansion(group: DihedralGroup, w: GroupElement) -> CoeffDict:
-    """b(w) in the group basis: w plus every strictly shorter element."""
-    out: CoeffDict = {v: 1 for v in group.all_elements() if v.length < w.length}
-    out[w] = 1
-    return out
-
-
 def _kl_to_group_dict(group: DihedralGroup, coeffs: Mapping[GroupElement, int]) -> CoeffDict:
+    """b(w) = w + every shorter v, so v collects c_v and every c_w with
+    l(w) > l(v): one suffix sum over the lengths, from w0 down."""
     out: CoeffDict = {}
-    for w, c in coeffs.items():
-        if c == 0:
-            continue
-        for v, e in _kl_expansion(group, w).items():
-            new = out.get(v, 0) + c * e
-            if new:
-                out[v] = new
-            else:
-                out.pop(v, None)
+    longer = 0  # the sum of c_w over the w longer than this level
+    for _, level in itertools.groupby(reversed(group.all_elements()), _LENGTH):
+        terms = [(v, coeffs.get(v, 0)) for v in level]
+        out.update((v, c + longer) for v, c in terms if c + longer)
+        longer += sum(c for _, c in terms)
     return out
 
 
 def _group_to_kl_dict(group: DihedralGroup, coeffs: Mapping[GroupElement, int]) -> CoeffDict:
-    """Unitriangular elimination from the longest element downwards."""
-    work: CoeffDict = {w: c for w, c in coeffs.items() if c != 0}
+    """The inverse: from w0 down, the KL coefficient of v is its group
+    coefficient less the KL coefficients of every longer w."""
     out: CoeffDict = {}
-    for w in sorted(group.all_elements(), key=display_key, reverse=True):
-        c = work.get(w, 0)
-        if c == 0:
-            continue
-        out[w] = c
-        for v, e in _kl_expansion(group, w).items():
-            new = work.get(v, 0) - c * e
-            if new:
-                work[v] = new
-            else:
-                work.pop(v, None)
-    assert not work, "basis conversion must terminate with nothing left"
+    longer = 0  # the sum of the KL coefficients of the w longer than this level
+    for _, level in itertools.groupby(reversed(group.all_elements()), _LENGTH):
+        terms = [(v, coeffs.get(v, 0) - longer) for v in level]
+        out.update((v, c) for v, c in terms if c)
+        longer += sum(c for _, c in terms)
     return out
 
 
@@ -214,21 +201,14 @@ def group_to_kl(x: GroupAlgebraElement) -> GroupAlgebraElement:
 
 
 def _kl_left_gen_dict(group: DihedralGroup, letter: str, w: GroupElement) -> CoeffDict:
-    """b(letter) * b(w) in the KL basis (the four-case generator rule)."""
-    x = group.generator(letter)
-    if w.is_identity():
-        return {x: 1}
-    xw = group.multiply(x, w)
-    if xw.length < w.length:
-        # The generator already leads some reduced word of w: doubling.
+    """b(letter) * b(w) in the KL basis, read off the length l of w (the
+    generator rule of the module docstring)."""
+    if w.leading == letter or w.is_longest():
         return {w: 2}
-    if w.length == 1:
-        # w is the opposite generator: the product is a single KL element.
-        return {xw: 1}
-    # Otherwise w leads with the opposite letter and has length >= 2; the
-    # product splits into the lengthened and the shortened alternating word.
-    y = group.generator(other_letter(letter))
-    return {xw: 1, group.multiply(y, w): 1}
+    length = w.length
+    if length <= 1:
+        return {group.element(length + 1, letter): 1}
+    return {group.element(length + 1, letter): 1, group.element(length - 1, letter): 1}
 
 
 def kl_multiply_elements(u: GroupElement, w: GroupElement) -> CoeffDict:
@@ -248,7 +228,7 @@ def kl_multiply(u: GroupElement, w: GroupElement) -> GroupAlgebraElement:
 
 
 def kl_left_multiply_generator(letter: str, w: GroupElement) -> GroupAlgebraElement:
-    """b(letter) * b(w) by the four-case generator rule."""
+    """b(letter) * b(w) by the generator rule."""
     if letter not in ("s", "t"):
         raise ValueError(f"generator letter must be 's' or 't', got {letter!r}")
     group = dihedral_group(w.n)

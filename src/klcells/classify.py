@@ -69,6 +69,23 @@ MATRIX_ADMISSIBLE_UNREALIZED("unknown: no recorded classification") for
 any other key.  A cell beats an entry, and an earlier cell (Le, Ls, Lt,
 Lw0) or entry beats a later one.
 
+A block survivor is Coxeter data.  Put S = A_s - I, T = A_t - I,
+D = diag(I_k, -I_(r-k)) and C = D(A_s + A_t)D = [[2I, -B], [-B', 2I]].
+Then D(-S)D and D(-T)D are the products of the simple reflections of C
+over the two sides of the bipartition, so ST is conjugate to the bipartite
+Coxeter element c of C, and F5, which is (ST)^n = I (``run_filters``),
+says c^n = 1.  When the zero pattern is symmetric (B_ij = 0 exactly when
+B'_ji = 0), C is a generalised Cartan matrix, indecomposable by F3, and a
+Coxeter element has finite order exactly in finite type, where its order
+is the Coxeter number h (Humphreys, Reflection Groups and Coxeter Groups,
+sections 3.16-3.19; infinite order otherwise, Howlett 1982).  So F5 holds
+exactly when C is a Dynkin diagram with h | n.  That h = n is observed,
+not proved (``test_every_j2_survivor_rotates_with_order_n``), and the
+off-pattern survivors are open.  Split 1 is a corollary: when
+min(k, r - k) = 1, F3 forces every B_j and B'_j to be at least 1, so the
+pattern is symmetric and C is a star: A2, B2, A3, G2, B3, C3 or D4, with
+h = 3, 4 or 6.
+
 Reports are deterministic byte for byte: candidates are sorted by
 (rank, canonical key), every candidate is re-evaluated on its canonical
 representative in the parent process, and wall-clock timing is excluded
@@ -89,7 +106,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .algebra import _Generator, _flatten, _kl_recursion
+from .algebra import _Generator, _PackedFamily, _flatten, _kl_recursion
 from .cells import cell_module, compute_cells, left_cell_name
 from .dihedral import dihedral_group
 from .exact import IntMatrix, is_zero_matrix, mat_add
@@ -775,6 +792,18 @@ def _rank_budget(rank: int, bound: int, block_space: bool) -> int:
     return (bound + 1) ** (rank * rank) + (bound + 1) ** (2 * rank * rank)
 
 
+def _module_traces(n: int, family: _PackedFamily) -> tuple[list[int], int, int]:
+    """(a_j = tr (ST)^j for 0 <= j <= n/2, tr S, tr T) of the complete KL
+    family of a module, by the identity in ``_candidate``'s docstring."""
+    elements = dihedral_group(n).all_elements()
+    rank, tr_s, tr_t = map(family.trace, elements[:3])
+    tr_s, tr_t = tr_s - rank, tr_t - rank
+    rotation = [rank]
+    for j, (x_odd, x_even) in enumerate(zip(elements[1::4], elements[3::4]), 1):  # x_(2j-1), x_(2j)
+        rotation.append(family.trace(x_even) - family.trace(x_odd) - (tr_t if j % 2 else tr_s))
+    return rotation, tr_s, tr_t
+
+
 def _candidate(pair: MatrixPair, key: bytes, enabled: Sequence[str]) -> Candidate:
     """The Candidate of a pair whose class has the canonical key ``key``.
 
@@ -787,14 +816,14 @@ def _candidate(pair: MatrixPair, key: bytes, enabled: Sequence[str]) -> Candidat
     T = A_t - I involutions and F5 is (ST)^n = I (``run_filters``).
 
     Decomposition.  Below length n, A_w = rho(b_w) with b_w the sum of the
-    u <= w (``run_filters``), and so A_w0 = rho(sum of D_n).  Let C_l be
-    the sum of tr rho(u) over the u of length <= l, so C_0 = r, and let
-    x_l and y_l be the elements of length l that lead with s and t.  Then
-    tr rho(x_l) = tr A_(x_l) - C_(l-1) and
-    C_l = tr A_(x_l) + tr A_(y_l) - C_(l-1).  As x_(2j) = (st)^j, the
-    trace a_j = tr (ST)^j is tr rho(x_(2j)) for 2j < n and
-    tr A_w0 - C_(n-1) for 2j = n; tr S = tr A_s - r and tr T = tr A_t - r.
-    ``reps._count_simples`` turns these into multiplicities.
+    u <= w (``run_filters``), and so A_w0 = rho(sum of D_n).  Let x_l and
+    y_l be the elements of length l that lead with s and t, and x_n = w0.
+    Then b(x_(2j)) - b(x_(2j-1)) = x_(2j) + y_(2j-1), where x_(2j) = (st)^j
+    and y_(2j-1) = (ts)^(j-1) t is conjugate to t for odd j and to s for
+    even j.  So a_j = tr (ST)^j is tr A_(x_(2j)) - tr A_(x_(2j-1)) less
+    tr T for odd j and tr S for even j, where tr S = tr A_s - r and
+    tr T = tr A_t - r (``_module_traces``).  ``reps._count_simples`` turns
+    these into multiplicities.
 
     Apex.  A_w0 = rho(sum of D_n) = 2n e, with e the projection onto the
     V(1,1)-isotypic part, so A_w0 is nonzero exactly when V(1,1) occurs:
@@ -827,17 +856,7 @@ def _candidate(pair: MatrixPair, key: bytes, enabled: Sequence[str]) -> Candidat
             perron=None,
         )
     tag = _tags(n, rank).get(key, Tag("MATRIX_ADMISSIBLE_UNREALIZED", UNKNOWN_CITATION))
-    family, elements = ext.family, dihedral_group(n).all_elements()
-    cumulative = rank  # C_(l-1)
-    rho_traces = []  # (tr rho(x_l), tr rho(y_l)) for l = 1 .. n-1
-    for length in range(1, n):
-        traced = (family.trace(elements[2 * length - 1]) - cumulative, family.trace(elements[2 * length]) - cumulative)
-        rho_traces.append(traced)
-        cumulative += sum(traced)
-    rotation_traces = [rank] + [tr_x for tr_x, _ in rho_traces[1::2]]
-    if n % 2 == 0:
-        rotation_traces.append(family.trace(elements[-1]) - cumulative)
-    decomposition = _count_simples(n, rotation_traces, *rho_traces[0])
+    decomposition = _count_simples(n, *_module_traces(n, ext.family))
     if decomposition.multiplicity(OneDim(1, 1)):
         apex = "J3"
     elif is_zero_matrix(pair.theta_s) and is_zero_matrix(pair.theta_t):

@@ -211,7 +211,7 @@ def extend(pair: MatrixPair, check_support: bool = False) -> ExtendedRep | Exten
         return ExtendedRep(pair=pair, family=family)
     elements = dihedral_group(pair.n).all_elements()  # the kernel's order
     if outcome == "F4":
-        w = next(w for w, m in family.items() if is_zero_matrix(m))
+        w = elements[1] if is_zero_matrix(pair.theta_s) else elements[len(family) - 1]
         witness = f"A_{render(w)} = 0 inside a two-sided cell with nonzero members"
     elif outcome == "F5":
         w = elements[-1]

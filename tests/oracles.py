@@ -33,6 +33,15 @@ must give the same floats, bit for bit.
 bottom, masking each field and taking its two's complement;
 ``algebra._unpack``, which peels the nonzero fields of the offset form from
 the top, must give the same tuples.
+``kl_to_group_oracle`` and ``group_to_kl_oracle`` convert between the
+bases term by term through ``kl_expansion_oracle``, and
+``kl_left_gen_oracle`` finds b(x) b(w) by multiplying reduced words with
+``DihedralGroup.multiply``; ``algebra``'s conversions, suffix sums over the
+lengths, and its generator rule, read off the length and leading letter,
+must give the same coefficients.  ``module_traces_oracle`` reads the
+rotation traces of a complete KL family by inverting every trace with a
+running sum; ``classify._module_traces``, which reads each from two
+adjacent traces, must give the same.
 ``group_matrices_oracle`` builds the matrix of every group element from
 its reduced word, one product per element, and ``decompose_oracle`` reads
 the multiplicities from their traces after ``module_relations_oracle``,
@@ -54,7 +63,7 @@ import math
 import operator
 from collections import deque
 
-from klcells.dihedral import dihedral_group, other_letter, render
+from klcells.dihedral import dihedral_group, display_key, other_letter, render
 from klcells.exact import (
     first_negative_entry,
     freeze_matrix,
@@ -417,6 +426,82 @@ def evaluate_raw_units(payload):
         else:
             rejections[failed] = rejections.get(failed, 0) + 1
     return evaluated, tuple(sorted(rejections.items())), survivors
+
+
+def kl_expansion_oracle(group, w):
+    """b(w) in the group basis: w plus every strictly shorter element."""
+    out = {v: 1 for v in group.all_elements() if v.length < w.length}
+    out[w] = 1
+    return out
+
+
+def kl_to_group_oracle(group, coeffs):
+    """Expand each KL term through ``kl_expansion_oracle`` and add up."""
+    out = {}
+    for w, c in coeffs.items():
+        if c == 0:
+            continue
+        for v, e in kl_expansion_oracle(group, w).items():
+            new = out.get(v, 0) + c * e
+            if new:
+                out[v] = new
+            else:
+                out.pop(v, None)
+    return out
+
+
+def group_to_kl_oracle(group, coeffs):
+    """Unitriangular elimination from the longest element downwards."""
+    work = {w: c for w, c in coeffs.items() if c != 0}
+    out = {}
+    for w in sorted(group.all_elements(), key=display_key, reverse=True):
+        c = work.get(w, 0)
+        if c == 0:
+            continue
+        out[w] = c
+        for v, e in kl_expansion_oracle(group, w).items():
+            new = work.get(v, 0) - c * e
+            if new:
+                work[v] = new
+            else:
+                work.pop(v, None)
+    assert not work, "basis conversion must terminate with nothing left"
+    return out
+
+
+def kl_left_gen_oracle(group, letter, w):
+    """b(letter) b(w) by multiplying reduced words: b(x) on the identity,
+    2 b(w) when xw is shorter than w, b(xw) when w is the other generator,
+    and b(xw) + b(yw) otherwise, y the other generator."""
+    x = group.generator(letter)
+    if w.is_identity():
+        return {x: 1}
+    xw = group.multiply(x, w)
+    if xw.length < w.length:
+        return {w: 2}
+    if w.length == 1:
+        return {xw: 1}
+    return {xw: 1, group.multiply(group.generator(other_letter(letter)), w): 1}
+
+
+def module_traces_oracle(n, family):
+    """(a_j = tr (ST)^j for 0 <= j <= n/2, tr S, tr T) of a complete KL
+    family by inverting every trace.  Let C_l be the sum of tr rho(u) over
+    the u of length <= l, so C_0 = r; with x_l and y_l the elements of
+    length l that lead with s and t, tr rho(x_l) = tr A_(x_l) - C_(l-1) and
+    C_l = tr A_(x_l) + tr A_(y_l) - C_(l-1).  a_j is tr rho(x_(2j)) for
+    2j < n and tr A_w0 - C_(n-1) for 2j = n."""
+    elements = dihedral_group(n).all_elements()
+    cumulative = rank = trace(family[elements[0]])
+    rho_traces = []  # (tr rho(x_l), tr rho(y_l)) for l = 1 .. n-1
+    for length in range(1, n):
+        traced = tuple(trace(family[elements[2 * length - 1 + y]]) - cumulative for y in (0, 1))
+        rho_traces.append(traced)
+        cumulative += sum(traced)
+    rotation = [rank] + [tr_x for tr_x, _ in rho_traces[1::2]]
+    if n % 2 == 0:
+        rotation.append(trace(family[elements[-1]]) - cumulative)
+    return rotation, *rho_traces[0]
 
 
 def group_matrices_oracle(n, a_s, a_t):

@@ -23,7 +23,7 @@ from klcells.algebra import (
 from klcells.cells import cell_module
 from klcells.dihedral import bruhat_lt, dihedral_group
 from klcells.exact import trace
-from oracles import unpack_oracle
+from oracles import group_to_kl_oracle, kl_left_gen_oracle, kl_to_group_oracle, unpack_oracle
 
 
 def test_kl_expansion_is_bruhat_interval():
@@ -67,6 +67,23 @@ def test_conversion_roundtrip_random():
         assert kl_to_group(group_to_kl(grp)) == grp
         kl = GroupAlgebraElement.from_dict(n, KL, coeffs)
         assert group_to_kl(kl_to_group(kl)) == kl
+
+
+def test_conversions_match_the_term_by_term_oracle():
+    # every basis element at n = 3..12 and random coefficient dicts at
+    # n = 3..14, in both directions: the suffix sums over the lengths
+    # against expansion and elimination term by term
+    rng = random.Random(1441)
+    for n in range(3, 15):
+        group = dihedral_group(n)
+        elements = group.all_elements()
+        cases = [{w: 1} for w in elements] if n <= 12 else []
+        for _ in range(100):
+            cases.append({w: rng.randint(-9, 9) for w in rng.sample(elements, rng.randint(1, len(elements)))})
+        for coeffs in cases:
+            kl, grp = (GroupAlgebraElement.from_dict(n, basis, coeffs) for basis in (KL, GROUP))
+            assert kl_to_group(kl).as_dict() == kl_to_group_oracle(group, coeffs), (n, coeffs)
+            assert group_to_kl(grp).as_dict() == group_to_kl_oracle(group, coeffs), (n, coeffs)
 
 
 def test_basis_guards():
@@ -124,6 +141,17 @@ def test_left_generator_rule_cases():
     }
     with pytest.raises(ValueError):
         kl_left_multiply_generator("x", text("e"))
+
+
+def test_generator_rule_matches_the_word_product_oracle():
+    # every letter and element at n = 3..40: the rule read off the length
+    # and leading letter against the products of reduced words
+    for n in range(3, 41):
+        group = dihedral_group(n)
+        for letter in ("s", "t"):
+            for w in group.all_elements():
+                expected = kl_left_gen_oracle(group, letter, w)
+                assert kl_left_multiply_generator(letter, w).as_dict() == expected, (n, letter, w)
 
 
 def convolution(group, u, w):

@@ -60,6 +60,33 @@ def test_cell_names():
     assert [two_sided_cell_name(c) for c in partition.two_sided_cells] == ["J1", "J2", "J3"]
 
 
+def test_cell_of_each_element():
+    # every element lies in the cell of each kind that lists it; an element
+    # of another n lies in none
+    for n in (3, 4, 5):
+        partition = compute_cells(n)
+        for w in dihedral_group(n).all_elements():
+            for cell_of, cells in (
+                (partition.left_cell_of, partition.left_cells),
+                (partition.right_cell_of, partition.right_cells),
+                (partition.two_sided_cell_of, partition.two_sided_cells),
+            ):
+                assert cell_of(w) == next(cell for cell in cells if w in cell)
+    partition = compute_cells(4)
+    text = dihedral_group(4).element_from_text
+    assert left_cell_name(partition.left_cell_of(text("ts"))) == "Ls"
+    assert right_cell_name(partition.right_cell_of(text("ts"))) == "Rt"
+    assert two_sided_cell_name(partition.two_sided_cell_of(text("w0"))) == "J3"
+    stranger = dihedral_group(5).element_from_text("ts")
+    for cell_of, kind in (
+        (partition.left_cell_of, "left"),
+        (partition.right_cell_of, "right"),
+        (partition.two_sided_cell_of, "two-sided"),
+    ):
+        with pytest.raises(ValueError, match=f"ts is not in any {kind} cell"):
+            cell_of(stranger)
+
+
 def test_left_order_is_the_nine_pair_fan():
     # Le below everything, Ls and Lt incomparable, Lw0 above everything
     for n in (3, 4, 6):

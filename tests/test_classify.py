@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from klcells.algebra import structure_constants
-from klcells.cells import cell_module, right_cell_module
+from klcells.cells import cell_module, compute_cells, left_cell_name, right_cell_module
 from klcells.classify import (
     ALL_FILTERS,
     DEFAULT_MAX_STATES,
@@ -22,8 +22,10 @@ from klcells.classify import (
     TOGGLEABLE_FILTERS,
     UNKNOWN_CITATION,
     KnowledgeEntry,
+    Tag,
     _cell_keys,
     _f1_matrices,
+    _module_traces,
     _orbits,
     _rank_units,
     canonical_pair,
@@ -38,6 +40,7 @@ from klcells.classify import (
 )
 from klcells.exact import identity_matrix, mat_add, mat_mul, mat_sub
 from klcells.nimrep import (
+    FilterReport,
     MatrixPair,
     _flatten,
     _square,
@@ -56,6 +59,7 @@ from oracles import (
     extend_oracle,
     f1_matrices_oracle,
     mat_mul_oracle,
+    module_traces_oracle,
     raw_units,
     run_filters_oracle,
 )
@@ -294,6 +298,22 @@ def test_inspect_pair_survivor():
     assert candidate.decomposition.render() == "V(4,1)"
     assert candidate.perron is not None
     assert candidate.perron.irreducible
+
+
+@pytest.mark.parametrize(
+    "theta_s, theta_t, witness",
+    [
+        (((0, 0, 0), (0, 0, 0), (0, 1, 2)), ((2, 0, 1), (2, 0, 1), (0, 0, 0)), "index 1 has diagonal 2 in neither matrix"),
+        (((0, 1), (0, 2)), ((2, 0), (1, 0)), "A_s[0][1] is nonzero outside its block rows"),
+    ],
+)
+def test_inspect_pair_prints_the_f7_witness(theta_s, theta_t, witness):
+    # survivors of the F7-off search at n = 3 that are not in block form
+    assert inspect_pair(pair(3, theta_s, theta_t), disabled=("F7",)).tag.kind == "MATRIX_ADMISSIBLE_UNREALIZED"
+    candidate = inspect_pair(pair(3, theta_s, theta_t))
+    assert candidate.tag == Tag("REJECTED", "F7")
+    assert candidate.filters[-1] == FilterReport("F7", False, witness)
+    assert all(report.passed for report in candidate.filters[:-1])
 
 
 def test_inspect_pair_with_disabled_filter():
@@ -614,9 +634,18 @@ def test_every_candidate_is_its_inspect_pair(n, search):
         assert list(candidate.extension.family.items()) == list(expected.extension.family.items())
         theta_s, theta_t = candidate.pair.theta_s, candidate.pair.theta_t
         assert candidate.decomposition == decompose(n, theta_s, theta_t) == decompose_oracle(n, theta_s, theta_t)
+        assert _module_traces(n, candidate.extension.family) == module_traces_oracle(n, candidate.extension.family)
         assert candidate.apex == apex_of(candidate.extension)
         assert annihilator_check(candidate.extension).passed is True
         assert candidate.annihilator_passed is True
+
+
+@pytest.mark.parametrize("n", range(3, 31))
+def test_module_traces_of_every_left_cell_module(n):
+    # two adjacent traces give each a_j; the oracle inverts every trace
+    for cell in compute_cells(n).left_cells:
+        family = cell_module(n, cell).matrices
+        assert _module_traces(n, family) == module_traces_oracle(n, family), (n, left_cell_name(cell))
 
 
 def rotation_order(n, a_s, a_t):
@@ -679,7 +708,17 @@ DYNKIN_SEARCHES = [
     (8, (5, 6), 1, "D5", 0),
     (10, (5, 6), 1, "D6", 0),
     (12, (5, 6), 1, "E6", 0),
+    # no Dynkin diagram of rank <= 4 has h >= 13, and no class survives
+    *[(n, (2, 3, 4), 2, "", 0) for n in range(13, 31)],
 ]
+
+
+def split(candidate):
+    """min(k, r - k) for the block pair of a candidate, k its indices with
+    diagonal 2 in A_s."""
+    theta_s = candidate.pair.theta_s
+    k = sum(theta_s[i][i] == 2 for i in range(len(theta_s)))
+    return min(k, len(theta_s) - k)
 
 
 @pytest.mark.parametrize("n, ranks, bound, names, off_pattern", DYNKIN_SEARCHES)
@@ -694,6 +733,11 @@ def test_pattern_symmetric_survivors_are_the_dynkin_diagrams_with_h_n(n, ranks, 
     symmetric = {c.canonical_key for c in candidates if symmetric_pattern(c)}
     assert symmetric == {canonicalize(p) for _, p in diagrams}
     assert len(candidates) - len(symmetric) == off_pattern
+    # split 1: F3 makes every B_j and B'_j positive, so the pattern is
+    # symmetric and the class a star-shaped diagram, at n = 3, 4 or 6 only
+    for candidate in candidates:
+        if split(candidate) == 1:
+            assert symmetric_pattern(candidate) and n in (3, 4, 6), (n, candidate.pair)
 
 
 def test_survivor_reports_follow_the_run_filters_order():

@@ -54,6 +54,15 @@ def test_cells_bad_n(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["cellrep", "classify", "decompose", "klmult"])
+def test_bad_n_exits_with_usage(capsys, tmp_path, command):
+    extra = {"cellrep": ["--cell", "Ls"], "decompose": [str(tmp_path / "unread.json")], "klmult": ["s", "t"]}
+    code, out, err = run(capsys, command, "--n", "2", *extra.get(command, []))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_cellrep_text(capsys):
     code, out, _ = run(capsys, "cellrep", "--n", "4", "--cell", "Ls")
     assert code == EXIT_OK
@@ -190,6 +199,14 @@ def test_decompose_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "decompose", "--n", "4", str(tmp_path / "nope.json"))
     assert code == EXIT_USAGE
     assert "error:" in err
+
+
+def test_decompose_non_square_matrix(capsys, tmp_path):
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps({"theta_s": [[2, 0]], "theta_t": [[2]]}))
+    code, _, err = run(capsys, "decompose", "--n", "4", str(path))
+    assert code == EXIT_USAGE
+    assert f"bad matrix pair in {path}" in err
 
 
 def test_decompose_non_module(capsys, tmp_path):

@@ -23,6 +23,7 @@ from klcells.exact import _top_real_root_is_simple, char_poly, is_zero_matrix, m
 from klcells.nimrep import (
     ExtendedRep,
     ExtensionFailure,
+    FilterReport,
     MatrixPair,
     annihilator_check,
     apex_of,
@@ -615,6 +616,15 @@ def test_check_block_form():
     bad = check_block_form(pair(4, ((1,),), ((1,),)))
     assert not bad.passed
     assert bad.witness == "rank-one diagonal entries must be 0 or 2"
+    # each failure return of the split, at rank 2 and 3
+    witnesses = [
+        (((2, 0), (0, 0)), ((2, 0), (0, 2)), "index 0 has diagonal 2 in both matrices"),
+        (((0, 0, 0), (0, 0, 0), (0, 1, 2)), ((2, 0, 1), (2, 0, 1), (0, 0, 0)), "index 1 has diagonal 2 in neither matrix"),
+        (((2, 1, 0), (0, 2, 0), (0, 0, 0)), ((0, 0, 0), (0, 0, 0), (0, 0, 2)), "A_s[0][1] breaks the 2I diagonal block"),
+        (((0, 1), (0, 2)), ((2, 0), (1, 0)), "A_s[0][1] is nonzero outside its block rows"),
+    ]
+    for theta_s, theta_t, witness in witnesses:
+        assert check_block_form(pair(3, theta_s, theta_t)) == FilterReport("F7", False, witness)
 
 
 def test_apex_of():
