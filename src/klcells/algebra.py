@@ -17,9 +17,10 @@ integer coefficients.  They are computed by one route.  With x_m the
 element of length m that leads with the generator x, left multiplication
 by b(x) follows the generator rule, for w of length l: b(x) b(w) is
 2 b(w) when x leads w or w = w0, else b(x_(l+1)) when l <= 1, else
-b(x_(l+1)) + b(x_(l-1)); ``kl_regular_matrices`` writes it as the regular
-pair of matrices.  Every longer b(u) with leading letter x is
-forced by b(u) = b(x) b(u') - b(u''), where u' drops the leading letter and
+b(x_(l+1)) + b(x_(l-1)); ``_span_generators`` writes it as the matrices
+of b(s) and b(t) on a span of basis elements, the whole basis for the
+regular pair ``kl_regular_matrices`` and a left cell for its module.
+Every longer b(u) with leading letter x is forced by b(u) = b(x) b(u') - b(u''), where u' drops the leading letter and
 u'' is the alternating word of length l(u) - 2 that also leads with x (no
 u'' term at length two), so in any module A_u = A_x A_u' - A_u''.  One
 kernel evaluates that recursion, ``_kl_recursion``, on a list of pairs of
@@ -238,17 +239,17 @@ def kl_left_multiply_generator(letter: str, w: GroupElement) -> GroupAlgebraElem
 # -- the flat extension kernel ----------------------------------------------
 #
 # The recursion runs on prepared generators (``_Generator``): each holds its
-# flat row-major tuple, the nonzero terms of each row, its largest row sum
-# and its support bitmask, so a caller that pairs one matrix with many
-# others prepares it once.  One call judges a list of pairs, the lanes:
+# flat row-major tuple, its largest row sum, its support bitmask and its
+# entries as bytes, so a caller that pairs one matrix with many others
+# prepares it once.  One call judges a list of pairs, the lanes:
 # lane L is (gens_s[L], gens_t[L]).  Every matrix of the family is held as
 # one integer per row: entry j of lane L sits in the bit field
 # [L*R + width*j, L*R + width*(j+1)), so lane L holds its rows in
 # [L*R, (L+1)*R).  R is rank * width rounded up to whole bytes, with at
 # least one spare bit on top.  Packing is linear, so adding rows and
-# scaling them by integers is exact whatever the signs, and a step with a
-# generator that every lane shares is the one-pair code run on the wide
-# integers.  The width comes from an a-priori bound: with c the largest row
+# scaling them by integers is exact whatever the signs, and an entry of a
+# generator that is equal in every lane scales a whole packed row at once.
+# The width comes from an a-priori bound: with c the largest row
 # sum of every A_s and A_t of the call, no row of a matrix of length l has
 # absolute values summing to more than (c+1)^l (induction on
 # A_w = A_x A_w' - A_w'', whatever the signs), so width =
@@ -264,9 +265,9 @@ def kl_left_multiply_generator(letter: str, w: GroupElement) -> GroupAlgebraElem
 # all; it is the plain binary form of the entries.  On it, "entry
 # negative" is "high bit of the field clear", "matrix zero" is "equal to
 # the offsets", two matrices agree where their offset forms do, and a lane
-# is cut out by a mask.  A generator that varies between lanes gets, for
-# each entry (i, l) and each nonzero value v that entry takes in some
-# lanes, a mask covering those lanes; the term adds
+# is cut out by a mask.  An entry (i, l) that varies between lanes gets,
+# for each nonzero value v it takes in some lanes, a mask covering those
+# lanes; the term adds
 # v * ((M_l + offsets) & mask - offsets & mask).  The spare bit makes the
 # test "is lane L's part of x nonzero" one addition: x + (2^(R-1) - 1) in
 # every lane sets bit R-1 of exactly those lanes (x < 2^(R-1) in each), so
@@ -284,25 +285,22 @@ class _Generator:
 
     flat        -- the flat row-major tuple
     rank        -- r, the matrix is r x r
-    terms       -- the nonzero entries (l, v) of each row
     row_sum     -- the largest row sum
     support     -- the bitmask of ``_support``
     entry_bytes -- the flat tuple as bytes, or None when an entry exceeds 255
     """
 
-    __slots__ = ("flat", "rank", "terms", "row_sum", "support", "entry_bytes")
+    __slots__ = ("flat", "rank", "row_sum", "support", "entry_bytes")
 
     def __init__(self, flat: Sequence[int], rank: int) -> None:
         self.flat = flat = tuple(flat)
         self.rank = rank
-        rows = [flat[i * rank : (i + 1) * rank] for i in range(rank)]
-        self.terms = tuple(tuple(itertools.compress(enumerate(row), row)) for row in rows)
-        self.row_sum = max(map(sum, rows))
+        self.row_sum = max(sum(flat[i : i + rank]) for i in range(0, rank * rank, rank))
         self.support = _support(flat)
         self.entry_bytes = bytes(flat) if max(flat) < 256 else None
 
 
-_FLAT, _ROW_SUM, _ENTRY_BYTES = map(operator.attrgetter, ("flat", "row_sum", "entry_bytes"))
+_FLAT, _ROW_SUM, _SUPPORT, _ENTRY_BYTES = map(operator.attrgetter, ("flat", "row_sum", "support", "entry_bytes"))
 
 
 @functools.lru_cache(maxsize=None)
@@ -321,7 +319,7 @@ def _lane_starts(flags: bytes, stride: int) -> int:
 
 def _lane_terms(
     gens: Sequence[_Generator], width: int, stride: int, starts: int, offset: int
-) -> tuple[Sequence[Sequence[tuple[int, int]]], list[list[tuple[int, int, int]]], list[int], list[int]]:
+) -> tuple[list[list[tuple[int, int]]], list[list[tuple[int, int, int]]], list[int], list[int]]:
     """One generator over the lanes of a call: (shared, partial, constants,
     rows).  Row i of the product A_x M is the sum of v * M_l over the terms
     (l, v) of ``shared[i]``, which every lane has, and of
@@ -330,35 +328,34 @@ def _lane_terms(
     ``constants[i]``, the v * (offsets & mask) those terms leave; ``rows``
     are the generator's own packed rows.
 
-    A generator that is the same object in every lane contributes its
-    terms directly.  Otherwise each entry of the generator is read across
-    the lanes (a bytes column, one byte per lane, when every entry fits in
-    a byte): an entry equal in every lane is shared, and an entry that
-    varies gets one mask per distinct nonzero value.
+    Each entry of the generator that is nonzero in some lane (the union of
+    the supports) is read across the lanes as a column: a bytes column, one
+    byte per lane, when every entry fits in a byte, else a tuple.  An entry
+    equal in every lane is shared, and an entry that varies gets one mask
+    per distinct nonzero value.
     """
-    first = gens[0]
-    rank, lanes = first.rank, len(gens)
-    if gens.count(first) == lanes:
-        rows = [sum(v << (l * width) for l, v in row) * starts for row in first.terms]
-        return first.terms, [[] for _ in range(rank)], [0] * rank, rows
+    rank, lanes = gens[0].rank, len(gens)
+    size = rank * rank
+    # the flat entries of every lane, one after the other: table[p::size]
+    # is the column of entry p
     entry_bytes = list(map(_ENTRY_BYTES, gens))
     if None in entry_bytes:
-        columns: list = list(zip(*map(_FLAT, gens)))
+        table: bytes | tuple[int, ...] = tuple(itertools.chain.from_iterable(map(_FLAT, gens)))
     else:
         table = b"".join(entry_bytes)
-        columns = [table[p :: rank * rank] for p in range(rank * rank)]
+    nonzero = functools.reduce(operator.or_, map(_SUPPORT, gens))
     lane_bits = 8 * stride
     shared: list[list[tuple[int, int]]] = [[] for _ in range(rank)]
     partial: list[list[tuple[int, int, int]]] = [[] for _ in range(rank)]
     scaled = [0] * rank
     rows = [0] * rank
-    for index, column in enumerate(columns):
+    for index in [p for p, bit in enumerate(reversed(bin(nonzero))) if bit == "1"]:
         i, l = divmod(index, rank)
+        column = table[index::size]
         value = column[0]
         if column.count(value) == lanes:
-            if value:
-                shared[i].append((l, value))
-                rows[i] += value * starts << (l * width)
+            shared[i].append((l, value))
+            rows[i] += value * starts << (l * width)
             continue
         for v in set(column) - {0}:
             if isinstance(column, bytes):
@@ -681,22 +678,36 @@ def structure_constants(n: int) -> StructureConstantTable:
     return StructureConstantTable(n, entries)
 
 
-def kl_regular_matrices(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+def _span_generators(
+    n: int, basis: Sequence[GroupElement]
+) -> tuple[IntMatrix, IntMatrix, list[GroupElement]]:
+    """(A_s, A_t, dropped) of b(s) and b(t) acting on the span of ``basis``.
+
+    Entry [i][j] of A_x is the coefficient of basis[i] in b(x) b(basis[j])
+    by the generator rule; ``dropped`` lists every term of those products
+    that lies outside the basis, which the matrices leave out.
+    """
+    group = dihedral_group(n)
+    index = {w: i for i, w in enumerate(basis)}
+    dropped: list[GroupElement] = []
+    matrices = []
+    for letter in ("s", "t"):
+        rows = [[0] * len(basis) for _ in basis]
+        for j, w in enumerate(basis):
+            for v, c in _kl_left_gen_dict(group, letter, w).items():
+                if v in index:
+                    rows[index[v]][j] = c
+                else:
+                    dropped.append(v)
+        matrices.append(tuple(map(tuple, rows)))
+    return matrices[0], matrices[1], dropped
+
+
+def kl_regular_matrices(n: int) -> tuple[IntMatrix, IntMatrix]:
     """Matrices of b(s) and b(t) acting on the KL basis of Z[D_n].
 
     Columns follow the all_elements order; entry [i][j] is the coefficient
     of basis element i in b(generator) * b(element j).
     """
-    group = dihedral_group(n)
-    elements = group.all_elements()
-    index = {w: i for i, w in enumerate(elements)}
-    matrices = []
-    for letter in ("s", "t"):
-        columns = []
-        for w in elements:
-            col = [0] * len(elements)
-            for v, c in _kl_left_gen_dict(group, letter, w).items():
-                col[index[v]] = c
-            columns.append(col)
-        matrices.append(tuple(tuple(columns[j][i] for j in range(len(elements))) for i in range(len(elements))))
-    return matrices[0], matrices[1]
+    a_s, a_t, _ = _span_generators(n, dihedral_group(n).all_elements())
+    return a_s, a_t

@@ -18,10 +18,11 @@ constants for n <= 12 and compares them with this closed form.
 
 A left cell L carries a module: act by b(u) in the KL basis and keep only
 the coefficients of basis elements inside L.  The truncation is checked on
-the generator pair: cell_module restricts the regular matrices of b(s) and
-b(t) to the basis of L, checks that every discarded term lies strictly
-above L in the left preorder, which is what makes the truncation a
-quotient of modules rather than an arbitrary projection.  The matrix of
+the generator pair: cell_module builds the matrices of b(s) and b(t) on the
+basis of L with the builder of the regular pair
+(``algebra._span_generators``) and checks that every discarded term lies
+strictly above L in the left preorder, which is what makes the truncation
+a quotient of modules rather than an arbitrary projection.  The matrix of
 every other b(u) comes from the flat KL kernel of ``klcells.algebra``,
 run when such a matrix is first read, so a caller that wants only the
 generator pair never runs it.  It never reads the structure-constant
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 # structure_constants is unused here but stays bound: perfbench/tracing.py wraps this name.
-from .algebra import _kl_left_gen_dict, _module_family, structure_constants
+from .algebra import _module_family, _span_generators, structure_constants
 from .dihedral import GroupElement, dihedral_group, display_key, render
 from .exact import IntMatrix
 
@@ -272,30 +273,17 @@ def cell_module(n: int, cell) -> CellModule:
     partition = compute_cells(n)
     resolved = _resolve_cell(n, cell, partition.left_cells, "left")
     basis = tuple(sorted(resolved, key=_basis_key))
-    index = {w: i for i, w in enumerate(basis)}
     left_index = {w: i for i, c in enumerate(partition.left_cells) for w in c}
     here = left_index[basis[0]]
-    group = dihedral_group(n)
-
-    generators = []
-    for letter in ("s", "t"):
-        rows = [[0] * len(basis) for _ in basis]
-        for j, b in enumerate(basis):
-            for v, c in _kl_left_gen_dict(group, letter, b).items():
-                if v in index:
-                    rows[index[v]][j] = c
-                else:
-                    # Truncation is only sound if the term sits strictly
-                    # above the cell in the left preorder.
-                    dropped = left_index[v]
-                    assert (here, dropped) in partition.left_leq and (
-                        dropped,
-                        here,
-                    ) not in partition.left_leq, (
-                        f"dropped term {render(v)} not strictly above the cell"
-                    )
-        generators.append(tuple(tuple(row) for row in rows))
-    return CellModule(n=n, cell=basis, matrices=_module_family(n, *generators))
+    a_s, a_t, dropped = _span_generators(n, basis)
+    for v in dropped:
+        # Truncation is only sound if the term sits strictly above the
+        # cell in the left preorder.
+        above = left_index[v]
+        assert (here, above) in partition.left_leq and (above, here) not in partition.left_leq, (
+            f"dropped term {render(v)} not strictly above the cell"
+        )
+    return CellModule(n=n, cell=basis, matrices=_module_family(n, a_s, a_t))
 
 
 def right_cell_module(n: int, cell) -> CellModule:

@@ -10,11 +10,13 @@ length n represent the same element, and the canonical form stores w0 with
 leading letter 's'.
 
 Elements are immutable and hashable, so they can serve directly as keys for
-group-algebra coefficient dictionaries.  Multiplication works on reduced
-words: at the junction the letters cancel in a cascade (both generators are
-involutions), and an alternating word of length m > n folds back to the
-alternating word of length 2n - m with the opposite leading letter, which is
-the only relation left once words alternate.
+group-algebra coefficient dictionaries.  Multiplication is rotation
+arithmetic: every element is w = (st)^k s^f with k mod n and f in {0, 1}.
+An s-leading element of length l is (l // 2, l % 2), a t-leading one is
+(-ceil(l/2) mod n, l % 2), and since s (st)^k = (st)^-k s the product of
+(k, f) and (k', f') is (k + k', f xor f'), or (k - k', f xor f') when
+f = 1.  Back in normal form, (k, f) has length 2k + f and leads with s
+when 2k + f <= n, else length 2(n - k) - f and leads with t.
 
 >>> g = dihedral_group(4)
 >>> render(g.multiply(g.element_from_text("sts"), g.element_from_text("tst")))
@@ -130,11 +132,8 @@ def display_key(w: GroupElement) -> tuple[int, int]:
 
 
 class DihedralGroup:
-    """The group D_n, with cached element list and product table.
-
-    Instances obtained from :func:`dihedral_group` share their caches, which
-    matters because multiplication results are memoised per instance.
-    """
+    """The group D_n; every element it returns is one of the 2n stored in
+    ``all_elements``."""
 
     def __init__(self, n: int) -> None:
         if isinstance(n, bool) or not isinstance(n, int):
@@ -149,7 +148,6 @@ class DihedralGroup:
         elements.append(GroupElement(n, n, "s"))
         self._elements = tuple(elements)
         self._by_text = {render(w): w for w in self._elements}
-        self._products: dict[tuple[GroupElement, GroupElement], GroupElement] = {}
 
     def __repr__(self) -> str:
         return f"DihedralGroup({self.n})"
@@ -161,13 +159,15 @@ class DihedralGroup:
 
         The leading letter is normalised away at length 0 and forced to 's'
         at length n, so callers may pass whatever letter a word computation
-        produced.
+        produced.  The result is the element stored in ``all_elements``.
         """
         if length == 0:
             return self._elements[0]
         if length == self.n:
             return self._elements[-1]
-        return GroupElement(self.n, length, leading)
+        if 0 < length < self.n and leading in _LETTERS:
+            return self._elements[2 * length - (leading == "s")]
+        return GroupElement(self.n, length, leading)  # raises the ValueError
 
     def identity(self) -> GroupElement:
         return self._elements[0]
@@ -205,37 +205,22 @@ class DihedralGroup:
                 f"element of D_{w.n} used with D_{self.n}; mixed parameters are rejected"
             )
 
-    def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        """Product ab, by junction cancellation and folding at length n."""
-        self._check_member(a)
-        self._check_member(b)
-        key = (a, b)
-        cached = self._products.get(key)
-        if cached is not None:
-            return cached
+    def _rotation(self, w: GroupElement) -> tuple[int, int]:
+        """(k, f) with w = (st)^k s^f, 0 <= k < n."""
+        self._check_member(w)
+        if w.leading == "t":
+            return -((w.length + 1) // 2) % self.n, w.length % 2
+        return w.length // 2, w.length % 2
 
-        wa = a.word()
-        wb = b.word()
-        i = len(wa) - 1
-        j = 0
-        while i >= 0 and j < len(wb) and wa[i] == wb[j]:
-            i -= 1
-            j += 1
-        m = (i + 1) + (len(wb) - j)
-        if i >= 0:
-            leading = wa[0]
-        elif j < len(wb):
-            leading = wb[j]
-        else:
-            leading = None
-        if m > self.n:
-            # Fold: the alternating words of lengths m and 2n - m with
-            # opposite leading letters are equal in D_n.
-            m = 2 * self.n - m
-            leading = other_letter(leading) if m > 0 else None
-        result = self.element(m, leading)
-        self._products[key] = result
-        return result
+    def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
+        """Product ab, by rotation arithmetic (module docstring)."""
+        k, f = self._rotation(a)
+        k_b, f_b = self._rotation(b)
+        k = (k - k_b if f else k + k_b) % self.n
+        f ^= f_b
+        if 2 * k + f <= self.n:
+            return self.element(2 * k + f, "s")
+        return self.element(2 * (self.n - k) - f, "t")
 
     def inverse(self, a: GroupElement) -> GroupElement:
         """The inverse, i.e. the reduced word read backwards.
@@ -264,5 +249,5 @@ def bruhat_lt(a: GroupElement, b: GroupElement) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def dihedral_group(n: int) -> DihedralGroup:
-    """Shared DihedralGroup instance for ``n`` (caches products across callers)."""
+    """Shared DihedralGroup instance for ``n``."""
     return DihedralGroup(n)

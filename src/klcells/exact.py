@@ -31,12 +31,10 @@ __all__ = [
     "mat_sub",
     "mat_scale",
     "mat_mul",
-    "mat_pow",
     "transpose",
     "trace",
     "is_zero_matrix",
     "first_negative_entry",
-    "block_matrix",
     "bareiss_det",
     "char_poly",
     "poly_trim",
@@ -113,21 +111,6 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return tuple(out)
 
 
-def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
-    if k < 0:
-        raise ValueError("negative matrix powers are not defined here")
-    result = identity_matrix(len(a))
-    base = a
-    while k:
-        if k & 1:
-            result = mat_mul(result, base)
-        base_needed = k >> 1
-        if base_needed:
-            base = mat_mul(base, base)
-        k = base_needed
-    return result
-
-
 def transpose(a: IntMatrix) -> IntMatrix:
     return tuple(zip(*a)) if a else ()
 
@@ -147,21 +130,6 @@ def first_negative_entry(a: IntMatrix) -> tuple[int, int] | None:
             if v < 0:
                 return (i, j)
     return None
-
-
-def block_matrix(blocks: Sequence[Sequence[IntMatrix]]) -> IntMatrix:
-    """Assemble a matrix from a grid of conforming blocks."""
-    rows: list[tuple[int, ...]] = []
-    for block_row in blocks:
-        heights = {len(b) for b in block_row}
-        if len(heights) != 1:
-            raise ValueError("blocks in one row must have equal heights")
-        for i in range(heights.pop()):
-            rows.append(tuple(v for b in block_row for v in b[i]))
-    widths = {len(r) for r in rows}
-    if len(widths) > 1:
-        raise ValueError("block rows produce unequal widths")
-    return tuple(rows)
 
 
 def bareiss_det(m: IntMatrix) -> int:

@@ -23,8 +23,8 @@ witness).
 One kernel runs the recursion: ``algebra._kl_recursion``, the same one
 that builds the structure constants and the cell modules.  It takes a list
 of pairs of prepared generators, the lanes (``algebra._Generator``: the
-flat row-major matrix, its nonzero terms, largest row sum and support
-bitmask), and holds each matrix of every lane's family as one integer per
+flat row-major matrix, its largest row sum, its support bitmask and its
+entries as bytes), and holds each matrix of every lane's family as one integer per
 row, the lanes side by side, so a step A_x A_w' - A_w'' serves every lane
 with a few integer operations per term of A_x, and the sign and zero tests
 cost a few operations per row whatever the number of lanes.  ``extend``

@@ -23,9 +23,9 @@ cosine being -1/2, 0 or 1/2).
 b(s) and b(t) over the integers alone: it checks the defining relations
 exactly, counts the eigenvalues of the rotation st by their order from the
 traces of its powers, and separates the one-dimensional modules by the
-traces of s and t.  The float helpers here (``character``,
-``kl_generator_matrices``, ``char_poly_two_dim``) describe the simple
-modules and are not used by ``decompose``.
+traces of s and t.  ``char_poly_two_dim`` gives the characteristic
+polynomial of b(s) + b(t) on a two-dimensional module, in floats with the
+exact integers where they exist; ``decompose`` does not use it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .dihedral import GroupElement
 from .exact import (
     IntMatrix,
     freeze_matrix,
@@ -53,8 +52,6 @@ __all__ = [
     "simples",
     "simple_name",
     "module_dim",
-    "character",
-    "kl_generator_matrices",
     "QuadraticCharPoly",
     "char_poly_two_dim",
     "decompose",
@@ -110,35 +107,6 @@ def simple_name(module: SimpleModule, n: int) -> str:
     if isinstance(module, OneDim):
         return f"V({module.eps},{module.delta})"
     return f"V({n},{module.k})"
-
-
-def character(module: SimpleModule, n: int, w: GroupElement) -> float:
-    """Character value on a group element (an integer for one-dim modules)."""
-    if isinstance(module, OneDim):
-        s_count = (w.length + 1) // 2 if w.leading == "s" else w.length // 2
-        t_count = w.length - s_count
-        value = (module.eps ** s_count) * (module.delta ** t_count)
-        if w.length == n and n % 2 == 1:
-            # Both reduced words of w0 must agree, which forces eps == delta.
-            assert module.eps == module.delta
-        return float(value)
-    if w.length % 2 == 1:
-        return 0.0
-    return 2.0 * math.cos(module.k * w.length * math.pi / n)
-
-
-def kl_generator_matrices(
-    n: int, module: SimpleModule
-) -> tuple[tuple[tuple[float, ...], ...], tuple[tuple[float, ...], ...]]:
-    """Matrices of b(s) and b(t) on a simple module (real entries)."""
-    if isinstance(module, OneDim):
-        return ((float(1 + module.eps),),), ((float(1 + module.delta),),)
-    theta = 2.0 * module.k * math.pi / n
-    c = math.cos(theta)
-    s = math.sin(theta)
-    m_s = ((2.0, 0.0), (0.0, 0.0))
-    m_t = ((1.0 + c, s), (s, 1.0 - c))
-    return m_s, m_t
 
 
 @dataclass(frozen=True)

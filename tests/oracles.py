@@ -33,20 +33,29 @@ must give the same floats, bit for bit.
 bottom, masking each field and taking its two's complement;
 ``algebra._unpack``, which peels the nonzero fields of the offset form from
 the top, must give the same tuples.
+``multiply_oracle`` multiplies reduced words by cancelling letters at the
+junction and folding words longer than n, and ``action_oracle`` gives an
+element as the permutation of Z/n by which it acts (s: i -> -i,
+t: i -> 1 - i); ``DihedralGroup.multiply``, rotation arithmetic, must give
+the same product as the first and the composed permutation of the second.
 ``kl_to_group_oracle`` and ``group_to_kl_oracle`` convert between the
 bases term by term through ``kl_expansion_oracle``, and
-``kl_left_gen_oracle`` finds b(x) b(w) by multiplying reduced words with
-``DihedralGroup.multiply``; ``algebra``'s conversions, suffix sums over the
-lengths, and its generator rule, read off the length and leading letter,
-must give the same coefficients.  ``module_traces_oracle`` reads the
+``kl_left_gen_oracle`` finds b(x) b(w) by multiplying group elements;
+``algebra``'s conversions, suffix sums over the lengths, and its generator
+rule, read off the length and leading letter, must give the same
+coefficients, and so must the columns of ``kl_regular_matrices``.  ``module_traces_oracle`` reads the
 rotation traces of a complete KL family by inverting every trace with a
 running sum; ``classify._module_traces``, which reads each from two
 adjacent traces, must give the same.
 ``group_matrices_oracle`` builds the matrix of every group element from
 its reduced word, one product per element, and ``decompose_oracle`` reads
 the multiplicities from their traces after ``module_relations_oracle``,
-which checks the relations with ``mat_pow``; ``reps.decompose`` must give
-the same decomposition, or raise with the same text.
+which checks the relations with ``mat_pow``, and weighs the traces with
+``character``, the float character of a simple module; ``reps.decompose``
+must give the same decomposition, or raise with the same text.
+``block_matrix`` assembles a matrix from a grid of blocks, and
+``kl_generator_matrices`` gives the float matrices of b(s) and b(t) on a
+simple module.
 ``eigenvalue_orders`` reads from a decomposition how many eigenvalues of ST
 have each order.
 ``dynkin_block_pairs`` builds, from the Cartan matrix of each Dynkin
@@ -70,7 +79,6 @@ from klcells.exact import (
     identity_matrix,
     is_zero_matrix,
     mat_mul,
-    mat_pow,
     mat_sub,
     trace,
 )
@@ -89,7 +97,96 @@ from klcells.nimrep import (
     _square,
     _twice_idempotent,
 )
-from klcells.reps import Decomposition, NotAModuleError, OneDim, character, module_dim, simple_name, simples
+from klcells.reps import Decomposition, NotAModuleError, OneDim, module_dim, simple_name, simples
+
+
+def mat_pow(a, k):
+    """a^k for k >= 0, by repeated squaring."""
+    if k < 0:
+        raise ValueError("negative matrix powers are not defined here")
+    result = identity_matrix(len(a))
+    base = a
+    while k:
+        if k & 1:
+            result = mat_mul(result, base)
+        k >>= 1
+        if k:
+            base = mat_mul(base, base)
+    return result
+
+
+def block_matrix(blocks):
+    """Assemble a matrix from a grid of conforming blocks."""
+    rows = []
+    for block_row in blocks:
+        heights = {len(b) for b in block_row}
+        if len(heights) != 1:
+            raise ValueError("blocks in one row must have equal heights")
+        for i in range(heights.pop()):
+            rows.append(tuple(v for b in block_row for v in b[i]))
+    if len({len(r) for r in rows}) > 1:
+        raise ValueError("block rows produce unequal widths")
+    return tuple(rows)
+
+
+def character(module, n, w):
+    """Character value of a simple module on a group element (an integer
+    for one-dimensional modules)."""
+    if isinstance(module, OneDim):
+        s_count = (w.length + 1) // 2 if w.leading == "s" else w.length // 2
+        t_count = w.length - s_count
+        value = (module.eps**s_count) * (module.delta**t_count)
+        if w.length == n and n % 2 == 1:
+            # Both reduced words of w0 must agree, which forces eps == delta.
+            assert module.eps == module.delta
+        return float(value)
+    if w.length % 2 == 1:
+        return 0.0
+    return 2.0 * math.cos(module.k * w.length * math.pi / n)
+
+
+def kl_generator_matrices(n, module):
+    """Matrices of b(s) and b(t) on a simple module (real entries)."""
+    if isinstance(module, OneDim):
+        return ((float(1 + module.eps),),), ((float(1 + module.delta),),)
+    theta = 2.0 * module.k * math.pi / n
+    c = math.cos(theta)
+    s = math.sin(theta)
+    return ((2.0, 0.0), (0.0, 0.0)), ((1.0 + c, s), (s, 1.0 - c))
+
+
+def multiply_oracle(group, a, b):
+    """ab on reduced words: the letters at the junction cancel in a cascade
+    (both generators are involutions), and an alternating word of length
+    m > n folds back to the alternating word of length 2n - m with the
+    opposite leading letter."""
+    wa, wb = a.word(), b.word()
+    i, j = len(wa) - 1, 0
+    while i >= 0 and j < len(wb) and wa[i] == wb[j]:
+        i -= 1
+        j += 1
+    m = (i + 1) + (len(wb) - j)
+    if i >= 0:
+        leading = wa[0]
+    elif j < len(wb):
+        leading = wb[j]
+    else:
+        leading = None
+    if m > group.n:
+        m = 2 * group.n - m
+        leading = other_letter(leading) if m > 0 else None
+    return group.element(m, leading)
+
+
+def action_oracle(w):
+    """w as a permutation of Z/n, the tuple of images of 0..n-1: s acts by
+    i -> -i and t by i -> 1 - i, the last letter of the word first.  The
+    action is faithful for n >= 3."""
+    n = w.n
+    images = tuple(range(n))
+    for letter in reversed(w.word()):
+        images = tuple((-i if letter == "s" else 1 - i) % n for i in images)
+    return images
 
 
 def mat_mul_oracle(a, b):
@@ -470,7 +567,7 @@ def group_to_kl_oracle(group, coeffs):
 
 
 def kl_left_gen_oracle(group, letter, w):
-    """b(letter) b(w) by multiplying reduced words: b(x) on the identity,
+    """b(letter) b(w) by multiplying group elements: b(x) on the identity,
     2 b(w) when xw is shorter than w, b(xw) when w is the other generator,
     and b(xw) + b(yw) otherwise, y the other generator."""
     x = group.generator(letter)

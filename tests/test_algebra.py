@@ -271,6 +271,18 @@ def test_regular_matrices_match_table():
                 assert column == table.product(gen, w)
 
 
+def test_regular_matrices_match_the_word_product_oracle():
+    # column j of the regular matrix of b(x) is b(x) b(w_j), found by
+    # multiplying group elements, not read back from the kernel's table
+    for n in range(3, 31):
+        group = dihedral_group(n)
+        elements = group.all_elements()
+        for letter, matrix in zip(("s", "t"), kl_regular_matrices(n)):
+            for j, w in enumerate(elements):
+                column = {v: row[j] for v, row in zip(elements, matrix) if row[j]}
+                assert column == kl_left_gen_oracle(group, letter, w), (n, letter, w)
+
+
 def test_render():
     group = dihedral_group(4)
     text = group.element_from_text

@@ -26,7 +26,8 @@ from klcells.cells import (
     two_sided_cell_name,
 )
 from klcells.dihedral import dihedral_group, render
-from klcells.exact import block_matrix, zero_matrix
+from klcells.exact import zero_matrix
+from oracles import block_matrix
 
 
 def elements_by_text(n, texts):
@@ -310,6 +311,19 @@ def test_cell_modules_tile_the_regular_representation():
         words = ["s", "t", "st", "ts", "sts", "stst", "tst", "ststst"]
         for word in words:
             assert trace_of_word(stacked, word) == trace_of_word(regular, word)
+
+
+def test_cell_module_generators_are_sub_blocks_of_the_regular_pair():
+    # the generator pair of each left cell module is the regular pair read
+    # at the cell's positions in all_elements order
+    for n in range(3, 31):
+        position = {w: i for i, w in enumerate(dihedral_group(n).all_elements())}
+        regular = kl_regular_matrices(n)
+        for cell in compute_cells(n).left_cells:
+            module = cell_module(n, cell)
+            at = [position[w] for w in module.cell]
+            for generator, matrix in zip(module.generator_pair(), regular):
+                assert generator == tuple(tuple(matrix[i][j] for j in at) for i in at), (n, cell)
 
 
 def test_right_cell_module_transport():

@@ -12,6 +12,7 @@ from klcells.dihedral import (
     other_letter,
     render,
 )
+from oracles import action_oracle, multiply_oracle
 
 
 def test_element_inventory():
@@ -94,6 +95,27 @@ def test_multiply_matches_word_evaluation():
         for a in group.all_elements():
             for b in group.all_elements():
                 assert group.multiply(a, b) == group.element_from_word(a.word() + b.word())
+
+
+def test_multiply_and_inverse_match_the_action_on_z_mod_n():
+    # every pair at n = 3..30: D_n acts faithfully on Z/n, so the product
+    # acts as the composition and the inverse as the inverse permutation;
+    # the product also equals the word-cancellation product, and it is
+    # one of the stored elements
+    for n in range(3, 31):
+        group = dihedral_group(n)
+        elements = group.all_elements()
+        stored = set(map(id, elements))
+        action = {w: action_oracle(w) for w in elements}
+        assert len(set(action.values())) == 2 * n
+        for a in elements:
+            inverse = action[group.inverse(a)]
+            assert all(inverse[image] == i for i, image in enumerate(action[a])), (n, a)
+            for b in elements:
+                ab = group.multiply(a, b)
+                assert id(ab) in stored
+                assert action[ab] == tuple(action[a][i] for i in action[b]), (n, a, b)
+                assert ab == multiply_oracle(group, a, b), (n, a, b)
 
 
 def test_associativity_exhaustive_small():

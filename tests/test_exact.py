@@ -6,7 +6,6 @@ import pytest
 
 from klcells.exact import (
     bareiss_det,
-    block_matrix,
     char_poly,
     first_negative_entry,
     freeze_matrix,
@@ -14,7 +13,6 @@ from klcells.exact import (
     is_zero_matrix,
     mat_add,
     mat_mul,
-    mat_pow,
     mat_scale,
     mat_sub,
     poly_add,
@@ -33,7 +31,7 @@ from klcells.exact import (
     zero_matrix,
     _top_real_root_is_simple,
 )
-from oracles import mat_mul_oracle
+from oracles import block_matrix, mat_mul_oracle, mat_pow
 
 Q3 = ((2, 0, 1), (0, 2, 1), (1, 1, 2))
 

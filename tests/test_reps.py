@@ -9,7 +9,7 @@ import pytest
 from klcells.algebra import kl_regular_matrices
 from klcells.cells import cell_module
 from klcells.dihedral import dihedral_group
-from klcells.exact import block_matrix, identity_matrix, mat_mul, mat_sub, zero_matrix
+from klcells.exact import identity_matrix, mat_mul, mat_sub, zero_matrix
 from klcells.nimrep import _square
 from klcells.reps import (
     Decomposition,
@@ -17,15 +17,21 @@ from klcells.reps import (
     OneDim,
     TwoDim,
     char_poly_two_dim,
-    character,
     decompose,
-    kl_generator_matrices,
     module_dim,
     simple_name,
     check_module_relations,
     simples,
 )
-from oracles import decompose_oracle, eigenvalue_orders, group_matrices_oracle, module_relations_oracle
+from oracles import (
+    block_matrix,
+    character,
+    decompose_oracle,
+    eigenvalue_orders,
+    group_matrices_oracle,
+    kl_generator_matrices,
+    module_relations_oracle,
+)
 
 
 def test_simples_inventory():
