@@ -24,15 +24,17 @@ Every longer b(u) with leading letter x is forced by b(u) = b(x) b(u') - b(u''),
 u'' is the alternating word of length l(u) - 2 that also leads with x (no
 u'' term at length two), so in any module A_u = A_x A_u' - A_u''.  One
 kernel evaluates that recursion, ``_kl_recursion``, on a list of pairs of
-prepared generators (``_Generator``), the lanes, with the rows of every
-lane packed side by side into integers.  A single pair is one lane:
-``structure_constants`` is the family of the regular pair and
-``kl_multiply`` reads it, a cell module is the family of its own
+generators, the lanes, read entry by entry as columns (``_Columns``), with
+the rows of every lane packed side by side into integers.  A single pair
+is one lane: ``structure_constants`` is the family of the regular pair
+and ``kl_multiply`` reads it, a cell module is the family of its own
 generator pair (``cells.cell_module``, run when a matrix past the
 generators is first read), and ``nimrep.extend`` runs it on one
 candidate pair; the family is unpacked matrix by matrix as it is read,
-and its traces are read off the packed diagonals.  The classification search prepares each generator once and judges
-the pairs of several work units in one call.
+and its traces are read off the packed diagonals.  The classification
+search prepares each generator once, judges the pairs of several work
+units in one call, and keeps the columns of its calls for every n it
+searches.
 
 The independent route, plain convolution in the group basis followed by
 conversion back, lives in the checks: verification check A1 compares every
@@ -46,6 +48,7 @@ import itertools
 import operator
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dihedral import (
     DihedralGroup,
@@ -238,12 +241,18 @@ def kl_left_multiply_generator(letter: str, w: GroupElement) -> GroupAlgebraElem
 
 # -- the flat extension kernel ----------------------------------------------
 #
-# The recursion runs on prepared generators (``_Generator``): each holds its
-# flat row-major tuple, its largest row sum, its support bitmask and its
-# entries as bytes, so a caller that pairs one matrix with many others
-# prepares it once.  One call judges a list of pairs, the lanes:
-# lane L is (gens_s[L], gens_t[L]).  Every matrix of the family is held as
-# one integer per row: entry j of lane L sits in the bit field
+# One call judges a list of pairs, the lanes: lane L is (gens_s[L],
+# gens_t[L]).  Its set-up has two parts.  The first reads each generator
+# entry across the lanes as a column (``_lane_columns``, on generators
+# prepared once as ``_Generator``: flat tuple, largest row sum, support
+# bitmask and entries as bytes): which entries are shared by every lane,
+# and for each entry that varies one flags string per distinct value.  It
+# depends only on the lanes, so a caller that judges the same lanes at many
+# n builds it once; a single pair is read straight off the rows of its
+# matrices (``_pair_columns``), as all its entries are shared.  The second
+# packs those terms at the width n gives (``_lane_terms``), inside
+# ``_kl_recursion``.  Every matrix of the family is held as one integer
+# per row: entry j of lane L sits in the bit field
 # [L*R + width*j, L*R + width*(j+1)), so lane L holds its rows in
 # [L*R, (L+1)*R).  R is rank * width rounded up to whole bytes, with at
 # least one spare bit on top.  Packing is linear, so adding rows and
@@ -274,14 +283,20 @@ def kl_left_multiply_generator(letter: str, w: GroupElement) -> GroupAlgebraElem
 # no operation runs per lane.
 
 
+@functools.lru_cache(maxsize=None)
+def _bits(size: int) -> tuple[int, ...]:
+    """2^index for each index below size."""
+    return tuple(1 << index for index in range(size))
+
+
 def _support(flat: Sequence[int]) -> int:
     """The zero pattern of a flat row-major matrix: bit i*r + j is set
     exactly when entry (i, j) is nonzero."""
-    return sum(1 << index for index, v in enumerate(flat) if v)
+    return sum(itertools.compress(_bits(len(flat)), flat))
 
 
 class _Generator:
-    """A nonnegative generator matrix prepared once for ``_kl_recursion``.
+    """A nonnegative generator matrix prepared once for ``_lane_columns``.
 
     flat        -- the flat row-major tuple
     rank        -- r, the matrix is r x r
@@ -302,6 +317,88 @@ class _Generator:
 
 _FLAT, _ROW_SUM, _SUPPORT, _ENTRY_BYTES = map(operator.attrgetter, ("flat", "row_sum", "support", "entry_bytes"))
 
+# The terms of one generator over the lanes of a call, row by row:
+# (shared, varying), where shared[i] holds (l, v) for each entry (i, l)
+# equal to v != 0 in every lane, and varying[i] holds (l, v, flags) for
+# each nonzero value v of an entry (i, l) that differs between lanes, with
+# one flag byte per lane, 1 where the entry is v.
+_Terms = tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[tuple[tuple[int, int, bytes], ...], ...]]
+
+
+class _Columns(NamedTuple):
+    """The set-up of one ``_kl_recursion`` call that no n changes: its
+    lanes read entry by entry as columns (``_lane_columns``).
+
+    lanes   -- the number of lanes
+    rank    -- r
+    row_sum -- the largest row sum of every A_s and A_t of the call
+    sides   -- the ``_Terms`` of the A_s and of the A_t
+    """
+
+    lanes: int
+    rank: int
+    row_sum: int
+    sides: tuple[_Terms, _Terms]
+
+
+def _flat_terms(rows: Sequence[Sequence[int]]) -> _Terms:
+    """The terms of one matrix, given by its rows, in a call of one lane:
+    every nonzero entry is shared."""
+    shared = tuple([tuple([(l, v) for l, v in enumerate(row) if v]) for row in rows])
+    return shared, ((),) * len(rows)
+
+
+def _column_terms(gens: Sequence[_Generator]) -> _Terms:
+    """The terms of one generator over the lanes of a call.
+
+    Each entry that is nonzero in some lane (the union of the supports) is
+    read across the lanes as a column: a bytes column, one byte per lane,
+    when every entry fits in a byte, else a tuple.  An entry equal in every
+    lane is shared, and an entry that varies gets one flags string per
+    distinct nonzero value.
+    """
+    rank, lanes = gens[0].rank, len(gens)
+    size = rank * rank
+    # the flat entries of every lane, one after the other: table[p::size]
+    # is the column of entry p
+    entry_bytes = list(map(_ENTRY_BYTES, gens))
+    if None in entry_bytes:
+        table: bytes | tuple[int, ...] = tuple(itertools.chain.from_iterable(map(_FLAT, gens)))
+    else:
+        table = b"".join(entry_bytes)
+    nonzero = functools.reduce(operator.or_, map(_SUPPORT, gens))
+    shared: list[list[tuple[int, int]]] = [[] for _ in range(rank)]
+    varying: list[list[tuple[int, int, bytes]]] = [[] for _ in range(rank)]
+    for index in [p for p, bit in enumerate(reversed(bin(nonzero))) if bit == "1"]:
+        i, l = divmod(index, rank)
+        column = table[index::size]
+        value = column[0]
+        if column.count(value) == lanes:
+            shared[i].append((l, value))
+            continue
+        for v in set(column) - {0}:
+            if isinstance(column, bytes):
+                flags = column.translate(bytes(v) + b"\1" + bytes(255 - v))
+            else:
+                flags = bytes(map(v.__eq__, column))
+            varying[i].append((l, v, flags))
+    return tuple(map(tuple, shared)), tuple(map(tuple, varying))
+
+
+def _lane_columns(gens_s: Sequence[_Generator], gens_t: Sequence[_Generator]) -> _Columns:
+    """The columns of the lanes (gens_s[L], gens_t[L]) for ``_kl_recursion``."""
+    if not gens_t:
+        return _Columns(0, 0, 0, (((), ()), ((), ())))
+    row_sum = max(max(map(_ROW_SUM, gens_s)), max(map(_ROW_SUM, gens_t)))
+    return _Columns(len(gens_t), gens_t[0].rank, row_sum, (_column_terms(gens_s), _column_terms(gens_t)))
+
+
+def _pair_columns(theta_s: Sequence[Sequence[int]], theta_t: Sequence[Sequence[int]]) -> _Columns:
+    """The columns of the one lane of a generator pair, read straight off
+    the rows of its matrices."""
+    row_sum = max(map(sum, [*theta_s, *theta_t]))
+    return _Columns(1, len(theta_s), row_sum, (_flat_terms(theta_s), _flat_terms(theta_t)))
+
 
 @functools.lru_cache(maxsize=None)
 def _frame(width: int, rank: int) -> tuple[tuple[int, ...], int]:
@@ -318,61 +415,39 @@ def _lane_starts(flags: bytes, stride: int) -> int:
 
 
 def _lane_terms(
-    gens: Sequence[_Generator], width: int, stride: int, starts: int, offset: int
-) -> tuple[list[list[tuple[int, int]]], list[list[tuple[int, int, int]]], list[int], list[int]]:
-    """One generator over the lanes of a call: (shared, partial, constants,
-    rows).  Row i of the product A_x M is the sum of v * M_l over the terms
-    (l, v) of ``shared[i]``, which every lane has, and of
+    terms: _Terms, width: int, stride: int, starts: int, offset: int
+) -> tuple[tuple[tuple[tuple[int, int], ...], ...], list[list[tuple[int, int, int]]], list[int], list[int]]:
+    """One generator's ``_Terms`` packed at a width: (shared, partial,
+    constants, rows).  Row i of the product A_x M is the sum of v * M_l
+    over the terms (l, v) of ``shared[i]``, which every lane has, and of
     v * ((M_l + offsets) & mask) over the terms (l, v, mask) of
     ``partial[i]``, which only the lanes under mask have, minus
     ``constants[i]``, the v * (offsets & mask) those terms leave; ``rows``
     are the generator's own packed rows.
-
-    Each entry of the generator that is nonzero in some lane (the union of
-    the supports) is read across the lanes as a column: a bytes column, one
-    byte per lane, when every entry fits in a byte, else a tuple.  An entry
-    equal in every lane is shared, and an entry that varies gets one mask
-    per distinct nonzero value.
     """
-    rank, lanes = gens[0].rank, len(gens)
-    size = rank * rank
-    # the flat entries of every lane, one after the other: table[p::size]
-    # is the column of entry p
-    entry_bytes = list(map(_ENTRY_BYTES, gens))
-    if None in entry_bytes:
-        table: bytes | tuple[int, ...] = tuple(itertools.chain.from_iterable(map(_FLAT, gens)))
-    else:
-        table = b"".join(entry_bytes)
-    nonzero = functools.reduce(operator.or_, map(_SUPPORT, gens))
+    shared, varying = terms
     lane_bits = 8 * stride
-    shared: list[list[tuple[int, int]]] = [[] for _ in range(rank)]
-    partial: list[list[tuple[int, int, int]]] = [[] for _ in range(rank)]
-    scaled = [0] * rank
-    rows = [0] * rank
-    for index in [p for p, bit in enumerate(reversed(bin(nonzero))) if bit == "1"]:
-        i, l = divmod(index, rank)
-        column = table[index::size]
-        value = column[0]
-        if column.count(value) == lanes:
-            shared[i].append((l, value))
-            rows[i] += value * starts << (l * width)
-            continue
-        for v in set(column) - {0}:
-            if isinstance(column, bytes):
-                flags = column.translate(bytes(v) + b"\1" + bytes(255 - v))
-            else:
-                flags = bytes(map(v.__eq__, column))
+    partial: list[list[tuple[int, int, int]]] = []
+    constants: list[int] = []
+    rows: list[int] = []
+    for row_shared, row_varying in zip(shared, varying):
+        row = starts * sum([v << (l * width) for l, v in row_shared])
+        masks, scaled = [], 0
+        for l, v, flags in row_varying:
             chosen = _lane_starts(flags, stride)
-            partial[i].append((l, v, (chosen << lane_bits) - chosen))
-            scaled[i] += v * chosen
-            rows[i] += v * chosen << (l * width)
-    return shared, partial, [offset * row for row in scaled], rows
+            masks.append((l, v, (chosen << lane_bits) - chosen))
+            scaled += v * chosen
+            row += v * chosen << (l * width)
+        partial.append(masks)
+        constants.append(offset * scaled)
+        rows.append(row)
+    return shared, partial, constants, rows
 
 
 def _kl_recursion(
-    n: int, gens_s: Sequence[_Generator], gens_t: Sequence[_Generator], check_support: bool = False
+    n: int, columns: _Columns, check_support: bool = False
 ) -> tuple[list[list[int]], int, list[str | None], list[int] | None]:
-    """The KL families of the pairs (gens_s[L], gens_t[L]) (the lanes), packed.
+    """The KL families of the lanes of ``columns``, packed.
 
     Returns (matrices, width, outcomes, negative).  ``matrices`` lists the
     lane-packed family in the order e, s, t, st, ts, sts, tst, ..., then w0:
@@ -396,12 +471,16 @@ def _kl_recursion(
     With one lane, ``matrices`` is that pair's packed family and, for F2,
     its element is the next index (w0 when all 2n - 1 lower matrices are
     built).
+
+    Only the width depends on n, so the columns of a call serve every n
+    (``classify`` keeps them with its search plan); this packs their terms
+    at the width of n (``_lane_terms``).
     """
-    lanes = len(gens_t)
+    lanes = columns.lanes
     if not lanes:
         return [], 0, [], None
-    rank = gens_s[0].rank
-    width = n * (max(max(map(_ROW_SUM, gens_s)), max(map(_ROW_SUM, gens_t))) + 1).bit_length() + 1
+    rank = columns.rank
+    width = n * (columns.row_sum + 1).bit_length() + 1
     stride = rank * width // 8 + 1
     lane_bits = 8 * stride
     starts = _lane_starts(b"\1" * lanes, stride)
@@ -410,7 +489,7 @@ def _kl_recursion(
     identity, offset = _frame(width, rank)
     offsets = offset * starts
     shared, partial, constants, packed = zip(
-        _lane_terms(gens_s, width, stride, starts, offset), _lane_terms(gens_t, width, stride, starts, offset)
+        *(_lane_terms(terms, width, stride, starts, offset) for terms in columns.sides)
     )
     masked = (any(partial[0]), any(partial[1]))
     matrices: list[list[int]] = [[row * starts for row in identity], *packed]
@@ -445,9 +524,10 @@ def _kl_recursion(
     def outcomes() -> list[str | None]:
         out: list[str | None] = [None] * lanes
         for tag, bits in failed.items():
-            flags = bits.to_bytes(lanes * stride, "little")[stride - 1 :: stride]
-            for lane in itertools.compress(range(lanes), flags):
-                out[lane] = tag
+            if bits:
+                flags = bits.to_bytes(lanes * stride, "little")[stride - 1 :: stride]
+                for lane in itertools.compress(range(lanes), flags):
+                    out[lane] = tag
         return out
 
     def negative_lanes(shifted: list[int]) -> int:
@@ -547,66 +627,74 @@ def _diagonal(rows: Sequence[int], width: int) -> list[int]:
 class _PackedFamily(Mapping):
     """A one-lane kernel family keyed by group element, read-only.
 
-    ``elements`` are the keys, in the kernel's order, and ``known`` the
-    matrices given as tuples (A_e, A_s and A_t).  Every other matrix is
-    unpacked from its packed rows on first access and kept, so a reader
-    that needs a few matrices of a family pays for those only.  ``build``
-    returns (packed matrices in the order of ``elements``, width); it runs
-    once, when packed rows are first needed, so a reader that stays with
-    the known matrices never runs the kernel.
+    Its keys are the first ``size`` elements of D_n in the kernel's order
+    (``all_elements``), at least A_e, A_s and A_t, which are given as
+    tuples.  Every other matrix is unpacked from its packed rows on first
+    access and kept, so a reader that needs a few matrices of a family pays
+    for those only.  ``build`` returns (packed matrices in the order of the
+    keys, width); it runs once, when packed rows are first needed, so a
+    reader that stays with A_e, A_s and A_t never runs the kernel.  Keys
+    are found in one index of D_n shared by every family (``_positions``).
     """
 
-    __slots__ = ("_index", "_matrices", "_build", "_packed", "_width")
+    __slots__ = ("_n", "_positions", "_matrices", "_build", "_packed", "_width")
 
     def __init__(
         self,
-        elements: Sequence[GroupElement],
-        known: dict[GroupElement, IntMatrix],
+        n: int,
+        size: int,
+        theta_s: IntMatrix,
+        theta_t: IntMatrix,
         build: Callable[[], tuple[list[list[int]], int]],
     ) -> None:
-        self._index = {w: i for i, w in enumerate(elements)}
-        self._matrices = known
+        self._n = n
+        self._positions = _positions(n)
+        self._matrices: list[IntMatrix | None] = [_identity(len(theta_s)), theta_s, theta_t, *[None] * (size - 3)]
         self._build = build
         self._packed: list[list[int]] | None = None
         self._width = 0
 
-    def _rows(self, w: GroupElement) -> list[int]:
-        index = self._index[w]
+    def _index(self, w: GroupElement) -> int:
+        index = self._positions[w]
+        if index >= len(self._matrices):
+            raise KeyError(w)
+        return index
+
+    def _rows(self, index: int) -> list[int]:
         if self._packed is None:
             self._packed, self._width = self._build()
         return self._packed[index]
 
     def __getitem__(self, w: GroupElement) -> IntMatrix:
-        matrix = self._matrices.get(w)
+        index = self._index(w)
+        matrix = self._matrices[index]
         if matrix is None:
-            (matrix,) = _unpack([self._rows(w)], self._width)
-            self._matrices[w] = matrix
+            (matrix,) = _unpack([self._rows(index)], self._width)
+            self._matrices[index] = matrix
         return matrix
 
     def trace(self, w: GroupElement) -> int:
         """tr A_w, summed from the diagonal of its packed rows (``_diagonal``)."""
-        return sum(_diagonal(self._rows(w), self._width))
+        return sum(_diagonal(self._rows(self._index(w)), self._width))
 
     def __contains__(self, w: object) -> bool:
-        return w in self._index
+        return self._positions.get(w, len(self._matrices)) < len(self._matrices)
 
     def __iter__(self):
-        return iter(self._index)
+        return iter(dihedral_group(self._n).all_elements()[: len(self._matrices)])
 
     def __len__(self) -> int:
-        return len(self._index)
+        return len(self._matrices)
 
 
-def _known(n: int, theta_s: IntMatrix, theta_t: IntMatrix) -> dict[GroupElement, IntMatrix]:
-    """A_e, A_s and A_t of a family, keyed by group element."""
-    e, s, t = dihedral_group(n).all_elements()[:3]
-    return {e: identity_matrix(len(theta_s)), s: theta_s, t: theta_t}
+_identity = functools.lru_cache(maxsize=None)(identity_matrix)
 
 
-def _prepared(theta_s: IntMatrix, theta_t: IntMatrix) -> tuple[list[_Generator], list[_Generator]]:
-    """The one lane of a generator pair, prepared for ``_kl_recursion``."""
-    rank = len(theta_s)
-    return [_Generator(_flatten(theta_s), rank)], [_Generator(_flatten(theta_t), rank)]
+@functools.lru_cache(maxsize=None)
+def _positions(n: int) -> dict[GroupElement, int]:
+    """The index of each element of D_n in ``all_elements``, the kernel's
+    order; shared and read-only."""
+    return {w: i for i, w in enumerate(dihedral_group(n).all_elements())}
 
 
 def _kl_family(
@@ -619,9 +707,8 @@ def _kl_family(
     others are unpacked when first read), the kernel's outcome, and for F2
     the negative matrix, which is not in the family.
     """
-    matrices, width, (outcome,), negative = _kl_recursion(n, *_prepared(theta_s, theta_t), check_support)
-    elements = dihedral_group(n).all_elements()[: len(matrices)]
-    family = _PackedFamily(elements, _known(n, theta_s, theta_t), lambda: (matrices, width))
+    matrices, width, (outcome,), negative = _kl_recursion(n, _pair_columns(theta_s, theta_t), check_support)
+    family = _PackedFamily(n, len(matrices), theta_s, theta_t, lambda: (matrices, width))
     return family, outcome, (_unpack([negative], width)[0] if negative is not None else None)
 
 
@@ -635,11 +722,11 @@ def _module_family(n: int, theta_s: IntMatrix, theta_t: IntMatrix) -> Mapping[Gr
     """
 
     def build() -> tuple[list[list[int]], int]:
-        matrices, width, (outcome,), _ = _kl_recursion(n, *_prepared(theta_s, theta_t))
+        matrices, width, (outcome,), _ = _kl_recursion(n, _pair_columns(theta_s, theta_t))
         assert outcome is None, f"the KL family of a module cannot fail {outcome}"
         return matrices, width
 
-    return _PackedFamily(dihedral_group(n).all_elements(), _known(n, theta_s, theta_t), build)
+    return _PackedFamily(n, 2 * n, theta_s, theta_t, build)
 
 
 # -- the full structure-constant table -------------------------------------

@@ -26,26 +26,40 @@ In every space (``_spaces``) the representative is the orbit's least
 and its representatives are the A_t that are least under the stabiliser
 of A_s (``_orbits``), so each orbit falls in exactly one work unit.
 
-Every matrix is prepared once per rank (``algebra._Generator``); the
-spaces of every rank of a search stay cached, and forked workers inherit
-them, so a unit ships as two indices.  F3 reads only the zero pattern of
-A_s + A_t and is invariant under conjugation, so each space groups its A_t
-by zero pattern once, one table of F3 verdicts by pattern serves every
-space of a rank, and a unit charges |O_s| = |G|/|Stab(A_s)| rejections to
-each A_t whose pattern fails with A_s (``_f3_split``); only the A_t that
-pass reach the stabiliser test.  A worker takes a run of consecutive
-units (the whole rank with one job) and judges their representatives by
-lane-packed KL recursions, one lane each (``_judge_units``): a call takes
-whole units in order until it holds at least ``_CALL_LANES`` lanes, so
-small units share one lane set-up and one recursion.  The kernel skips F1,
-F6 and F7: F1 holds by construction in both spaces, F6 follows from F1 and
-F5, and F7 holds in the block space (and it is off in the variety).  A
-worker returns its surviving representatives as flat (A_s, A_t); the
-parent canonicalises them and keeps one per class.  The s <-> t swap,
-which maps the block space of split k onto that of r-k, is not used to
-merge orbits in either space: F4 is judged on the partial family built
-before an F2 failure, and a swapped pair can fail at the other leading
-letter.
+Every matrix is prepared once per rank (``algebra._Generator``), and
+forked workers inherit the spaces, so a unit ships as two indices.  F3
+reads only the zero pattern of A_s + A_t and is invariant under
+conjugation, so each space groups its A_t by zero pattern once, F3 is
+judged once per zero pattern of A_s in each space, and a unit charges
+|O_s| = |G|/|Stab(A_s)| rejections to each A_t whose pattern fails with
+A_s (``_f3_split``); only the A_t that pass reach the stabiliser test.  A
+worker takes a run of consecutive units (the whole rank with one job) and
+judges their representatives by lane-packed KL recursions, one lane each
+(``_judge_units``): a call takes whole units in order until it holds at
+least ``_CALL_LANES`` lanes, so small units share one lane set-up and one
+recursion.
+
+Below length n nothing of this depends on n, so a search plan holds it
+(``_plan``), one per (rank, bound, block_space, judge_f3) and run of
+units: the F3 failures and the representatives of each unit, the latter
+as indices into the space with their orbit sizes, the calls, and, for a
+plan of at most ``_PLAN_COLUMN_LANES`` lanes, the lane columns of each
+call (``algebra._lane_columns``: the entries every lane shares and the
+lanes that hold each value of an entry that varies).  A plan is kept with
+the spaces of its rank (``_spaces``) and lives as long as they do, so a
+search that follows one with the same ranks and bound, at any n, builds
+neither, and a call at n only packs its columns at the width n needs.
+The F3 table of verdicts by zero pattern lives only while a plan is
+built.
+
+The kernel skips F1, F6 and F7: F1 holds by construction in both spaces,
+F6 follows from F1 and F5, and F7 holds in the block space (and it is off
+in the variety).  A worker returns its surviving representatives as flat
+(A_s, A_t); the parent canonicalises them and keeps one per class.  The
+s <-> t swap, which maps the block space of split k onto that of r-k, is
+not used to merge orbits in either space: F4 is judged on the partial
+family built before an F2 failure, and a swapped pair can fail at the
+other leading letter.
 
 ``run_filters`` is the one pipeline that renders a verdict with its
 witnesses, and ``_candidate`` the one builder of a ``Candidate``: it runs
@@ -102,11 +116,12 @@ import itertools
 import json
 import operator
 import time
+from array import array
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .algebra import _Generator, _PackedFamily, _flatten, _kl_recursion
+from .algebra import _Columns, _Generator, _PackedFamily, _flatten, _kl_recursion, _lane_columns
 from .cells import cell_module, compute_cells, left_cell_name
 from .dihedral import dihedral_group
 from .exact import IntMatrix, is_zero_matrix, mat_add
@@ -159,6 +174,12 @@ MAX_CANONICAL_RANK = 6
 # set-up, Python overhead per step) outweighs its big-integer work, so
 # small units share calls while large ones still run nearly alone.
 _CALL_LANES = 64
+# A search plan keeps the lane columns of its calls when it has at most
+# this many lanes.  They take 20-50 bytes a lane at ranks 4 and 5 (E <= 4),
+# so a plan keeps at most a few MB of them: rank 4 of the block space at
+# E=4 (69,608 lanes) keeps its columns, the F7-off frontier at rank 5, E=2
+# (2.5 million) builds them call by call.
+_PLAN_COLUMN_LANES = 1 << 17
 
 
 # -- canonical representatives ---------------------------------------------
@@ -602,29 +623,58 @@ def _conjugations(*blocks: int) -> tuple[operator.itemgetter, ...]:
 
 class _Space(NamedTuple):
     """One search space: A_s and A_t lists, each ascending by flat matrix
-    and closed under the conjugations, the A_t grouped by support, and
-    the F3 verdicts by support, one table for every space of a rank."""
+    and closed under the conjugations, and the A_t grouped by support
+    (``_support_classes``)."""
 
     conjugations: tuple[operator.itemgetter, ...]
     gens_s: tuple[_Generator, ...]
     gens_t: tuple[_Generator, ...]
-    classes: tuple[tuple[int, tuple[_Generator, ...]], ...]
-    connected: dict[int, bool]
+    classes: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def _support_classes(gens: Iterable[_Generator]) -> tuple[tuple[int, tuple[_Generator, ...]], ...]:
-    """(support, generators with that support) for each support, in order
-    of first appearance; each group keeps the order of ``gens``."""
-    classes: dict[int, list[_Generator]] = {}
-    for gen in gens:
-        classes.setdefault(gen.support, []).append(gen)
+class _Call(NamedTuple):
+    """One kernel call of a search plan (``_plan``).
+
+    f3_failures -- the pairs of its units that fail F3
+    parts       -- (space, index of A_s in space.gens_s, representatives)
+                   of each of its units with a representative, the
+                   representatives as ``_part_lanes`` reads them: the bytes
+                   of the A_t indices into space.gens_t (unsigned int) and
+                   of the orbit sizes (unsigned short, as an orbit size
+                   divides |G| <= 6! = 720)
+    columns     -- its ``algebra._Columns``, or None for a plan too large
+                   to keep them (``_PLAN_COLUMN_LANES``)
+    """
+
+    f3_failures: int
+    parts: tuple[tuple[_Space, int, bytes, bytes], ...]
+    columns: _Columns | None
+
+
+class _Rank(NamedTuple):
+    """What ``_spaces`` keeps for one (rank, bound, block_space): the
+    spaces, the work units (``_rank_units``) and the search plans built on
+    them, by (judge_f3, run of units) (``_plan``)."""
+
+    spaces: tuple[_Space, ...]
+    units: tuple[tuple[int, int], ...]
+    plans: dict[tuple[bool, tuple[tuple[int, int], ...]], tuple[_Call, ...]]
+
+
+def _support_classes(gens: Sequence[_Generator]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(support, indices into ``gens`` of the generators with that support)
+    for each support, in order of first appearance, each group ascending."""
+    classes: dict[int, list[int]] = {}
+    for index, gen in enumerate(gens):
+        classes.setdefault(gen.support, []).append(index)
     return tuple((support, tuple(members)) for support, members in classes.items())
 
 
 def _f3_split(
-    rank: int, support_s: int, classes: Iterable[tuple[int, Sequence[_Generator]]], connected: dict[int, bool]
-) -> tuple[int, list[_Generator]]:
-    """(number of A_t that fail F3 with A_s, the A_t that pass, class by class).
+    rank: int, support_s: int, classes: Sequence[tuple[int, Sequence[int]]], connected: dict[int, bool]
+) -> tuple[int, bytes]:
+    """(number of A_t that fail F3 with A_s, one flag per support class,
+    1 for the classes whose A_t pass).
 
     The pairs are nonnegative, so nothing cancels in A_s + A_t and its zero
     pattern is ``support_s | support``: F3 is judged once per support
@@ -632,24 +682,25 @@ def _f3_split(
     of verdicts by zero pattern for matrices of this rank.
     """
     failing = 0
-    passing: list[_Generator] = []
-    for support, members in classes:
+    passing = bytearray(len(classes))
+    for position, (support, members) in enumerate(classes):
         union = support_s | support
         verdict = connected.get(union)
         if verdict is None:
             verdict = connected[union] = _strongly_connected(union, rank) is None
         if verdict:
-            passing += members
+            passing[position] = 1
         else:
             failing += len(members)
-    return failing, passing
+    return failing, bytes(passing)
 
 
 @functools.lru_cache(maxsize=MAX_CANONICAL_RANK)
-def _spaces(rank: int, bound: int, block_space: bool) -> tuple[_Space, ...]:
-    """The search spaces of one rank; kept for as many (rank, bound,
-    block_space) as one search has ranks, so a search that follows one
-    with the same ranks builds none, and forked workers inherit them.
+def _spaces(rank: int, bound: int, block_space: bool) -> _Rank:
+    """The search spaces of one rank with their work units; kept for as
+    many (rank, bound, block_space) as one search has ranks, together with
+    the plans built on them, so a search that follows one with the same
+    ranks and bound builds neither again, and forked workers inherit them.
 
     The block space has one space per split k in 1..r-1: A_s for every B
     and A_t for every B', under S_k x S_{r-k}, which permutes the first k
@@ -657,50 +708,50 @@ def _spaces(rank: int, bound: int, block_space: bool) -> tuple[_Space, ...]:
     (P_sigma B P_tau^-1, P_tau B' P_sigma^-1).  Rank one cannot split: its
     block space is the rank-one variety at bound 2, (0) and (2), under the
     trivial group.  The F1 variety is one space, under S_r.
+
+    A work unit (j, i) holds the orbits of space j whose least member has
+    the i-th A_s of that space; only an A_s that is least in its orbit gets
+    one.
     """
-    connected: dict[int, bool] = {}
     if not block_space or rank == 1:
         variety = tuple(_Generator(a, rank) for a in _f1_matrices(rank, 2 if block_space else bound))
-        return (_Space(_conjugations(rank), variety, variety, _support_classes(variety), connected),)
-    spaces = []
-    for k in range(1, rank):
-        m = rank - k
-        gens_s, gens_t = [], []
-        for entries in itertools.product(range(bound + 1), repeat=k * m):
-            a_s = [0] * (rank * rank)
-            a_t = [0] * (rank * rank)
-            for i in range(k):
-                a_s[i * rank + i] = 2
-                a_s[i * rank + k : (i + 1) * rank] = entries[i * m : (i + 1) * m]
-            for j in range(k, rank):
-                a_t[j * rank : j * rank + k] = entries[(j - k) * k : (j - k + 1) * k]
-                a_t[j * rank + j] = 2
-            gens_s.append(_Generator(a_s, rank))
-            gens_t.append(_Generator(a_t, rank))
-        spaces.append(_Space(_conjugations(k, m), tuple(gens_s), tuple(gens_t), _support_classes(gens_t), connected))
-    return tuple(spaces)
-
-
-def _rank_units(rank: int, bound: int, block_space: bool) -> list[tuple[int, int]]:
-    """Deterministic work units for one rank (shipped to workers as-is).
-
-    A unit (j, i) holds the orbits of space j of ``_spaces`` whose least
-    member has the i-th A_s of that space; only an A_s that is least in its
-    orbit gets one.
-    """
-    return [
+        spaces = [_Space(_conjugations(rank), variety, variety, _support_classes(variety))]
+    else:
+        spaces = []
+        for k in range(1, rank):
+            m = rank - k
+            gens_s, gens_t = [], []
+            for entries in itertools.product(range(bound + 1), repeat=k * m):
+                a_s = [0] * (rank * rank)
+                a_t = [0] * (rank * rank)
+                for i in range(k):
+                    a_s[i * rank + i] = 2
+                    a_s[i * rank + k : (i + 1) * rank] = entries[i * m : (i + 1) * m]
+                for j in range(k, rank):
+                    a_t[j * rank : j * rank + k] = entries[(j - k) * k : (j - k + 1) * k]
+                    a_t[j * rank + j] = 2
+                gens_s.append(_Generator(a_s, rank))
+                gens_t.append(_Generator(a_t, rank))
+            spaces.append(_Space(_conjugations(k, m), tuple(gens_s), tuple(gens_t), _support_classes(gens_t)))
+    units = tuple(
         (j, i)
-        for j, space in enumerate(_spaces(rank, bound, block_space))
+        for j, space in enumerate(spaces)
         for i, gen_s in enumerate(space.gens_s)
         if all(g(gen_s.flat) >= gen_s.flat for g in space.conjugations)
-    ]
+    )
+    return _Rank(tuple(spaces), units, {})
 
 
-def _orbits(
-    rank: int, bound: int, block_space: bool, unit: tuple[int, int], judge_f3: bool
-) -> tuple[_Generator, int, list[tuple[_Generator, int]]]:
-    """(prepared A_s, pairs of the unit that fail F3, representatives) of a
-    unit, each representative an (A_t, orbit size).
+def _rank_units(rank: int, bound: int, block_space: bool) -> tuple[tuple[int, int], ...]:
+    """Deterministic work units for one rank (shipped to workers as-is):
+    the units (j, i) of ``_spaces``."""
+    return _spaces(rank, bound, block_space).units
+
+
+def _orbits(space: _Space, i: int, failing: int, passing: bytes) -> tuple[int, array, array]:
+    """(pairs of the unit that fail F3, indices of the representatives' A_t
+    in space.gens_t, their orbit sizes) of the unit with the i-th A_s of
+    ``space``.  ``failing`` and ``passing`` are the ``_f3_split`` of A_s.
 
     The space's group G acts on pairs by simultaneous conjugation, and an
     orbit's representative is its least (A_s, A_t).  A_s is fixed by the
@@ -708,21 +759,24 @@ def _orbits(
     O_s x (every A_t), and the orbits through A_s are the orbits of A_t
     under Stab(A_s); the representative has the least A_t of each, and the
     orbit has |G| / |Stab(A_s) & Stab(A_t)| members.  F3 is invariant under
-    conjugation and reads only the supports, so with ``judge_f3`` the unit
-    has |O_s| = |G| / |Stab(A_s)| times as many F3 failures as A_t fail
-    with A_s (``_f3_split``), and only the A_t that pass get representatives.
+    conjugation and reads only the supports, so the unit has
+    |O_s| = |G| / |Stab(A_s)| times as many F3 failures as A_t fail with
+    A_s, and only the A_t that pass get representatives.  When Stab(A_s)
+    is trivial every one of them is a representative of a whole orbit.
     """
-    j, i = unit
-    space = _spaces(rank, bound, block_space)[j]
-    gen_s = space.gens_s[i]
-    stabiliser = [g for g in space.conjugations if g(gen_s.flat) == gen_s.flat]
+    flat_s = space.gens_s[i].flat
+    stabiliser = [g for g in space.conjugations if g(flat_s) == flat_s]
     group_order = len(space.conjugations) + 1
-    failing, candidates = (
-        _f3_split(rank, gen_s.support, space.classes, space.connected) if judge_f3 else (0, space.gens_t)
+    candidates = itertools.chain.from_iterable(
+        itertools.compress(map(operator.itemgetter(1), space.classes), passing)
     )
-    representatives = []
-    for gen_t in candidates:
-        a_t = gen_t.flat
+    if not stabiliser:
+        indices = array("I", candidates)
+        return failing * group_order, indices, array("H", [group_order]) * len(indices)
+    indices, weights = array("I"), array("H")
+    gens_t = space.gens_t
+    for index in candidates:
+        a_t = gens_t[index].flat
         fixed = 1
         for g in stabiliser:
             image = g(a_t)
@@ -730,8 +784,75 @@ def _orbits(
                 break
             fixed += image == a_t
         else:
-            representatives.append((gen_t, group_order // fixed))
-    return gen_s, failing * (group_order // (len(stabiliser) + 1)), representatives
+            indices.append(index)
+            weights.append(group_order // fixed)
+    return failing * (group_order // (len(stabiliser) + 1)), indices, weights
+
+
+def _part_lanes(part: tuple[_Space, int, bytes, bytes]) -> Iterator[tuple[_Generator, _Generator, int]]:
+    """(A_s, A_t, orbit size) of each representative of a part of a plan
+    call, in lane order."""
+    space, i, indices, weights = part
+    gens_t = map(space.gens_t.__getitem__, memoryview(indices).cast("I"))
+    return zip(itertools.repeat(space.gens_s[i]), gens_t, memoryview(weights).cast("H"))
+
+
+def _call_generators(parts: Sequence[tuple[_Space, int, bytes, bytes]]) -> tuple[list[_Generator], list[_Generator]]:
+    """(A_s of each lane, A_t of each lane) of the parts of a plan call."""
+    lanes = [lane for part in parts for lane in _part_lanes(part)]
+    return [gen_s for gen_s, _, _ in lanes], [gen_t for _, gen_t, _ in lanes]
+
+
+def _plan(
+    rank: int, bound: int, block_space: bool, judge_f3: bool, run: Sequence[tuple[int, int]]
+) -> tuple[_Call, ...]:
+    """The kernel calls that judge a run of consecutive units, built once
+    per (rank, bound, block_space, judge_f3) and run, and kept in the
+    ``_spaces`` entry of the rank, so every n searches with the same plan.
+
+    Nothing in it depends on n.  F3 is judged once per A_s support of each
+    space (``_f3_split``), with one table of verdicts by zero pattern that
+    lives only while the splits are built.  The orbits of each unit
+    follow (``_orbits``), and the calls take whole units in order until
+    one holds at least ``_CALL_LANES`` lanes.  A plan of at most
+    ``_PLAN_COLUMN_LANES`` lanes keeps the columns of each call
+    (``algebra._lane_columns``), so that at each n a call only packs them
+    at its width.  A forked worker builds the plan of its own run, which
+    the parent does not keep.
+    """
+    entry = _spaces(rank, bound, block_space)
+    run = tuple(run)
+    if (judge_f3, run) in entry.plans:
+        return entry.plans[judge_f3, run]
+    spaces = entry.spaces
+    splits: dict[tuple[int, int], tuple[int, bytes]] = {}
+    if judge_f3:
+        connected: dict[int, bool] = {}
+        for j, i in run:
+            support = spaces[j].gens_s[i].support
+            if (j, support) not in splits:
+                splits[j, support] = _f3_split(rank, support, spaces[j].classes, connected)
+        del connected
+    groups = []
+    failures, parts, lanes, total = 0, [], 0, 0
+    for position, (j, i) in enumerate(run, start=1):
+        space = spaces[j]
+        split = splits[j, space.gens_s[i].support] if judge_f3 else (0, b"\1" * len(space.classes))
+        failing, indices, weights = _orbits(space, i, *split)
+        failures += failing
+        if indices:
+            parts.append((space, i, indices.tobytes(), weights.tobytes()))
+            lanes += len(indices)
+        if lanes < _CALL_LANES and position < len(run):
+            continue
+        groups.append((failures, tuple(parts)))
+        total += lanes
+        failures, parts, lanes = 0, [], 0
+    keep = total <= _PLAN_COLUMN_LANES
+    calls = entry.plans[judge_f3, run] = tuple(
+        _Call(failures, parts, _lane_columns(*_call_generators(parts)) if keep else None) for failures, parts in groups
+    )
+    return calls
 
 
 def _judge_units(
@@ -740,11 +861,11 @@ def _judge_units(
     """Worker entry point: judge the orbits of a run of consecutive units.
 
     Returns (pairs evaluated, rejection counts, survivors), each survivor
-    the flat (A_s, A_t) of a surviving representative.  F3 is charged per
-    support class; the representatives of the other orbits are judged one
-    lane each in ``algebra._kl_recursion`` calls that take whole units in
-    order until a call holds at least ``_CALL_LANES`` lanes, and each
-    verdict is charged to every pair of its orbit.
+    the flat (A_s, A_t) of a surviving representative.  The run's plan
+    (``_plan``) charges F3 per support class and gives the kernel calls;
+    each call judges its representatives one lane each in
+    ``algebra._kl_recursion`` at the width n needs, and each verdict is
+    charged to every pair of its orbit.
 
     The kernel gives each lane's first failing filter in the order F4, F2,
     F5.  Its preconditions are F1, nonnegative entries and, when F3 is
@@ -757,29 +878,24 @@ def _judge_units(
     F1 and F5 imply it (``run_filters``).
     """
     n, rank, bound, enabled, units = payload
-    block_space, judge_f3, check_support = "F7" in enabled, "F3" in enabled, "F4" in enabled
+    check_support = "F4" in enabled
     evaluated = 0
     rejections: dict[str, int] = {}
     survivors = []
-    gens_s: list[_Generator] = []
-    lanes: list[tuple[_Generator, int]] = []  # (A_t, orbit size)
-    for position, unit in enumerate(units, start=1):
-        gen_s, f3_failures, representatives = _orbits(rank, bound, block_space, unit, judge_f3)
-        if f3_failures:
-            evaluated += f3_failures
-            rejections["F3"] = rejections.get("F3", 0) + f3_failures
-        gens_s += [gen_s] * len(representatives)
-        lanes += representatives
-        if len(lanes) < _CALL_LANES and position < len(units):
-            continue
-        outcomes = _kl_recursion(n, gens_s, [gen_t for gen_t, _ in lanes], check_support)[2]
-        for lane_s, (lane_t, weight), failed in zip(gens_s, lanes, outcomes):
-            evaluated += weight
-            if failed is None:
-                survivors.append((lane_s.flat, lane_t.flat))
-            else:
-                rejections[failed] = rejections.get(failed, 0) + weight
-        gens_s, lanes = [], []
+    for call in _plan(rank, bound, "F7" in enabled, "F3" in enabled, units):
+        if call.f3_failures:
+            evaluated += call.f3_failures
+            rejections["F3"] = rejections.get("F3", 0) + call.f3_failures
+        columns = call.columns if call.columns is not None else _lane_columns(*_call_generators(call.parts))
+        outcomes = iter(_kl_recursion(n, columns, check_support)[2])
+        for part in call.parts:
+            # zip takes the outcomes last, so it stops at the unit's end
+            for (gen_s, gen_t, weight), failed in zip(_part_lanes(part), outcomes):
+                evaluated += weight
+                if failed is None:
+                    survivors.append((gen_s.flat, gen_t.flat))
+                else:
+                    rejections[failed] = rejections.get(failed, 0) + weight
     return evaluated, tuple(sorted(rejections.items())), survivors
 
 

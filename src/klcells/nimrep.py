@@ -250,32 +250,24 @@ def _strongly_connected(support: int, r: int) -> int | None:
     ``algebra._support``; edge i -> j iff bit j*r + i is set, that is
     q[j][i] != 0) is strongly connected, else a vertex missing from some
     orbit of vertex 0: the least vertex that vertex 0 does not reach, or,
-    when it reaches every vertex, the least one that does not reach it."""
-    if r == 0:
-        return None
+    when it reaches every vertex, the least one that does not reach it.
+
+    Row j of the bitmask is the set of predecessors of j; Warshall's
+    closure (if k -> j, everything that reaches k reaches j) turns it into
+    the set of vertices that reach j.
+    """
     everything = (1 << r) - 1
-    # row j of the bitmask is the set of predecessors of j
-    predecessors = [support >> (j * r) & everything for j in range(r)]
-    successors = [0] * r
-    for j, row in enumerate(predecessors):
-        while row:
-            low = row & -row
-            successors[low.bit_length() - 1] |= 1 << j
-            row ^= low
-    for adjacency in (successors, predecessors):
-        seen = frontier = 1
-        while frontier:
-            reached = 0
-            while frontier:
-                low = frontier & -frontier
-                reached |= adjacency[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reached & ~seen
-            seen |= reached
-        if seen != everything:
-            missing = everything & ~seen
-            return (missing & -missing).bit_length() - 1
-    return None
+    reach = [support >> (j * r) & everything for j in range(r)]
+    for k in range(r):
+        bit, row = 1 << k, reach[k]
+        for j in range(r):
+            if reach[j] & bit:
+                reach[j] |= row
+    for j in range(1, r):
+        if not reach[j] & 1:
+            return j
+    missing = everything & ~reach[0] & ~1 if r else 0
+    return (missing & -missing).bit_length() - 1 if missing else None
 
 
 def check_transitive(pair: MatrixPair) -> FilterReport:

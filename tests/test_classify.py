@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import os
 import pickle
 import random
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from klcells.algebra import structure_constants
+from klcells.algebra import _Generator, structure_constants
 from klcells.cells import cell_module, compute_cells, left_cell_name, right_cell_module
 from klcells.classify import (
     ALL_FILTERS,
@@ -25,9 +26,13 @@ from klcells.classify import (
     Tag,
     _cell_keys,
     _f1_matrices,
+    _f3_split,
     _module_traces,
     _orbits,
+    _part_lanes,
+    _plan,
     _rank_units,
+    _spaces,
     canonical_pair,
     canonicalize,
     classify,
@@ -493,11 +498,12 @@ def test_classify_parallel_matches_serial():
 
 
 def orbits(rank, bound, block_space):
-    """(flat A_s, flat A_t, orbit size) of the representatives of one rank."""
-    for unit in _rank_units(rank, bound, block_space):
-        gen_s, _, representatives = _orbits(rank, bound, block_space, unit, False)
-        for gen_t, weight in representatives:
-            yield gen_s.flat, gen_t.flat, weight
+    """(flat A_s, flat A_t, orbit size) of the representatives of one rank,
+    read from the search's plan with F3 off."""
+    for call in _plan(rank, bound, block_space, False, _rank_units(rank, bound, block_space)):
+        for part in call.parts:
+            for gen_s, gen_t, weight in _part_lanes(part):
+                yield gen_s.flat, gen_t.flat, weight
 
 
 def block_split(rank, a_s):
@@ -567,24 +573,49 @@ def test_orbit_representatives_are_least_and_partition_the_space():
                 assert len(covered) == base ** (2 * k * m)
 
 
+@pytest.fixture
+def cold_plans():
+    """No search plan before or after the test: the search's spaces, units
+    and plans are all dropped (``_spaces``)."""
+    _spaces.cache_clear()
+    yield
+    _spaces.cache_clear()
+
+
 def raw_pair_report(monkeypatch, n, **kwargs):
     """The report of a search that runs run_filters_oracle on every raw pair.
 
     Block pairs are extended by the tuple oracle, both for their verdicts
     and for the family of each survivor's annotation; variety pairs by
-    ``extend``, which the whole-space tests compare with that oracle.
+    ``extend``, which the whole-space tests compare with that oracle.  The
+    raw units and their judge must both run, once per rank, and no plan
+    may be built or read.
     """
+    calls = []
+
+    def counted(name, oracle):
+        def call(*args):
+            calls.append(name)
+            return oracle(*args)
+
+        return call
+
+    plans = _spaces.cache_info()
     with monkeypatch.context() as patched:
-        patched.setattr(classify_module, "_rank_units", raw_units)
-        patched.setattr(classify_module, "_judge_units", evaluate_raw_units)
+        patched.setattr(classify_module, "_rank_units", counted("units", raw_units))
+        patched.setattr(classify_module, "_judge_units", counted("judge", evaluate_raw_units))
         if "F7" not in kwargs.get("disabled", ()):
             patched.setattr(oracles, "extend", extend_oracle)
             patched.setattr(classify_module, "extend", extend_oracle)
-        return classify(n, **kwargs).to_json_bytes()
+        report = classify(n, **kwargs).to_json_bytes()
+    ranks = len(kwargs["ranks"])
+    assert sorted(calls) == ["judge"] * ranks + ["units"] * ranks
+    assert _spaces.cache_info() == plans
+    return report
 
 
 @pytest.mark.parametrize("n", range(3, 7))
-def test_reports_match_the_raw_pair_oracle(monkeypatch, n):
+def test_reports_match_the_raw_pair_oracle(monkeypatch, cold_plans, n):
     for ranks, bound in (((1, 2, 3, 4), 2), ((1, 2, 3), 4)):
         expected = raw_pair_report(monkeypatch, n, ranks=ranks, entry_bound=bound)
         assert classify(n, ranks=ranks, entry_bound=bound).to_json_bytes() == expected, (n, ranks, bound)
@@ -594,9 +625,10 @@ VARIETY_REPORTS = [(n, ("F7",)) for n in range(3, 7)] + [(4, ("F7", off)) for of
 
 
 @pytest.mark.parametrize("n, disabled", VARIETY_REPORTS)
-def test_variety_reports_match_the_raw_pair_oracle(monkeypatch, n, disabled):
+def test_variety_reports_match_the_raw_pair_oracle(monkeypatch, cold_plans, n, disabled):
     search = {"ranks": (1, 2, 3), "entry_bound": 2, "disabled": disabled, "max_states": 10**9}
-    assert classify(n, **search).to_json_bytes() == raw_pair_report(monkeypatch, n, **search)
+    expected = raw_pair_report(monkeypatch, n, **search)
+    assert classify(n, **search).to_json_bytes() == expected
 
 
 BLOCK_SEARCH = {"ranks": (1, 2, 3, 4), "entry_bound": 2}
@@ -845,29 +877,50 @@ ORBIT_SPACES = (
 def test_bulk_f3_matches_plain_enumeration_of_each_unit(rank, bound, block_space):
     # F3 charged per support class against check_transitive on every
     # representative of the unit: the same rejected pairs and the same
-    # surviving representatives with the same orbit sizes
-    for unit in _rank_units(rank, bound, block_space):
-        gen_s, failing, representatives = _orbits(rank, bound, block_space, unit, True)
-        plain_s, zero, everything = _orbits(rank, bound, block_space, unit, False)
-        assert plain_s is gen_s and zero == 0
+    # surviving representatives with the same orbit sizes.  The plan, which
+    # judges F3 once per support of A_s, charges the same failures and
+    # keeps the same representatives.
+    spaces = _spaces(rank, bound, block_space).spaces
+    units = _rank_units(rank, bound, block_space)
+    failures, lanes = 0, []
+    for j, i in units:
+        space = spaces[j]
+        gen_s = space.gens_s[i]
+        failing, indices, weights = _orbits(space, i, *_f3_split(rank, gen_s.support, space.classes, {}))
+        zero, everything, sizes = _orbits(space, i, 0, b"\1" * len(space.classes))
+        assert zero == 0
         theta_s = _square(gen_s.flat, rank)
         transitive = [
-            check_transitive(MatrixPair(4, rank, theta_s, _square(gen_t.flat, rank))).passed
-            for gen_t, _ in everything
+            check_transitive(MatrixPair(4, rank, theta_s, _square(space.gens_t[k].flat, rank))).passed
+            for k in everything
         ]
-        assert failing == sum(weight for (_, weight), ok in zip(everything, transitive) if not ok), unit
-        kept = [(gen_t.flat, weight) for (gen_t, weight), ok in zip(everything, transitive) if ok]
-        assert sorted((gen_t.flat, weight) for gen_t, weight in representatives) == kept, unit
+        assert failing == sum(weight for weight, ok in zip(sizes, transitive) if not ok), (j, i)
+        kept = [
+            (gen_s.flat, space.gens_t[k].flat, weight) for k, weight, ok in zip(everything, sizes, transitive) if ok
+        ]
+        assert sorted((gen_s.flat, space.gens_t[k].flat, weight) for k, weight in zip(indices, weights)) == sorted(kept)
+        failures += failing
+        lanes += kept
+    plan = _plan(rank, bound, block_space, True, units)
+    assert sum(call.f3_failures for call in plan) == failures
+    planned = [(s.flat, t.flat, weight) for call in plan for part in call.parts for s, t, weight in _part_lanes(part)]
+    assert sorted(planned) == sorted(lanes)
 
 
-def test_a_search_after_another_builds_no_space():
-    # every rank of a search stays cached, so the next search with the same
-    # ranks and bound builds none; both reports are those of a cold process
+def test_a_search_after_another_builds_no_space(cold_plans):
+    # every rank of a search stays cached with its plan, so the next search
+    # with the same ranks and bound builds neither; both reports are those
+    # of a cold process
     search = {"ranks": (1, 2, 3, 4), "entry_bound": 2}
     first = classify(4, **search).to_json_bytes()
-    misses = classify_module._spaces.cache_info().misses
+    misses = _spaces.cache_info().misses
+    plans = {rank: dict(_spaces(rank, 2, True).plans) for rank in search["ranks"]}
+    assert all(len(kept) == 1 for kept in plans.values())
     second = classify(5, **search).to_json_bytes()
-    assert classify_module._spaces.cache_info().misses == misses
+    assert _spaces.cache_info().misses == misses
+    for rank, kept in plans.items():
+        now = _spaces(rank, 2, True).plans
+        assert now.keys() == kept.keys() and all(now[key] is plan for key, plan in kept.items()), rank
     script = (
         "import sys; from klcells.classify import classify; "
         "sys.stdout.write(classify(4, ranks=(1, 2, 3, 4), entry_bound=2).to_json_bytes().decode()); "
@@ -937,3 +990,73 @@ def test_validation_errors():
     for jobs in (0, -1):
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             enumerate_candidates(4, 2, jobs=jobs)
+
+
+# (search, the filters it runs with off): F3 on, F3 off, and F3 and F4 off,
+# at the same ranks and bound, so plans with and without F3 share a space
+WARM_SEARCHES = (
+    ({"ranks": (1, 2, 3, 4), "entry_bound": 2}, ((), ("F3",), ("F3", "F4"))),
+    (
+        {"ranks": (1, 2, 3), "entry_bound": 2, "max_states": 10**9},
+        (("F7",), ("F7", "F3"), ("F7", "F3", "F4")),
+    ),
+)
+
+
+@pytest.mark.parametrize("search, variants", WARM_SEARCHES)
+def test_a_warm_plan_is_invisible(cold_plans, search, variants):
+    # one process sweeps n = 3..12 up and then down, each n with every
+    # variant in turn: the spaces and plans built at the first n serve all
+    # the others (one plan with F3 judged and one without, per rank), and
+    # every report is byte for byte that of a cold run
+    cold = {}
+    for n in range(3, 13):
+        for disabled in variants:
+            _spaces.cache_clear()
+            cold[n, disabled] = classify(n, disabled=disabled, **search).to_json_bytes()
+    _spaces.cache_clear()
+    block_space = "F7" not in variants[0]
+    for step, n in enumerate([*range(3, 13), *range(12, 2, -1)]):
+        for disabled in variants:
+            assert classify(n, disabled=disabled, **search).to_json_bytes() == cold[n, disabled], (n, disabled)
+        if step == 0:
+            misses = _spaces.cache_info().misses
+            plans = {rank: dict(_spaces(rank, 2, block_space).plans) for rank in search["ranks"]}
+    assert _spaces.cache_info().misses == misses
+    for rank, kept in plans.items():
+        assert sorted(judge_f3 for judge_f3, _ in kept) == [False, True], rank
+        now = _spaces(rank, 2, block_space).plans
+        assert now.keys() == kept.keys() and all(now[key] is plan for key, plan in kept.items()), rank
+
+
+def test_cached_plans_are_immutable():
+    # the units and plans a search keeps are tuples, named tuples and bytes
+    # all the way down, so no caller can change what the next search reads
+    def frozen(value):
+        if isinstance(value, (int, bytes, type(None), operator.itemgetter, _Generator)):
+            return True
+        return isinstance(value, tuple) and all(map(frozen, value))
+
+    for rank, bound, block_space in ((3, 2, False), (4, 2, True)):
+        entry = _spaces(rank, bound, block_space)
+        assert isinstance(entry.units, tuple) and frozen(entry.units)
+        for judge_f3 in (False, True):
+            plan = _plan(rank, bound, block_space, judge_f3, entry.units)
+            assert isinstance(plan, tuple) and frozen(plan)
+            assert all(call.columns is not None for call in plan)
+
+
+def test_a_plan_without_columns_gives_the_same_reports(monkeypatch, cold_plans):
+    # a plan too large to keep its lane columns builds them per call at
+    # every n, with the same reports as one that keeps them
+    searches = (
+        {"ranks": (1, 2, 3, 4), "entry_bound": 2},
+        {"ranks": (1, 2, 3), "entry_bound": 2, "disabled": ("F7",), "max_states": 10**9},
+    )
+    kept = [[classify(n, **search).to_json_bytes() for n in (4, 5)] for search in searches]
+    _spaces.cache_clear()
+    monkeypatch.setattr(classify_module, "_PLAN_COLUMN_LANES", 0)
+    assert [[classify(n, **search).to_json_bytes() for n in (4, 5)] for search in searches] == kept
+    for rank in (1, 2, 3):
+        (plan,) = _spaces(rank, 2, False).plans.values()
+        assert all(call.columns is None for call in plan)

@@ -9,9 +9,10 @@ import pytest
 
 from klcells.cells import cell_module
 from klcells.classify import (
+    _call_generators,
     _f1_matrices,
     _f3_split,
-    _orbits,
+    _plan,
     _rank_units,
     _support_classes,
     classify,
@@ -40,7 +41,15 @@ from klcells.nimrep import (
     _square,
     _strongly_connected,
 )
-from klcells.algebra import _Generator, _kl_recursion, _support, _unpack, kl_regular_matrices
+from klcells.algebra import (
+    _Generator,
+    _kl_recursion,
+    _lane_columns,
+    _pair_columns,
+    _support,
+    _unpack,
+    kl_regular_matrices,
+)
 from oracles import (
     extend_oracle,
     kl_recursion_oracle,
@@ -58,6 +67,11 @@ UNREAL2_T = ((0, 0), (1, 2))
 UNREAL3_S = ((2, 3), (0, 0))
 UNREAL3_T = ((0, 0), (1, 2))
 ONES = ((1, 1), (1, 1))
+
+
+def kernel(n, gens_s, gens_t, check_support=False):
+    """One ``_kl_recursion`` call on the lanes (gens_s[L], gens_t[L])."""
+    return _kl_recursion(n, _lane_columns(gens_s, gens_t), check_support)
 
 
 def pair(n, theta_s, theta_t):
@@ -172,10 +186,11 @@ def kernel_verdicts(n, gens_s, gens_t, enabled, connected):
     lanes = [
         lane
         for lane, (gen_s, gen_t) in enumerate(zip(gens_s, gens_t))
-        if "F3" not in enabled or _f3_split(gen_s.rank, gen_s.support, [(gen_t.support, (gen_t,))], connected)[1]
+        if "F3" not in enabled
+        or _f3_split(gen_s.rank, gen_s.support, [(gen_t.support, (lane,))], connected)[1] == b"\1"
     ]
     verdicts = ["F3"] * len(gens_t)
-    outcomes = _kl_recursion(n, [gens_s[k] for k in lanes], [gens_t[k] for k in lanes], "F4" in enabled)[2]
+    outcomes = kernel(n, [gens_s[k] for k in lanes], [gens_t[k] for k in lanes], "F4" in enabled)[2]
     for lane, outcome in zip(lanes, outcomes):
         verdicts[lane] = outcome
     return verdicts
@@ -273,12 +288,12 @@ def test_prepared_kernel_matches_the_flat_pair_oracle(n):
         gen_s, gen_t = generator(a_s, rank), generator(a_t, rank)
         for check_support in (False, True):
             expected = kl_recursion_oracle(m, rank, a_s, a_t, check_support)
-            matrices, width, (outcome,), negative = _kl_recursion(m, [gen_s], [gen_t], check_support)
+            matrices, width, (outcome,), negative = kernel(m, [gen_s], [gen_t], check_support)
             assert (matrices, width, outcome, negative) == expected, (m, a_s, a_t, check_support)
             batches.setdefault((m, rank, a_s, check_support), []).append((gen_t, expected[2]))
     for (m, rank, a_s, check_support), lanes in batches.items():
         gens_t = [gen_t for gen_t, _ in lanes]
-        outcomes = _kl_recursion(m, [generator(a_s, rank)] * len(gens_t), gens_t, check_support)[2]
+        outcomes = kernel(m, [generator(a_s, rank)] * len(gens_t), gens_t, check_support)[2]
         assert outcomes == [outcome for _, outcome in lanes], (m, a_s, check_support)
 
 
@@ -292,9 +307,8 @@ def test_a_lane_is_the_same_alone_in_its_unit_and_among_every_unit(n):
     spaces = [(rank, True) for rank in (1, 2, 3, 4)] + ([(rank, False) for rank in (1, 2, 3)] if n <= 6 else [])
     for rank, block_space in spaces:
         units = []
-        for unit in _rank_units(rank, 2, block_space):
-            gen_s, _, representatives = _orbits(rank, 2, block_space, unit, True)
-            units.append([(gen_s, gen_t) for gen_t, _ in representatives])
+        for call in _plan(rank, 2, block_space, True, _rank_units(rank, 2, block_space)):
+            units += (list(zip(*_call_generators([part]))) for part in call.parts)
         lanes = [lane for unit in units for lane in unit]
         assert len({gen_s.flat for gen_s, _ in lanes}) > 1
         for check_support in (False, True):
@@ -302,12 +316,12 @@ def test_a_lane_is_the_same_alone_in_its_unit_and_among_every_unit(n):
             calls = [lanes] + [unit for unit in units if unit]
             got = []
             for call in calls:
-                matrices, width, outcomes, _ = _kl_recursion(n, *zip(*call), check_support)
+                matrices, width, outcomes, _ = kernel(n, *zip(*call), check_support)
                 got += zip(outcomes, lane_entries(matrices, width, len(call)))
             mixed, alone = got[: len(lanes)], got[len(lanes) :]
             for lane, ((gen_s, gen_t), oracle) in enumerate(zip(lanes, oracles)):
                 family, oracle_width, outcome, _ = oracle
-                matrices, width, (one,), negative = _kl_recursion(n, [gen_s], [gen_t], check_support)
+                matrices, width, (one,), negative = kernel(n, [gen_s], [gen_t], check_support)
                 assert (matrices, width, one, negative) == oracle, (rank, gen_s.flat, gen_t.flat)
                 for call_outcome, entries in (mixed[lane], alone[lane]):
                     assert call_outcome == outcome, (rank, gen_s.flat, gen_t.flat)
@@ -336,7 +350,7 @@ def assert_lanes_match_the_oracle(n, rank, pairs, check_support):
     prepared = {flat: _Generator(flat, rank) for pair in pairs for flat in pair}
     gens_s, gens_t = ([prepared[pair[x]] for pair in pairs] for x in (0, 1))
     oracles = [kl_recursion_oracle(n, rank, a_s, a_t, check_support) for a_s, a_t in pairs]
-    result = matrices, width, outcomes, _ = _kl_recursion(n, gens_s, gens_t, check_support)
+    result = matrices, width, outcomes, _ = kernel(n, gens_s, gens_t, check_support)
     assert outcomes == [oracle[2] for oracle in oracles]
     for lane, entries in enumerate(lane_entries(matrices, width, len(pairs))):
         family, lane_width, _, _ = oracles[lane]
@@ -393,7 +407,7 @@ def test_lanes_with_mixed_outcomes_share_one_call():
 
 def test_an_empty_call_has_no_lanes():
     for check_support in (False, True):
-        assert _kl_recursion(5, [], [], check_support) == ([], 0, [], None)
+        assert kernel(5, [], [], check_support) == ([], 0, [], None)
 
 
 def test_one_lane_call_is_the_oracle_family_at_large_rank():
@@ -404,9 +418,12 @@ def test_one_lane_call_is_the_oracle_family_at_large_rank():
         for theta_s, theta_t in pairs:
             rank = len(theta_s)
             a_s, a_t = tuple(_flatten(theta_s)), tuple(_flatten(theta_t))
-            matrices, width, (outcome,), negative = _kl_recursion(n, [_Generator(a_s, rank)], [_Generator(a_t, rank)])
-            assert (matrices, width, outcome, negative) == kl_recursion_oracle(n, rank, a_s, a_t), (n, rank)
-            assert outcome is None and len(matrices) == 2 * n
+            # prepared, and read straight off the rows
+            prepared = _lane_columns([_Generator(a_s, rank)], [_Generator(a_t, rank)])
+            for columns in (prepared, _pair_columns(theta_s, theta_t)):
+                matrices, width, (outcome,), negative = _kl_recursion(n, columns)
+                assert (matrices, width, outcome, negative) == kl_recursion_oracle(n, rank, a_s, a_t), (n, rank)
+                assert outcome is None and len(matrices) == 2 * n
 
 
 def first_failure(n, rank, a_s, a_t, enabled):
@@ -552,6 +569,7 @@ def test_shared_f3_memo_gives_the_fresh_verdicts():
     # rank, against a fresh table for every A_s and against check_transitive
     matrices = [_Generator(a, 3) for a in _f1_matrices(3, 2)]
     classes = _support_classes(matrices)
+    assert sorted(k for _, members in classes for k in members) == list(range(len(matrices)))
     shared = {}
     failures = set()
     for gen_s in matrices:
@@ -559,7 +577,8 @@ def test_shared_f3_memo_gives_the_fresh_verdicts():
         assert (failing, passing) == _f3_split(3, gen_s.support, classes, {}), gen_s.flat
         theta_s = _square(gen_s.flat, 3)
         passed = [g for g in matrices if check_transitive(MatrixPair(4, 3, theta_s, _square(g.flat, 3))).passed]
-        assert sorted(g.flat for g in passing) == [g.flat for g in passed]
+        chosen = [k for (_, members), ok in zip(classes, passing) for k in members if ok]
+        assert sorted(matrices[k].flat for k in chosen) == [g.flat for g in passed]
         assert failing == len(matrices) - len(passed)
         failures.add(failing)
     assert set(shared) == {gen_s.support | gen_t.support for gen_s in matrices for gen_t in matrices}
