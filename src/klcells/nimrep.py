@@ -22,18 +22,20 @@ witness).
 
 One kernel runs the recursion: ``algebra._kl_recursion``, the same one
 that builds the structure constants and the cell modules.  It takes a list
-of pairs of prepared generators, the lanes (``algebra._Generator``: the
-flat row-major matrix, its largest row sum, its support bitmask and its
-entries as bytes), and holds each matrix of every lane's family as one integer per
-row, the lanes side by side, so a step A_x A_w' - A_w'' serves every lane
-with a few integer operations per term of A_x, and the sign and zero tests
-cost a few operations per row whatever the number of lanes.  ``extend``
-is a one-lane call whose family, keyed by group element, reads each
-packed matrix back when it is first looked up (``algebra._kl_family``);
-it writes the witness, and ``classify.run_filters`` renders its F4, F2
-and F5 reports from it.  The classification search calls the kernel
-directly, one representative per orbit per lane and the lanes of several
-work units per call, and reads only each lane's outcome
+of generator pairs, the lanes, read entry by entry as columns that no n
+changes (``algebra._Columns``: the entries every lane shares, and the
+lanes that hold each value of an entry that varies), and holds each matrix
+of every lane's family as one integer per row, the lanes side by side, so
+a step A_x A_w' - A_w'' serves every lane with a few integer operations
+per term of A_x, and the sign and zero tests cost a few operations per
+row whatever the number of lanes.  ``extend`` is a one-lane call, read
+straight off the rows of its pair, whose family, keyed by group element,
+reads each packed matrix back when it is first looked up
+(``algebra._kl_family``); it writes the witness, and
+``classify.run_filters`` renders its F4, F2 and F5 reports from it.
+The classification search calls the kernel directly, one representative
+per orbit per lane and the lanes of several work units per call, with
+columns it builds once for every n, and reads only each lane's outcome
 (``classify._judge_units``).
 
 The named filters on candidates:
