@@ -33,8 +33,9 @@ generators is first read), and ``nimrep.extend`` runs it on one
 candidate pair; the family is unpacked matrix by matrix as it is read,
 and its traces are read off the packed diagonals.  The classification
 search prepares each generator once, judges the pairs of several work
-units in one call, and keeps the columns of its calls for every n it
-searches.
+units in one call, keeps the columns of its calls for every n it
+searches, and reads the traces of each surviving lane off the diagonals
+of that lane.
 
 The independent route, plain convolution in the group basis followed by
 conversion back, lives in the checks: verification check A1 compares every
@@ -407,6 +408,12 @@ def _frame(width: int, rank: int) -> tuple[tuple[int, ...], int]:
     return tuple(1 << shift for shift in shifts), sum(1 << (shift + width - 1) for shift in shifts)
 
 
+def _stride(rank: int, width: int) -> int:
+    """The bytes a lane of packed rows takes: rank * width bits rounded up,
+    with at least one spare bit on top."""
+    return rank * width // 8 + 1
+
+
 def _lane_starts(flags: bytes, stride: int) -> int:
     """Bit 8 * stride * L set for each lane L whose flag (0 or 1) is set."""
     buf = bytearray(len(flags) * stride)
@@ -481,7 +488,7 @@ def _kl_recursion(
         return [], 0, [], None
     rank = columns.rank
     width = n * (columns.row_sum + 1).bit_length() + 1
-    stride = rank * width // 8 + 1
+    stride = _stride(rank, width)
     lane_bits = 8 * stride
     starts = _lane_starts(b"\1" * lanes, stride)
     top = starts << (lane_bits - 1)
@@ -612,14 +619,28 @@ def _flatten(m: IntMatrix) -> list[int]:
     return [v for row in m for v in row]
 
 
-def _diagonal(rows: Sequence[int], width: int) -> list[int]:
-    """The diagonal of a one-lane packed matrix, field i of row i.
+def _diagonal(rows: Sequence[int], width: int, lane: int = 0) -> list[int]:
+    """The diagonal of lane ``lane`` of a packed matrix, field i of row i
+    of that lane; lane 0 is the whole of a one-lane matrix.
 
     In the offset form ``row + offset`` field i holds entry i plus
     2^(width-1), with no borrow from the fields below it (``_unpack``), so
-    the entry is that field less 2^(width-1); no other field is read.
+    the entry is that field less 2^(width-1); no other field is read.  A
+    lane above 0 is first cut out of the row with the part X of its lower
+    lanes rounded away: lane L starts at bit b = L * 8 * stride, and every
+    lower lane holds less than 2^(8 * stride - 2) in absolute value (its
+    rank * width bits of fields leave at least one spare bit), so
+    |X| < 2^(b-1), and bit b - 1 of the row is set exactly when X is
+    negative and has borrowed one from lane L.  Adding that bit back to
+    the 8 * stride bits above it gives lane L's own value, so lanes below
+    that failed with negative entries change nothing.
     """
-    offset = _frame(width, len(rows))[1]
+    rank = len(rows)
+    if lane:
+        lane_bits = 8 * _stride(rank, width)
+        below, kept = lane_bits * lane - 1, (1 << (lane_bits + 1)) - 1
+        rows = [((row >> below & kept) + 1) >> 1 for row in rows]
+    offset = _frame(width, rank)[1]
     half, mask = 1 << (width - 1), (1 << width) - 1
     return [((row + offset) >> (i * width) & mask) - half for i, row in enumerate(rows)]
 

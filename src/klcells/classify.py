@@ -55,17 +55,20 @@ built.
 The kernel skips F1, F6 and F7: F1 holds by construction in both spaces,
 F6 follows from F1 and F5, and F7 holds in the block space (and it is off
 in the variety).  A worker returns its surviving representatives as flat
-(A_s, A_t); the parent canonicalises them and keeps one per class.  The
-s <-> t swap, which maps the block space of split k onto that of r-k, is
-not used to merge orbits in either space: F4 is judged on the partial
-family built before an F2 failure, and a swapped pair can fail at the
-other leading letter.
+(A_s, A_t), each with the traces a_j = tr (ST)^j read off its lane of the
+call that judged it (``_call_verdicts``); the parent canonicalises them and
+keeps one per class.  The s <-> t swap, which maps the block space of
+split k onto that of r-k, is not used to merge orbits in either space: F4
+is judged on the partial family built before an F2 failure, and a swapped
+pair can fail at the other leading letter.
 
 ``run_filters`` is the one pipeline that renders a verdict with its
-witnesses, and ``_candidate`` the one builder of a ``Candidate``: it runs
-``run_filters`` on a pair and reads the annotation from the family of its
-extension.  The search calls it on the canonical pair of each surviving
-class, ``inspect_pair`` on any pair.
+witnesses, and ``_annotate`` the one builder of a surviving
+``Candidate``: it runs no filter and reads the annotation from the a_j.
+The search calls it on the canonical pair of each surviving class, which
+passes every filter the search enabled (``_classify_rank``), with the a_j
+its worker read; ``inspect_pair`` runs ``run_filters`` on any pair and
+calls it on a survivor with the a_j of the family its extension built.
 
 Pairs count as the same candidate when simultaneous row/column permutation
 and/or exchanging the roles of s and t carries one to the other;
@@ -101,9 +104,10 @@ pattern is symmetric and C is a star: A2, B2, A3, G2, B3, C3 or D4, with
 h = 3, 4 or 6.
 
 Reports are deterministic byte for byte: candidates are sorted by
-(rank, canonical key), every candidate is re-evaluated on its canonical
-representative in the parent process, and wall-clock timing is excluded
-from serialisation unless explicitly requested.  The worker count can
+(rank, canonical key), every candidate is annotated on its canonical
+representative in the parent process, from a_j that every member of its
+class shares, and wall-clock timing is excluded from serialisation unless
+explicitly requested.  The worker count can
 therefore never change the output.  A resource guard sizes the search
 space a priori and refuses to start when it exceeds the allowed number of
 states.
@@ -119,12 +123,20 @@ import time
 from array import array
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .algebra import _Columns, _Generator, _PackedFamily, _flatten, _kl_recursion, _lane_columns
+from .algebra import (
+    _Columns,
+    _Generator,
+    _diagonal,
+    _flatten,
+    _kl_recursion,
+    _lane_columns,
+    _module_family,
+)
 from .cells import cell_module, compute_cells, left_cell_name
-from .dihedral import dihedral_group
-from .exact import IntMatrix, is_zero_matrix, mat_add
+from .dihedral import GroupElement, dihedral_group
+from .exact import IntMatrix, is_zero_matrix, mat_add, trace
 from .nimrep import (
     ExtendedRep,
     ExtensionFailure,
@@ -164,6 +176,8 @@ __all__ = [
 ]
 
 ALL_FILTERS = ("F1", "F2", "F3", "F4", "F5", "F6", "F7")
+# the order in which run_filters evaluates them and charges a rejection
+_ATTRIBUTION_ORDER = ("F1", "F3", "F4", "F2", "F5", "F6", "F7")
 # F1 defines the variety, F2/F5 are produced by the extension itself; only
 # the remaining checks can be switched off.
 TOGGLEABLE_FILTERS = frozenset({"F3", "F4", "F6", "F7"})
@@ -185,22 +199,24 @@ _PLAN_COLUMN_LANES = 1 << 17
 # -- canonical representatives ---------------------------------------------
 
 
-def _canonical_flat(pair: MatrixPair) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    r = pair.rank
+def _canonical_flat(
+    r: int, flat_s: tuple[int, ...], flat_t: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The flat (A_s, A_t) of the canonical pair of the class of a flat
+    r x r pair."""
     if r > MAX_CANONICAL_RANK:
         raise ValueError(
             f"canonical keys are only computed up to rank {MAX_CANONICAL_RANK} "
             f"(got {r}); the orbit grows factorially beyond that"
         )
-    flat_s, flat_t = tuple(_flatten(pair.theta_s)), tuple(_flatten(pair.theta_t))
     images = [(flat_s, flat_t)] + [(g(flat_s), g(flat_t)) for g in _conjugations(r)]
     return min(min(image, image[::-1]) for image in images)
 
 
 def canonical_pair(pair: MatrixPair) -> MatrixPair:
     """The representative of the pair's symmetry class used everywhere."""
-    flat_s, flat_t = _canonical_flat(pair)
     r = pair.rank
+    flat_s, flat_t = _canonical_flat(r, tuple(_flatten(pair.theta_s)), tuple(_flatten(pair.theta_t)))
     return MatrixPair(n=pair.n, rank=r, theta_s=_square(flat_s, r), theta_t=_square(flat_t, r))
 
 
@@ -695,12 +711,13 @@ def _f3_split(
     return failing, bytes(passing)
 
 
-@functools.lru_cache(maxsize=MAX_CANONICAL_RANK)
+@functools.lru_cache(maxsize=2 * MAX_CANONICAL_RANK)
 def _spaces(rank: int, bound: int, block_space: bool) -> _Rank:
-    """The search spaces of one rank with their work units; kept for as
-    many (rank, bound, block_space) as one search has ranks, together with
-    the plans built on them, so a search that follows one with the same
-    ranks and bound builds neither again, and forked workers inherit them.
+    """The search spaces of one rank with their work units; kept for both
+    spaces of every rank at one bound, together with the plans built on
+    them, so a search that follows one with the same ranks and bound
+    builds neither again, also when it alternates with a search of the
+    other space, and forked workers inherit them.
 
     The block space has one space per split k in 1..r-1: A_s for every B
     and A_t for every B', under S_k x S_{r-k}, which permutes the first k
@@ -857,15 +874,17 @@ def _plan(
 
 def _judge_units(
     payload: tuple,
-) -> tuple[int, tuple[tuple[str, int], ...], list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+) -> tuple[int, tuple[tuple[str, int], ...], list[tuple[tuple[int, ...], tuple[int, ...], list[int]]]]:
     """Worker entry point: judge the orbits of a run of consecutive units.
 
     Returns (pairs evaluated, rejection counts, survivors), each survivor
-    the flat (A_s, A_t) of a surviving representative.  The run's plan
-    (``_plan``) charges F3 per support class and gives the kernel calls;
-    each call judges its representatives one lane each in
-    ``algebra._kl_recursion`` at the width n needs, and each verdict is
-    charged to every pair of its orbit.
+    the flat (A_s, A_t) of a surviving representative and its traces
+    a_j = tr (ST)^j for 0 <= j <= n/2, read off its lane of the kernel
+    call that judged it (``_call_verdicts``).  The run's plan (``_plan``)
+    charges F3 per support class and gives the kernel calls; each call
+    judges its representatives one lane each in ``algebra._kl_recursion``
+    at the width n needs, and each verdict is charged to every pair of its
+    orbit.
 
     The kernel gives each lane's first failing filter in the order F4, F2,
     F5.  Its preconditions are F1, nonnegative entries and, when F3 is
@@ -887,16 +906,28 @@ def _judge_units(
             evaluated += call.f3_failures
             rejections["F3"] = rejections.get("F3", 0) + call.f3_failures
         columns = call.columns if call.columns is not None else _lane_columns(*_call_generators(call.parts))
-        outcomes = iter(_kl_recursion(n, columns, check_support)[2])
-        for part in call.parts:
-            # zip takes the outcomes last, so it stops at the unit's end
-            for (gen_s, gen_t, weight), failed in zip(_part_lanes(part), outcomes):
-                evaluated += weight
-                if failed is None:
-                    survivors.append((gen_s.flat, gen_t.flat))
-                else:
-                    rejections[failed] = rejections.get(failed, 0) + weight
+        lanes = itertools.chain.from_iterable(map(_part_lanes, call.parts))
+        for (gen_s, gen_t, weight), (failed, rotation) in zip(lanes, _call_verdicts(n, columns, check_support)):
+            evaluated += weight
+            if failed is None:
+                survivors.append((gen_s.flat, gen_t.flat, rotation))
+            else:
+                rejections[failed] = rejections.get(failed, 0) + weight
     return evaluated, tuple(sorted(rejections.items())), survivors
+
+
+def _call_verdicts(n: int, columns: _Columns, check_support: bool) -> list[tuple[str | None, list[int] | None]]:
+    """(outcome, a_j for 0 <= j <= n/2 or None) of each lane of one kernel
+    call.  The a_j of a surviving lane are read off the diagonals of its
+    own lane of the call's packed matrices (``_module_traces``,
+    ``algebra._diagonal``), which a lane below it that failed with
+    negative entries does not change; the matrices are dropped on
+    return."""
+    matrices, width, outcomes, _ = _kl_recursion(n, columns, check_support)
+    return [
+        (failed, None if failed else _module_traces(n, lambda i: sum(_diagonal(matrices[i], width, lane)))[0])
+        for lane, failed in enumerate(outcomes)
+    ]
 
 
 def _rank_budget(rank: int, bound: int, block_space: bool) -> int:
@@ -908,28 +939,52 @@ def _rank_budget(rank: int, bound: int, block_space: bool) -> int:
     return (bound + 1) ** (rank * rank) + (bound + 1) ** (2 * rank * rank)
 
 
-def _module_traces(n: int, family: _PackedFamily) -> tuple[list[int], int, int]:
-    """(a_j = tr (ST)^j for 0 <= j <= n/2, tr S, tr T) of the complete KL
-    family of a module, by the identity in ``_candidate``'s docstring."""
-    elements = dihedral_group(n).all_elements()
-    rank, tr_s, tr_t = map(family.trace, elements[:3])
-    tr_s, tr_t = tr_s - rank, tr_t - rank
+def _module_traces(n: int, trace: Callable[[int], int]) -> tuple[list[int], int, int]:
+    """(a_j = tr (ST)^j for 0 <= j <= n/2, tr S, tr T) of a module from
+    the traces of its complete KL family, by the identity in ``_annotate``'s
+    docstring; ``trace(i)`` is tr A_w of the i-th element w of D_n in the
+    kernel's order (``all_elements``): e, s, t, st, ts, ..., w0."""
+    rank = trace(0)
+    tr_t = trace(2) - rank
+    # tr A_(x_l) for l = 1 .. 2 floor(n/2); x_l sits at index 2l - 1
+    x = [trace(i) for i in range(1, 4 * (n // 2), 2)]
+    tr_s = x[0] - rank
     rotation = [rank]
-    for j, (x_odd, x_even) in enumerate(zip(elements[1::4], elements[3::4]), 1):  # x_(2j-1), x_(2j)
-        rotation.append(family.trace(x_even) - family.trace(x_odd) - (tr_t if j % 2 else tr_s))
+    for j, (odd, even) in enumerate(zip(x[::2], x[1::2]), 1):  # x_(2j-1), x_(2j)
+        rotation.append(even - odd - (tr_t if j % 2 else tr_s))
     return rotation, tr_s, tr_t
 
 
-def _candidate(pair: MatrixPair, key: bytes, enabled: Sequence[str]) -> Candidate:
-    """The Candidate of a pair whose class has the canonical key ``key``.
+def _family_traces(n: int, family: Mapping[GroupElement, IntMatrix]) -> tuple[list[int], int, int]:
+    """``_module_traces`` of a complete KL family keyed by group element,
+    read through its ``trace``."""
+    elements = dihedral_group(n).all_elements()
+    return _module_traces(n, lambda i: family.trace(elements[i]))
 
-    The pair goes through ``run_filters``.  A rejected pair is tagged
-    REJECTED with the first failing filter.  A survivor's decomposition,
-    apex and annihilator verdict come from the traces of the family of its
-    extension, with no matrix product (``decompose``, ``apex_of`` and
-    ``annihilator_check`` are the tests' oracles for them).  A survivor
-    passes F1 and F5, so it is a D_n-module: F1 makes S = A_s - I and
-    T = A_t - I involutions and F5 is (ST)^n = I (``run_filters``).
+
+def _annotate(
+    pair: MatrixPair,
+    key: bytes,
+    enabled: Sequence[str],
+    rotation: Sequence[int],
+    family: Mapping[GroupElement, IntMatrix] | None = None,
+) -> Candidate:
+    """The Candidate of a pair that passes every filter of ``enabled``,
+    whose class has the canonical key ``key`` and whose module has the
+    traces ``rotation``, a_j = tr (ST)^j for 0 <= j <= n/2.
+
+    Nothing here runs a filter.  The filter reports are those of the
+    enabled filters, passed, in the attribution order.  The decomposition,
+    apex and annihilator verdict come from the a_j and the pair's own tr S
+    and tr T, with no matrix product (``decompose``, ``apex_of`` and
+    ``annihilator_check`` are the tests' oracles for them).  The extension
+    holds ``family``, or else the pair's KL family built when first read
+    (``algebra._module_family``).  The search passes the a_j of any member
+    of the class: a conjugation P keeps tr (ST)^j, and the s <-> t swap
+    turns it into tr (TS)^j, the same trace by cyclicity, so every member
+    has the a_j of the canonical pair.  A survivor passes F1 and F5, so it
+    is a D_n-module: F1 makes S = A_s - I and T = A_t - I involutions and
+    F5 is (ST)^n = I (``run_filters``).
 
     Decomposition.  Below length n, A_w = rho(b_w) with b_w the sum of the
     u <= w (``run_filters``), and so A_w0 = rho(sum of D_n).  Let x_l and
@@ -958,38 +1013,25 @@ def _candidate(pair: MatrixPair, key: bytes, enabled: Sequence[str]) -> Candidat
     V(1,-1) and V(-1,1).  So the verdict is True.
     """
     n, rank = pair.n, pair.rank
-    reports, ext, failed = run_filters(pair, enabled)
-    if failed is not None:
-        return Candidate(
-            pair=pair,
-            canonical_key=key,
-            filters=reports,
-            extension=ext,
-            apex=apex_of(ext) if ext is not None else None,
-            tag=Tag("REJECTED", failed),
-            decomposition=None,
-            annihilator_passed=None,
-            perron=None,
-        )
-    tag = _tags(n, rank).get(key, Tag("MATRIX_ADMISSIBLE_UNREALIZED", UNKNOWN_CITATION))
-    decomposition = _count_simples(n, *_module_traces(n, ext.family))
+    theta_s, theta_t = pair.theta_s, pair.theta_t
+    decomposition = _count_simples(n, rotation, trace(theta_s) - rank, trace(theta_t) - rank)
     if decomposition.multiplicity(OneDim(1, 1)):
         apex = "J3"
-    elif is_zero_matrix(pair.theta_s) and is_zero_matrix(pair.theta_t):
+    elif is_zero_matrix(theta_s) and is_zero_matrix(theta_t):
         apex = "J1"
     else:
         apex = "J2"
     try:
-        perron = perron_analysis(mat_add(pair.theta_s, pair.theta_t))
+        perron = perron_analysis(mat_add(theta_s, theta_t))
     except ArithmeticError:
         perron = None
     return Candidate(
         pair=pair,
         canonical_key=key,
-        filters=reports,
-        extension=ext,
+        filters=tuple(FilterReport(f, True, None) for f in _ATTRIBUTION_ORDER if f in enabled),
+        extension=ExtendedRep(pair, _module_family(n, theta_s, theta_t) if family is None else family),
         apex=apex,
-        tag=tag,
+        tag=_tags(n, rank).get(key, Tag("MATRIX_ADMISSIBLE_UNREALIZED", UNKNOWN_CITATION)),
         decomposition=decomposition,
         annihilator_passed=True,
         perron=perron,
@@ -997,18 +1039,56 @@ def _candidate(pair: MatrixPair, key: bytes, enabled: Sequence[str]) -> Candidat
 
 
 def inspect_pair(pair: MatrixPair, disabled: Iterable[str] = ()) -> Candidate:
-    """Run the whole pipeline on one pair, REJECTED tags included."""
-    return _candidate(pair, canonicalize(pair), normalize_filters(disabled))
+    """Run the whole pipeline on one pair, REJECTED tags included.
+
+    The pair goes through ``run_filters``.  A rejected pair is tagged
+    REJECTED with the first failing filter; a survivor is annotated
+    (``_annotate``) from the traces of the family its extension built.
+    """
+    enabled = normalize_filters(disabled)
+    key = canonicalize(pair)
+    reports, ext, failed = run_filters(pair, enabled)
+    if failed is None:
+        return _annotate(pair, key, enabled, _family_traces(pair.n, ext.family)[0], ext.family)
+    return Candidate(
+        pair=pair,
+        canonical_key=key,
+        filters=reports,
+        extension=ext,
+        apex=apex_of(ext) if ext is not None else None,
+        tag=Tag("REJECTED", failed),
+        decomposition=None,
+        annihilator_passed=None,
+        perron=None,
+    )
 
 
 def _classify_rank(
     n: int, rank: int, bound: int, enabled: tuple[str, ...], jobs: int
 ) -> tuple[int, dict[str, int], list[Candidate]]:
     """(pairs evaluated, rejection counts, candidates by canonical key) of
-    one rank.  The workers' counts are summed and their survivors
-    canonicalised, one per class; the canonical pair of a class is a
-    conjugate of a survivor, possibly with s and t exchanged, so it
-    survives ``run_filters`` too."""
+    one rank.
+
+    The workers' counts are summed, and their survivors are deduped by the
+    canonical pair of their class (``_canonical_flat``), each class
+    keeping the traces of the first survivor in it.  The MatrixPair and
+    the key are built once per class, and the class is annotated on its
+    canonical pair (``_annotate``) with no filter run again.  That is
+    sound: the canonical pair is a simultaneous conjugate P A P^-1 of a
+    survivor, possibly with s and t exchanged.  F1, F3 and F7 read
+    properties that conjugation and the swap keep (A^2 = 2A, the strong
+    connectivity of the graph of A_s + A_t, the two-block shape up to
+    reindexing).  The KL recursion commutes with both: the family of the
+    conjugate is P A_w P^-1, and the swap relabels the family, the matrix
+    of w going to the element of the same length that exchanges s and t
+    in w, and the route to w0 through s to the route through t.  So the
+    canonical pair's family is the survivor's, conjugated and relabelled:
+    it is nonnegative up to w0 (F2), no matrix of length 1..n-1 vanishes
+    (F4), and its two routes to w0 agree (F5).  The a_j are kept too
+    (``_annotate``).  ``test_every_candidate_is_its_inspect_pair`` runs
+    the canonical pair of every class of its searches through
+    ``run_filters`` as the independent check.
+    """
     units = _rank_units(rank, bound, "F7" in enabled)
     if jobs > 1 and len(units) > 1:
         import multiprocessing
@@ -1026,20 +1106,18 @@ def _classify_rank(
         results = [_judge_units((n, rank, bound, enabled, units))]
     evaluated = 0
     rejections: dict[str, int] = {}
-    classes: dict[bytes, MatrixPair] = {}
+    classes: dict[tuple[tuple[int, ...], tuple[int, ...]], Sequence[int]] = {}
     for unit_evaluated, unit_rejections, survivors in results:
         evaluated += unit_evaluated
         for filter_id, count in unit_rejections:
             rejections[filter_id] = rejections.get(filter_id, 0) + count
-        for flat_s, flat_t in survivors:
-            pair = MatrixPair(n=n, rank=rank, theta_s=_square(flat_s, rank), theta_t=_square(flat_t, rank))
-            rep = canonical_pair(pair)
-            classes.setdefault(_serialise(rep), rep)
+        for flat_s, flat_t, rotation in survivors:
+            classes.setdefault(_canonical_flat(rank, flat_s, flat_t), rotation)
     candidates = []
-    for key in sorted(classes):
-        candidate = _candidate(classes[key], key, enabled)
-        assert candidate.tag.kind != "REJECTED", "canonical representatives must survive the same filters"
-        candidates.append(candidate)
+    for (flat_s, flat_t), rotation in classes.items():
+        pair = MatrixPair(n=n, rank=rank, theta_s=_square(flat_s, rank), theta_t=_square(flat_t, rank))
+        candidates.append(_annotate(pair, _serialise(pair), enabled, rotation))
+    candidates.sort(key=operator.attrgetter("canonical_key"))
     return evaluated, rejections, candidates
 
 

@@ -510,16 +510,18 @@ def raw_block_pairs(n, rank, bound):
 def evaluate_raw_units(payload):
     """Every pair of a run of raw units through ``run_filters_oracle``, as
     the search did before orbit representatives; returns what
-    ``classify._judge_units`` does, with every surviving pair flat."""
+    ``classify._judge_units`` does, with every surviving pair flat and its
+    traces read by ``module_traces_oracle`` off its extension."""
     n, rank, bound, enabled, units = payload
     evaluated = 0
     rejections = {}
     survivors = []
     for pair in itertools.chain.from_iterable(raw_unit_pairs(n, rank, bound, unit) for unit in units):
         evaluated += 1
-        _, _, failed = run_filters_oracle(pair, enabled)
+        _, ext, failed = run_filters_oracle(pair, enabled)
         if failed is None:
-            survivors.append((tuple(_flatten(pair.theta_s)), tuple(_flatten(pair.theta_t))))
+            rotation, _, _ = module_traces_oracle(n, ext.family)
+            survivors.append((tuple(_flatten(pair.theta_s)), tuple(_flatten(pair.theta_t)), rotation))
         else:
             rejections[failed] = rejections.get(failed, 0) + 1
     return evaluated, tuple(sorted(rejections.items())), survivors

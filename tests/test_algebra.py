@@ -18,6 +18,7 @@ from klcells.algebra import (
     kl_to_group,
     structure_constants,
     _diagonal,
+    _stride,
     _unpack,
 )
 from klcells.cells import cell_module
@@ -351,6 +352,27 @@ def test_diagonal_is_the_diagonal_of_unpack():
                 (unpacked,) = _unpack([rows], width)
                 assert _diagonal(rows, width) == [unpacked[i][i] for i in range(rank)], (width, rank)
                 assert _diagonal(rows, width) == [matrix[i][i] for i in range(rank)]
+
+
+def test_diagonal_of_each_lane():
+    # several lanes packed side by side, each lane's rows starting at bit
+    # 8 * stride * lane: the lanes below a lane hold entries of both signs
+    # over the whole field range, so they borrow from it, and each lane's
+    # diagonal must still be its own
+    rng = random.Random(1441)
+    for width in (2, 3, 7, 8, 9, 31, 64, 65):
+        half = 1 << (width - 1)
+        extremes = (-half, -half + 1, -1, 0, 1, half - 1)
+        for rank in (1, 2, 3, 5):
+            lane_bits = 8 * _stride(rank, width)
+            lanes = [[[rng.randrange(-half, half) for _ in range(rank)] for _ in range(rank)] for _ in range(4)]
+            lanes += [[[rng.choice(extremes) for _ in range(rank)] for _ in range(rank)] for _ in range(4)]
+            lanes.append([[-half] * rank for _ in range(rank)])
+            lanes.append([[half - 1] * rank for _ in range(rank)])
+            rng.shuffle(lanes)
+            rows = [sum(pack(m, width)[i] << (lane * lane_bits) for lane, m in enumerate(lanes)) for i in range(rank)]
+            for lane, matrix in enumerate(lanes):
+                assert _diagonal(rows, width, lane) == [matrix[i][i] for i in range(rank)], (width, rank, lane)
 
 
 def test_family_traces_at_n30():

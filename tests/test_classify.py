@@ -14,7 +14,15 @@ from pathlib import Path
 
 import pytest
 
-from klcells.algebra import _Generator, structure_constants
+from klcells.algebra import (
+    _Generator,
+    _diagonal,
+    _kl_recursion,
+    _lane_columns,
+    _module_family,
+    _stride,
+    structure_constants,
+)
 from klcells.cells import cell_module, compute_cells, left_cell_name, right_cell_module
 from klcells.classify import (
     ALL_FILTERS,
@@ -24,9 +32,12 @@ from klcells.classify import (
     UNKNOWN_CITATION,
     KnowledgeEntry,
     Tag,
+    _call_generators,
+    _call_verdicts,
     _cell_keys,
     _f1_matrices,
     _f3_split,
+    _family_traces,
     _module_traces,
     _orbits,
     _part_lanes,
@@ -43,6 +54,7 @@ from klcells.classify import (
     normalize_filters,
     run_filters,
 )
+from klcells.dihedral import dihedral_group, render
 from klcells.exact import identity_matrix, mat_add, mat_mul, mat_sub
 from klcells.nimrep import (
     FilterReport,
@@ -586,7 +598,7 @@ def raw_pair_report(monkeypatch, n, **kwargs):
     """The report of a search that runs run_filters_oracle on every raw pair.
 
     Block pairs are extended by the tuple oracle, both for their verdicts
-    and for the family of each survivor's annotation; variety pairs by
+    and for the traces of each survivor's annotation; variety pairs by
     ``extend``, which the whole-space tests compare with that oracle.  The
     raw units and their judge must both run, once per rank, and no plan
     may be built or read.
@@ -606,7 +618,6 @@ def raw_pair_report(monkeypatch, n, **kwargs):
         patched.setattr(classify_module, "_judge_units", counted("judge", evaluate_raw_units))
         if "F7" not in kwargs.get("disabled", ()):
             patched.setattr(oracles, "extend", extend_oracle)
-            patched.setattr(classify_module, "extend", extend_oracle)
         report = classify(n, **kwargs).to_json_bytes()
     ranks = len(kwargs["ranks"])
     assert sorted(calls) == ["judge"] * ranks + ["units"] * ranks
@@ -646,15 +657,19 @@ SURVIVOR_SEARCHES = (
     + [(4, {**VARIETY_SEARCH, "ranks": (6,), "entry_bound": 1, "max_states": 10**22})]
     # Galois-conjugate V(12,1) + V(12,5): two k share the order 12
     + [(12, {**BLOCK_SEARCH, "entry_bound": 3})]
+    # two workers: the traces of each class come back from a worker
+    + [(6, {**BLOCK_SEARCH, "entry_bound": 4, "jobs": 2}), (6, {**VARIETY_SEARCH, "jobs": 2})]
 )
 
 
 @pytest.mark.parametrize("n, search", SURVIVOR_SEARCHES)
 def test_every_candidate_is_its_inspect_pair(n, search):
-    # a surviving class is annotated on its canonical pair; inspect_pair
-    # on that pair must give the same candidate, key and family included.
-    # The annotation reads the family's traces; the matrix-product routes
-    # it replaces are its oracles: decompose and the word-product
+    # a surviving class is annotated on its canonical pair from the traces
+    # of the lane that judged a member of it, with no filter run again;
+    # inspect_pair runs the canonical pair through run_filters, and must
+    # give the same candidate, key and family included.
+    # The annotation reads traces; the matrix-product routes it replaces
+    # are its oracles: decompose and the word-product
     # decomposition, apex_of, and the annihilator evaluated at Q
     disabled = search.get("disabled", ())
     report = classify(n, **search)
@@ -666,7 +681,7 @@ def test_every_candidate_is_its_inspect_pair(n, search):
         assert list(candidate.extension.family.items()) == list(expected.extension.family.items())
         theta_s, theta_t = candidate.pair.theta_s, candidate.pair.theta_t
         assert candidate.decomposition == decompose(n, theta_s, theta_t) == decompose_oracle(n, theta_s, theta_t)
-        assert _module_traces(n, candidate.extension.family) == module_traces_oracle(n, candidate.extension.family)
+        assert _family_traces(n, candidate.extension.family) == module_traces_oracle(n, candidate.extension.family)
         assert candidate.apex == apex_of(candidate.extension)
         assert annihilator_check(candidate.extension).passed is True
         assert candidate.annihilator_passed is True
@@ -677,7 +692,44 @@ def test_module_traces_of_every_left_cell_module(n):
     # two adjacent traces give each a_j; the oracle inverts every trace
     for cell in compute_cells(n).left_cells:
         family = cell_module(n, cell).matrices
-        assert _module_traces(n, family) == module_traces_oracle(n, family), (n, left_cell_name(cell))
+        assert _family_traces(n, family) == module_traces_oracle(n, family), (n, left_cell_name(cell))
+
+
+LANE_SEARCHES = [(n, BLOCK_SEARCH) for n in range(3, 9)] + [(n, VARIETY_SEARCH) for n in range(3, 9)]
+
+
+@pytest.mark.parametrize("n, search", LANE_SEARCHES)
+def test_lane_traces_match_the_one_lane_family(n, search):
+    # every surviving lane of every kernel call of the search, read off the
+    # call's packed matrices, against the one-lane family of its pair
+    bound, block_space = search["entry_bound"], "disabled" not in search
+    checked = 0
+    for rank in search["ranks"]:
+        for call in _plan(rank, bound, block_space, True, _rank_units(rank, bound, block_space)):
+            gens_s, gens_t = _call_generators(call.parts)
+            assert call.columns is not None
+            for gen_s, gen_t, (failed, rotation) in zip(gens_s, gens_t, _call_verdicts(n, call.columns, True)):
+                if failed is None:
+                    family = _module_family(n, _square(gen_s.flat, rank), _square(gen_t.flat, rank))
+                    assert rotation == _family_traces(n, family)[0], (gen_s.flat, gen_t.flat)
+                    checked += 1
+    assert checked
+
+
+def test_lane_traces_past_a_lower_lane_that_failed_f2():
+    # lane 0 fails F2, and its negative entries borrow from lane 1 above
+    # it: cut out by a plain shift, lane 1 would read wrong traces
+    n = 6
+    theta_s, theta_t = ((0, 0), (1, 2)), ((1, 1), (1, 1))
+    gens_s = [_Generator((2, 0, 0, 2), 2), _Generator(_flatten(theta_s), 2)]
+    gens_t = [_Generator((0, 0, 0, 2), 2), _Generator(_flatten(theta_t), 2)]
+    expected, _, _ = _family_traces(n, _module_family(n, theta_s, theta_t))
+    assert expected == [2, 1, -1, -2]
+    assert _call_verdicts(n, _lane_columns(gens_s, gens_t), True) == [("F2", None), (None, expected)]
+    matrices, width, _, _ = _kl_recursion(n, _lane_columns(gens_s, gens_t), True)
+    lane_bits = 8 * _stride(2, width)
+    shifted, _, _ = _module_traces(n, lambda i: sum(_diagonal([row >> lane_bits for row in matrices[i]], width)))
+    assert shifted != expected
 
 
 def rotation_order(n, a_s, a_t):
@@ -770,6 +822,24 @@ def test_pattern_symmetric_survivors_are_the_dynkin_diagrams_with_h_n(n, ranks, 
     for candidate in candidates:
         if split(candidate) == 1:
             assert symmetric_pattern(candidate) and n in (3, 4, 6), (n, candidate.pair)
+
+
+def test_dynkin_pairs_fail_f4_at_a_proper_multiple_of_h():
+    # a Dynkin diagram with Coxeter number h gives (ST)^h = I, so at every
+    # n = mh, m >= 2, the matrices of the two elements of length h, where
+    # sin(h pi/h) = 0, vanish inside the middle cell
+    seen = 0
+    for h in range(3, 13):
+        for name, diagram in oracles.dynkin_block_pairs(h, range(1, 7), 3):
+            for n in range(2 * h, 31, h):
+                candidate = inspect_pair(MatrixPair(n, diagram.rank, diagram.theta_s, diagram.theta_t))
+                assert candidate.tag == Tag("REJECTED", "F4"), (name, n)
+                words = {render(dihedral_group(n).element(h, letter)) for letter in "st"}
+                (failed,) = [f for f in candidate.filters if not f.passed]
+                assert failed.filter_id == "F4"
+                assert failed.witness.split(" = 0 ")[0] in {f"A_{word}" for word in words}, (name, n, failed.witness)
+                seen += 1
+    assert seen == 130
 
 
 def test_survivor_reports_follow_the_run_filters_order():
@@ -931,6 +1001,15 @@ def test_a_search_after_another_builds_no_space(cold_plans):
         [sys.executable, "-c", script], capture_output=True, check=True, env={**os.environ, "PYTHONPATH": src}
     )
     assert cold.stdout == first + second
+
+
+def test_alternating_searches_keep_both_spaces(cold_plans):
+    # the block search and the F7-off search alternate at every n: each
+    # space of each rank is built once, 4 block and 3 variety
+    for n in range(3, 7):
+        classify(n, **BLOCK_SEARCH)
+        classify(n, **VARIETY_SEARCH)
+    assert _spaces.cache_info().misses == 7
 
 
 # (classes, pairs, sha256 of the JSON report) of the F7-off variety at n=4
