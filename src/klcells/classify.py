@@ -123,11 +123,12 @@ import time
 from array import array
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .algebra import (
     _Columns,
     _Generator,
+    _PackedFamily,
     _diagonal,
     _flatten,
     _kl_recursion,
@@ -135,7 +136,7 @@ from .algebra import (
     _module_family,
 )
 from .cells import cell_module, compute_cells, left_cell_name
-from .dihedral import GroupElement, dihedral_group
+from .dihedral import dihedral_group
 from .exact import IntMatrix, is_zero_matrix, mat_add, trace
 from .nimrep import (
     ExtendedRep,
@@ -252,15 +253,16 @@ def normalize_filters(disabled: Iterable[str] = ()) -> tuple[str, ...]:
 def run_filters(
     pair: MatrixPair, enabled: Sequence[str]
 ) -> tuple[tuple[FilterReport, ...], ExtendedRep | ExtensionFailure | None, str | None]:
-    """Evaluate the enabled filters in the attribution order F1, F3, F4, F2,
-    F5, F6, F7.
+    """Evaluate the enabled filters in the attribution order
+    (``_ATTRIBUTION_ORDER``).
 
     Returns (reports, extension outcome, first failing filter id or None).
     Evaluation stops at the first failure; the reports list covers exactly
-    the filters that ran.  F2 and F5 are the extension itself and always
-    run.  After F1 and F3, one one-lane kernel call, ``extend`` with the
-    support checked when F4 is enabled, gives F4, F2 and F5 with their
-    witnesses: the first of them to fail stops it.
+    the filters that ran.  F1 always runs; F2 and F5 are the extension
+    itself and always run.  F4, F2, F5 and F6 are read off one one-lane
+    kernel call, ``extend`` with the support checked when F4 is enabled,
+    made when the first of them is reached: the first of them to fail
+    stops it, with its witness.
 
     F6 is reported passed without a check: it holds for every pair that
     passes F1 and F5.  F1 makes S = A_s - I and T = A_t - I involutions,
@@ -280,30 +282,23 @@ def run_filters(
     (ST)^n = I, the third relation of F6 (``check_group_relations``, which
     the tests run in their oracle of this pipeline).
     """
-    enabled_set = set(enabled) | {"F2", "F5"}
-    reports = [check_idempotent(pair)]
-    if not reports[-1].passed:
-        return tuple(reports), None, "F1"
-
-    if "F3" in enabled_set:
-        reports.append(check_transitive(pair))
-        if not reports[-1].passed:
-            return tuple(reports), None, "F3"
-
-    ext = extend(pair, check_support="F4" in enabled_set)
-    outcome = ext.filter_id if isinstance(ext, ExtensionFailure) else None
-    for filter_id in ("F4", "F2", "F5", "F6"):
-        if filter_id == outcome:
-            reports.append(FilterReport(filter_id, False, ext.witness))
-            return tuple(reports), ext, outcome
-        if filter_id in enabled_set:
-            reports.append(FilterReport(filter_id, True, None))
-
-    if "F7" in enabled_set:
-        reports.append(check_block_form(pair))
-        if not reports[-1].passed:
-            return tuple(reports), ext, "F7"
-
+    enabled_set = set(enabled) | {"F1", "F2", "F5"}
+    checks = {"F1": check_idempotent, "F3": check_transitive, "F7": check_block_form}
+    reports = []
+    ext = None
+    for filter_id in _ATTRIBUTION_ORDER:
+        if filter_id not in enabled_set:
+            continue
+        if filter_id in checks:
+            report = checks[filter_id](pair)
+        else:
+            if ext is None:
+                ext = extend(pair, check_support="F4" in enabled_set)
+            failed = isinstance(ext, ExtensionFailure) and ext.filter_id == filter_id
+            report = FilterReport(filter_id, not failed, ext.witness if failed else None)
+        reports.append(report)
+        if not report.passed:
+            return tuple(reports), ext, filter_id
     return tuple(reports), ext, None
 
 
@@ -925,7 +920,7 @@ def _call_verdicts(n: int, columns: _Columns, check_support: bool) -> list[tuple
     return."""
     matrices, width, outcomes, _ = _kl_recursion(n, columns, check_support)
     return [
-        (failed, None if failed else _module_traces(n, lambda i: sum(_diagonal(matrices[i], width, lane)))[0])
+        (failed, None if failed else _module_traces(n, lambda i: sum(_diagonal(matrices[i], width, lane))))
         for lane, failed in enumerate(outcomes)
     ]
 
@@ -939,11 +934,11 @@ def _rank_budget(rank: int, bound: int, block_space: bool) -> int:
     return (bound + 1) ** (rank * rank) + (bound + 1) ** (2 * rank * rank)
 
 
-def _module_traces(n: int, trace: Callable[[int], int]) -> tuple[list[int], int, int]:
-    """(a_j = tr (ST)^j for 0 <= j <= n/2, tr S, tr T) of a module from
-    the traces of its complete KL family, by the identity in ``_annotate``'s
-    docstring; ``trace(i)`` is tr A_w of the i-th element w of D_n in the
-    kernel's order (``all_elements``): e, s, t, st, ts, ..., w0."""
+def _module_traces(n: int, trace: Callable[[int], int]) -> list[int]:
+    """a_j = tr (ST)^j for 0 <= j <= n/2 of a module from the traces of
+    its complete KL family, by the identity in ``_annotate``'s docstring;
+    ``trace(i)`` is tr A_w of the i-th element w of D_n in the kernel's
+    order (``all_elements``): e, s, t, st, ts, ..., w0."""
     rank = trace(0)
     tr_t = trace(2) - rank
     # tr A_(x_l) for l = 1 .. 2 floor(n/2); x_l sits at index 2l - 1
@@ -952,10 +947,10 @@ def _module_traces(n: int, trace: Callable[[int], int]) -> tuple[list[int], int,
     rotation = [rank]
     for j, (odd, even) in enumerate(zip(x[::2], x[1::2]), 1):  # x_(2j-1), x_(2j)
         rotation.append(even - odd - (tr_t if j % 2 else tr_s))
-    return rotation, tr_s, tr_t
+    return rotation
 
 
-def _family_traces(n: int, family: Mapping[GroupElement, IntMatrix]) -> tuple[list[int], int, int]:
+def _family_traces(n: int, family: _PackedFamily) -> list[int]:
     """``_module_traces`` of a complete KL family keyed by group element,
     read through its ``trace``."""
     elements = dihedral_group(n).all_elements()
@@ -965,16 +960,18 @@ def _family_traces(n: int, family: Mapping[GroupElement, IntMatrix]) -> tuple[li
 def _annotate(
     pair: MatrixPair,
     key: bytes,
-    enabled: Sequence[str],
+    filters: tuple[FilterReport, ...],
     rotation: Sequence[int],
-    family: Mapping[GroupElement, IntMatrix] | None = None,
+    family: _PackedFamily | None = None,
 ) -> Candidate:
-    """The Candidate of a pair that passes every filter of ``enabled``,
-    whose class has the canonical key ``key`` and whose module has the
-    traces ``rotation``, a_j = tr (ST)^j for 0 <= j <= n/2.
+    """The Candidate of a pair that passes every filter it was judged by,
+    with the reports ``filters``, whose class has the canonical key ``key``
+    and whose module has the traces ``rotation``, a_j = tr (ST)^j for
+    0 <= j <= n/2.
 
-    Nothing here runs a filter.  The filter reports are those of the
-    enabled filters, passed, in the attribution order.  The decomposition,
+    Nothing here runs a filter.  The search passes the pass reports of its
+    enabled filters in the attribution order, ``inspect_pair`` those
+    ``run_filters`` gave.  The decomposition,
     apex and annihilator verdict come from the a_j and the pair's own tr S
     and tr T, with no matrix product (``decompose``, ``apex_of`` and
     ``annihilator_check`` are the tests' oracles for them).  The extension
@@ -1028,7 +1025,7 @@ def _annotate(
     return Candidate(
         pair=pair,
         canonical_key=key,
-        filters=tuple(FilterReport(f, True, None) for f in _ATTRIBUTION_ORDER if f in enabled),
+        filters=filters,
         extension=ExtendedRep(pair, _module_family(n, theta_s, theta_t) if family is None else family),
         apex=apex,
         tag=_tags(n, rank).get(key, Tag("MATRIX_ADMISSIBLE_UNREALIZED", UNKNOWN_CITATION)),
@@ -1043,13 +1040,14 @@ def inspect_pair(pair: MatrixPair, disabled: Iterable[str] = ()) -> Candidate:
 
     The pair goes through ``run_filters``.  A rejected pair is tagged
     REJECTED with the first failing filter; a survivor is annotated
-    (``_annotate``) from the traces of the family its extension built.
+    (``_annotate``) with its reports and the traces of the family its
+    extension built.
     """
     enabled = normalize_filters(disabled)
     key = canonicalize(pair)
     reports, ext, failed = run_filters(pair, enabled)
     if failed is None:
-        return _annotate(pair, key, enabled, _family_traces(pair.n, ext.family)[0], ext.family)
+        return _annotate(pair, key, reports, _family_traces(pair.n, ext.family), ext.family)
     return Candidate(
         pair=pair,
         canonical_key=key,
@@ -1113,10 +1111,11 @@ def _classify_rank(
             rejections[filter_id] = rejections.get(filter_id, 0) + count
         for flat_s, flat_t, rotation in survivors:
             classes.setdefault(_canonical_flat(rank, flat_s, flat_t), rotation)
+    passed = tuple(FilterReport(f, True, None) for f in _ATTRIBUTION_ORDER if f in enabled)
     candidates = []
     for (flat_s, flat_t), rotation in classes.items():
         pair = MatrixPair(n=n, rank=rank, theta_s=_square(flat_s, rank), theta_t=_square(flat_t, rank))
-        candidates.append(_annotate(pair, _serialise(pair), enabled, rotation))
+        candidates.append(_annotate(pair, _serialise(pair), passed, rotation))
     candidates.sort(key=operator.attrgetter("canonical_key"))
     return evaluated, rejections, candidates
 

@@ -245,8 +245,8 @@ def _count_simples(n: int, rotation_traces: Sequence[int], tr_s: int, tr_t: int)
     tr_t are tr S and tr T, where S and T are the actions of s and t, so
     S^2 = T^2 = (ST)^n = I.  The terms come in the order of ``simples(n)``:
     V(1,1), V(1,-1), V(-1,1), V(-1,-1), then k ascending.  ``decompose``
-    reads the traces off the powers of ST; ``classify._annotate`` gets
-    them from the KL family that the search has already built.
+    reads the traces off the powers of ST; the search reads them off the
+    lane of the kernel call that judged the class (``classify._annotate``).
 
     Why it is exact.  (ST)^n = I, so ST is diagonalisable with n-th roots
     of unity as eigenvalues; let zeta = exp(2 pi i/n).  The traces

@@ -520,7 +520,7 @@ def evaluate_raw_units(payload):
         evaluated += 1
         _, ext, failed = run_filters_oracle(pair, enabled)
         if failed is None:
-            rotation, _, _ = module_traces_oracle(n, ext.family)
+            rotation = module_traces_oracle(n, ext.family)
             survivors.append((tuple(_flatten(pair.theta_s)), tuple(_flatten(pair.theta_t)), rotation))
         else:
             rejections[failed] = rejections.get(failed, 0) + 1
@@ -584,8 +584,8 @@ def kl_left_gen_oracle(group, letter, w):
 
 
 def module_traces_oracle(n, family):
-    """(a_j = tr (ST)^j for 0 <= j <= n/2, tr S, tr T) of a complete KL
-    family by inverting every trace.  Let C_l be the sum of tr rho(u) over
+    """a_j = tr (ST)^j for 0 <= j <= n/2 of a complete KL family by
+    inverting every trace.  Let C_l be the sum of tr rho(u) over
     the u of length <= l, so C_0 = r; with x_l and y_l the elements of
     length l that lead with s and t, tr rho(x_l) = tr A_(x_l) - C_(l-1) and
     C_l = tr A_(x_l) + tr A_(y_l) - C_(l-1).  a_j is tr rho(x_(2j)) for
@@ -600,7 +600,7 @@ def module_traces_oracle(n, family):
     rotation = [rank] + [tr_x for tr_x, _ in rho_traces[1::2]]
     if n % 2 == 0:
         rotation.append(trace(family[elements[-1]]) - cumulative)
-    return rotation, *rho_traces[0]
+    return rotation
 
 
 def group_matrices_oracle(n, a_s, a_t):

@@ -711,7 +711,7 @@ def test_lane_traces_match_the_one_lane_family(n, search):
             for gen_s, gen_t, (failed, rotation) in zip(gens_s, gens_t, _call_verdicts(n, call.columns, True)):
                 if failed is None:
                     family = _module_family(n, _square(gen_s.flat, rank), _square(gen_t.flat, rank))
-                    assert rotation == _family_traces(n, family)[0], (gen_s.flat, gen_t.flat)
+                    assert rotation == _family_traces(n, family), (gen_s.flat, gen_t.flat)
                     checked += 1
     assert checked
 
@@ -723,12 +723,12 @@ def test_lane_traces_past_a_lower_lane_that_failed_f2():
     theta_s, theta_t = ((0, 0), (1, 2)), ((1, 1), (1, 1))
     gens_s = [_Generator((2, 0, 0, 2), 2), _Generator(_flatten(theta_s), 2)]
     gens_t = [_Generator((0, 0, 0, 2), 2), _Generator(_flatten(theta_t), 2)]
-    expected, _, _ = _family_traces(n, _module_family(n, theta_s, theta_t))
+    expected = _family_traces(n, _module_family(n, theta_s, theta_t))
     assert expected == [2, 1, -1, -2]
     assert _call_verdicts(n, _lane_columns(gens_s, gens_t), True) == [("F2", None), (None, expected)]
     matrices, width, _, _ = _kl_recursion(n, _lane_columns(gens_s, gens_t), True)
     lane_bits = 8 * _stride(2, width)
-    shifted, _, _ = _module_traces(n, lambda i: sum(_diagonal([row >> lane_bits for row in matrices[i]], width)))
+    shifted = _module_traces(n, lambda i: sum(_diagonal([row >> lane_bits for row in matrices[i]], width)))
     assert shifted != expected
 
 
