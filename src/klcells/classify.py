@@ -26,31 +26,29 @@ In every space (``_spaces``) the representative is the orbit's least
 and its representatives are the A_t that are least under the stabiliser
 of A_s (``_orbits``), so each orbit falls in exactly one work unit.
 
-Every matrix is prepared once per rank (``algebra._Generator``), and
-forked workers inherit the spaces, so a unit ships as two indices.  F3
+Every matrix is prepared once per rank (``algebra._Generator``).  F3
 reads only the zero pattern of A_s + A_t and is invariant under
 conjugation, so each space groups its A_t by zero pattern once, F3 is
 judged once per zero pattern of A_s in each space, and a unit charges
 |O_s| = |G|/|Stab(A_s)| rejections to each A_t whose pattern fails with
-A_s (``_f3_split``); only the A_t that pass reach the stabiliser test.  A
-worker takes a run of consecutive units (the whole rank with one job) and
-judges their representatives by lane-packed KL recursions, one lane each
-(``_judge_units``): a call takes whole units in order until it holds at
-least ``_CALL_LANES`` lanes, so small units share one lane set-up and one
-recursion.
+A_s (``_f3_split``); only the A_t that pass reach the stabiliser test.
+The representatives are judged by lane-packed KL recursions, one lane
+each (``_judge_units``): a call takes whole units in order until it
+holds at least ``_CALL_LANES`` lanes, so small units share one lane
+set-up and one recursion.
 
 Below length n nothing of this depends on n, so a search plan holds it
-(``_plan``), one per (rank, bound, block_space, judge_f3) and run of
-units: the F3 failures and the representatives of each unit, the latter
-as indices into the space with their orbit sizes, the calls, and, for a
-plan of at most ``_PLAN_COLUMN_LANES`` lanes, the lane columns of each
-call (``algebra._lane_columns``: the entries every lane shares and the
-lanes that hold each value of an entry that varies).  A plan is kept with
-the spaces of its rank (``_spaces``) and lives as long as they do, so a
-search that follows one with the same ranks and bound, at any n, builds
-neither, and a call at n only packs its columns at the width n needs.
-The F3 table of verdicts by zero pattern lives only while a plan is
-built.
+(``_plan``), one per (rank, bound, block_space, judge_f3): the F3
+failures and the representatives of every unit, the latter as indices
+into the space with their orbit sizes, the calls, and, for a plan of at
+most ``_PLAN_COLUMN_LANES`` lanes, the lane columns of each call
+(``algebra._lane_columns``: the entries every lane shares and the lanes
+that hold each value of an entry that varies).  The parent builds it and
+keeps it with the spaces of its rank (``_spaces``), so a search that
+follows one with the same ranks and bound, at any n and worker count,
+builds neither, and a call at n only packs its columns at the width n
+needs; forked workers inherit it and judge runs of its calls.  The F3
+table of verdicts by zero pattern lives only while a plan is built.
 
 The kernel skips F1, F6 and F7: F1 holds by construction in both spaces,
 F6 follows from F1 and F5, and F7 holds in the block space (and it is off
@@ -664,12 +662,12 @@ class _Call(NamedTuple):
 
 class _Rank(NamedTuple):
     """What ``_spaces`` keeps for one (rank, bound, block_space): the
-    spaces, the work units (``_rank_units``) and the search plans built on
-    them, by (judge_f3, run of units) (``_plan``)."""
+    spaces, the work units and the search plans built on them, by
+    judge_f3 (``_plan``)."""
 
     spaces: tuple[_Space, ...]
     units: tuple[tuple[int, int], ...]
-    plans: dict[tuple[bool, tuple[tuple[int, int], ...]], tuple[_Call, ...]]
+    plans: dict[bool, tuple[_Call, ...]]
 
 
 def _support_classes(gens: Sequence[_Generator]) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -710,9 +708,9 @@ def _f3_split(
 def _spaces(rank: int, bound: int, block_space: bool) -> _Rank:
     """The search spaces of one rank with their work units; kept for both
     spaces of every rank at one bound, together with the plans built on
-    them, so a search that follows one with the same ranks and bound
-    builds neither again, also when it alternates with a search of the
-    other space, and forked workers inherit them.
+    them (``_plan``), so a search that follows one with the same ranks and
+    bound builds neither again, also when it alternates with a search of
+    the other space, and forked workers inherit them.
 
     The block space has one space per split k in 1..r-1: A_s for every B
     and A_t for every B', under S_k x S_{r-k}, which permutes the first k
@@ -752,12 +750,6 @@ def _spaces(rank: int, bound: int, block_space: bool) -> _Rank:
         if all(g(gen_s.flat) >= gen_s.flat for g in space.conjugations)
     )
     return _Rank(tuple(spaces), units, {})
-
-
-def _rank_units(rank: int, bound: int, block_space: bool) -> tuple[tuple[int, int], ...]:
-    """Deterministic work units for one rank (shipped to workers as-is):
-    the units (j, i) of ``_spaces``."""
-    return _spaces(rank, bound, block_space).units
 
 
 def _orbits(space: _Space, i: int, failing: int, passing: bytes) -> tuple[int, array, array]:
@@ -815,12 +807,10 @@ def _call_generators(parts: Sequence[tuple[_Space, int, bytes, bytes]]) -> tuple
     return [gen_s for gen_s, _, _ in lanes], [gen_t for _, gen_t, _ in lanes]
 
 
-def _plan(
-    rank: int, bound: int, block_space: bool, judge_f3: bool, run: Sequence[tuple[int, int]]
-) -> tuple[_Call, ...]:
-    """The kernel calls that judge a run of consecutive units, built once
-    per (rank, bound, block_space, judge_f3) and run, and kept in the
-    ``_spaces`` entry of the rank, so every n searches with the same plan.
+def _plan(rank: int, bound: int, block_space: bool, judge_f3: bool) -> tuple[_Call, ...]:
+    """The kernel calls that judge every unit of a rank, built once per
+    (rank, bound, block_space, judge_f3) and kept in the ``_spaces`` entry
+    of the rank, so every n and worker count searches with the same plan.
 
     Nothing in it depends on n.  F3 is judged once per A_s support of each
     space (``_f3_split``), with one table of verdicts by zero pattern that
@@ -829,25 +819,23 @@ def _plan(
     one holds at least ``_CALL_LANES`` lanes.  A plan of at most
     ``_PLAN_COLUMN_LANES`` lanes keeps the columns of each call
     (``algebra._lane_columns``), so that at each n a call only packs them
-    at its width.  A forked worker builds the plan of its own run, which
-    the parent does not keep.
+    at its width.  It depends on its arguments alone, so a worker that
+    did not inherit it would build the same one.
     """
-    entry = _spaces(rank, bound, block_space)
-    run = tuple(run)
-    if (judge_f3, run) in entry.plans:
-        return entry.plans[judge_f3, run]
-    spaces = entry.spaces
+    spaces, units, plans = _spaces(rank, bound, block_space)
+    if judge_f3 in plans:
+        return plans[judge_f3]
     splits: dict[tuple[int, int], tuple[int, bytes]] = {}
     if judge_f3:
         connected: dict[int, bool] = {}
-        for j, i in run:
+        for j, i in units:
             support = spaces[j].gens_s[i].support
             if (j, support) not in splits:
                 splits[j, support] = _f3_split(rank, support, spaces[j].classes, connected)
         del connected
     groups = []
     failures, parts, lanes, total = 0, [], 0, 0
-    for position, (j, i) in enumerate(run, start=1):
+    for position, (j, i) in enumerate(units, start=1):
         space = spaces[j]
         split = splits[j, space.gens_s[i].support] if judge_f3 else (0, b"\1" * len(space.classes))
         failing, indices, weights = _orbits(space, i, *split)
@@ -855,13 +843,13 @@ def _plan(
         if indices:
             parts.append((space, i, indices.tobytes(), weights.tobytes()))
             lanes += len(indices)
-        if lanes < _CALL_LANES and position < len(run):
+        if lanes < _CALL_LANES and position < len(units):
             continue
         groups.append((failures, tuple(parts)))
         total += lanes
         failures, parts, lanes = 0, [], 0
     keep = total <= _PLAN_COLUMN_LANES
-    calls = entry.plans[judge_f3, run] = tuple(
+    calls = plans[judge_f3] = tuple(
         _Call(failures, parts, _lane_columns(*_call_generators(parts)) if keep else None) for failures, parts in groups
     )
     return calls
@@ -870,16 +858,16 @@ def _plan(
 def _judge_units(
     payload: tuple,
 ) -> tuple[int, tuple[tuple[str, int], ...], list[tuple[tuple[int, ...], tuple[int, ...], list[int]]]]:
-    """Worker entry point: judge the orbits of a run of consecutive units.
+    """Worker entry point: judge the calls start:stop of the plan
+    (``_plan``) of a rank, given (n, rank, bound, enabled, start, stop).
 
     Returns (pairs evaluated, rejection counts, survivors), each survivor
     the flat (A_s, A_t) of a surviving representative and its traces
     a_j = tr (ST)^j for 0 <= j <= n/2, read off its lane of the kernel
-    call that judged it (``_call_verdicts``).  The run's plan (``_plan``)
-    charges F3 per support class and gives the kernel calls; each call
-    judges its representatives one lane each in ``algebra._kl_recursion``
-    at the width n needs, and each verdict is charged to every pair of its
-    orbit.
+    call that judged it (``_call_verdicts``).  Each call charges its F3
+    failures (``_f3_split``) and judges its representatives one lane each
+    in ``algebra._kl_recursion`` at the width n needs, and each verdict is
+    charged to every pair of its orbit.
 
     The kernel gives each lane's first failing filter in the order F4, F2,
     F5.  Its preconditions are F1, nonnegative entries and, when F3 is
@@ -891,12 +879,12 @@ def _judge_units(
     judged on the partial family as the recursion grows, and F6 is not run:
     F1 and F5 imply it (``run_filters``).
     """
-    n, rank, bound, enabled, units = payload
+    n, rank, bound, enabled, start, stop = payload
     check_support = "F4" in enabled
     evaluated = 0
     rejections: dict[str, int] = {}
     survivors = []
-    for call in _plan(rank, bound, "F7" in enabled, "F3" in enabled, units):
+    for call in _plan(rank, bound, "F7" in enabled, "F3" in enabled)[start:stop]:
         if call.f3_failures:
             evaluated += call.f3_failures
             rejections["F3"] = rejections.get("F3", 0) + call.f3_failures
@@ -1067,41 +1055,43 @@ def _classify_rank(
     """(pairs evaluated, rejection counts, candidates by canonical key) of
     one rank.
 
-    The workers' counts are summed, and their survivors are deduped by the
-    canonical pair of their class (``_canonical_flat``), each class
-    keeping the traces of the first survivor in it.  The MatrixPair and
-    the key are built once per class, and the class is annotated on its
-    canonical pair (``_annotate``) with no filter run again.  That is
-    sound: the canonical pair is a simultaneous conjugate P A P^-1 of a
-    survivor, possibly with s and t exchanged.  F1, F3 and F7 read
-    properties that conjugation and the swap keep (A^2 = 2A, the strong
-    connectivity of the graph of A_s + A_t, the two-block shape up to
-    reindexing).  The KL recursion commutes with both: the family of the
-    conjugate is P A_w P^-1, and the swap relabels the family, the matrix
-    of w going to the element of the same length that exchanges s and t
-    in w, and the route to w0 through s to the route through t.  So the
-    canonical pair's family is the survivor's, conjugated and relabelled:
-    it is nonnegative up to w0 (F2), no matrix of length 1..n-1 vanishes
-    (F4), and its two routes to w0 agree (F5).  The a_j are kept too
-    (``_annotate``).  ``test_every_candidate_is_its_inspect_pair`` runs
-    the canonical pair of every class of its searches through
-    ``run_filters`` as the independent check.
+    The rank's plan (``_plan``) is built, or found, before any worker
+    starts, so the kernel calls are the same at every worker count.  With
+    ``jobs`` > 1 and more than one call, forked workers judge
+    min(4 jobs, calls) runs of consecutive calls (``_judge_units``).  The
+    workers' counts are summed, and
+    their survivors are deduped by the canonical pair of their class
+    (``_canonical_flat``), each class keeping the traces of the first
+    survivor in it.  The MatrixPair and the key are built once per class,
+    and the class is annotated on its canonical pair (``_annotate``) with
+    no filter run again.  That is sound: the canonical pair is a
+    simultaneous conjugate P A P^-1 of a survivor, possibly with s and t
+    exchanged.  F1, F3 and F7 read properties that conjugation and the
+    swap keep (A^2 = 2A, the strong connectivity of the graph of
+    A_s + A_t, the two-block shape up to reindexing).  The KL recursion
+    commutes with both: the family of the conjugate is P A_w P^-1, and the swap
+    relabels the family, the matrix of w going to the element of the same
+    length that exchanges s and t in w, and the route to w0 through s to
+    the route through t.  So the canonical pair's family is the
+    survivor's, conjugated and relabelled: it is nonnegative up to w0
+    (F2), no matrix of length 1..n-1 vanishes (F4), and its two routes to
+    w0 agree (F5).  The a_j are kept too (``_annotate``).
+    ``test_every_candidate_is_its_inspect_pair`` runs the canonical pair
+    of every class of its searches through ``run_filters`` as the
+    independent check.
     """
-    units = _rank_units(rank, bound, "F7" in enabled)
-    if jobs > 1 and len(units) > 1:
+    calls = len(_plan(rank, bound, "F7" in enabled, "F3" in enabled))
+    if jobs > 1 and calls > 1:
         import multiprocessing
 
-        # four runs of consecutive units per worker, as pool.map's default
-        # chunking cuts a list, so that the runs balance across the pool
-        runs = min(4 * jobs, len(units))
-        payloads = [
-            (n, rank, bound, enabled, units[k * len(units) // runs : (k + 1) * len(units) // runs])
-            for k in range(runs)
-        ]
+        # four runs per worker, as pool.map's default chunking cuts a
+        # list, so that the runs balance across the pool
+        runs = min(4 * jobs, calls)
+        payloads = [(n, rank, bound, enabled, k * calls // runs, (k + 1) * calls // runs) for k in range(runs)]
         with multiprocessing.Pool(processes=jobs) as pool:
             results = pool.map(_judge_units, payloads, chunksize=1)
     else:
-        results = [_judge_units((n, rank, bound, enabled, units))]
+        results = [_judge_units((n, rank, bound, enabled, 0, calls))]
     evaluated = 0
     rejections: dict[str, int] = {}
     classes: dict[tuple[tuple[int, ...], tuple[int, ...]], Sequence[int]] = {}

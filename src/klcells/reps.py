@@ -30,6 +30,7 @@ exact integers where they exist; ``decompose`` does not use it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -264,19 +265,27 @@ def _count_simples(n: int, rotation_traces: Sequence[int], tr_s: int, tr_t: int)
     every V(n,k), so eps tr S + delta tr T = 2(m(eps, delta) - m(-eps, -delta)).
     Adding the two, m(eps, delta) = (2 N_d + eps tr S + delta tr T)/4.
     """
+    divisors, modules = _simple_orders(n)
     traces = [rotation_traces[min(j, n - j)] for j in range(n)]
-    orders = [n // math.gcd(n, j) for j in range(n)]  # the order of zeta^j
     counts: dict[int, int] = {}  # order -> eigenvalues of ST of that order
-    for e in sorted(set(orders)):
+    for e in divisors:
         counts[e] = e * sum(traces[::e]) // n - sum(c for d, c in counts.items() if e % d == 0)
     terms: list[tuple[SimpleModule, int]] = []
-    for module in simples(n):
+    for module, order, roots in modules:
         if isinstance(module, OneDim):
-            order = 1 if module.eps == module.delta else 2
             mult = (2 * counts[order] + module.eps * tr_s + module.delta * tr_t) // 4
         else:
-            order = orders[module.k]
-            mult = counts[order] // orders.count(order)
+            mult = counts[order] // roots
         if mult:
             terms.append((module, mult))
     return Decomposition(n=n, terms=tuple(terms))
+
+
+@functools.lru_cache(maxsize=None)
+def _simple_orders(n: int) -> tuple[tuple[int, ...], tuple[tuple[SimpleModule, int, int], ...]]:
+    """What ``_count_simples`` reads of n alone: the divisors of n
+    ascending and, for each of ``simples(n)`` in order, (module, the order
+    d of its eigenvalues of ST, phi(d))."""
+    orders = [n // math.gcd(n, j) for j in range(n)]  # the order of zeta^j
+    modules = [(v, orders[v.k] if isinstance(v, TwoDim) else 1 if v.eps == v.delta else 2) for v in simples(n)]
+    return tuple(sorted(set(orders))), tuple((v, d, orders.count(d)) for v, d in modules)

@@ -508,11 +508,13 @@ def raw_block_pairs(n, rank, bound):
 
 
 def evaluate_raw_units(payload):
-    """Every pair of a run of raw units through ``run_filters_oracle``, as
-    the search did before orbit representatives; returns what
-    ``classify._judge_units`` does, with every surviving pair flat and its
-    traces read by ``module_traces_oracle`` off its extension."""
-    n, rank, bound, enabled, units = payload
+    """Every pair of the raw units start:stop of a rank through
+    ``run_filters_oracle``, as the search did before orbit representatives;
+    takes the payload of ``classify._judge_units`` and returns what it
+    does, with every surviving pair flat and its traces read by
+    ``module_traces_oracle`` off its extension."""
+    n, rank, bound, enabled, start, stop = payload
+    units = raw_units(rank, bound, "F7" in enabled)[start:stop]
     evaluated = 0
     rejections = {}
     survivors = []

@@ -42,7 +42,6 @@ from klcells.classify import (
     _orbits,
     _part_lanes,
     _plan,
-    _rank_units,
     _spaces,
     canonical_pair,
     canonicalize,
@@ -512,7 +511,7 @@ def test_classify_parallel_matches_serial():
 def orbits(rank, bound, block_space):
     """(flat A_s, flat A_t, orbit size) of the representatives of one rank,
     read from the search's plan with F3 off."""
-    for call in _plan(rank, bound, block_space, False, _rank_units(rank, bound, block_space)):
+    for call in _plan(rank, bound, block_space, False):
         for part in call.parts:
             for gen_s, gen_t, weight in _part_lanes(part):
                 yield gen_s.flat, gen_t.flat, weight
@@ -600,8 +599,9 @@ def raw_pair_report(monkeypatch, n, **kwargs):
     Block pairs are extended by the tuple oracle, both for their verdicts
     and for the traces of each survivor's annotation; variety pairs by
     ``extend``, which the whole-space tests compare with that oracle.  The
-    raw units and their judge must both run, once per rank, and no plan
-    may be built or read.
+    plan is the list of raw units, and their judge reads its start:stop
+    slice of them: each must run once per rank, and no space or plan may
+    be built or read.
     """
     calls = []
 
@@ -612,15 +612,18 @@ def raw_pair_report(monkeypatch, n, **kwargs):
 
         return call
 
+    def raw_plan(rank, bound, block_space, judge_f3):
+        return raw_units(rank, bound, block_space)
+
     plans = _spaces.cache_info()
     with monkeypatch.context() as patched:
-        patched.setattr(classify_module, "_rank_units", counted("units", raw_units))
+        patched.setattr(classify_module, "_plan", counted("plan", raw_plan))
         patched.setattr(classify_module, "_judge_units", counted("judge", evaluate_raw_units))
         if "F7" not in kwargs.get("disabled", ()):
             patched.setattr(oracles, "extend", extend_oracle)
         report = classify(n, **kwargs).to_json_bytes()
     ranks = len(kwargs["ranks"])
-    assert sorted(calls) == ["judge"] * ranks + ["units"] * ranks
+    assert sorted(calls) == ["judge"] * ranks + ["plan"] * ranks
     assert _spaces.cache_info() == plans
     return report
 
@@ -705,7 +708,7 @@ def test_lane_traces_match_the_one_lane_family(n, search):
     bound, block_space = search["entry_bound"], "disabled" not in search
     checked = 0
     for rank in search["ranks"]:
-        for call in _plan(rank, bound, block_space, True, _rank_units(rank, bound, block_space)):
+        for call in _plan(rank, bound, block_space, True):
             gens_s, gens_t = _call_generators(call.parts)
             assert call.columns is not None
             for gen_s, gen_t, (failed, rotation) in zip(gens_s, gens_t, _call_verdicts(n, call.columns, True)):
@@ -905,15 +908,18 @@ def test_variety_search_at_rank_five():
 
 
 def test_variety_units_pickle_small():
-    # a unit names its space and its A_s by index; workers read the matrices
-    # from their own _spaces cache, so no payload carries the 2,451 matrices
-    # of the variety or the 2 x 135 matrices of the block space
+    # a payload names a run of the plan's calls by two indices; forked
+    # workers read the plan from the _spaces cache they inherit, so no
+    # payload carries the 2,451 matrices of the variety, the 2 x 135
+    # matrices of the block space or the representatives of their units
     for disabled, block_space, count in ((("F7",), False, 160), ((), True, 47)):
         enabled = normalize_filters(disabled)
-        units = _rank_units(4, 2, block_space)
-        assert len(units) == count
-        for unit in units:
-            assert len(pickle.dumps((4, 4, 2, enabled, unit))) < 200, unit
+        assert len(_spaces(4, 2, block_space).units) == count
+        calls = len(_plan(4, 2, block_space, True))
+        assert calls > 1
+        for start in range(calls):
+            payload = (4, 4, 2, enabled, start, calls)
+            assert len(pickle.dumps(payload)) < 200, payload
 
 
 def test_variety_weights_sum_to_the_pair_space():
@@ -950,8 +956,7 @@ def test_bulk_f3_matches_plain_enumeration_of_each_unit(rank, bound, block_space
     # surviving representatives with the same orbit sizes.  The plan, which
     # judges F3 once per support of A_s, charges the same failures and
     # keeps the same representatives.
-    spaces = _spaces(rank, bound, block_space).spaces
-    units = _rank_units(rank, bound, block_space)
+    spaces, units, _ = _spaces(rank, bound, block_space)
     failures, lanes = 0, []
     for j, i in units:
         space = spaces[j]
@@ -971,7 +976,7 @@ def test_bulk_f3_matches_plain_enumeration_of_each_unit(rank, bound, block_space
         assert sorted((gen_s.flat, space.gens_t[k].flat, weight) for k, weight in zip(indices, weights)) == sorted(kept)
         failures += failing
         lanes += kept
-    plan = _plan(rank, bound, block_space, True, units)
+    plan = _plan(rank, bound, block_space, True)
     assert sum(call.f3_failures for call in plan) == failures
     planned = [(s.flat, t.flat, weight) for call in plan for part in call.parts for s, t, weight in _part_lanes(part)]
     assert sorted(planned) == sorted(lanes)
@@ -1010,6 +1015,28 @@ def test_alternating_searches_keep_both_spaces(cold_plans):
         classify(n, **BLOCK_SEARCH)
         classify(n, **VARIETY_SEARCH)
     assert _spaces.cache_info().misses == 7
+
+
+def test_a_parallel_sweep_keeps_one_plan_per_rank(cold_plans):
+    # the parent builds each rank's plan before it starts a pool, so a
+    # jobs=2 sweep over n reuses it at every n like a jobs=1 sweep does.
+    # Ranks 1-3 have a single call, judged in this process; rank 4 has more
+    # calls than the 4 * jobs runs it is cut into.
+    search = {"ranks": (1, 2, 3, 4), "entry_bound": 2}
+    serial = {n: classify(n, **search).to_json_bytes() for n in range(3, 9)}
+    _spaces.cache_clear()
+    plans = None
+    for n in range(3, 9):
+        assert classify(n, jobs=2, **search).to_json_bytes() == serial[n], n
+        kept = {rank: _spaces(rank, 2, True).plans for rank in search["ranks"]}
+        assert all(list(entry) == [True] for entry in kept.values()), n
+        if plans is None:
+            misses = _spaces.cache_info().misses
+            plans = {rank: entry[True] for rank, entry in kept.items()}
+        assert _spaces.cache_info().misses == misses, n
+        assert all(kept[rank][True] is plan for rank, plan in plans.items()), n
+    assert [len(plans[rank]) for rank in (1, 2, 3)] == [1, 1, 1]
+    assert len(plans[4]) > 4 * 2
 
 
 # (classes, pairs, sha256 of the JSON report) of the F7-off variety at n=4
@@ -1103,7 +1130,7 @@ def test_a_warm_plan_is_invisible(cold_plans, search, variants):
             plans = {rank: dict(_spaces(rank, 2, block_space).plans) for rank in search["ranks"]}
     assert _spaces.cache_info().misses == misses
     for rank, kept in plans.items():
-        assert sorted(judge_f3 for judge_f3, _ in kept) == [False, True], rank
+        assert sorted(kept) == [False, True], rank
         now = _spaces(rank, 2, block_space).plans
         assert now.keys() == kept.keys() and all(now[key] is plan for key, plan in kept.items()), rank
 
@@ -1120,7 +1147,7 @@ def test_cached_plans_are_immutable():
         entry = _spaces(rank, bound, block_space)
         assert isinstance(entry.units, tuple) and frozen(entry.units)
         for judge_f3 in (False, True):
-            plan = _plan(rank, bound, block_space, judge_f3, entry.units)
+            plan = _plan(rank, bound, block_space, judge_f3)
             assert isinstance(plan, tuple) and frozen(plan)
             assert all(call.columns is not None for call in plan)
 

@@ -13,7 +13,6 @@ from klcells.classify import (
     _f1_matrices,
     _f3_split,
     _plan,
-    _rank_units,
     _support_classes,
     classify,
     normalize_filters,
@@ -307,7 +306,7 @@ def test_a_lane_is_the_same_alone_in_its_unit_and_among_every_unit(n):
     spaces = [(rank, True) for rank in (1, 2, 3, 4)] + ([(rank, False) for rank in (1, 2, 3)] if n <= 6 else [])
     for rank, block_space in spaces:
         units = []
-        for call in _plan(rank, 2, block_space, True, _rank_units(rank, 2, block_space)):
+        for call in _plan(rank, 2, block_space, True):
             units += (list(zip(*_call_generators([part]))) for part in call.parts)
         lanes = [lane for unit in units for lane in unit]
         assert len({gen_s.flat for gen_s, _ in lanes}) > 1
