@@ -30,12 +30,10 @@ is one lane: ``structure_constants`` is the family of the regular pair
 and ``kl_multiply`` reads it, a cell module is the family of its own
 generator pair (``cells.cell_module``, run when a matrix past the
 generators is first read), and ``nimrep.extend`` runs it on one
-candidate pair; the family is unpacked matrix by matrix as it is read,
-and its traces are read off the packed diagonals.  The classification
-search prepares each generator once, judges the pairs of several work
-units in one call, keeps the columns of its calls for every n it
-searches, and reads the traces of each surviving lane off the diagonals
-of that lane.
+candidate pair; the family is unpacked matrix by matrix as it is read.
+The classification search prepares each generator once, judges the pairs
+of several work units in one call, keeps the columns of its calls for
+every n it searches, and reads only each lane's outcome.
 
 The independent route, plain convolution in the group basis followed by
 conversion back, lives in the checks: verification check A1 compares every
@@ -619,32 +617,6 @@ def _flatten(m: IntMatrix) -> list[int]:
     return [v for row in m for v in row]
 
 
-def _diagonal(rows: Sequence[int], width: int, lane: int = 0) -> list[int]:
-    """The diagonal of lane ``lane`` of a packed matrix, field i of row i
-    of that lane; lane 0 is the whole of a one-lane matrix.
-
-    In the offset form ``row + offset`` field i holds entry i plus
-    2^(width-1), with no borrow from the fields below it (``_unpack``), so
-    the entry is that field less 2^(width-1); no other field is read.  A
-    lane above 0 is first cut out of the row with the part X of its lower
-    lanes rounded away: lane L starts at bit b = L * 8 * stride, and every
-    lower lane holds less than 2^(8 * stride - 2) in absolute value (its
-    rank * width bits of fields leave at least one spare bit), so
-    |X| < 2^(b-1), and bit b - 1 of the row is set exactly when X is
-    negative and has borrowed one from lane L.  Adding that bit back to
-    the 8 * stride bits above it gives lane L's own value, so lanes below
-    that failed with negative entries change nothing.
-    """
-    rank = len(rows)
-    if lane:
-        lane_bits = 8 * _stride(rank, width)
-        below, kept = lane_bits * lane - 1, (1 << (lane_bits + 1)) - 1
-        rows = [((row >> below & kept) + 1) >> 1 for row in rows]
-    offset = _frame(width, rank)[1]
-    half, mask = 1 << (width - 1), (1 << width) - 1
-    return [((row + offset) >> (i * width) & mask) - half for i, row in enumerate(rows)]
-
-
 class _PackedFamily(Mapping):
     """A one-lane kernel family keyed by group element, read-only.
 
@@ -693,10 +665,6 @@ class _PackedFamily(Mapping):
             (matrix,) = _unpack([self._rows(index)], self._width)
             self._matrices[index] = matrix
         return matrix
-
-    def trace(self, w: GroupElement) -> int:
-        """tr A_w, summed from the diagonal of its packed rows (``_diagonal``)."""
-        return sum(_diagonal(self._rows(self._index(w)), self._width))
 
     def __contains__(self, w: object) -> bool:
         return self._positions.get(w, len(self._matrices)) < len(self._matrices)

@@ -52,9 +52,8 @@ table of verdicts by zero pattern lives only while a plan is built.
 
 The kernel skips F1, F6 and F7: F1 holds by construction in both spaces,
 F6 follows from F1 and F5, and F7 holds in the block space (and it is off
-in the variety).  A worker returns its surviving representatives as flat
-(A_s, A_t), each with the traces a_j = tr (ST)^j read off its lane of the
-call that judged it (``_call_verdicts``); the parent canonicalises them and
+in the variety).  The kernel only judges: a worker returns its surviving
+representatives as flat (A_s, A_t), and the parent canonicalises them and
 keeps one per class.  The s <-> t swap, which maps the block space of
 split k onto that of r-k, is not used to merge orbits in either space: F4
 is judged on the partial family built before an F2 failure, and a swapped
@@ -62,11 +61,13 @@ pair can fail at the other leading letter.
 
 ``run_filters`` is the one pipeline that renders a verdict with its
 witnesses, and ``_annotate`` the one builder of a surviving
-``Candidate``: it runs no filter and reads the annotation from the a_j.
-The search calls it on the canonical pair of each surviving class, which
-passes every filter the search enabled (``_classify_rank``), with the a_j
-its worker read; ``inspect_pair`` runs ``run_filters`` on any pair and
-calls it on a survivor with the a_j of the family its extension built.
+``Candidate``: it runs no filter, and reads the annotation from the
+decomposition of the pair into simple D_n-modules, counted from the
+traces a_j = tr (ST)^j of the powers of ST (``reps._module_decomposition``,
+with no relation checked).  The search calls it once on the canonical
+pair of each surviving class, which passes every filter the search
+enabled (``_classify_rank``); ``inspect_pair`` runs ``run_filters`` on any
+pair and calls it on a survivor with the family its extension built.
 
 Pairs count as the same candidate when simultaneous row/column permutation
 and/or exchanging the roles of s and t carries one to the other;
@@ -103,9 +104,8 @@ h = 3, 4 or 6.
 
 Reports are deterministic byte for byte: candidates are sorted by
 (rank, canonical key), every candidate is annotated on its canonical
-representative in the parent process, from a_j that every member of its
-class shares, and wall-clock timing is excluded from serialisation unless
-explicitly requested.  The worker count can
+representative in the parent process, and wall-clock timing is excluded
+from serialisation unless explicitly requested.  The worker count can
 therefore never change the output.  A resource guard sizes the search
 space a priori and refuses to start when it exceeds the allowed number of
 states.
@@ -121,21 +121,18 @@ import time
 from array import array
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .algebra import (
     _Columns,
     _Generator,
-    _PackedFamily,
-    _diagonal,
     _flatten,
     _kl_recursion,
     _lane_columns,
     _module_family,
 )
 from .cells import cell_module, compute_cells, left_cell_name
-from .dihedral import dihedral_group
-from .exact import IntMatrix, is_zero_matrix, mat_add, trace
+from .exact import IntMatrix, is_zero_matrix, mat_add
 from .nimrep import (
     ExtendedRep,
     ExtensionFailure,
@@ -151,7 +148,7 @@ from .nimrep import (
     _square,
     _strongly_connected,
 )
-from .reps import Decomposition, OneDim, _count_simples
+from .reps import Decomposition, OneDim, _module_decomposition
 # unused here but stay bound: perfbench/tracing.py wraps these names
 from .nimrep import annihilator_check, check_apex_support, check_group_relations
 from .reps import decompose
@@ -857,17 +854,16 @@ def _plan(rank: int, bound: int, block_space: bool, judge_f3: bool) -> tuple[_Ca
 
 def _judge_units(
     payload: tuple,
-) -> tuple[int, tuple[tuple[str, int], ...], list[tuple[tuple[int, ...], tuple[int, ...], list[int]]]]:
+) -> tuple[int, tuple[tuple[str, int], ...], list[tuple[tuple[int, ...], tuple[int, ...]]]]:
     """Worker entry point: judge the calls start:stop of the plan
     (``_plan``) of a rank, given (n, rank, bound, enabled, start, stop).
 
     Returns (pairs evaluated, rejection counts, survivors), each survivor
-    the flat (A_s, A_t) of a surviving representative and its traces
-    a_j = tr (ST)^j for 0 <= j <= n/2, read off its lane of the kernel
-    call that judged it (``_call_verdicts``).  Each call charges its F3
-    failures (``_f3_split``) and judges its representatives one lane each
-    in ``algebra._kl_recursion`` at the width n needs, and each verdict is
-    charged to every pair of its orbit.
+    the flat (A_s, A_t) of a surviving representative.  Each call charges
+    its F3 failures (``_f3_split``) and judges its representatives one lane
+    each in ``algebra._kl_recursion`` at the width n needs, of which only
+    the outcomes are read, and each verdict is charged to every pair of
+    its orbit.
 
     The kernel gives each lane's first failing filter in the order F4, F2,
     F5.  Its preconditions are F1, nonnegative entries and, when F3 is
@@ -890,27 +886,13 @@ def _judge_units(
             rejections["F3"] = rejections.get("F3", 0) + call.f3_failures
         columns = call.columns if call.columns is not None else _lane_columns(*_call_generators(call.parts))
         lanes = itertools.chain.from_iterable(map(_part_lanes, call.parts))
-        for (gen_s, gen_t, weight), (failed, rotation) in zip(lanes, _call_verdicts(n, columns, check_support)):
+        for (gen_s, gen_t, weight), failed in zip(lanes, _kl_recursion(n, columns, check_support)[2]):
             evaluated += weight
             if failed is None:
-                survivors.append((gen_s.flat, gen_t.flat, rotation))
+                survivors.append((gen_s.flat, gen_t.flat))
             else:
                 rejections[failed] = rejections.get(failed, 0) + weight
     return evaluated, tuple(sorted(rejections.items())), survivors
-
-
-def _call_verdicts(n: int, columns: _Columns, check_support: bool) -> list[tuple[str | None, list[int] | None]]:
-    """(outcome, a_j for 0 <= j <= n/2 or None) of each lane of one kernel
-    call.  The a_j of a surviving lane are read off the diagonals of its
-    own lane of the call's packed matrices (``_module_traces``,
-    ``algebra._diagonal``), which a lane below it that failed with
-    negative entries does not change; the matrices are dropped on
-    return."""
-    matrices, width, outcomes, _ = _kl_recursion(n, columns, check_support)
-    return [
-        (failed, None if failed else _module_traces(n, lambda i: sum(_diagonal(matrices[i], width, lane))))
-        for lane, failed in enumerate(outcomes)
-    ]
 
 
 def _rank_budget(rank: int, bound: int, block_space: bool) -> int:
@@ -922,68 +904,35 @@ def _rank_budget(rank: int, bound: int, block_space: bool) -> int:
     return (bound + 1) ** (rank * rank) + (bound + 1) ** (2 * rank * rank)
 
 
-def _module_traces(n: int, trace: Callable[[int], int]) -> list[int]:
-    """a_j = tr (ST)^j for 0 <= j <= n/2 of a module from the traces of
-    its complete KL family, by the identity in ``_annotate``'s docstring;
-    ``trace(i)`` is tr A_w of the i-th element w of D_n in the kernel's
-    order (``all_elements``): e, s, t, st, ts, ..., w0."""
-    rank = trace(0)
-    tr_t = trace(2) - rank
-    # tr A_(x_l) for l = 1 .. 2 floor(n/2); x_l sits at index 2l - 1
-    x = [trace(i) for i in range(1, 4 * (n // 2), 2)]
-    tr_s = x[0] - rank
-    rotation = [rank]
-    for j, (odd, even) in enumerate(zip(x[::2], x[1::2]), 1):  # x_(2j-1), x_(2j)
-        rotation.append(even - odd - (tr_t if j % 2 else tr_s))
-    return rotation
-
-
-def _family_traces(n: int, family: _PackedFamily) -> list[int]:
-    """``_module_traces`` of a complete KL family keyed by group element,
-    read through its ``trace``."""
-    elements = dihedral_group(n).all_elements()
-    return _module_traces(n, lambda i: family.trace(elements[i]))
-
-
 def _annotate(
     pair: MatrixPair,
     key: bytes,
     filters: tuple[FilterReport, ...],
-    rotation: Sequence[int],
-    family: _PackedFamily | None = None,
+    family: Mapping | None = None,
 ) -> Candidate:
     """The Candidate of a pair that passes every filter it was judged by,
-    with the reports ``filters``, whose class has the canonical key ``key``
-    and whose module has the traces ``rotation``, a_j = tr (ST)^j for
-    0 <= j <= n/2.
+    with the reports ``filters``, whose class has the canonical key ``key``.
 
     Nothing here runs a filter.  The search passes the pass reports of its
     enabled filters in the attribution order, ``inspect_pair`` those
-    ``run_filters`` gave.  The decomposition,
-    apex and annihilator verdict come from the a_j and the pair's own tr S
-    and tr T, with no matrix product (``decompose``, ``apex_of`` and
+    ``run_filters`` gave.  The apex and annihilator verdict follow from the
+    decomposition by proof, with no further matrix product (``apex_of`` and
     ``annihilator_check`` are the tests' oracles for them).  The extension
     holds ``family``, or else the pair's KL family built when first read
-    (``algebra._module_family``).  The search passes the a_j of any member
-    of the class: a conjugation P keeps tr (ST)^j, and the s <-> t swap
-    turns it into tr (TS)^j, the same trace by cyclicity, so every member
-    has the a_j of the canonical pair.  A survivor passes F1 and F5, so it
-    is a D_n-module: F1 makes S = A_s - I and T = A_t - I involutions and
-    F5 is (ST)^n = I (``run_filters``).
+    (``algebra._module_family``).
 
-    Decomposition.  Below length n, A_w = rho(b_w) with b_w the sum of the
-    u <= w (``run_filters``), and so A_w0 = rho(sum of D_n).  Let x_l and
-    y_l be the elements of length l that lead with s and t, and x_n = w0.
-    Then b(x_(2j)) - b(x_(2j-1)) = x_(2j) + y_(2j-1), where x_(2j) = (st)^j
-    and y_(2j-1) = (ts)^(j-1) t is conjugate to t for odd j and to s for
-    even j.  So a_j = tr (ST)^j is tr A_(x_(2j)) - tr A_(x_(2j-1)) less
-    tr T for odd j and tr S for even j, where tr S = tr A_s - r and
-    tr T = tr A_t - r (``_module_traces``).  ``reps._count_simples`` turns
-    these into multiplicities.
+    Decomposition.  ``reps._module_decomposition`` counts the simples from
+    the traces of (ST)^j for j <= n/2, in floor(n/2) products, and checks
+    no relation: a survivor passes F1 and F5, so it is a D_n-module, as F1
+    makes S = A_s - I and T = A_t - I involutions and F5 is (ST)^n = I
+    (``run_filters``).  ``decompose``, which checks them, is the tests'
+    oracle.
 
-    Apex.  A_w0 = rho(sum of D_n) = 2n e, with e the projection onto the
-    V(1,1)-isotypic part, so A_w0 is nonzero exactly when V(1,1) occurs:
-    then the apex is J3.  Otherwise it is J1 exactly when A_s = A_t = 0,
+    Apex.  A_w0 is rho(b) of an alternating word of length n
+    (``run_filters``), the sum of that word and every shorter element,
+    which in D_n is the sum of D_n.  So A_w0 = 2n e with e the projection
+    onto the V(1,1)-isotypic part: A_w0 is nonzero exactly when V(1,1)
+    occurs, and then the apex is J3.  Otherwise it is J1 exactly when A_s = A_t = 0,
     as every longer A_w is then 0 too and A_e = I is not, and J2 else.
 
     Annihilator.  By Maschke the module is a sum of simples, on which
@@ -999,7 +948,7 @@ def _annotate(
     """
     n, rank = pair.n, pair.rank
     theta_s, theta_t = pair.theta_s, pair.theta_t
-    decomposition = _count_simples(n, rotation, trace(theta_s) - rank, trace(theta_t) - rank)
+    decomposition = _module_decomposition(n, theta_s, theta_t)
     if decomposition.multiplicity(OneDim(1, 1)):
         apex = "J3"
     elif is_zero_matrix(theta_s) and is_zero_matrix(theta_t):
@@ -1028,14 +977,13 @@ def inspect_pair(pair: MatrixPair, disabled: Iterable[str] = ()) -> Candidate:
 
     The pair goes through ``run_filters``.  A rejected pair is tagged
     REJECTED with the first failing filter; a survivor is annotated
-    (``_annotate``) with its reports and the traces of the family its
-    extension built.
+    (``_annotate``) with its reports and the family its extension built.
     """
     enabled = normalize_filters(disabled)
     key = canonicalize(pair)
     reports, ext, failed = run_filters(pair, enabled)
     if failed is None:
-        return _annotate(pair, key, reports, _family_traces(pair.n, ext.family), ext.family)
+        return _annotate(pair, key, reports, ext.family)
     return Candidate(
         pair=pair,
         canonical_key=key,
@@ -1059,23 +1007,21 @@ def _classify_rank(
     starts, so the kernel calls are the same at every worker count.  With
     ``jobs`` > 1 and more than one call, forked workers judge
     min(4 jobs, calls) runs of consecutive calls (``_judge_units``).  The
-    workers' counts are summed, and
-    their survivors are deduped by the canonical pair of their class
-    (``_canonical_flat``), each class keeping the traces of the first
-    survivor in it.  The MatrixPair and the key are built once per class,
-    and the class is annotated on its canonical pair (``_annotate``) with
-    no filter run again.  That is sound: the canonical pair is a
-    simultaneous conjugate P A P^-1 of a survivor, possibly with s and t
-    exchanged.  F1, F3 and F7 read properties that conjugation and the
-    swap keep (A^2 = 2A, the strong connectivity of the graph of
-    A_s + A_t, the two-block shape up to reindexing).  The KL recursion
-    commutes with both: the family of the conjugate is P A_w P^-1, and the swap
-    relabels the family, the matrix of w going to the element of the same
+    workers' counts are summed, and their survivors are deduped by the
+    canonical pair of their class (``_canonical_flat``).  The MatrixPair
+    and the key are built once per class, and the class is annotated on
+    its canonical pair (``_annotate``) with no filter run again.  That is
+    sound: the canonical pair is a simultaneous conjugate P A P^-1 of a
+    survivor, possibly with s and t exchanged.  F1, F3 and F7 read
+    properties that conjugation and the swap keep (A^2 = 2A, the strong
+    connectivity of the graph of A_s + A_t, the two-block shape up to
+    reindexing).  The KL recursion commutes with both: the family of the
+    conjugate is P A_w P^-1, and the swap relabels the family, the matrix of w going to the element of the same
     length that exchanges s and t in w, and the route to w0 through s to
     the route through t.  So the canonical pair's family is the
     survivor's, conjugated and relabelled: it is nonnegative up to w0
     (F2), no matrix of length 1..n-1 vanishes (F4), and its two routes to
-    w0 agree (F5).  The a_j are kept too (``_annotate``).
+    w0 agree (F5).
     ``test_every_candidate_is_its_inspect_pair`` runs the canonical pair
     of every class of its searches through ``run_filters`` as the
     independent check.
@@ -1094,18 +1040,17 @@ def _classify_rank(
         results = [_judge_units((n, rank, bound, enabled, 0, calls))]
     evaluated = 0
     rejections: dict[str, int] = {}
-    classes: dict[tuple[tuple[int, ...], tuple[int, ...]], Sequence[int]] = {}
+    classes: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     for unit_evaluated, unit_rejections, survivors in results:
         evaluated += unit_evaluated
         for filter_id, count in unit_rejections:
             rejections[filter_id] = rejections.get(filter_id, 0) + count
-        for flat_s, flat_t, rotation in survivors:
-            classes.setdefault(_canonical_flat(rank, flat_s, flat_t), rotation)
+        classes.update(_canonical_flat(rank, flat_s, flat_t) for flat_s, flat_t in survivors)
     passed = tuple(FilterReport(f, True, None) for f in _ATTRIBUTION_ORDER if f in enabled)
     candidates = []
-    for (flat_s, flat_t), rotation in classes.items():
+    for flat_s, flat_t in classes:
         pair = MatrixPair(n=n, rank=rank, theta_s=_square(flat_s, rank), theta_t=_square(flat_t, rank))
-        candidates.append(_annotate(pair, _serialise(pair), passed, rotation))
+        candidates.append(_annotate(pair, _serialise(pair), passed))
     candidates.sort(key=operator.attrgetter("canonical_key"))
     return evaluated, rejections, candidates
 

@@ -23,9 +23,15 @@ cosine being -1/2, 0 or 1/2).
 b(s) and b(t) over the integers alone: it checks the defining relations
 exactly, counts the eigenvalues of the rotation st by their order from the
 traces of its powers, and separates the one-dimensional modules by the
-traces of s and t.  ``char_poly_two_dim`` gives the characteristic
-polynomial of b(s) + b(t) on a two-dimensional module, in floats with the
-exact integers where they exist; ``decompose`` does not use it.
+traces of s and t.  The powers of st have one builder
+(``_rotation_powers``), whose traces are the only a_j = tr (ST)^j in the
+package: ``decompose`` checks the relations on the powers it counts, and
+``_module_decomposition`` counts without a check, for the surviving
+classes of the search (``classify._annotate``), which the filters have
+already proved to be D_n-modules.  ``char_poly_two_dim`` gives the
+characteristic polynomial of b(s) + b(t) on a two-dimensional module, in
+floats with the exact integers where they exist; ``decompose`` does not
+use it.
 """
 
 from __future__ import annotations
@@ -187,14 +193,23 @@ class Decomposition:
         return " ⊕ ".join(parts)
 
 
-def _rotation_powers(n: int, a_s: IntMatrix, a_t: IntMatrix) -> tuple[IntMatrix, IntMatrix, list[IntMatrix]]:
-    """(S, T, [P_0, ..., P_h]) with S = A_s - I, T = A_t - I, P_j = (ST)^j
-    and h = ceil(n/2), once the matrices are square of one size and the
-    defining relations S^2 = T^2 = (ST)^n = I hold exactly; otherwise
-    NotAModuleError names the first condition that fails.
+def _rotation_powers(s_mat: IntMatrix, t_mat: IntMatrix, top: int) -> list[IntMatrix]:
+    """[P_0, ..., P_top] with P_j = (ST)^j, for top >= 1, in top products:
+    P_(j+1) = P_1 P_j, so each power costs what the nonzero entries of P_1
+    cost."""
+    powers = [identity_matrix(len(s_mat)), mat_mul(s_mat, t_mat)]
+    while len(powers) <= top:
+        powers.append(mat_mul(powers[1], powers[-1]))
+    return powers
 
-    P_{j+1} = P_1 P_j, so each power costs what the nonzero entries of P_1
-    cost, and (ST)^n is the one further product P_h P_{n-h}.
+
+def _checked_powers(n: int, a_s: IntMatrix, a_t: IntMatrix) -> tuple[IntMatrix, IntMatrix, list[IntMatrix]]:
+    """(S, T, [P_0, ..., P_h]) with S = A_s - I, T = A_t - I and
+    h = ceil(n/2), once the matrices are square of one size and the
+    defining relations S^2 = T^2 = (ST)^n = I hold exactly; otherwise
+    NotAModuleError names the first condition that fails.  The powers are
+    ``_rotation_powers``, and (ST)^n is the one further product
+    P_h P_(n-h).
     """
     r = len(a_s)
     if any(len(row) != r for row in a_s) or len(a_t) != r or any(len(row) != r for row in a_t):
@@ -206,9 +221,7 @@ def _rotation_powers(n: int, a_s: IntMatrix, a_t: IntMatrix) -> tuple[IntMatrix,
     if mat_mul(t_mat, t_mat) != ident:
         raise NotAModuleError("(A_t - I)^2 != I")
     half = (n + 1) // 2
-    powers = [ident, mat_mul(s_mat, t_mat)]
-    while len(powers) <= half:
-        powers.append(mat_mul(powers[1], powers[-1]))
+    powers = _rotation_powers(s_mat, t_mat, half)
     if mat_mul(powers[half], powers[n - half]) != ident:
         raise NotAModuleError(f"((A_s - I)(A_t - I))^{n} != I")
     return s_mat, t_mat, powers
@@ -217,10 +230,10 @@ def _rotation_powers(n: int, a_s: IntMatrix, a_t: IntMatrix) -> tuple[IntMatrix,
 def check_module_relations(n: int, a_s: IntMatrix, a_t: IntMatrix) -> str | None:
     """Exact relation check; returns the violated relation or None.
 
-    The check is the one ``decompose`` makes first (``_rotation_powers``).
+    The check is the one ``decompose`` makes first (``_checked_powers``).
     """
     try:
-        _rotation_powers(n, a_s, a_t)
+        _checked_powers(n, a_s, a_t)
     except NotAModuleError as error:
         return error.relation
     return None
@@ -230,24 +243,35 @@ def decompose(n: int, a_s: Sequence[Sequence[int]], a_t: Sequence[Sequence[int]]
     """Decompose the representation with b(s), b(t) acting by a_s, a_t.
 
     Raises NotAModuleError when the defining relations fail
-    (``_rotation_powers``).  Only integers are used: the traces of the
-    powers P_m = (ST)^m, m <= n/2, that the check builds, and tr S and
+    (``_checked_powers``).  Only integers are used: the traces of the
+    powers P_j = (ST)^j, j <= n/2, that the check builds, and tr S and
     tr T, with S = A_s - I and T = A_t - I; ``_count_simples`` turns them
     into multiplicities.
     """
-    s_mat, t_mat, powers = _rotation_powers(n, freeze_matrix(a_s), freeze_matrix(a_t))
-    return _count_simples(n, [trace(p) for p in powers[: n // 2 + 1]], trace(s_mat), trace(t_mat))
+    s_mat, t_mat, powers = _checked_powers(n, freeze_matrix(a_s), freeze_matrix(a_t))
+    return _count_simples(n, powers, trace(s_mat), trace(t_mat))
 
 
-def _count_simples(n: int, rotation_traces: Sequence[int], tr_s: int, tr_t: int) -> Decomposition:
+def _module_decomposition(n: int, a_s: IntMatrix, a_t: IntMatrix) -> Decomposition:
+    """``decompose`` of a pair of square tuple matrices known to satisfy
+    S^2 = T^2 = (ST)^n = I, with no relation checked: the traces of the
+    powers P_j, j <= n/2, in floor(n/2) products (``_rotation_powers``).
+    """
+    ident = identity_matrix(len(a_s))
+    s_mat, t_mat = mat_sub(a_s, ident), mat_sub(a_t, ident)
+    return _count_simples(n, _rotation_powers(s_mat, t_mat, n // 2), trace(s_mat), trace(t_mat))
+
+
+def _count_simples(n: int, powers: Sequence[IntMatrix], tr_s: int, tr_t: int) -> Decomposition:
     """The decomposition of a D_n-module from its integer traces.
 
-    ``rotation_traces[j]`` is a_j = tr (ST)^j for 0 <= j <= n/2, and tr_s,
-    tr_t are tr S and tr T, where S and T are the actions of s and t, so
+    ``powers[j]`` is P_j = (ST)^j for 0 <= j <= n/2, whose traces are
+    a_j (any further power is not read), and tr_s, tr_t are tr S and
+    tr T, where S and T are the actions of s and t, so
     S^2 = T^2 = (ST)^n = I.  The terms come in the order of ``simples(n)``:
-    V(1,1), V(1,-1), V(-1,1), V(-1,-1), then k ascending.  ``decompose``
-    reads the traces off the powers of ST; the search reads them off the
-    lane of the kernel call that judged the class (``classify._annotate``).
+    V(1,1), V(1,-1), V(-1,1), V(-1,-1), then k ascending.  Both callers,
+    ``decompose`` and the check-free ``_module_decomposition``, build the
+    powers with ``_rotation_powers``.
 
     Why it is exact.  (ST)^n = I, so ST is diagonalisable with n-th roots
     of unity as eigenvalues; let zeta = exp(2 pi i/n).  The traces
@@ -266,6 +290,7 @@ def _count_simples(n: int, rotation_traces: Sequence[int], tr_s: int, tr_t: int)
     Adding the two, m(eps, delta) = (2 N_d + eps tr S + delta tr T)/4.
     """
     divisors, modules = _simple_orders(n)
+    rotation_traces = [trace(p) for p in powers[: n // 2 + 1]]
     traces = [rotation_traces[min(j, n - j)] for j in range(n)]
     counts: dict[int, int] = {}  # order -> eigenvalues of ST of that order
     for e in divisors:

@@ -2,8 +2,7 @@
 
 ``extend_oracle`` is the KL recursion on tuple-of-tuples matrices, one
 ``mat_mul`` per element; ``nimrep.extend`` must give the same family,
-element and witness text.  A complete family is a ``TracedFamily``, a dict
-that also gives each trace, as the survivor annotation reads it.
+element and witness text.  A complete family is a plain dict.
 ``run_filters_oracle`` is the filter pipeline that reads F4 off the
 extended family with ``check_apex_support`` (a walk over
 ``compute_cells``) and checks F6 with ``check_group_relations``;
@@ -15,8 +14,8 @@ which ``classify._f1_matrices`` builds from the normal form instead.  ``raw_bloc
 enumerates every pair of the F7 block space, ``raw_variety_units`` splits
 the F1 variety into one unit per A_s, and ``evaluate_raw_units`` runs
 ``run_filters_oracle`` on every pair of a run of units of either kind,
-which is the search before orbit representatives; the reports of
-``classify`` must be the same bytes.
+which is the search before orbit representatives, and returns the flat
+surviving pairs; the reports of ``classify`` must be the same bytes.
 ``kl_recursion_oracle`` is the flat-pair KL kernel that slices, sums and
 packs both generators on every call; ``algebra._kl_recursion``, which takes
 generators prepared once, must return the same tuple for one lane, and
@@ -43,16 +42,14 @@ bases term by term through ``kl_expansion_oracle``, and
 ``kl_left_gen_oracle`` finds b(x) b(w) by multiplying group elements;
 ``algebra``'s conversions, suffix sums over the lengths, and its generator
 rule, read off the length and leading letter, must give the same
-coefficients, and so must the columns of ``kl_regular_matrices``.  ``module_traces_oracle`` reads the
-rotation traces of a complete KL family by inverting every trace with a
-running sum; ``classify._module_traces``, which reads each from two
-adjacent traces, must give the same.
+coefficients, and so must the columns of ``kl_regular_matrices``.
 ``group_matrices_oracle`` builds the matrix of every group element from
 its reduced word, one product per element, and ``decompose_oracle`` reads
 the multiplicities from their traces after ``module_relations_oracle``,
 which checks the relations with ``mat_pow``, and weighs the traces with
 ``character``, the float character of a simple module; ``reps.decompose``
-must give the same decomposition, or raise with the same text.
+must give the same decomposition, or raise with the same text, and on a
+module so must ``reps._module_decomposition``, which checks nothing.
 ``block_matrix`` assembles a matrix from a grid of blocks, and
 ``kl_generator_matrices`` gives the float matrices of b(s) and b(t) on a
 simple module.
@@ -375,15 +372,7 @@ def extend_oracle(pair, check_support=False):
             partial=dict(family),
         )
     family[w0] = via_s
-    return ExtendedRep(pair=pair, family=TracedFamily(family))
-
-
-class TracedFamily(dict):
-    """A family on tuples that gives tr A_w by ``trace``, as the package's
-    packed family does, so a survivor annotation can read it."""
-
-    def trace(self, w):
-        return trace(self[w])
+    return ExtendedRep(pair=pair, family=family)
 
 
 def run_filters_oracle(pair, enabled):
@@ -511,8 +500,7 @@ def evaluate_raw_units(payload):
     """Every pair of the raw units start:stop of a rank through
     ``run_filters_oracle``, as the search did before orbit representatives;
     takes the payload of ``classify._judge_units`` and returns what it
-    does, with every surviving pair flat and its traces read by
-    ``module_traces_oracle`` off its extension."""
+    does, with every surviving pair flat."""
     n, rank, bound, enabled, start, stop = payload
     units = raw_units(rank, bound, "F7" in enabled)[start:stop]
     evaluated = 0
@@ -520,10 +508,9 @@ def evaluate_raw_units(payload):
     survivors = []
     for pair in itertools.chain.from_iterable(raw_unit_pairs(n, rank, bound, unit) for unit in units):
         evaluated += 1
-        _, ext, failed = run_filters_oracle(pair, enabled)
+        _, _, failed = run_filters_oracle(pair, enabled)
         if failed is None:
-            rotation = module_traces_oracle(n, ext.family)
-            survivors.append((tuple(_flatten(pair.theta_s)), tuple(_flatten(pair.theta_t)), rotation))
+            survivors.append((tuple(_flatten(pair.theta_s)), tuple(_flatten(pair.theta_t))))
         else:
             rejections[failed] = rejections.get(failed, 0) + 1
     return evaluated, tuple(sorted(rejections.items())), survivors
@@ -583,26 +570,6 @@ def kl_left_gen_oracle(group, letter, w):
     if w.length == 1:
         return {xw: 1}
     return {xw: 1, group.multiply(group.generator(other_letter(letter)), w): 1}
-
-
-def module_traces_oracle(n, family):
-    """a_j = tr (ST)^j for 0 <= j <= n/2 of a complete KL family by
-    inverting every trace.  Let C_l be the sum of tr rho(u) over
-    the u of length <= l, so C_0 = r; with x_l and y_l the elements of
-    length l that lead with s and t, tr rho(x_l) = tr A_(x_l) - C_(l-1) and
-    C_l = tr A_(x_l) + tr A_(y_l) - C_(l-1).  a_j is tr rho(x_(2j)) for
-    2j < n and tr A_w0 - C_(n-1) for 2j = n."""
-    elements = dihedral_group(n).all_elements()
-    cumulative = rank = trace(family[elements[0]])
-    rho_traces = []  # (tr rho(x_l), tr rho(y_l)) for l = 1 .. n-1
-    for length in range(1, n):
-        traced = tuple(trace(family[elements[2 * length - 1 + y]]) - cumulative for y in (0, 1))
-        rho_traces.append(traced)
-        cumulative += sum(traced)
-    rotation = [rank] + [tr_x for tr_x, _ in rho_traces[1::2]]
-    if n % 2 == 0:
-        rotation.append(trace(family[elements[-1]]) - cumulative)
-    return rotation
 
 
 def group_matrices_oracle(n, a_s, a_t):

@@ -17,13 +17,9 @@ from klcells.algebra import (
     kl_regular_matrices,
     kl_to_group,
     structure_constants,
-    _diagonal,
-    _stride,
     _unpack,
 )
-from klcells.cells import cell_module
 from klcells.dihedral import bruhat_lt, dihedral_group
-from klcells.exact import trace
 from oracles import group_to_kl_oracle, kl_left_gen_oracle, kl_to_group_oracle, unpack_oracle
 
 
@@ -332,53 +328,3 @@ def test_unpack_matches_the_field_by_field_oracle():
             cases += len(matrices)
     assert _unpack([], 5) == unpack_oracle([], 5) == []
     assert cases == 129 * 2 * 13
-
-
-def test_diagonal_is_the_diagonal_of_unpack():
-    # widths 2..130, which hold every n=30 width (30 * b + 1 for b <= 4),
-    # entries of both signs, and diagonal fields at and next to
-    # -2^(width-1) and 2^(width-1) - 1 beside neighbours that borrow
-    rng = random.Random(1509)
-    for width in range(2, 131):
-        half = 1 << (width - 1)
-        extremes = (-half, -half + 1, -1, 0, 1, half - 2, half - 1)
-        for rank in (width % 24 + 1, rng.randint(1, 24)):
-            matrices = [[[rng.randrange(-half, half) for _ in range(rank)] for _ in range(rank)]]
-            matrices.append([[rng.choice(extremes) for _ in range(rank)] for _ in range(rank)])
-            for v in extremes:
-                matrices.append([[v if i == j else rng.choice((-1, 0, 1)) for j in range(rank)] for i in range(rank)])
-            for matrix in matrices:
-                rows = pack(matrix, width)
-                (unpacked,) = _unpack([rows], width)
-                assert _diagonal(rows, width) == [unpacked[i][i] for i in range(rank)], (width, rank)
-                assert _diagonal(rows, width) == [matrix[i][i] for i in range(rank)]
-
-
-def test_diagonal_of_each_lane():
-    # several lanes packed side by side, each lane's rows starting at bit
-    # 8 * stride * lane: the lanes below a lane hold entries of both signs
-    # over the whole field range, so they borrow from it, and each lane's
-    # diagonal must still be its own
-    rng = random.Random(1441)
-    for width in (2, 3, 7, 8, 9, 31, 64, 65):
-        half = 1 << (width - 1)
-        extremes = (-half, -half + 1, -1, 0, 1, half - 1)
-        for rank in (1, 2, 3, 5):
-            lane_bits = 8 * _stride(rank, width)
-            lanes = [[[rng.randrange(-half, half) for _ in range(rank)] for _ in range(rank)] for _ in range(4)]
-            lanes += [[[rng.choice(extremes) for _ in range(rank)] for _ in range(rank)] for _ in range(4)]
-            lanes.append([[-half] * rank for _ in range(rank)])
-            lanes.append([[half - 1] * rank for _ in range(rank)])
-            rng.shuffle(lanes)
-            rows = [sum(pack(m, width)[i] << (lane * lane_bits) for lane, m in enumerate(lanes)) for i in range(rank)]
-            for lane, matrix in enumerate(lanes):
-                assert _diagonal(rows, width, lane) == [matrix[i][i] for i in range(rank)], (width, rank, lane)
-
-
-def test_family_traces_at_n30():
-    # the module of the left cell of the words ending in s at D_30: rank
-    # 29, the kernel's own width, and traces that vary with w
-    family = cell_module(30, "Ls").matrices
-    traces = [family.trace(w) for w in dihedral_group(30).all_elements()]
-    assert traces == [trace(family[w]) for w in dihedral_group(30).all_elements()]
-    assert len(set(traces)) > 10

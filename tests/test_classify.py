@@ -14,16 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from klcells.algebra import (
-    _Generator,
-    _diagonal,
-    _kl_recursion,
-    _lane_columns,
-    _module_family,
-    _stride,
-    structure_constants,
-)
-from klcells.cells import cell_module, compute_cells, left_cell_name, right_cell_module
+from klcells.algebra import _Generator, structure_constants
+from klcells.cells import cell_module, right_cell_module
 from klcells.classify import (
     ALL_FILTERS,
     DEFAULT_MAX_STATES,
@@ -32,13 +24,9 @@ from klcells.classify import (
     UNKNOWN_CITATION,
     KnowledgeEntry,
     Tag,
-    _call_generators,
-    _call_verdicts,
     _cell_keys,
     _f1_matrices,
     _f3_split,
-    _family_traces,
-    _module_traces,
     _orbits,
     _part_lanes,
     _plan,
@@ -65,7 +53,7 @@ from klcells.nimrep import (
     check_block_form,
     check_transitive,
 )
-from klcells.reps import decompose
+from klcells.reps import OneDim, decompose
 import oracles
 from oracles import (
     block_pair,
@@ -75,7 +63,6 @@ from oracles import (
     extend_oracle,
     f1_matrices_oracle,
     mat_mul_oracle,
-    module_traces_oracle,
     raw_units,
     run_filters_oracle,
 )
@@ -596,12 +583,11 @@ def cold_plans():
 def raw_pair_report(monkeypatch, n, **kwargs):
     """The report of a search that runs run_filters_oracle on every raw pair.
 
-    Block pairs are extended by the tuple oracle, both for their verdicts
-    and for the traces of each survivor's annotation; variety pairs by
-    ``extend``, which the whole-space tests compare with that oracle.  The
-    plan is the list of raw units, and their judge reads its start:stop
-    slice of them: each must run once per rank, and no space or plan may
-    be built or read.
+    Block pairs are extended by the tuple oracle for their verdicts;
+    variety pairs by ``extend``, which the whole-space tests compare with
+    that oracle.  The plan is the list of raw units, and their judge reads
+    its start:stop slice of them: each must run once per rank, and no
+    space or plan may be built or read.
     """
     calls = []
 
@@ -660,20 +646,19 @@ SURVIVOR_SEARCHES = (
     + [(4, {**VARIETY_SEARCH, "ranks": (6,), "entry_bound": 1, "max_states": 10**22})]
     # Galois-conjugate V(12,1) + V(12,5): two k share the order 12
     + [(12, {**BLOCK_SEARCH, "entry_bound": 3})]
-    # two workers: the traces of each class come back from a worker
+    # two workers: the survivors of each class come back from a worker
     + [(6, {**BLOCK_SEARCH, "entry_bound": 4, "jobs": 2}), (6, {**VARIETY_SEARCH, "jobs": 2})]
 )
 
 
 @pytest.mark.parametrize("n, search", SURVIVOR_SEARCHES)
 def test_every_candidate_is_its_inspect_pair(n, search):
-    # a surviving class is annotated on its canonical pair from the traces
-    # of the lane that judged a member of it, with no filter run again;
-    # inspect_pair runs the canonical pair through run_filters, and must
-    # give the same candidate, key and family included.
-    # The annotation reads traces; the matrix-product routes it replaces
-    # are its oracles: decompose and the word-product
-    # decomposition, apex_of, and the annihilator evaluated at Q
+    # a surviving class is annotated on its canonical pair with no filter
+    # run again; inspect_pair runs the canonical pair through run_filters,
+    # and must give the same candidate, key and family included.
+    # The annotation decomposes without a relation check; its oracles are
+    # decompose, which checks them, the word-product decomposition,
+    # apex_of, and the annihilator evaluated at Q
     disabled = search.get("disabled", ())
     report = classify(n, **search)
     assert report.candidates
@@ -684,55 +669,9 @@ def test_every_candidate_is_its_inspect_pair(n, search):
         assert list(candidate.extension.family.items()) == list(expected.extension.family.items())
         theta_s, theta_t = candidate.pair.theta_s, candidate.pair.theta_t
         assert candidate.decomposition == decompose(n, theta_s, theta_t) == decompose_oracle(n, theta_s, theta_t)
-        assert _family_traces(n, candidate.extension.family) == module_traces_oracle(n, candidate.extension.family)
         assert candidate.apex == apex_of(candidate.extension)
         assert annihilator_check(candidate.extension).passed is True
         assert candidate.annihilator_passed is True
-
-
-@pytest.mark.parametrize("n", range(3, 31))
-def test_module_traces_of_every_left_cell_module(n):
-    # two adjacent traces give each a_j; the oracle inverts every trace
-    for cell in compute_cells(n).left_cells:
-        family = cell_module(n, cell).matrices
-        assert _family_traces(n, family) == module_traces_oracle(n, family), (n, left_cell_name(cell))
-
-
-LANE_SEARCHES = [(n, BLOCK_SEARCH) for n in range(3, 9)] + [(n, VARIETY_SEARCH) for n in range(3, 9)]
-
-
-@pytest.mark.parametrize("n, search", LANE_SEARCHES)
-def test_lane_traces_match_the_one_lane_family(n, search):
-    # every surviving lane of every kernel call of the search, read off the
-    # call's packed matrices, against the one-lane family of its pair
-    bound, block_space = search["entry_bound"], "disabled" not in search
-    checked = 0
-    for rank in search["ranks"]:
-        for call in _plan(rank, bound, block_space, True):
-            gens_s, gens_t = _call_generators(call.parts)
-            assert call.columns is not None
-            for gen_s, gen_t, (failed, rotation) in zip(gens_s, gens_t, _call_verdicts(n, call.columns, True)):
-                if failed is None:
-                    family = _module_family(n, _square(gen_s.flat, rank), _square(gen_t.flat, rank))
-                    assert rotation == _family_traces(n, family), (gen_s.flat, gen_t.flat)
-                    checked += 1
-    assert checked
-
-
-def test_lane_traces_past_a_lower_lane_that_failed_f2():
-    # lane 0 fails F2, and its negative entries borrow from lane 1 above
-    # it: cut out by a plain shift, lane 1 would read wrong traces
-    n = 6
-    theta_s, theta_t = ((0, 0), (1, 2)), ((1, 1), (1, 1))
-    gens_s = [_Generator((2, 0, 0, 2), 2), _Generator(_flatten(theta_s), 2)]
-    gens_t = [_Generator((0, 0, 0, 2), 2), _Generator(_flatten(theta_t), 2)]
-    expected = _family_traces(n, _module_family(n, theta_s, theta_t))
-    assert expected == [2, 1, -1, -2]
-    assert _call_verdicts(n, _lane_columns(gens_s, gens_t), True) == [("F2", None), (None, expected)]
-    matrices, width, _, _ = _kl_recursion(n, _lane_columns(gens_s, gens_t), True)
-    lane_bits = 8 * _stride(2, width)
-    shifted = _module_traces(n, lambda i: sum(_diagonal([row >> lane_bits for row in matrices[i]], width)))
-    assert shifted != expected
 
 
 def rotation_order(n, a_s, a_t):
@@ -777,27 +716,44 @@ def symmetric_pattern(candidate):
     return all((q[i][j] == 0) == (q[j][i] == 0) for i in range(len(q)) for j in range(i))
 
 
-# (n, ranks, E, the Dynkin diagrams with h = n there, off-pattern classes):
-# the off-pattern classes are all rank 4, split 2
+# (n, ranks, E, the Dynkin diagrams with h = n there, off-pattern classes,
+# and for each of these its exponents and the Dynkin diagrams with h = n of
+# its rank that share them): the off-pattern classes are all rank 4, split
+# 2; those at n=8 and n=12 are isospectral to B4/C4 and F4, and those at
+# n=6 and n=10 to no Dynkin diagram
 DYNKIN_SEARCHES = [
-    (3, (2, 3, 4), 3, "A2", 0),
-    (4, (2, 3, 4), 3, "A3 B2", 0),
-    (5, (2, 3, 4), 3, "A4", 0),
-    (6, (2, 3, 4), 3, "B3 C3 D4 G2", 1),
-    (7, (2, 3, 4), 3, "", 0),
-    (8, (2, 3, 4), 3, "B4 C4", 2),
-    (9, (2, 3, 4), 3, "", 0),
-    (10, (2, 3, 4), 3, "", 1),
-    (11, (2, 3, 4), 3, "", 0),
-    (12, (2, 3, 4), 3, "F4", 3),
-    (6, (5, 6), 1, "A5", 0),
-    (7, (5, 6), 1, "A6", 0),
-    (8, (5, 6), 1, "D5", 0),
-    (10, (5, 6), 1, "D6", 0),
-    (12, (5, 6), 1, "E6", 0),
+    (3, (2, 3, 4), 3, "A2", 0, []),
+    (4, (2, 3, 4), 3, "A3 B2", 0, []),
+    (5, (2, 3, 4), 3, "A4", 0, []),
+    (6, (2, 3, 4), 3, "B3 C3 D4 G2", 1, [((1, 2, 4, 5), "")]),
+    (7, (2, 3, 4), 3, "", 0, []),
+    (8, (2, 3, 4), 3, "B4 C4", 2, [((1, 3, 5, 7), "B4 C4")] * 2),
+    (9, (2, 3, 4), 3, "", 0, []),
+    (10, (2, 3, 4), 3, "", 1, [((1, 3, 7, 9), "")]),
+    (11, (2, 3, 4), 3, "", 0, []),
+    (12, (2, 3, 4), 3, "F4", 3, [((1, 5, 7, 11), "F4")] * 3),
+    (6, (5, 6), 1, "A5", 0, []),
+    (7, (5, 6), 1, "A6", 0, []),
+    (8, (5, 6), 1, "D5", 0, []),
+    (10, (5, 6), 1, "D6", 0, []),
+    (12, (5, 6), 1, "E6", 0, []),
     # no Dynkin diagram of rank <= 4 has h >= 13, and no class survives
-    *[(n, (2, 3, 4), 2, "", 0) for n in range(13, 31)],
+    *[(n, (2, 3, 4), 2, "", 0, []) for n in range(13, 31)],
 ]
+
+
+def exponents(n, decomposition):
+    """The exponents of a module, ascending: the m in 0..n-1 with
+    exp(2 pi i m/n) an eigenvalue of ST, with multiplicity.  V(n, k) has
+    k and n - k, V(eps, delta) has 0 or n/2; for a Dynkin pair with h = n
+    they are the exponents of its diagram."""
+    out = []
+    for module, mult in decomposition.terms:
+        if isinstance(module, OneDim):
+            out += [0 if module.eps == module.delta else n // 2] * mult
+        else:
+            out += [module.k, n - module.k] * mult
+    return tuple(sorted(out))
 
 
 def split(candidate):
@@ -808,8 +764,8 @@ def split(candidate):
     return min(k, len(theta_s) - k)
 
 
-@pytest.mark.parametrize("n, ranks, bound, names, off_pattern", DYNKIN_SEARCHES)
-def test_pattern_symmetric_survivors_are_the_dynkin_diagrams_with_h_n(n, ranks, bound, names, off_pattern):
+@pytest.mark.parametrize("n, ranks, bound, names, off_pattern, off_exponents", DYNKIN_SEARCHES)
+def test_pattern_symmetric_survivors_are_the_dynkin_diagrams_with_h_n(n, ranks, bound, names, off_pattern, off_exponents):
     # with a symmetric zero pattern, C = [[2I, -B], [-B', 2I]] is a Cartan
     # matrix and ST is conjugate to its bipartite Coxeter element, of order
     # the Coxeter number h: F5 gives h | n, and the survivors have h = n
@@ -820,6 +776,18 @@ def test_pattern_symmetric_survivors_are_the_dynkin_diagrams_with_h_n(n, ranks, 
     symmetric = {c.canonical_key for c in candidates if symmetric_pattern(c)}
     assert symmetric == {canonicalize(p) for _, p in diagrams}
     assert len(candidates) - len(symmetric) == off_pattern
+    # every Dynkin diagram with h = n has an entry of -C at most 3
+    shared = []
+    for candidate in candidates:
+        if candidate.canonical_key not in symmetric:
+            found = exponents(n, candidate.decomposition)
+            sharing = {
+                name
+                for name, diagram in oracles.dynkin_block_pairs(n, (candidate.pair.rank,), 3)
+                if exponents(n, decompose(n, diagram.theta_s, diagram.theta_t)) == found
+            }
+            shared.append((found, " ".join(sorted(sharing))))
+    assert sorted(shared) == off_exponents
     # split 1: F3 makes every B_j and B'_j positive, so the pattern is
     # symmetric and the class a star-shaped diagram, at n = 3, 4 or 6 only
     for candidate in candidates:

@@ -11,6 +11,7 @@ from klcells.cells import cell_module
 from klcells.dihedral import dihedral_group
 from klcells.exact import identity_matrix, mat_mul, mat_sub, zero_matrix
 from klcells.nimrep import _square
+from klcells import reps
 from klcells.reps import (
     Decomposition,
     NotAModuleError,
@@ -22,6 +23,7 @@ from klcells.reps import (
     simple_name,
     check_module_relations,
     simples,
+    _module_decomposition,
 )
 from oracles import (
     block_matrix,
@@ -301,7 +303,8 @@ def test_decompose_matches_the_cyclotomic_factors_of_the_characteristic_polynomi
 
 def same_decomposition(n, a_s, a_t):
     """decompose(n, a_s, a_t) against the word-product oracle: the same
-    terms, or NotAModuleError with the same relation text."""
+    terms, or NotAModuleError with the same relation text; on a module,
+    the check-free route of the search's annotation gives the same terms."""
     try:
         expected = decompose_oracle(n, a_s, a_t)
     except NotAModuleError as error:
@@ -310,6 +313,7 @@ def same_decomposition(n, a_s, a_t):
         assert info.value.relation == error.relation, (n, a_s, a_t)
         return error.relation
     assert decompose(n, a_s, a_t) == expected, (n, a_s, a_t)
+    assert _module_decomposition(n, a_s, a_t) == expected, (n, a_s, a_t)
     return None
 
 
@@ -322,6 +326,31 @@ def test_decompose_matches_the_word_product_oracle_on_cell_modules():
             pairs.append(kl_regular_matrices(n))
         for a_s, a_t in pairs:
             assert same_decomposition(n, a_s, a_t) is None
+
+
+def test_decomposition_products_on_cell_modules(monkeypatch):
+    # decompose makes ceil(n/2) + 3 products: S^2, T^2, the powers of ST
+    # up to ceil(n/2) and (ST)^n.  The check-free route makes the powers
+    # up to floor(n/2) alone: S T first, then P_1 P_j, and no relation check
+    products = []
+
+    def counted(a, b):
+        products.append((a, b))
+        return mat_mul(a, b)
+
+    modules = [(n, cell_module(n, name).generator_pair()) for n in range(3, 31) for name in ("Le", "Ls", "Lt", "Lw0")]
+    monkeypatch.setattr(reps, "mat_mul", counted)
+    for n, (a_s, a_t) in modules:
+        products.clear()
+        decompose(n, a_s, a_t)
+        assert len(products) == (n + 1) // 2 + 3, n
+        products.clear()
+        _module_decomposition(n, a_s, a_t)
+        assert 1 <= len(products) <= (n + 1) // 2, n
+        ident = identity_matrix(len(a_s))
+        (s_mat, t_mat), rotation = products[0], mat_mul(*products[0])
+        assert s_mat == mat_sub(a_s, ident) and t_mat == mat_sub(a_t, ident), n
+        assert all(left == rotation for left, _ in products[1:]), n
 
 
 def test_decompose_relation_errors_match_the_oracle():
