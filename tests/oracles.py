@@ -43,6 +43,9 @@ bases term by term through ``kl_expansion_oracle``, and
 ``algebra``'s conversions, suffix sums over the lengths, and its generator
 rule, read off the length and leading letter, must give the same
 coefficients, and so must the columns of ``kl_regular_matrices``.
+``module_traces_oracle`` reads the rotation traces of a complete KL family
+by inverting every trace with a running sum; the traces of
+``reps._rotation_powers`` must give the same.
 ``group_matrices_oracle`` builds the matrix of every group element from
 its reduced word, one product per element, and ``decompose_oracle`` reads
 the multiplicities from their traces after ``module_relations_oracle``,
@@ -570,6 +573,26 @@ def kl_left_gen_oracle(group, letter, w):
     if w.length == 1:
         return {xw: 1}
     return {xw: 1, group.multiply(group.generator(other_letter(letter)), w): 1}
+
+
+def module_traces_oracle(n, family):
+    """a_j = tr (ST)^j for 0 <= j <= n/2 of a complete KL family by
+    inverting every trace.  Let C_l be the sum of tr rho(u) over
+    the u of length <= l, so C_0 = r; with x_l and y_l the elements of
+    length l that lead with s and t, tr rho(x_l) = tr A_(x_l) - C_(l-1) and
+    C_l = tr A_(x_l) + tr A_(y_l) - C_(l-1).  a_j is tr rho(x_(2j)) for
+    2j < n and tr A_w0 - C_(n-1) for 2j = n."""
+    elements = dihedral_group(n).all_elements()
+    cumulative = rank = trace(family[elements[0]])
+    rho_traces = []  # (tr rho(x_l), tr rho(y_l)) for l = 1 .. n-1
+    for length in range(1, n):
+        traced = tuple(trace(family[elements[2 * length - 1 + y]]) - cumulative for y in (0, 1))
+        rho_traces.append(traced)
+        cumulative += sum(traced)
+    rotation = [rank] + [tr_x for tr_x, _ in rho_traces[1::2]]
+    if n % 2 == 0:
+        rotation.append(trace(family[elements[-1]]) - cumulative)
+    return rotation
 
 
 def group_matrices_oracle(n, a_s, a_t):

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from klcells.algebra import _Generator, structure_constants
-from klcells.cells import cell_module, right_cell_module
+from klcells.cells import cell_module, compute_cells, left_cell_name, right_cell_module
 from klcells.classify import (
     ALL_FILTERS,
     DEFAULT_MAX_STATES,
@@ -42,7 +42,7 @@ from klcells.classify import (
     run_filters,
 )
 from klcells.dihedral import dihedral_group, render
-from klcells.exact import identity_matrix, mat_add, mat_mul, mat_sub
+from klcells.exact import identity_matrix, mat_add, mat_mul, mat_sub, trace
 from klcells.nimrep import (
     FilterReport,
     MatrixPair,
@@ -53,7 +53,7 @@ from klcells.nimrep import (
     check_block_form,
     check_transitive,
 )
-from klcells.reps import OneDim, decompose
+from klcells.reps import OneDim, _rotation_powers, decompose
 import oracles
 from oracles import (
     block_pair,
@@ -63,6 +63,7 @@ from oracles import (
     extend_oracle,
     f1_matrices_oracle,
     mat_mul_oracle,
+    module_traces_oracle,
     raw_units,
     run_filters_oracle,
 )
@@ -672,6 +673,18 @@ def test_every_candidate_is_its_inspect_pair(n, search):
         assert candidate.apex == apex_of(candidate.extension)
         assert annihilator_check(candidate.extension).passed is True
         assert candidate.annihilator_passed is True
+
+
+@pytest.mark.parametrize("n", range(3, 31))
+def test_module_traces_of_every_left_cell_module(n):
+    # the traces of the powers of ST, the one route to a_j that both
+    # decompositions read; the oracle inverts every trace of the KL family
+    for cell in compute_cells(n).left_cells:
+        module = cell_module(n, cell)
+        a_s, a_t = module.generator_pair()
+        ident = identity_matrix(len(a_s))
+        powers = _rotation_powers(mat_sub(a_s, ident), mat_sub(a_t, ident), n // 2)
+        assert [trace(p) for p in powers] == module_traces_oracle(n, module.matrices), (n, left_cell_name(cell))
 
 
 def rotation_order(n, a_s, a_t):
