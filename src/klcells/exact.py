@@ -11,12 +11,15 @@ Matrices are immutable tuples of tuples of ints, polynomials are tuples of
 int coefficients in ascending degree order, trimmed of trailing zeros (the
 zero polynomial is the empty tuple).  Both representations hash and compare
 structurally, which the classifier relies on.  ``mat_mul`` skips the zero
-entries of its left factor, which makes the products of sparse integer
-matrices (generators, cell modules, their shifts) cheap.
+entries of its left factor and, for an entry 1 or -1, adds or subtracts the
+row of the right factor in C with no multiplication, which makes the
+products of sparse 0/±1 integer matrices (generators, cell modules, their
+shifts and the powers of ST) cheap.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -90,23 +93,42 @@ def mat_scale(c: int, a: IntMatrix) -> IntMatrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
+# mat_mul chains one lazy map per nonzero entry of a row, and a chain some
+# ten thousand maps deep overflows the C stack when it is consumed; a longer
+# inner dimension is split in halves, each product made on its own
+_CHAIN = 1024
+
+
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """The product a b, row by row over the nonzero entries of a.
 
     Row i of the product accumulates a[i][k] * b[k] for each k with
     a[i][k] != 0; integer sums are exact in any order, so skipping zeros
-    changes nothing but the work, which follows the sparsity of a.
+    changes nothing but the work, which follows the sparsity of a.  Each
+    update is a lazy ``map`` over the row, run in C when the row is
+    consumed: an entry 1 or -1 adds or subtracts b[k] itself, any other
+    entry adds its multiple, so a 0/±1 left factor (every power of ST on a
+    cell module) makes no multiplication at all.
     Raises ValueError when the width of a is not the height of b.
     """
     if a and len(a[0]) != len(b):
         raise ValueError("matrix shapes do not compose")
+    if len(b) > _CHAIN:
+        mid = len(b) // 2
+        head = mat_mul(tuple(row[:mid] for row in a), b[:mid])
+        return mat_add(head, mat_mul(tuple(row[mid:] for row in a), b[mid:]))
+    add, sub = operator.add, operator.sub
     zero = (0,) * (len(b[0]) if b else 0)
     out = []
     for row in a:
         acc = zero
         for x, b_row in zip(row, b):
-            if x:
-                acc = [s + x * y for s, y in zip(acc, b_row)]
+            if x == 1:
+                acc = map(add, acc, b_row)
+            elif x == -1:
+                acc = map(sub, acc, b_row)
+            elif x:
+                acc = map(add, acc, map(x.__mul__, b_row))
         out.append(tuple(acc))
     return tuple(out)
 

@@ -512,6 +512,11 @@ class PerronAnalysis:
     most 200,000 steps (ArithmeticError beyond).  Each step makes one
     product, a sweep over the nonzero terms of Q + I (see perron_analysis):
     the product that gives a step's residual is the next iterate unscaled.
+    The residual max |product - norm * vec| is taken in full only when one
+    probe coordinate is within 1e-10 (a coordinate above it puts the max
+    above it), so the iteration breaks at the same step as one that takes
+    it every time; the norm is a left fold, the same floats on every
+    Python (see perron_analysis).
     top_eigenvalue_simple is decided exactly, and the float radius plays no
     part.  The spectral radius of a nonnegative matrix is the largest real
     root of its characteristic polynomial p.  When the matrix is
@@ -533,11 +538,21 @@ def perron_analysis(q: Sequence[Sequence[int]]) -> PerronAnalysis:
 
     The product sweeps Q + I by columns of terms: column k holds the k-th
     nonzero term (ascending j) of every row, a shorter row padded with 0.0
-    on column 0.  Each row is then added left to right in C doubles, as
-    ``sum`` adds floats on Python 3.11; 0.0 * v is +0.0 and x + 0.0 == x,
-    since every iterate is finite and nonnegative; a small integer is exact
-    as a float; and abs is the identity on the iterates.  So the floats are
-    the dense iteration's (``math.fsum`` would round differently).
+    on column 0, and one ``itemgetter`` per column gathers its entries of
+    the iterate.  Each row is then added left to right in C doubles, and
+    the norm is ``functools.reduce(operator.add, ...)``, the same left fold
+    (``sum`` of floats rounds otherwise from Python 3.12 on, as does
+    ``math.fsum``); 0.0 * v is +0.0 and x + 0.0 == x, since every iterate
+    is finite and nonnegative; a small integer is exact as a float; and abs
+    is the identity on the iterates.  So the floats are the dense
+    iteration's on every Python.
+
+    The probe gate: a step first tests the residual of one coordinate, the
+    probe, and only when it is within 1e-10 takes the max over all of them.
+    The max is at least each coordinate's, so a probe above 1e-10 rules out
+    a break; when the full residual fails, the probe moves to its arg-max.
+    The iteration therefore breaks at the same step as one that takes the
+    max at every step.
     """
     matrix = freeze_matrix(q)
     r = len(matrix)
@@ -548,25 +563,35 @@ def perron_analysis(q: Sequence[Sequence[int]]) -> PerronAnalysis:
 
     irreducible = _strongly_connected(_support(_flatten(matrix)), r) is None
 
+    def gather(cols: tuple[int, ...]):
+        # itemgetter with one index returns the entry, not a 1-tuple
+        return operator.itemgetter(*cols) if r > 1 else lambda vec: (vec[cols[0]],)
+
     rows = [[(j, float(v + 1 if i == j else v)) for j, v in enumerate(row) if v or i == j] for i, row in enumerate(matrix)]
-    (cols0, coefs0), *columns = [tuple(zip(*column)) for column in itertools.zip_longest(*rows, fillvalue=(0, 0.0))]
+    columns = [tuple(zip(*column)) for column in itertools.zip_longest(*rows, fillvalue=(0, 0.0))]
+    (get0, coefs0), *terms = [(gather(cols), coefs) for cols, coefs in columns]
+    add, sub, mul = operator.add, operator.sub, operator.mul
 
     def step(vec: list[float]) -> list[float]:
-        get = vec.__getitem__
-        acc = map(operator.mul, coefs0, map(get, cols0))
-        for cols, coefs in columns:
-            acc = map(operator.add, acc, map(operator.mul, coefs, map(get, cols)))
+        acc = map(mul, coefs0, get0(vec))
+        for get, coefs in terms:
+            acc = map(add, acc, map(mul, coefs, get(vec)))
         return list(acc)
 
     product = step([1.0 / r] * r)
+    probe = 0
     for _ in range(200000):
-        norm = sum(product)
+        norm = functools.reduce(add, product)
         assert norm > 0, "Q + I is positive on the diagonal, the iterate cannot vanish"
-        vec = list(map(norm.__rtruediv__, product))
+        vec = [x / norm for x in product]
         product = step(vec)
-        residual = max(map(abs, map(operator.sub, product, map(norm.__mul__, vec))))
+        if abs(product[probe] - norm * vec[probe]) > 1e-10:
+            continue
+        gaps = list(map(abs, map(sub, product, map(norm.__mul__, vec))))
+        residual = max(gaps)
         if residual <= 1e-10:
             break
+        probe = gaps.index(residual)
     else:
         raise ArithmeticError("power iteration did not reach the 1e-10 residual")
     spectral_radius = norm - 1.0

@@ -24,20 +24,24 @@ b(s) and b(t) over the integers alone: it checks the defining relations
 exactly, counts the eigenvalues of the rotation st by their order from the
 traces of its powers, and separates the one-dimensional modules by the
 traces of s and t.  The powers of st have one builder
-(``_rotation_powers``), whose traces are the only a_j = tr (ST)^j in the
-package: ``decompose`` checks the relations on the powers it counts, and
-``_module_decomposition`` counts without a check, for the surviving
-classes of the search (``classify._annotate``), which the filters have
-already proved to be D_n-modules.  ``char_poly_two_dim`` gives the
-characteristic polynomial of b(s) + b(t) on a two-dimensional module, in
-floats with the exact integers where they exist; ``decompose`` does not
-use it.
+(``_rotation_powers``), and every a_j = tr (ST)^j in the package comes
+from them: ``decompose`` checks the relations on the powers it counts and
+reads a_j off their diagonals, and ``_module_decomposition`` counts
+without a check, for the surviving classes of the search
+(``classify._annotate``), which the filters have already proved to be
+D_n-modules; it builds the powers up to about n/4 and reads each further
+a_j as the trace of a product of two of them (``_rotation_traces``).
+``char_poly_two_dim`` gives the characteristic polynomial of b(s) + b(t)
+on a two-dimensional module, in floats with the exact integers where they
+exist; ``decompose`` does not use it.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -203,6 +207,20 @@ def _rotation_powers(s_mat: IntMatrix, t_mat: IntMatrix, top: int) -> list[IntMa
     return powers
 
 
+def _rotation_traces(s_mat: IntMatrix, t_mat: IntMatrix, top: int) -> list[int]:
+    """[a_0, ..., a_top] with a_j = tr (ST)^j, for top >= 1, from the
+    powers up to h = ceil(top/2) alone, in h products
+    (``_rotation_powers``): for j > h, a_j = tr P_h P_(j-h), the sum of
+    P_h[i][k] P_(j-h)[k][i] over i and k, which costs O(r^2) against the
+    O(r^3) of the product."""
+    half = (top + 1) // 2
+    powers = _rotation_powers(s_mat, t_mat, half)
+    left = tuple(itertools.chain.from_iterable(zip(*powers[half])))  # P_h transposed, row-major
+    return [trace(p) for p in powers[: half + 1]] + [
+        sum(map(operator.mul, left, itertools.chain.from_iterable(powers[j - half]))) for j in range(half + 1, top + 1)
+    ]
+
+
 def _checked_powers(n: int, a_s: IntMatrix, a_t: IntMatrix) -> tuple[IntMatrix, IntMatrix, list[IntMatrix]]:
     """(S, T, [P_0, ..., P_h]) with S = A_s - I, T = A_t - I and
     h = ceil(n/2), once the matrices are square of one size and the
@@ -249,29 +267,30 @@ def decompose(n: int, a_s: Sequence[Sequence[int]], a_t: Sequence[Sequence[int]]
     into multiplicities.
     """
     s_mat, t_mat, powers = _checked_powers(n, freeze_matrix(a_s), freeze_matrix(a_t))
-    return _count_simples(n, powers, trace(s_mat), trace(t_mat))
+    return _count_simples(n, [trace(p) for p in powers[: n // 2 + 1]], trace(s_mat), trace(t_mat))
 
 
 def _module_decomposition(n: int, a_s: IntMatrix, a_t: IntMatrix) -> Decomposition:
     """``decompose`` of a pair of square tuple matrices known to satisfy
-    S^2 = T^2 = (ST)^n = I, with no relation checked: the traces of the
-    powers P_j, j <= n/2, in floor(n/2) products (``_rotation_powers``).
+    S^2 = T^2 = (ST)^n = I, with no relation checked: the traces a_j,
+    j <= n/2, from the powers up to about n/4 in ceil(floor(n/2)/2)
+    products (``_rotation_traces``).
     """
     ident = identity_matrix(len(a_s))
     s_mat, t_mat = mat_sub(a_s, ident), mat_sub(a_t, ident)
-    return _count_simples(n, _rotation_powers(s_mat, t_mat, n // 2), trace(s_mat), trace(t_mat))
+    return _count_simples(n, _rotation_traces(s_mat, t_mat, n // 2), trace(s_mat), trace(t_mat))
 
 
-def _count_simples(n: int, powers: Sequence[IntMatrix], tr_s: int, tr_t: int) -> Decomposition:
+def _count_simples(n: int, rotation_traces: Sequence[int], tr_s: int, tr_t: int) -> Decomposition:
     """The decomposition of a D_n-module from its integer traces.
 
-    ``powers[j]`` is P_j = (ST)^j for 0 <= j <= n/2, whose traces are
-    a_j (any further power is not read), and tr_s, tr_t are tr S and
-    tr T, where S and T are the actions of s and t, so
+    ``rotation_traces[j]`` is a_j = tr (ST)^j for 0 <= j <= n/2, and tr_s,
+    tr_t are tr S and tr T, where S and T are the actions of s and t, so
     S^2 = T^2 = (ST)^n = I.  The terms come in the order of ``simples(n)``:
-    V(1,1), V(1,-1), V(-1,1), V(-1,-1), then k ascending.  Both callers,
-    ``decompose`` and the check-free ``_module_decomposition``, build the
-    powers with ``_rotation_powers``.
+    V(1,1), V(1,-1), V(-1,1), V(-1,-1), then k ascending.  ``decompose``
+    reads the a_j off the powers its check builds (``_rotation_powers``),
+    and the check-free ``_module_decomposition`` gets them from half as
+    many powers (``_rotation_traces``).
 
     Why it is exact.  (ST)^n = I, so ST is diagonalisable with n-th roots
     of unity as eigenvalues; let zeta = exp(2 pi i/n).  The traces
@@ -290,7 +309,6 @@ def _count_simples(n: int, powers: Sequence[IntMatrix], tr_s: int, tr_t: int) ->
     Adding the two, m(eps, delta) = (2 N_d + eps tr S + delta tr T)/4.
     """
     divisors, modules = _simple_orders(n)
-    rotation_traces = [trace(p) for p in powers[: n // 2 + 1]]
     traces = [rotation_traces[min(j, n - j)] for j in range(n)]
     counts: dict[int, int] = {}  # order -> eigenvalues of ST of that order
     for e in divisors:

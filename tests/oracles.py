@@ -26,8 +26,8 @@ same verdict and the same missing vertex.
 ``mat_mul_oracle`` is the dense integer product, one dot product per row
 and column, that ``exact.mat_mul`` must equal.  ``perron_iteration_oracle``
 is the power iteration on the dense Q + I with two products per step, one
-for the next iterate and one for the residual; ``nimrep.perron_analysis``
-must give the same floats, bit for bit.
+for the next iterate and one for the residual, each float sum a left fold;
+``nimrep.perron_analysis`` must give the same floats, bit for bit.
 ``unpack_oracle`` reads a one-lane packed matrix field by field from the
 bottom, masking each field and taking its two's complement;
 ``algebra._unpack``, which peels the nonzero fields of the offset form from
@@ -45,7 +45,8 @@ rule, read off the length and leading letter, must give the same
 coefficients, and so must the columns of ``kl_regular_matrices``.
 ``module_traces_oracle`` reads the rotation traces of a complete KL family
 by inverting every trace with a running sum; the traces of
-``reps._rotation_powers`` must give the same.
+``reps._rotation_powers`` must give the same, and so must
+``reps._rotation_traces``, which builds half the powers.
 ``group_matrices_oracle`` builds the matrix of every group element from
 its reduced word, one product per element, and ``decompose_oracle`` reads
 the multiplicities from their traces after ``module_relations_oracle``,
@@ -219,16 +220,22 @@ def unpack_oracle(packed, width):
 def perron_iteration_oracle(q):
     """(spectral_radius, positive_eigenvector or None) from the dense
     two-product power iteration on Q + I; ArithmeticError after 200,000
-    steps without the 1e-10 residual."""
+    steps without the 1e-10 residual.  Every float sum (the row dot
+    products and the norm) is a left fold, which rounds alike on every
+    Python (``sum`` of floats is compensated from 3.12 on)."""
     r = len(q)
     shifted = tuple(tuple(v + (1 if i == j else 0) for j, v in enumerate(row)) for i, row in enumerate(q))
+
+    def dot(row, vec):
+        return functools.reduce(operator.add, map(operator.mul, row, vec))
+
     vec = [1.0 / r] * r
     for _ in range(200000):
-        nxt = [sum(map(operator.mul, row, vec)) for row in shifted]
-        norm = sum(abs(x) for x in nxt)
+        nxt = [dot(row, vec) for row in shifted]
+        norm = functools.reduce(operator.add, map(abs, nxt))
         nxt = [x / norm for x in nxt]
         radius = norm
-        residual = max(abs(sum(map(operator.mul, row, nxt)) - radius * x) for row, x in zip(shifted, nxt))
+        residual = max(abs(dot(row, nxt) - radius * x) for row, x in zip(shifted, nxt))
         vec = nxt
         if residual <= 1e-10:
             break

@@ -53,7 +53,7 @@ from klcells.nimrep import (
     check_block_form,
     check_transitive,
 )
-from klcells.reps import OneDim, _rotation_powers, decompose
+from klcells.reps import OneDim, _rotation_powers, _rotation_traces, decompose
 import oracles
 from oracles import (
     block_pair,
@@ -677,14 +677,18 @@ def test_every_candidate_is_its_inspect_pair(n, search):
 
 @pytest.mark.parametrize("n", range(3, 31))
 def test_module_traces_of_every_left_cell_module(n):
-    # the traces of the powers of ST, the one route to a_j that both
-    # decompositions read; the oracle inverts every trace of the KL family
+    # the traces of the powers of ST, which decompose reads, and the traces
+    # from half the powers, which the check-free decomposition reads; the
+    # oracle inverts every trace of the KL family
     for cell in compute_cells(n).left_cells:
         module = cell_module(n, cell)
         a_s, a_t = module.generator_pair()
         ident = identity_matrix(len(a_s))
-        powers = _rotation_powers(mat_sub(a_s, ident), mat_sub(a_t, ident), n // 2)
-        assert [trace(p) for p in powers] == module_traces_oracle(n, module.matrices), (n, left_cell_name(cell))
+        s_mat, t_mat = mat_sub(a_s, ident), mat_sub(a_t, ident)
+        expected = module_traces_oracle(n, module.matrices)
+        powers = _rotation_powers(s_mat, t_mat, n // 2)
+        assert [trace(p) for p in powers] == expected, (n, left_cell_name(cell))
+        assert _rotation_traces(s_mat, t_mat, n // 2) == expected, (n, left_cell_name(cell))
 
 
 def rotation_order(n, a_s, a_t):

@@ -99,32 +99,51 @@ def test_mat_mul_shapes():
 
 
 def test_mat_mul_matches_the_dense_oracle():
-    # the product skips the zeros of its left factor: sparse, signed,
-    # rectangular and empty operands, zero rows and zero columns
+    # the product skips the zeros of its left factor and adds or subtracts
+    # a row of the right one for an entry 1 or -1: sparse, signed,
+    # rectangular and empty operands, zero rows and zero columns; left
+    # factors of 0 and ±1 alone, with every row zero or none; and entries
+    # beyond 2**64
     rng = random.Random(1234)
-    for _ in range(2000):
-        rows, inner, cols = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
-        density = rng.random()
+    values = {
+        "small": lambda: rng.randint(-9, 9),
+        "unit": lambda: rng.choice((1, -1)),
+        "huge": lambda: rng.choice((1, -1)) * rng.randrange(2**64, 2**80),
+    }
+    for kind in ("small", "unit", "huge"):
+        value = values[kind]
+        for _ in range(2000):
+            rows, inner, cols = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+            density = rng.choice((0.0, rng.random(), 1.0))
 
-        def entries(height, width):
-            zero_row = rng.randrange(height + 1)
-            zero_col = rng.randrange(width + 1)
-            return tuple(
-                tuple(
-                    0 if i == zero_row or j == zero_col or rng.random() > density else rng.randint(-9, 9)
-                    for j in range(width)
+            def entries(height, width):
+                zero_row = rng.randrange(height + 1)
+                zero_col = rng.randrange(width + 1)
+                return tuple(
+                    tuple(0 if i == zero_row or j == zero_col or rng.random() >= density else value() for j in range(width))
+                    for i in range(height)
                 )
-                for i in range(height)
-            )
 
-        a, b = entries(rows, inner), entries(inner, cols)
-        assert mat_mul(a, b) == mat_mul_oracle(a, b), (a, b)
-        c = entries(rows, inner + 1)
-        if rows:
-            with pytest.raises(ValueError):
-                mat_mul(c, b)
-            with pytest.raises(ValueError):
-                mat_mul_oracle(c, b)
+            a, b = entries(rows, inner), entries(inner, cols)
+            assert mat_mul(a, b) == mat_mul_oracle(a, b), (a, b)
+            big = tuple(tuple(values["huge"]() for _ in range(cols)) for _ in range(inner))
+            assert mat_mul(a, big) == mat_mul_oracle(a, big), (a, big)
+            c = entries(rows, inner + 1)
+            if rows:
+                with pytest.raises(ValueError):
+                    mat_mul(c, b)
+                with pytest.raises(ValueError):
+                    mat_mul_oracle(c, b)
+
+
+def test_mat_mul_splits_a_long_inner_dimension():
+    # one lazy map per nonzero entry of a row would chain past what the C
+    # stack holds; a long inner dimension is split in halves instead
+    rng = random.Random(26)
+    a = tuple(tuple(rng.choice((0, 1, -1, 3)) for _ in range(2500)) for _ in range(3))
+    b = tuple(tuple(rng.randint(-5, 5) for _ in range(2)) for _ in range(2500))
+    assert mat_mul(a, b) == mat_mul_oracle(a, b)
+    assert mat_mul(((1,) * 100000,), ((1,),) * 100000) == ((100000,),)
 
 
 def test_block_matrix():

@@ -790,6 +790,12 @@ def test_perron_analysis_matches_the_dense_iteration_oracle():
     assert len(survivors) == 62
     for q in sorted(survivors) + [((0,),), ((1,),), ((2,),)]:
         assert not assert_same_perron(q)
+    # the probe gate starts at coordinate 0.  Here it sits alone in a block
+    # of Q + I with eigenvalue 1, whose share of the iterate decays by
+    # 1/4.62 a step, while the block [[4, 1], [1, 3]] last converges by
+    # 2.38/4.62 a step: coordinate 0 passes first, so the full residual runs
+    # and fails, and the probe moves, before the break
+    assert not assert_same_perron(((0, 0, 0), (0, 3, 1), (0, 1, 2)))
     # A defective top eigenvalue takes up to 200,000 steps (about a second
     # each), so the random matrices are those whose top eigenvalue is simple,
     # and two Jordan blocks stand for the rest: one converges, one raises.

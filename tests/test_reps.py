@@ -331,7 +331,9 @@ def test_decompose_matches_the_word_product_oracle_on_cell_modules():
 def test_decomposition_products_on_cell_modules(monkeypatch):
     # decompose makes ceil(n/2) + 3 products: S^2, T^2, the powers of ST
     # up to ceil(n/2) and (ST)^n.  The check-free route makes the powers
-    # up to floor(n/2) alone: S T first, then P_1 P_j, and no relation check
+    # up to h = ceil(floor(n/2)/2) alone, h products: S T first, then
+    # P_1 P_j, and no relation check; it reads the further traces off pairs
+    # of powers without a product
     products = []
 
     def counted(a, b):
@@ -346,7 +348,7 @@ def test_decomposition_products_on_cell_modules(monkeypatch):
         assert len(products) == (n + 1) // 2 + 3, n
         products.clear()
         _module_decomposition(n, a_s, a_t)
-        assert 1 <= len(products) <= (n + 1) // 2, n
+        assert len(products) == (n // 2 + 1) // 2, n
         ident = identity_matrix(len(a_s))
         (s_mat, t_mat), rotation = products[0], mat_mul(*products[0])
         assert s_mat == mat_sub(a_s, ident) and t_mat == mat_sub(a_t, ident), n
