@@ -93,9 +93,9 @@ def mat_scale(c: int, a: IntMatrix) -> IntMatrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-# mat_mul chains one lazy map per nonzero entry of a row, and a chain some
-# ten thousand maps deep overflows the C stack when it is consumed; a longer
-# inner dimension is split in halves, each product made on its own
+# mat_mul chains one lazy map per nonzero entry of a row, and a chain tens
+# of thousands of maps deep overflows the C stack when it is consumed; a
+# longer inner dimension is split in halves, each product made on its own
 _CHAIN = 1024
 
 
