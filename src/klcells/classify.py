@@ -395,6 +395,69 @@ def match_cell_reps(n: int, pairs: Sequence[MatrixPair]) -> tuple[str | None, ..
 # -- candidates and reports ---------------------------------------------------
 
 
+_INFINITY = float("inf")
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INFINITY:
+        return "Infinity"
+    if x == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+_JSON_SCALARS = {
+    str: _json_str,
+    int: int.__repr__,
+    float: _json_float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _indented_json(obj: object, margin: str = "\n") -> str:
+    """The text ``json.dumps`` writes for ``obj`` with
+    ``indent=2, sort_keys=True``, for dicts with str keys, lists, tuples,
+    str, int, float, bool and None; anything else raises TypeError.
+
+    json writes indented output with its pure-Python encoder, one generator
+    step per token; here each scalar goes through the C function json
+    itself calls for it, and each container is one join.  ``margin`` is
+    the newline and indentation of the line ``obj`` closes on.
+    """
+    scalar = _JSON_SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    inner = margin + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [f(v) if (f := _JSON_SCALARS.get(type(v))) else _indented_json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + margin + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            v = obj[key]
+            f = _JSON_SCALARS.get(type(v))
+            items.append(_json_str(key) + ": " + (f(v) if f else _indented_json(v, inner)))
+        return "{" + inner + ("," + inner).join(items) + margin + "}"
+    # subclasses of the scalar types, which json also accepts
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _json_float(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 @dataclass(frozen=True)
 class Candidate:
     """One fully annotated pair.
@@ -474,9 +537,12 @@ class ClassificationReport:
         return out
 
     def to_json_bytes(self, include_timing: bool = False) -> bytes:
-        return (
-            json.dumps(self.to_jsonable(include_timing), indent=2, sort_keys=True) + "\n"
-        ).encode("ascii")
+        """The report as indented JSON: exactly what ``json.dumps`` writes
+        for ``self.to_jsonable(include_timing)`` with ``indent=2,
+        sort_keys=True``, plus a newline, in ASCII.  ``_indented_json``
+        writes it, and the tests hold every report they build to that
+        ``json.dumps`` oracle."""
+        return (_indented_json(self.to_jsonable(include_timing)) + "\n").encode("ascii")
 
     def render_text(self, include_timing: bool = False) -> str:
         lines = [

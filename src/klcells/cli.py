@@ -9,8 +9,10 @@ multiplies two KL basis elements.
 Exit codes: 0 success, 1 a verification or decomposition check failed,
 2 usage or parse error or an unwritable output file, 3 the classification
 resource guard tripped.
-JSON output is serialised with sorted keys, so identical invocations are
-byte-identical regardless of the worker count.
+JSON output is the text ``json.dumps`` writes for its object with
+``indent=2, sort_keys=True``, from the package's own encoder
+(``classify._indented_json``), so identical invocations are byte-identical
+regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Sequence
 
 from .algebra import kl_multiply
 from .cells import cell_diagram_dot, cell_module, compute_cells
-from .classify import DEFAULT_MAX_STATES, TOGGLEABLE_FILTERS, classify
+from .classify import DEFAULT_MAX_STATES, TOGGLEABLE_FILTERS, _indented_json, classify
 from .dihedral import dihedral_group, display_key, render
 from .nimrep import MatrixPair
 from .reps import NotAModuleError, decompose
@@ -56,7 +58,7 @@ def _matrix_block(label: str, matrix) -> list[str]:
 
 
 def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_indented_json(payload))
 
 
 # -- subcommand handlers -----------------------------------------------------

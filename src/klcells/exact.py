@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from typing import Sequence
 
@@ -57,15 +58,18 @@ IntMatrix = tuple[tuple[int, ...], ...]
 IntPoly = tuple[int, ...]
 
 
-def _check_entry(v: object) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValueError(f"matrix entries must be plain ints, got {v!r}")
-    return v
-
-
 def freeze_matrix(rows: Sequence[Sequence[int]]) -> IntMatrix:
-    """Validate a rectangular integer matrix and freeze it to nested tuples."""
-    frozen = tuple(tuple(_check_entry(v) for v in row) for row in rows)
+    """Validate a rectangular integer matrix and freeze it to nested tuples.
+
+    A matrix of plain ints passes one test of the set of its entry types;
+    any other matrix has each entry checked, and the subclasses of int
+    other than bool pass.
+    """
+    frozen = tuple(map(tuple, rows))
+    if set(map(type, chain.from_iterable(frozen))) != {int}:
+        for v in chain.from_iterable(frozen):
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(f"matrix entries must be plain ints, got {v!r}")
     if frozen and any(len(row) != len(frozen[0]) for row in frozen):
         raise ValueError("matrix rows have unequal lengths")
     return frozen

@@ -27,6 +27,7 @@ from klcells.classify import (
     _cell_keys,
     _f1_matrices,
     _f3_split,
+    _indented_json,
     _orbits,
     _part_lanes,
     _plan,
@@ -488,9 +489,11 @@ def test_classify_parallel_matches_serial():
         {"ranks": (1, 2, 3), "entry_bound": 2, "disabled": ("F7",), "max_states": 10**9},
     )
     for search in searches:
-        serial = classify(4, jobs=1, **search).to_json_bytes()
-        parallel = classify(4, jobs=2, **search).to_json_bytes()
-        assert serial == parallel
+        serial = classify(4, jobs=1, **search)
+        parallel = classify(4, jobs=2, **search)
+        assert serial.to_json_bytes() == parallel.to_json_bytes() == json_dumps_report(serial)
+        for report in (serial, parallel):
+            assert report.to_json_bytes(include_timing=True) == json_dumps_report(report, include_timing=True)
 
 
 # -- orbit representatives of the block space ----------------------------------
@@ -673,6 +676,46 @@ def test_every_candidate_is_its_inspect_pair(n, search):
         assert candidate.apex == apex_of(candidate.extension)
         assert annihilator_check(candidate.extension).passed is True
         assert candidate.annihilator_passed is True
+
+
+def json_dumps_report(report, include_timing=False):
+    """The report as json.dumps writes it: the oracle of to_json_bytes."""
+    return (json.dumps(report.to_jsonable(include_timing), indent=2, sort_keys=True) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("n, search", SURVIVOR_SEARCHES)
+def test_report_bytes_are_json_dumps(n, search):
+    report = classify(n, **search)
+    for include_timing in (False, True):
+        assert report.to_json_bytes(include_timing) == json_dumps_report(report, include_timing)
+
+
+class Count(int):
+    pass
+
+
+@pytest.mark.parametrize("entry", (int, Count))
+def test_indented_json_of_a_candidate_with_a_witness(entry):
+    # fails F4 at n = 4, so its filter reports carry a witness; a matrix
+    # entry may be a subclass of int, which the report then holds too
+    a_s = ((entry(2), entry(1)), (0, 0))
+    candidate = inspect_pair(MatrixPair.from_matrices(4, a_s, ((0, 0), (1, 2))))
+    assert candidate.tag == Tag("REJECTED", "F4")
+    obj = candidate.to_jsonable()
+    assert type(obj["pair"]["theta_s"][0][0]) is entry
+    assert any(report["witness"] is not None for report in obj["filters"])
+    assert _indented_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_indented_json_refuses_what_json_cannot_write():
+    for obj in ({"a": [{(1, 2): None}]}, {1, 2}, [{"a": {3}}], {"a": b"x"}, object()):
+        for encode in (_indented_json, lambda tree: json.dumps(tree, indent=2, sort_keys=True)):
+            with pytest.raises(TypeError):
+                encode(obj)
+    # json writes an int key as a string; reports have none, and the
+    # encoder refuses every key that is not a str
+    with pytest.raises(TypeError, match="keys must be str, not int"):
+        _indented_json({"a": {1: "one"}})
 
 
 @pytest.mark.parametrize("n", range(3, 31))

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from klcells.algebra import structure_constants
+from klcells.cells import compute_cells
 from klcells.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_OK,
@@ -14,6 +15,7 @@ from klcells.cli import (
     main,
 )
 from klcells.dihedral import dihedral_group, render
+from klcells.reps import decompose
 
 cli_module = sys.modules["klcells.cli"]
 
@@ -176,6 +178,28 @@ def test_decompose_json_format(capsys, tmp_path):
     code, out, _ = run(capsys, "decompose", "--n", "4", "--format", "json", str(path))
     assert code == EXIT_OK
     assert json.loads(out) == {"V(1,1)": 1}
+
+
+def test_json_payloads_are_json_dumps(capsys, tmp_path):
+    # every JSON payload the CLI prints is what json.dumps writes with
+    # indent=2 and sorted keys, plus print's newline: the cells and
+    # decompose payloads against the objects they print, the rest against
+    # the object read back
+    theta_s, theta_t = ((0, 0, 0), (0, 0, 0), (1, 1, 2)), ((2, 0, 1), (0, 2, 1), (0, 0, 0))
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"theta_s": theta_s, "theta_t": theta_t}))
+    commands = {
+        ("cells", "--n", "6"): compute_cells(6).to_jsonable(),
+        ("decompose", "--n", "4", str(path)): decompose(4, theta_s, theta_t).to_jsonable(),
+        ("cellrep", "--n", "5", "--cell", "Ls", "--all"): None,
+        ("klmult", "--n", "5", "st", "ts"): None,
+    }
+    for argv, payload in commands.items():
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == EXIT_OK, argv
+        if payload is None:
+            payload = json.loads(out)
+        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n", argv
 
 
 def test_decompose_wrong_n(capsys, tmp_path):

@@ -62,6 +62,21 @@ def test_freeze_matrix_validation():
         freeze_matrix([[1.5]])
     with pytest.raises(ValueError):
         freeze_matrix([[True]])  # bools are not matrix entries
+    # a matrix that is not all plain ints has each entry checked: a
+    # subclass of int other than bool is still an entry, and the first bad
+    # entry is named, here after a row of plain ints
+    class Count(int):
+        pass
+
+    frozen = freeze_matrix([[1, Count(2)], [3, 4]])
+    assert frozen == ((1, 2), (3, 4)) and type(frozen[0][1]) is Count
+    with pytest.raises(ValueError, match=r"^matrix entries must be plain ints, got '3'$"):
+        freeze_matrix([[1, 2], [3, "3"]])
+    with pytest.raises(ValueError, match=r"^matrix entries must be plain ints, got True$"):
+        freeze_matrix([[0, 1], [True, 1]])
+    with pytest.raises(ValueError, match="unequal lengths"):
+        freeze_matrix([[1, 2], [3]])
+    assert freeze_matrix([]) == ()
 
 
 def test_shape_helpers():

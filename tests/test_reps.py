@@ -9,7 +9,7 @@ import pytest
 from klcells.algebra import kl_regular_matrices
 from klcells.cells import cell_module
 from klcells.dihedral import dihedral_group
-from klcells.exact import identity_matrix, mat_mul, mat_sub, zero_matrix
+from klcells.exact import identity_matrix, mat_mul, mat_sub, trace, zero_matrix
 from klcells.nimrep import _square
 from klcells import reps
 from klcells.reps import (
@@ -207,6 +207,27 @@ def unimodular_pair(rng, dim):
     return tuple(map(tuple, u)), tuple(map(tuple, u_inv))
 
 
+def direct_sum(pairs):
+    """The block-diagonal (A_s, A_t) of a list of (A_s, A_t)."""
+    sizes = [len(a_s) for a_s, _ in pairs]
+    return tuple(
+        block_matrix(
+            [
+                [pair[letter] if i == j else zero_matrix(sizes[i], size) for j, size in enumerate(sizes)]
+                for i, pair in enumerate(pairs)
+            ]
+        )
+        for letter in (0, 1)
+    )
+
+
+def conjugated(rng, a_s, a_t):
+    """(U A_s U^-1, U A_t U^-1) for a random unimodular U."""
+    u, u_inv = unimodular_pair(rng, len(a_s))
+    assert mat_mul(u, u_inv) == identity_matrix(len(a_s))
+    return mat_mul(u, mat_mul(a_s, u_inv)), mat_mul(u, mat_mul(a_t, u_inv))
+
+
 def test_decompose_random_conjugated_sums():
     # sums of cell modules, conjugated by a unimodular matrix: at composite
     # n (12, 24, 30) a sum mixes eigenvalues of ST of many orders
@@ -216,32 +237,58 @@ def test_decompose_random_conjugated_sums():
         n = rng.randint(3, 30)
         picks = [rng.choice(names) for _ in range(rng.randint(1, 3))]
         modules = [cell_module(n, name) for name in picks]
-        sizes = [len(m.cell) for m in modules]
-        total = sum(sizes)
-
-        def stacked(letter_index):
-            blocks = []
-            for i, module in enumerate(modules):
-                row = []
-                for j, size in enumerate(sizes):
-                    if i == j:
-                        row.append(module.generator_pair()[letter_index])
-                    else:
-                        row.append(zero_matrix(sizes[i], size))
-                blocks.append(row)
-            return block_matrix(blocks)
-
-        a_s, a_t = stacked(0), stacked(1)
-        u, u_inv = unimodular_pair(rng, total)
-        assert mat_mul(u, u_inv) == identity_matrix(total)
-        conj_s = mat_mul(u, mat_mul(a_s, u_inv))
-        conj_t = mat_mul(u, mat_mul(a_t, u_inv))
+        conj_s, conj_t = conjugated(rng, *direct_sum([module.generator_pair() for module in modules]))
 
         expected: dict = {}
         for module in modules:
             for simple, mult in decompose(n, *module.generator_pair()).as_dict().items():
                 expected[simple] = expected.get(simple, 0) + mult
         assert decompose(n, conj_s, conj_t).as_dict() == expected
+
+
+def explicit_traces(s_mat, t_mat, top):
+    """[tr (ST)^j for j = 0 .. top], one power after another."""
+    rotation = mat_mul(s_mat, t_mat)
+    power, traces = identity_matrix(len(s_mat)), []
+    for _ in range(top + 1):
+        traces.append(trace(power))
+        power = mat_mul(power, rotation)
+    return traces
+
+
+def test_rotation_traces_where_the_traces_vary():
+    # a_j is the same for every 0 < j < n on a cell module of D_n and on
+    # the regular pair, so those tell little about which powers
+    # _rotation_traces pairs.  Here a_j varies: the regular pair up to
+    # top = n, where a_n = 2n; conjugated sums of Ls or Lt of D_d for a
+    # proper divisor d >= 3 of n, a D_n-module of rank d - 1 with a_j = -1
+    # for 0 < j < d and a_d = d - 1, and up to two one-dimensional modules
+    # (a_j = (-1)^j on V(1,-1) and V(-1,1)); and random integer pairs
+    def check(s_mat, t_mat, tops):
+        expected = explicit_traces(s_mat, t_mat, max(tops))
+        for top in tops:
+            assert reps._rotation_traces(s_mat, t_mat, top) == expected[: top + 1], (s_mat, t_mat, top)
+        return expected
+
+    for n in range(3, 13):
+        a_s, a_t = kl_regular_matrices(n)
+        ident = identity_matrix(2 * n)
+        assert check(mat_sub(a_s, ident), mat_sub(a_t, ident), range(1, n + 1))[n] == 2 * n
+    rng = random.Random(5040)
+    for _ in range(40):
+        n = rng.choice([n for n in range(6, 31) if any(n % d == 0 for d in range(3, n))])
+        d = rng.choice([d for d in range(3, n) if n % d == 0])
+        signs = [(1, 1), (-1, -1)] + ([(1, -1), (-1, 1)] if n % 2 == 0 else [])
+        parts = [cell_module(d, rng.choice(("Ls", "Lt"))).generator_pair()]
+        parts += [(((1 + eps,),), ((1 + delta,),)) for eps, delta in rng.sample(signs, rng.randint(0, 2))]
+        a_s, a_t = conjugated(rng, *direct_sum(parts))
+        ident = identity_matrix(len(a_s))
+        expected = check(mat_sub(a_s, ident), mat_sub(a_t, ident), sorted({n // 2, n - 1, n}))
+        assert expected[d] != expected[1], (n, d)
+    for _ in range(200):
+        r = rng.randint(1, 4)
+        s_mat, t_mat = (tuple(tuple(rng.randint(-2, 2) for _ in range(r)) for _ in range(r)) for _ in "st")
+        check(s_mat, t_mat, range(1, 9))
 
 
 def test_decomposition_render_and_json():
