@@ -33,7 +33,9 @@ generators is first read), and ``nimrep.extend`` runs it on one
 candidate pair; the family is unpacked matrix by matrix as it is read.
 The classification search prepares each generator once, judges the pairs
 of several work units in one call, keeps the columns of its calls for
-every n it searches, and reads only each lane's outcome.
+every n it searches, and reads only each lane's verdict, off the events
+the call logs length by length, which also give the verdicts of every
+smaller n (``_replay``).
 
 The independent route, plain convolution in the group basis followed by
 conversion back, lives in the checks: verification check A1 compares every
@@ -257,13 +259,19 @@ def kl_left_multiply_generator(letter: str, w: GroupElement) -> GroupAlgebraElem
 # least one spare bit on top.  Packing is linear, so adding rows and
 # scaling them by integers is exact whatever the signs, and an entry of a
 # generator that is equal in every lane scales a whole packed row at once.
-# The width comes from an a-priori bound: with c the largest row
-# sum of every A_s and A_t of the call, no row of a matrix of length l has
-# absolute values summing to more than (c+1)^l (induction on
-# A_w = A_x A_w' - A_w'', whatever the signs), so width =
-# n * bitlength(c+1) + 1 keeps every entry of every lane strictly between
-# -2^(width-1) and 2^(width-1) up to w0, also in a lane that has already
-# failed and is carried along.
+# The width comes from an a-priori bound on the largest row l1 norm, which
+# is submultiplicative whatever the signs.  With c_s and c_t the largest
+# row sums of every A_s and of every A_t of the call, S_l and T_l bound the
+# norm of the element of length l leading with s and with t:
+# A_w = A_x A_w' - A_w'' gives S_l <= c_s T_(l-1) + S_(l-2) and
+# T_l <= c_t S_(l-1) + T_(l-2), from S_0 = T_0 = 1 (the identity),
+# S_1 = c_s and T_1 = c_t.  The width is the bit length of the largest
+# S_l and T_l for l <= n, plus one (``_width``): it keeps every entry of
+# every lane strictly between -2^(width-1) and 2^(width-1) up to both
+# routes to w0, also in a lane that has already failed and is carried
+# along.  The largest bound is S_n or T_n unless every A_s or every A_t
+# of the call is zero; then the other letter's bound at a shorter length
+# can be larger, so the maximum is taken over every l.
 #
 # A negative entry borrows from the fields above it, across lanes too, so
 # the raw rows are never tested bit by bit.  Adding ``offsets``, which puts
@@ -328,15 +336,16 @@ class _Columns(NamedTuple):
     """The set-up of one ``_kl_recursion`` call that no n changes: its
     lanes read entry by entry as columns (``_lane_columns``).
 
-    lanes   -- the number of lanes
-    rank    -- r
-    row_sum -- the largest row sum of every A_s and A_t of the call
-    sides   -- the ``_Terms`` of the A_s and of the A_t
+    lanes    -- the number of lanes
+    rank     -- r
+    row_sums -- (c_s, c_t), the largest row sum of every A_s and of
+                every A_t of the call, which bound the width (``_width``)
+    sides    -- the ``_Terms`` of the A_s and of the A_t
     """
 
     lanes: int
     rank: int
-    row_sum: int
+    row_sums: tuple[int, int]
     sides: tuple[_Terms, _Terms]
 
 
@@ -387,16 +396,30 @@ def _column_terms(gens: Sequence[_Generator]) -> _Terms:
 def _lane_columns(gens_s: Sequence[_Generator], gens_t: Sequence[_Generator]) -> _Columns:
     """The columns of the lanes (gens_s[L], gens_t[L]) for ``_kl_recursion``."""
     if not gens_t:
-        return _Columns(0, 0, 0, (((), ()), ((), ())))
-    row_sum = max(max(map(_ROW_SUM, gens_s)), max(map(_ROW_SUM, gens_t)))
-    return _Columns(len(gens_t), gens_t[0].rank, row_sum, (_column_terms(gens_s), _column_terms(gens_t)))
+        return _Columns(0, 0, (0, 0), (((), ()), ((), ())))
+    row_sums = (max(map(_ROW_SUM, gens_s)), max(map(_ROW_SUM, gens_t)))
+    return _Columns(len(gens_t), gens_t[0].rank, row_sums, (_column_terms(gens_s), _column_terms(gens_t)))
 
 
 def _pair_columns(theta_s: Sequence[Sequence[int]], theta_t: Sequence[Sequence[int]]) -> _Columns:
     """The columns of the one lane of a generator pair, read straight off
     the rows of its matrices."""
-    row_sum = max(map(sum, [*theta_s, *theta_t]))
-    return _Columns(1, len(theta_s), row_sum, (_flat_terms(theta_s), _flat_terms(theta_t)))
+    row_sums = (max(map(sum, theta_s)), max(map(sum, theta_t)))
+    return _Columns(1, len(theta_s), row_sums, (_flat_terms(theta_s), _flat_terms(theta_t)))
+
+
+@functools.lru_cache(maxsize=None)
+def _width(n: int, row_sums: tuple[int, int]) -> int:
+    """The field width of a call whose generators have the row sums
+    (c_s, c_t): one more than the bit length of the largest of the bounds
+    S_l and T_l for l <= n (the comment above)."""
+    c_s, c_t = row_sums
+    s, t, s_back, t_back = c_s, c_t, 1, 1
+    largest = max(1, s, t)
+    for _ in range(2, n + 1):
+        s, t, s_back, t_back = c_s * t + s_back, c_t * s + t_back, s, t
+        largest = max(largest, s, t)
+    return largest.bit_length() + 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -449,9 +472,57 @@ def _lane_terms(
     return shared, partial, constants, rows
 
 
+# A length's events, as lane masks over the lanes still alive when the
+# length starts: (F2 on s_l, F4 on s_l, F2 on t_l, F4 on t_l, s_l = t_l).
+# Each test reads only the lane's own matrices, so a mask is the same in
+# a run to any n >= l.  Length 1 has only F4, for a lane with one zero
+# generator.
+_Record = tuple[int, int, int, int, int]
+_QUIET: _Record = (0, 0, 0, 0, 0)
+# (index in the record, filter) of each event, in the order charged: below
+# n, and at n, where F5 is charged to the lanes whose s_n and t_n differ
+_STEPS = ((0, "F2"), (1, "F4"), (2, "F2"), (3, "F4"))
+_LAST_STEPS = ((0, "F2"), (2, "F2"), (4, "F5"))
+
+
+def _charge(record: _Record, last: bool, alive: int, failed: dict[str, int]) -> tuple[int, int | None]:
+    """Charge a length's events to the lanes in ``alive``, in the kernel's
+    order, adding each event to ``failed``: below n F2 and F4 on s_l, then
+    on t_l; at n, where s_n and t_n are the two routes to w0, F2 on each
+    and then F5 where they differ.  Returns (the lanes left alive, the
+    step after which none is, or None).  The masks may be in any lane
+    layout, so long as ``alive`` has no bit outside the lanes' flag bits.
+    """
+    for step, (index, tag) in enumerate(_LAST_STEPS if last else _STEPS):
+        bits = record[index]
+        event = (~bits if tag == "F5" else bits) & alive
+        if event:
+            failed[tag] |= event
+            alive ^= event
+            if not alive:
+                return 0, step
+    return alive, None
+
+
+def _replay(log: Sequence[_Record], lanes: int, n: int) -> tuple[dict[str, int], int]:
+    """The verdicts at n of the lanes of a logged ``_kl_recursion`` run to
+    some N >= n: (the lanes failed, by filter, and the lanes alive), one
+    byte per lane, 0x80 where set.  Below length n it charges the events
+    the run logged in the kernel's order, and at n reads s_n and t_n as the
+    two routes to w0 (``_charge``); no product is built.
+    """
+    alive = int.from_bytes(b"\x80" * lanes, "little")
+    failed = {"F2": 0, "F4": 0, "F5": 0}
+    for length, record in enumerate(log[:n], 1):
+        alive, stop = _charge(record, length == n, alive, failed)
+        if stop is not None:
+            break
+    return failed, alive
+
+
 def _kl_recursion(
-    n: int, columns: _Columns, check_support: bool = False
-) -> tuple[list[list[int]], int, list[str | None], list[int] | None]:
+    n: int, columns: _Columns, check_support: bool = False, log: list[_Record] | None = None
+) -> tuple[list[list[int]], int, list[str | None] | None, list[int] | None]:
     """The KL families of the lanes of ``columns``, packed.
 
     Returns (matrices, width, outcomes, negative).  ``matrices`` lists the
@@ -472,23 +543,31 @@ def _kl_recursion(
 
     Each lane gets the first event of the one-pair recursion: at each
     length F2 on the s-leading product, then F4 on it, then F2 and F4 on
-    the t-leading one; at w0 F2 on the s route, F2 on the t route, then F5.
-    With one lane, ``matrices`` is that pair's packed family and, for F2,
-    its element is the next index (w0 when all 2n - 1 lower matrices are
-    built).
+    the t-leading one; at w0 F2 on the s route, F2 on the t route, then F5
+    (``_charge``).  With one lane, ``matrices`` is that pair's packed
+    family and, for F2, its element is the next index (w0 when all 2n - 1
+    lower matrices are built).
 
-    Only the width depends on n, so the columns of a call serve every n
-    (``classify`` keeps them with its search plan); this packs their terms
-    at the width of n (``_lane_terms``).
+    With ``log``, a list, the call appends the ``_Record`` of each length
+    it reaches, from 1, over the lanes alive when the length starts, and
+    returns None for ``outcomes``: ``_replay`` reads them off the log at n
+    and at every smaller n, as below length n nothing depends on n and the
+    routes to w0 at n are the products s_n and t_n of any longer run.  So
+    both products of a length are built before its events are charged.
+
+    Only the width depends on n (``_width``), so the columns of a call
+    serve every n (``classify`` keeps them with its search plan); this
+    packs their terms at the width of n (``_lane_terms``).
     """
     lanes = columns.lanes
     if not lanes:
         return [], 0, [], None
     rank = columns.rank
-    width = n * (columns.row_sum + 1).bit_length() + 1
+    width = _width(n, columns.row_sums)
     stride = _stride(rank, width)
     lane_bits = 8 * stride
-    starts = _lane_starts(b"\1" * lanes, stride)
+    # a lane of its own starts at bit 0, with no buffer to build
+    starts = _lane_starts(b"\1" * lanes, stride) if lanes > 1 else 1
     top = starts << (lane_bits - 1)
     low = starts * ((1 << (lane_bits - 1)) - 1)
     identity, offset = _frame(width, rank)
@@ -516,17 +595,23 @@ def _kl_recursion(
         # the top bit of each lane whose part of ``bits`` is nonzero
         return (bits + low) & top
 
-    failed = {"F2": 0, "F4": 0, "F5": 0}
-    alive = top
+    def negative_lanes(shifted: list[int]) -> int:
+        # the lanes with an entry whose field has its high bit clear
+        return lanes_nonzero(offsets & ~functools.reduce(operator.and_, shifted))
 
-    def fail(tag: str, event: int) -> bool:
-        # charge the lanes of ``event`` to ``tag``; True when none is left
-        nonlocal alive
-        failed[tag] |= event
-        alive ^= event
-        return not alive
+    def logged(record: _Record) -> None:
+        # the record over the lanes alive, a flag byte per lane: the byte
+        # of each lane's top bit
+        if not any(record):
+            log.append(_QUIET)
+            return
+        size = lanes * stride
+        events = [(bits & alive).to_bytes(size, "little")[stride - 1 :: stride] for bits in record]
+        log.append(tuple([int.from_bytes(flags, "little") for flags in events]))
 
-    def outcomes() -> list[str | None]:
+    def outcomes() -> list[str | None] | None:
+        if log is not None:
+            return None
         out: list[str | None] = [None] * lanes
         for tag, bits in failed.items():
             if bits:
@@ -535,45 +620,51 @@ def _kl_recursion(
                     out[lane] = tag
         return out
 
-    def negative_lanes(shifted: list[int]) -> int:
-        # the live lanes with an entry whose field has its high bit clear
-        return lanes_nonzero(offsets & ~functools.reduce(operator.and_, shifted)) & alive
-
+    failed = {"F2": 0, "F4": 0, "F5": 0}
+    alive = top
     if check_support:
         # the generators' entries are nonnegative, so their packed rows
         # have no borrow.  A lane with one zero generator fails at once; a
         # lane with both zero is exempt from the checks below.
         nonzero_s, nonzero_t = (lanes_nonzero(functools.reduce(operator.or_, rows)) for rows in packed)
         checked = nonzero_s | nonzero_t
-        if fail("F4", nonzero_s ^ nonzero_t):
+        record = (0, nonzero_s ^ nonzero_t, 0, 0, 0)
+        if log is not None:
+            logged(record)
+        alive, stop = _charge(record, False, alive, failed)
+        if stop is not None:
             return matrices, width, outcomes(), None
+    elif log is not None:
+        log.append(_QUIET)
 
-    for length in range(2, n):
-        for x in (0, 1):
-            shorter = matrices[2 * length - 2 - x]
-            back = matrices[2 * length - 5 + x] if length > 2 else None
-            a = product(x, shorter, back)
-            shifted = [row + offsets for row in a]
-            event = negative_lanes(shifted)
-            if event and fail("F2", event):
-                return matrices, width, outcomes(), a
-            matrices.append(a)
-            if check_support:
-                nonzero = lanes_nonzero(functools.reduce(operator.or_, [row ^ offsets for row in shifted]))
-                event = alive & checked & ~nonzero
-                if event and fail("F4", event):
-                    return matrices, width, outcomes(), None
-    via_s = product(0, matrices[2 * n - 2], matrices[2 * n - 5])
-    via_t = product(1, matrices[2 * n - 3], matrices[2 * n - 4])
-    shifted_routes = [[row + offsets for row in route] for route in (via_s, via_t)]
-    for route, shifted in zip((via_s, via_t), shifted_routes):
-        event = negative_lanes(shifted)
-        if event and fail("F2", event):
-            return matrices, width, outcomes(), route
-    event = lanes_nonzero(functools.reduce(operator.or_, map(operator.xor, *shifted_routes))) & alive
-    if event and fail("F5", event):
-        return matrices, width, outcomes(), None
-    matrices.append(via_s)
+    for length in range(2, n + 1):
+        last = length == n
+        s = product(0, matrices[2 * length - 2], matrices[2 * length - 5] if length > 2 else None)
+        t = product(1, matrices[2 * length - 3], matrices[2 * length - 4] if length > 2 else None)
+        shifted_s = [row + offsets for row in s]
+        shifted_t = [row + offsets for row in t]
+        f2_s, f2_t = negative_lanes(shifted_s), negative_lanes(shifted_t)
+        f4_s = f4_t = same = 0
+        if check_support and not last:
+            # the checked lanes whose product is zero
+            f4_s = checked & ~lanes_nonzero(functools.reduce(operator.or_, [row ^ offsets for row in shifted_s]))
+            f4_t = checked & ~lanes_nonzero(functools.reduce(operator.or_, [row ^ offsets for row in shifted_t]))
+        if log is not None or last and alive & ~(f2_s | f2_t):
+            same = top & ~lanes_nonzero(functools.reduce(operator.or_, map(operator.xor, shifted_s, shifted_t)))
+        if log is not None:
+            logged((f2_s, f4_s, f2_t, f4_t, same))
+        if (f2_s | f4_s | f2_t | f4_t | (top ^ same if last else 0)) & alive:
+            alive, stop = _charge((f2_s, f4_s, f2_t, f4_t, same), last, alive, failed)
+            if stop is not None:
+                # every lane has failed: a product is kept once its F2
+                # test has passed, and ``negative`` is the one that failed
+                # the last lanes
+                if last:
+                    return matrices, width, outcomes(), (s, t, None)[stop]
+                matrices += (s, t)[: (stop + 1) // 2]
+                return matrices, width, outcomes(), (s, None, t, None)[stop]
+        # at n the s route is w0
+        matrices += (s,) if last else (s, t)
     return matrices, width, outcomes(), None
 
 

@@ -50,6 +50,16 @@ builds neither, and a call at n only packs its columns at the width n
 needs; forked workers inherit it and judge runs of its calls.  The F3
 table of verdicts by zero pattern lives only while a plan is built.
 
+The kernel's verdicts do not depend on n below length n either: an F2 or
+F4 event at length l decides every n > l, and the two routes to w0 at n
+are the two products of length n of any longer run.  So each run of a
+call logs its events length by length, and a plan that keeps its columns
+keeps the log of each call beside it in the ``_spaces`` entry, by
+judge_f3 and F4, from the largest n run so far.  A search at that n or
+below replays the log and runs no kernel (``_judge_units``); a larger n
+runs the kernel and replaces the log.  So a sweep from the largest n
+down runs the kernel once per call.
+
 The kernel skips F1, F6 and F7: F1 holds by construction in both spaces,
 F6 follows from F1 and F5, and F7 holds in the block space (and it is off
 in the variety).  The kernel only judges: a worker returns its surviving
@@ -130,6 +140,7 @@ from .algebra import (
     _kl_recursion,
     _lane_columns,
     _module_family,
+    _replay,
 )
 from .cells import cell_module, compute_cells, left_cell_name
 from .exact import IntMatrix, is_zero_matrix, mat_add
@@ -725,12 +736,16 @@ class _Call(NamedTuple):
 
 class _Rank(NamedTuple):
     """What ``_spaces`` keeps for one (rank, bound, block_space): the
-    spaces, the work units and the search plans built on them, by
-    judge_f3 (``_plan``)."""
+    spaces, the work units, the search plans built on them, by judge_f3
+    (``_plan``), and the kernel's event logs of their calls, by
+    (judge_f3, whether F4 is on) and then by the call's position in the
+    plan: (N, the log of the call's run to N), which gives its verdicts at
+    every n <= N (``_judge_units``)."""
 
     spaces: tuple[_Space, ...]
     units: tuple[tuple[int, int], ...]
     plans: dict[bool, tuple[_Call, ...]]
+    logs: dict[tuple[bool, bool], dict[int, tuple[int, list]]]
 
 
 def _support_classes(gens: Sequence[_Generator]) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -812,7 +827,7 @@ def _spaces(rank: int, bound: int, block_space: bool) -> _Rank:
         for i, gen_s in enumerate(space.gens_s)
         if all(g(gen_s.flat) >= gen_s.flat for g in space.conjugations)
     )
-    return _Rank(tuple(spaces), units, {})
+    return _Rank(tuple(spaces), units, {}, {})
 
 
 def _orbits(space: _Space, i: int, failing: int, passing: bytes) -> tuple[int, array, array]:
@@ -882,10 +897,12 @@ def _plan(rank: int, bound: int, block_space: bool, judge_f3: bool) -> tuple[_Ca
     one holds at least ``_CALL_LANES`` lanes.  A plan of at most
     ``_PLAN_COLUMN_LANES`` lanes keeps the columns of each call
     (``algebra._lane_columns``), so that at each n a call only packs them
-    at its width.  It depends on its arguments alone, so a worker that
+    at its width, and only such a plan has the kernel's logs of its calls
+    kept beside it (``_Rank``), which lie outside the plan so that the plan
+    stays immutable.  It depends on its arguments alone, so a worker that
     did not inherit it would build the same one.
     """
-    spaces, units, plans = _spaces(rank, bound, block_space)
+    spaces, units, plans, _ = _spaces(rank, bound, block_space)
     if judge_f3 in plans:
         return plans[judge_f3]
     splits: dict[tuple[int, int], tuple[int, bytes]] = {}
@@ -927,9 +944,14 @@ def _judge_units(
     Returns (pairs evaluated, rejection counts, survivors), each survivor
     the flat (A_s, A_t) of a surviving representative.  Each call charges
     its F3 failures (``_f3_split``) and judges its representatives one lane
-    each in ``algebra._kl_recursion`` at the width n needs, of which only
-    the outcomes are read, and each verdict is charged to every pair of
-    its orbit.
+    each.  The verdicts come from the call's event log
+    (``algebra._replay``): the one the rank's ``_spaces`` entry keeps when
+    it was run to some N >= n, else a new ``algebra._kl_recursion`` run to
+    n, which replaces the kept one when the plan keeps its columns.  Each
+    filter is charged the orbit sizes of the lanes it failed, and the
+    surviving lanes are picked, both by the log's lane flags.  A forked
+    worker reads the logs the parent kept, and the ones it builds die with
+    it, so the reports are the same at every worker count.
 
     The kernel gives each lane's first failing filter in the order F4, F2,
     F5.  Its preconditions are F1, nonnegative entries and, when F3 is
@@ -943,21 +965,38 @@ def _judge_units(
     """
     n, rank, bound, enabled, start, stop = payload
     check_support = "F4" in enabled
+    block_space, judge_f3 = "F7" in enabled, "F3" in enabled
+    plan = _plan(rank, bound, block_space, judge_f3)
+    logs = _spaces(rank, bound, block_space).logs.setdefault((judge_f3, check_support), {})
     evaluated = 0
     rejections: dict[str, int] = {}
     survivors = []
-    for call in _plan(rank, bound, "F7" in enabled, "F3" in enabled)[start:stop]:
+    for position in range(start, stop):
+        call = plan[position]
         if call.f3_failures:
             evaluated += call.f3_failures
             rejections["F3"] = rejections.get("F3", 0) + call.f3_failures
-        columns = call.columns if call.columns is not None else _lane_columns(*_call_generators(call.parts))
-        lanes = itertools.chain.from_iterable(map(_part_lanes, call.parts))
-        for (gen_s, gen_t, weight), failed in zip(lanes, _kl_recursion(n, columns, check_support)[2]):
-            evaluated += weight
-            if failed is None:
-                survivors.append((gen_s.flat, gen_t.flat))
-            else:
-                rejections[failed] = rejections.get(failed, 0) + weight
+        kept = logs.get(position)
+        if kept is not None and kept[0] >= n:
+            log = kept[1]
+        else:
+            log = []
+            columns = call.columns if call.columns is not None else _lane_columns(*_call_generators(call.parts))
+            _kl_recursion(n, columns, check_support, log)
+            if call.columns is not None:
+                logs[position] = (n, log)
+        weights = memoryview(b"".join([part[3] for part in call.parts])).cast("H")
+        lanes = len(weights)
+        failed, alive = _replay(log, lanes, n)
+        evaluated += sum(weights)
+        for tag, bits in failed.items():
+            if bits:
+                charged = sum(itertools.compress(weights, bits.to_bytes(lanes, "little")))
+                rejections[tag] = rejections.get(tag, 0) + charged
+        if alive:
+            call_lanes = itertools.chain.from_iterable(map(_part_lanes, call.parts))
+            chosen = itertools.compress(call_lanes, alive.to_bytes(lanes, "little"))
+            survivors += [(gen_s.flat, gen_t.flat) for gen_s, gen_t, _ in chosen]
     return evaluated, tuple(sorted(rejections.items())), survivors
 
 
@@ -1122,7 +1161,12 @@ def _classify_rank(
 
 
 def _check_search_arguments(n: int, ranks: tuple[int, ...], entry_bound: int, jobs: int) -> None:
-    """Reject the arguments of a search that cannot run (ValueError)."""
+    """Reject the arguments of a search that cannot run, before any space
+    is built: TypeError for one that is not an int (a bool is not one
+    here), ValueError for one out of range."""
+    for name, value in (("n", n), *(("a rank", r) for r in ranks), ("the entry bound", entry_bound), ("jobs", jobs)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an int, got {value!r}")
     if n < 3:
         raise ValueError(f"dihedral parameter must be >= 3, got {n}")
     if not ranks:

@@ -35,7 +35,8 @@ reads each packed matrix back when it is first looked up
 ``classify.run_filters`` renders its F4, F2 and F5 reports from it.
 The classification search calls the kernel directly, one representative
 per orbit per lane and the lanes of several work units per call, with
-columns it builds once for every n, and reads each lane's outcome alone
+columns it builds once for every n, and reads each lane's verdict alone,
+off the events the call logs, which serve every smaller n as well
 (``classify._judge_units``).
 
 The named filters on candidates:

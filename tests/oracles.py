@@ -271,7 +271,15 @@ def kl_recursion_oracle(n, rank, a_s, a_t, check_support=False):
     (matrices, width, outcome, negative) as ``algebra._kl_recursion``."""
     r = rank
     generators = [[a[i * r : (i + 1) * r] for i in range(r)] for a in (a_s, a_t)]
-    width = n * (max(map(sum, generators[0] + generators[1])) + 1).bit_length() + 1
+    # the largest row l1 norm of the s- and t-leading elements of each
+    # length, by S_l <= c_s T_(l-1) + S_(l-2) and the same with s and t
+    # exchanged, from the identity (norm 1) and the generators
+    c_s, c_t = (max(map(sum, rows)) for rows in generators)
+    norms = {"s": [1, c_s], "t": [1, c_t]}
+    for length in range(2, n + 1):
+        norms["s"].append(c_s * norms["t"][length - 1] + norms["s"][length - 2])
+        norms["t"].append(c_t * norms["s"][length - 1] + norms["t"][length - 2])
+    width = max(norms["s"] + norms["t"]).bit_length() + 1
     shifts = range(0, width * r, width)
     offset = sum(1 << (shift + width - 1) for shift in shifts)
     terms = [[tuple(itertools.compress(enumerate(row), row)) for row in rows] for rows in generators]

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from klcells.algebra import _Generator, structure_constants
+from klcells.algebra import _Generator, _charge, _kl_recursion, _lane_columns, _replay, structure_constants
 from klcells.cells import cell_module, compute_cells, left_cell_name, right_cell_module
 from klcells.classify import (
     ALL_FILTERS,
@@ -984,7 +984,7 @@ def test_bulk_f3_matches_plain_enumeration_of_each_unit(rank, bound, block_space
     # surviving representatives with the same orbit sizes.  The plan, which
     # judges F3 once per support of A_s, charges the same failures and
     # keeps the same representatives.
-    spaces, units, _ = _spaces(rank, bound, block_space)
+    spaces, units, *_ = _spaces(rank, bound, block_space)
     failures, lanes = 0, []
     for j, i in units:
         space = spaces[j]
@@ -1126,6 +1126,32 @@ def test_validation_errors():
             enumerate_candidates(4, 2, jobs=jobs)
 
 
+@pytest.mark.parametrize(
+    "arguments",
+    [
+        {"n": 4.0},
+        {"n": True},
+        {"n": "4"},
+        {"n": 4, "ranks": (2.0,)},
+        {"n": 4, "ranks": (True,), "entry_bound": 2},
+        {"n": 4, "ranks": (1, "2")},
+        {"n": 4, "entry_bound": True},
+        {"n": 4, "entry_bound": 2.0},
+        {"n": 4, "jobs": 1.0},
+        {"n": 4, "jobs": True},
+    ],
+)
+def test_search_arguments_of_the_wrong_type(cold_plans, arguments):
+    # an argument that is not an int, or is a bool, is refused before any
+    # space is built, by both entry points
+    with pytest.raises(TypeError, match="must be an int"):
+        classify(**arguments)
+    rank = arguments.get("ranks", (1,))[-1]
+    with pytest.raises(TypeError, match="must be an int"):
+        enumerate_candidates(arguments["n"], rank, arguments.get("entry_bound", 2), jobs=arguments.get("jobs", 1))
+    assert _spaces.cache_info().currsize == 0
+
+
 # (search, the filters it runs with off): F3 on, F3 off, and F3 and F4 off,
 # at the same ranks and bound, so plans with and without F3 share a space
 WARM_SEARCHES = (
@@ -1161,6 +1187,106 @@ def test_a_warm_plan_is_invisible(cold_plans, search, variants):
         assert sorted(kept) == [False, True], rank
         now = _spaces(rank, 2, block_space).plans
         assert now.keys() == kept.keys() and all(now[key] is plan for key, plan in kept.items()), rank
+
+
+# every plan of the searches the kernel logs, with and without F3
+LOGGED_PLANS = [(rank, True) for rank in (1, 2, 3, 4)] + [(rank, False) for rank in (1, 2, 3)]
+
+
+def replayed(log, lanes, n):
+    """Each lane's verdict at n read off a kernel log (``_replay``), as the
+    outcomes of ``_kl_recursion``; the lanes alive are those no filter
+    failed."""
+    failed, alive = _replay(log, lanes, n)
+    out = [None] * lanes
+    for tag, bits in failed.items():
+        for lane, flag in enumerate(bits.to_bytes(lanes, "little")):
+            if flag:
+                assert out[lane] is None, (lane, tag)
+                out[lane] = tag
+    assert alive.to_bytes(lanes, "little") == bytes(0x80 if verdict is None else 0 for verdict in out)
+    return out
+
+
+@pytest.mark.parametrize("rank, block_space", LOGGED_PLANS)
+def test_one_logged_run_gives_the_verdicts_of_every_smaller_n(rank, block_space):
+    # every call of the plan, F3 judged or not, F4 on or off: the events
+    # one run to N = 12 logs, replayed at each n = 3..12, are lane by lane
+    # the outcomes of a fresh kernel run to n
+    for judge_f3 in (False, True):
+        for call in _plan(rank, 2, block_space, judge_f3):
+            lanes = call.columns.lanes
+            for check_support in (False, True):
+                log = []
+                assert _kl_recursion(12, call.columns, check_support, log)[2] is None
+                assert len(log) <= 12
+                for n in range(3, 13):
+                    expected = _kl_recursion(n, call.columns, check_support)[2]
+                    assert replayed(log, lanes, n) == expected, (judge_f3, check_support, n)
+
+
+def test_a_run_that_stops_early_is_read_at_its_stop_length_and_either_side():
+    # calls of the rank-3 variety at E=2 whose every lane fails at a length
+    # L before N = 12, grouped by L and by the event that fails the lane
+    # last (F2 or F4 on s_L, F2 or F4 on t_L): the log ends at L, and its
+    # record of L holds t_L and whether s_L = t_L also where every lane
+    # failed on s_L, so it is read at n = L, the routes to w0, as well as
+    # at L - 1 and L + 1
+    rank = 3
+    gens = [_Generator(a, rank) for a in _f1_matrices(rank, 2)]
+    groups = {}
+    for gen_s, gen_t in itertools.product(gens, repeat=2):
+        log = []
+        _kl_recursion(12, _lane_columns([gen_s], [gen_t]), True, log)
+        if len(log) < 12:
+            alive, failed = int.from_bytes(b"\x80", "little"), {"F2": 0, "F4": 0, "F5": 0}
+            for record in log:
+                alive, stop = _charge(record, False, alive, failed)
+            lanes = groups.setdefault(len(log), {}).setdefault(stop, [])
+            if len(lanes) < 8:
+                lanes.append((gen_s, gen_t))
+    assert sorted(groups) == [1, 2, 3, 4, 5, 6, 7]
+    assert {stop for stops in groups.values() for stop in stops} == {0, 1, 2, 3}
+    for stop_length, stops in groups.items():
+        lanes = [lane for group in stops.values() for lane in group]
+        columns = _lane_columns(*zip(*lanes))
+        for check_support in (False, True):
+            log = []
+            _kl_recursion(12, columns, check_support, log)
+            if check_support:
+                assert len(log) == stop_length
+            for n in range(max(3, stop_length - 1), stop_length + 2):
+                expected = _kl_recursion(n, columns, check_support)[2]
+                assert replayed(log, len(lanes), n) == expected, (stop_length, check_support, n)
+
+
+def test_a_search_below_a_logged_n_runs_no_kernel(monkeypatch, cold_plans):
+    # a search at n = 12 runs the kernel once per call of its plans and logs
+    # each call; every smaller n of the same search then reads the logs and
+    # runs none.  A sweep upwards runs every call again at every n, as a
+    # log only serves the n up to its own.
+    calls = []
+    kernel = classify_module._kl_recursion
+
+    def counted(n, *args):
+        calls.append(n)
+        return kernel(n, *args)
+
+    monkeypatch.setattr(classify_module, "_kl_recursion", counted)
+    for search in (BLOCK_SEARCH, VARIETY_SEARCH):
+        block_space = "F7" not in search.get("disabled", ())
+        planned = sum(len(_plan(rank, 2, block_space, True)) for rank in search["ranks"])
+        classify(12, **search)
+        assert calls == [12] * planned
+        calls.clear()
+        for n in range(11, 2, -1):
+            classify(n, **search)
+        assert calls == []
+        _spaces.cache_clear()
+        for n in range(3, 13):
+            classify(n, **search)
+            assert calls == [n] * planned, n
+            calls.clear()
 
 
 def test_cached_plans_are_immutable():

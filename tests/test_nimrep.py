@@ -19,7 +19,16 @@ from klcells.classify import (
     run_filters,
 )
 from klcells.dihedral import dihedral_group, render
-from klcells.exact import _top_real_root_is_simple, char_poly, is_zero_matrix, mat_add, poly_eval_matrix, poly_mul
+from klcells.exact import (
+    _top_real_root_is_simple,
+    char_poly,
+    identity_matrix,
+    is_zero_matrix,
+    mat_add,
+    mat_sub,
+    poly_eval_matrix,
+    poly_mul,
+)
 from klcells.nimrep import (
     ExtendedRep,
     ExtensionFailure,
@@ -47,6 +56,7 @@ from klcells.algebra import (
     _pair_columns,
     _support,
     _unpack,
+    _width,
     kl_regular_matrices,
 )
 from oracles import (
@@ -325,6 +335,49 @@ def test_a_lane_is_the_same_alone_in_its_unit_and_among_every_unit(n):
                 for call_outcome, entries in (mixed[lane], alone[lane]):
                     assert call_outcome == outcome, (rank, gen_s.flat, gen_t.flat)
                     assert entries[: len(family)] == _unpack(family, oracle_width), (rank, gen_s.flat, gen_t.flat)
+
+
+def exact_levels(n, rank, a_s, a_t):
+    """[(A_x_l with x = s, with x = t) for l = 0..n] of a flat pair by tuple
+    products, through both routes to w0 and whatever the signs: the
+    matrices a lane holds, also after it has failed."""
+    theta = [_square(a, rank) for a in (a_s, a_t)]
+    levels = [(identity_matrix(rank),) * 2, tuple(theta)]
+    for length in range(2, n + 1):
+        levels.append(
+            tuple(
+                mat_sub(mat_mul_oracle(theta[x], levels[-1][1 - x]), levels[-2][x])
+                if length > 2
+                else mat_mul_oracle(theta[x], theta[1 - x])
+                for x in (0, 1)
+            )
+        )
+    return levels
+
+
+@pytest.mark.parametrize("n", (3, 7))
+def test_every_entry_of_a_whole_space_call_lies_within_its_width(n):
+    # one call per A_s over every block pair the kernel tests judge, with
+    # no support check so that failed lanes are carried furthest: every
+    # entry each lane holds is its exact entry, failed lanes included, and
+    # every exact entry up to both routes to w0 lies strictly within
+    # +-2^(width-1), at the width of the call and at that of the lane alone
+    batches = {}
+    for rank, bound in BLOCK_SPACES:
+        for p in raw_block_pairs(n, rank, bound):
+            a_s, a_t = tuple(_flatten(p.theta_s)), tuple(_flatten(p.theta_t))
+            batches.setdefault((rank, a_s), []).append(a_t)
+    assert sum(map(len, batches.values())) == 8766
+    for (rank, a_s), gens_t in batches.items():
+        lanes = [_Generator(a_t, rank) for a_t in gens_t]
+        matrices, width, _, _ = kernel(n, [_Generator(a_s, rank)] * len(lanes), lanes)
+        for a_t, entries in zip(gens_t, lane_entries(matrices, width, len(gens_t))):
+            levels = exact_levels(n, rank, a_s, a_t)
+            family = [levels[0][0]] + [m for level in levels[1:n] for m in level] + [levels[n][0]]
+            assert entries == family[: len(entries)], (n, a_s, a_t)
+            largest = max(abs(v) for level in levels for m in level for row in m for v in row)
+            alone = _width(n, (max(map(sum, _square(a_s, rank))), max(map(sum, _square(a_t, rank)))))
+            assert largest < 2 ** (min(width, alone) - 1), (n, a_s, a_t)
 
 
 def lane_entries(matrices, width, lanes):
