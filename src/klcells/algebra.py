@@ -32,10 +32,11 @@ generator pair (``cells.cell_module``, run when a matrix past the
 generators is first read), and ``nimrep.extend`` runs it on one
 candidate pair; the family is unpacked matrix by matrix as it is read.
 The classification search prepares each generator once, judges the pairs
-of several work units in one call, keeps the columns of its calls for
-every n it searches, and reads only each lane's verdict, off the events
-the call logs length by length, which also give the verdicts of every
-smaller n (``_replay``).
+of several work units in one call, and keeps the columns of its calls for
+every n it searches.  Every call logs its events length by length, and
+every verdict, of one pair or of a lane of the search, is read off that
+log (``_replay``); the log of a run to n gives the verdicts of every
+smaller n as well.
 
 The independent route, plain convolution in the group basis followed by
 conversion back, lives in the checks: verification check A1 compares every
@@ -505,32 +506,39 @@ def _charge(record: _Record, last: bool, alive: int, failed: dict[str, int]) -> 
 
 
 def _replay(log: Sequence[_Record], lanes: int, n: int) -> tuple[dict[str, int], int]:
-    """The verdicts at n of the lanes of a logged ``_kl_recursion`` run to
-    some N >= n: (the lanes failed, by filter, and the lanes alive), one
-    byte per lane, 0x80 where set.  Below length n it charges the events
-    the run logged in the kernel's order, and at n reads s_n and t_n as the
-    two routes to w0 (``_charge``); no product is built.
+    """The verdicts at n of the lanes of a ``_kl_recursion`` run to some
+    N >= n, read off its log: (the lanes failed, by filter, and the lanes
+    alive), one byte per lane, 0x80 where set.  Below length n it charges
+    the events the run logged in the kernel's order, and at n reads s_n
+    and t_n as the two routes to w0 (``_charge``); no product is built.
+    This is the one reader of a log, for a one-lane family
+    (``_kl_family``, ``_module_family``) and for the search's calls
+    (``classify._judge_units``) alike.
     """
     alive = int.from_bytes(b"\x80" * lanes, "little")
     failed = {"F2": 0, "F4": 0, "F5": 0}
     for length, record in enumerate(log[:n], 1):
-        alive, stop = _charge(record, length == n, alive, failed)
-        if stop is not None:
-            break
+        # a quiet record charges nothing below n; at n it fails F5
+        if record is not _QUIET or length == n:
+            alive, stop = _charge(record, length == n, alive, failed)
+            if stop is not None:
+                break
     return failed, alive
 
 
 def _kl_recursion(
-    n: int, columns: _Columns, check_support: bool = False, log: list[_Record] | None = None
-) -> tuple[list[list[int]], int, list[str | None] | None, list[int] | None]:
-    """The KL families of the lanes of ``columns``, packed.
+    n: int, columns: _Columns, check_support: bool = False
+) -> tuple[list[list[int]], int, list[_Record], list[int] | None]:
+    """The KL families of the lanes of ``columns``, packed, and their log.
 
-    Returns (matrices, width, outcomes, negative).  ``matrices`` lists the
+    Returns (matrices, width, log, negative).  ``matrices`` lists the
     lane-packed family in the order e, s, t, st, ts, sts, tst, ..., then w0:
     the element of length l leading with s (t) sits at index 2l - 1 (2l),
     w0 at 2n - 1.  The recursion stops as soon as every lane has failed;
-    the list holds what was built before that.  ``outcomes`` has one entry
-    per lane: None for a complete family, "F2" for a negative matrix, "F5"
+    the list holds what was built before that.  ``log`` holds the
+    ``_Record`` of each length the call reaches, from 1, over the lanes
+    alive when the length starts, and ``_replay`` reads each lane's verdict
+    off it: None for a complete family, "F2" for a negative matrix, "F5"
     when the two routes to w0 disagree, and, when ``check_support`` is set,
     "F4" for a lane whose A_s or A_t is nonzero and in which a matrix of
     length 1..n-1 vanishes.  That is exactly when the partial family meets
@@ -548,12 +556,11 @@ def _kl_recursion(
     family and, for F2, its element is the next index (w0 when all 2n - 1
     lower matrices are built).
 
-    With ``log``, a list, the call appends the ``_Record`` of each length
-    it reaches, from 1, over the lanes alive when the length starts, and
-    returns None for ``outcomes``: ``_replay`` reads them off the log at n
-    and at every smaller n, as below length n nothing depends on n and the
-    routes to w0 at n are the products s_n and t_n of any longer run.  So
-    both products of a length are built before its events are charged.
+    The log of a run to n also gives the verdicts of every smaller n, as
+    below length n nothing depends on n and the routes to w0 at n are the
+    products s_n and t_n of any longer run.  So both products of a length
+    are built, and whether they agree is logged, before its events are
+    charged.
 
     Only the width depends on n (``_width``), so the columns of a call
     serve every n (``classify`` keeps them with its search plan); this
@@ -599,27 +606,15 @@ def _kl_recursion(
         # the lanes with an entry whose field has its high bit clear
         return lanes_nonzero(offsets & ~functools.reduce(operator.and_, shifted))
 
-    def logged(record: _Record) -> None:
+    def flags(record: _Record) -> _Record:
         # the record over the lanes alive, a flag byte per lane: the byte
         # of each lane's top bit
-        if not any(record):
-            log.append(_QUIET)
-            return
         size = lanes * stride
         events = [(bits & alive).to_bytes(size, "little")[stride - 1 :: stride] for bits in record]
-        log.append(tuple([int.from_bytes(flags, "little") for flags in events]))
+        return tuple([int.from_bytes(lane_flags, "little") for lane_flags in events])
 
-    def outcomes() -> list[str | None] | None:
-        if log is not None:
-            return None
-        out: list[str | None] = [None] * lanes
-        for tag, bits in failed.items():
-            if bits:
-                flags = bits.to_bytes(lanes * stride, "little")[stride - 1 :: stride]
-                for lane in itertools.compress(range(lanes), flags):
-                    out[lane] = tag
-        return out
-
+    # most lengths have no event, and log the shared _QUIET
+    log: list[_Record] = [_QUIET]
     failed = {"F2": 0, "F4": 0, "F5": 0}
     alive = top
     if check_support:
@@ -629,13 +624,11 @@ def _kl_recursion(
         nonzero_s, nonzero_t = (lanes_nonzero(functools.reduce(operator.or_, rows)) for rows in packed)
         checked = nonzero_s | nonzero_t
         record = (0, nonzero_s ^ nonzero_t, 0, 0, 0)
-        if log is not None:
-            logged(record)
-        alive, stop = _charge(record, False, alive, failed)
-        if stop is not None:
-            return matrices, width, outcomes(), None
-    elif log is not None:
-        log.append(_QUIET)
+        if record[1]:
+            log[0] = flags(record)
+            alive, stop = _charge(record, False, alive, failed)
+            if stop is not None:
+                return matrices, width, log, None
 
     for length in range(2, n + 1):
         last = length == n
@@ -644,28 +637,27 @@ def _kl_recursion(
         shifted_s = [row + offsets for row in s]
         shifted_t = [row + offsets for row in t]
         f2_s, f2_t = negative_lanes(shifted_s), negative_lanes(shifted_t)
-        f4_s = f4_t = same = 0
+        f4_s = f4_t = 0
         if check_support and not last:
             # the checked lanes whose product is zero
             f4_s = checked & ~lanes_nonzero(functools.reduce(operator.or_, [row ^ offsets for row in shifted_s]))
             f4_t = checked & ~lanes_nonzero(functools.reduce(operator.or_, [row ^ offsets for row in shifted_t]))
-        if log is not None or last and alive & ~(f2_s | f2_t):
-            same = top & ~lanes_nonzero(functools.reduce(operator.or_, map(operator.xor, shifted_s, shifted_t)))
-        if log is not None:
-            logged((f2_s, f4_s, f2_t, f4_t, same))
+        same = top & ~lanes_nonzero(functools.reduce(operator.or_, map(operator.xor, shifted_s, shifted_t)))
+        record = (f2_s, f4_s, f2_t, f4_t, same)
+        log.append(flags(record) if (f2_s | f4_s | f2_t | f4_t | same) & alive else _QUIET)
         if (f2_s | f4_s | f2_t | f4_t | (top ^ same if last else 0)) & alive:
-            alive, stop = _charge((f2_s, f4_s, f2_t, f4_t, same), last, alive, failed)
+            alive, stop = _charge(record, last, alive, failed)
             if stop is not None:
                 # every lane has failed: a product is kept once its F2
                 # test has passed, and ``negative`` is the one that failed
                 # the last lanes
                 if last:
-                    return matrices, width, outcomes(), (s, t, None)[stop]
+                    return matrices, width, log, (s, t, None)[stop]
                 matrices += (s, t)[: (stop + 1) // 2]
-                return matrices, width, outcomes(), (s, None, t, None)[stop]
+                return matrices, width, log, (s, None, t, None)[stop]
         # at n the s route is w0
         matrices += (s,) if last else (s, t)
-    return matrices, width, outcomes(), None
+    return matrices, width, log, None
 
 
 @functools.lru_cache(maxsize=None)
@@ -784,10 +776,13 @@ def _kl_family(
 
     Returns (family, outcome, negative): every matrix built, in the
     all_elements order (A_e, A_s and A_t are the inputs themselves, the
-    others are unpacked when first read), the kernel's outcome, and for F2
-    the negative matrix, which is not in the family.
+    others are unpacked when first read), the verdict read off the
+    kernel's log, and for F2 the negative matrix, which is not in the
+    family.
     """
-    matrices, width, (outcome,), negative = _kl_recursion(n, _pair_columns(theta_s, theta_t), check_support)
+    matrices, width, log, negative = _kl_recursion(n, _pair_columns(theta_s, theta_t), check_support)
+    failed, alive = _replay(log, 1, n)
+    outcome = None if alive else max(failed, key=failed.get)  # the one filter that failed the lane
     family = _PackedFamily(n, len(matrices), theta_s, theta_t, lambda: (matrices, width))
     return family, outcome, (_unpack([negative], width)[0] if negative is not None else None)
 
@@ -802,8 +797,9 @@ def _module_family(n: int, theta_s: IntMatrix, theta_t: IntMatrix) -> Mapping[Gr
     """
 
     def build() -> tuple[list[list[int]], int]:
-        matrices, width, (outcome,), _ = _kl_recursion(n, _pair_columns(theta_s, theta_t))
-        assert outcome is None, f"the KL family of a module cannot fail {outcome}"
+        matrices, width, log, _ = _kl_recursion(n, _pair_columns(theta_s, theta_t))
+        failed, alive = _replay(log, 1, n)
+        assert alive, f"the KL family of a module cannot fail {max(failed, key=failed.get)}"
         return matrices, width
 
     return _PackedFamily(n, 2 * n, theta_s, theta_t, build)

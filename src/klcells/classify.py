@@ -980,9 +980,8 @@ def _judge_units(
         if kept is not None and kept[0] >= n:
             log = kept[1]
         else:
-            log = []
             columns = call.columns if call.columns is not None else _lane_columns(*_call_generators(call.parts))
-            _kl_recursion(n, columns, check_support, log)
+            log = _kl_recursion(n, columns, check_support)[2]
             if call.columns is not None:
                 logs[position] = (n, log)
         weights = memoryview(b"".join([part[3] for part in call.parts])).cast("H")
@@ -1027,11 +1026,11 @@ def _annotate(
     (``algebra._module_family``).
 
     Decomposition.  ``reps._module_decomposition`` counts the simples from
-    the traces of (ST)^j for j <= n/2, in floor(n/2) products, and checks
-    no relation: a survivor passes F1 and F5, so it is a D_n-module, as F1
-    makes S = A_s - I and T = A_t - I involutions and F5 is (ST)^n = I
-    (``run_filters``).  ``decompose``, which checks them, is the tests'
-    oracle.
+    the traces of (ST)^j for j <= n/2, in ceil(floor(n/2)/2) products
+    (``reps._rotation_traces``), and checks no relation: a survivor passes
+    F1 and F5, so it is a D_n-module, as F1 makes S = A_s - I and
+    T = A_t - I involutions and F5 is (ST)^n = I (``run_filters``).
+    ``decompose``, which checks them, is the tests' oracle.
 
     Apex.  A_w0 is rho(b) of an alternating word of length n
     (``run_filters``), the sum of that word and every shorter element,
@@ -1160,11 +1159,12 @@ def _classify_rank(
     return evaluated, rejections, candidates
 
 
-def _check_search_arguments(n: int, ranks: tuple[int, ...], entry_bound: int, jobs: int) -> None:
+def _check_search_arguments(n: int, ranks: tuple[int, ...], entry_bound: int, jobs: int, max_states: int = 0) -> None:
     """Reject the arguments of a search that cannot run, before any space
     is built: TypeError for one that is not an int (a bool is not one
-    here), ValueError for one out of range."""
-    for name, value in (("n", n), *(("a rank", r) for r in ranks), ("the entry bound", entry_bound), ("jobs", jobs)):
+    here), ValueError for one out of range, which no int ``max_states`` is."""
+    named = (("n", n), *(("a rank", r) for r in ranks), ("the entry bound", entry_bound), ("jobs", jobs))
+    for name, value in (*named, ("max_states", max_states)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise TypeError(f"{name} must be an int, got {value!r}")
     if n < 3:
@@ -1209,7 +1209,7 @@ def classify(
     started = time.monotonic()
     enabled = normalize_filters(disabled)
     ranks = tuple(ranks)
-    _check_search_arguments(n, ranks, entry_bound, jobs)
+    _check_search_arguments(n, ranks, entry_bound, jobs, max_states)
     block_space = "F7" in enabled
     budget = sum(_rank_budget(r, entry_bound, block_space) for r in ranks)
     guard_tripped = budget > max_states

@@ -28,15 +28,16 @@ lanes that hold each value of an entry that varies), and holds each matrix
 of every lane's family as one integer per row, the lanes side by side, so
 a step A_x A_w' - A_w'' serves every lane with a few integer operations
 per term of A_x, and the sign and zero tests cost a few operations per
-row whatever the number of lanes.  ``extend`` is a one-lane call, read
-straight off the rows of its pair, whose family, keyed by group element,
-reads each packed matrix back when it is first looked up
-(``algebra._kl_family``); it writes the witness, and
-``classify.run_filters`` renders its F4, F2 and F5 reports from it.
-The classification search calls the kernel directly, one representative
-per orbit per lane and the lanes of several work units per call, with
-columns it builds once for every n, and reads each lane's verdict alone,
-off the events the call logs, which serve every smaller n as well
+row whatever the number of lanes.  Every call logs its events length by
+length, and each lane's verdict is read off that log alone
+(``algebra._replay``).  ``extend`` is a one-lane call, read straight off
+the rows of its pair, whose family, keyed by group element, reads each
+packed matrix back when it is first looked up (``algebra._kl_family``);
+it writes the witness, and ``classify.run_filters`` renders its F4, F2
+and F5 reports from it.  The classification search calls the kernel
+directly, one representative per orbit per lane and the lanes of several
+work units per call, with columns it builds once for every n, and keeps
+each call's log, which serves every smaller n as well
 (``classify._judge_units``).
 
 The named filters on candidates:

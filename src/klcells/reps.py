@@ -23,14 +23,13 @@ cosine being -1/2, 0 or 1/2).
 b(s) and b(t) over the integers alone: it checks the defining relations
 exactly, counts the eigenvalues of the rotation st by their order from the
 traces of its powers, and separates the one-dimensional modules by the
-traces of s and t.  The powers of st have one builder
-(``_rotation_powers``), and every a_j = tr (ST)^j in the package comes
-from them: ``decompose`` checks the relations on the powers it counts and
-reads a_j off their diagonals, and ``_module_decomposition`` counts
-without a check, for the surviving classes of the search
-(``classify._annotate``), which the filters have already proved to be
-D_n-modules; it builds the powers up to about n/4 and reads each further
-a_j as the trace of a product of two of them (``_rotation_traces``).
+traces of s and t.  Every a_j = tr (ST)^j in the package comes from one
+place (``_rotation_traces``): it builds the powers of st up to about n/4
+and reads each further a_j as the trace of a product of two of them.
+``decompose`` checks the relations on the powers it built, and
+``_module_decomposition`` counts with no check, for the surviving classes
+of the search (``classify._annotate``), which the filters have already
+proved to be D_n-modules.
 ``char_poly_two_dim`` gives the characteristic polynomial of b(s) + b(t)
 on a two-dimensional module, in floats with the exact integers where they
 exist; ``decompose`` does not use it.
@@ -197,37 +196,32 @@ class Decomposition:
         return " ⊕ ".join(parts)
 
 
-def _rotation_powers(s_mat: IntMatrix, t_mat: IntMatrix, top: int) -> list[IntMatrix]:
-    """[P_0, ..., P_top] with P_j = (ST)^j, for top >= 1, in top products:
-    P_(j+1) = P_1 P_j, so each power costs what the nonzero entries of P_1
-    cost."""
-    powers = [identity_matrix(len(s_mat)), mat_mul(s_mat, t_mat)]
-    while len(powers) <= top:
-        powers.append(mat_mul(powers[1], powers[-1]))
-    return powers
-
-
-def _rotation_traces(s_mat: IntMatrix, t_mat: IntMatrix, top: int) -> list[int]:
-    """[a_0, ..., a_top] with a_j = tr (ST)^j, for top >= 1, from the
-    powers up to h = ceil(top/2) alone, in h products
-    (``_rotation_powers``): for j > h, a_j = tr P_h P_(j-h), the sum of
+def _rotation_traces(s_mat: IntMatrix, t_mat: IntMatrix, top: int) -> tuple[list[int], list[IntMatrix]]:
+    """([a_0, ..., a_top], [P_0, ..., P_h]) with a_j = tr (ST)^j,
+    P_j = (ST)^j and h = ceil(top/2), for top >= 1, in h products:
+    P_1 = S T and P_(j+1) = P_1 P_j, so each power costs what the nonzero
+    entries of P_1 cost.  For j > h, a_j = tr P_h P_(j-h), the sum of
     P_h[i][k] P_(j-h)[k][i] over i and k, which costs O(r^2) against the
     O(r^3) of the product."""
     half = (top + 1) // 2
-    powers = _rotation_powers(s_mat, t_mat, half)
+    powers = [identity_matrix(len(s_mat)), mat_mul(s_mat, t_mat)]
+    while len(powers) <= half:
+        powers.append(mat_mul(powers[1], powers[-1]))
     left = tuple(itertools.chain.from_iterable(zip(*powers[half])))  # P_h transposed, row-major
-    return [trace(p) for p in powers[: half + 1]] + [
-        sum(map(operator.mul, left, itertools.chain.from_iterable(powers[j - half]))) for j in range(half + 1, top + 1)
-    ]
+    traces = [trace(p) for p in powers[: half + 1]]
+    for j in range(half + 1, top + 1):
+        traces.append(sum(map(operator.mul, left, itertools.chain.from_iterable(powers[j - half]))))
+    return traces, powers
 
 
-def _checked_powers(n: int, a_s: IntMatrix, a_t: IntMatrix) -> tuple[IntMatrix, IntMatrix, list[IntMatrix]]:
-    """(S, T, [P_0, ..., P_h]) with S = A_s - I, T = A_t - I and
-    h = ceil(n/2), once the matrices are square of one size and the
-    defining relations S^2 = T^2 = (ST)^n = I hold exactly; otherwise
-    NotAModuleError names the first condition that fails.  The powers are
-    ``_rotation_powers``, and (ST)^n is the one further product
-    P_h P_(n-h).
+def _checked_traces(n: int, a_s: IntMatrix, a_t: IntMatrix) -> tuple[list[int], int, int]:
+    """([a_0, ..., a_m], tr S, tr T) with m = floor(n/2), S = A_s - I and
+    T = A_t - I, once the matrices are square of one size and the defining
+    relations S^2 = T^2 = (ST)^n = I hold exactly; otherwise
+    NotAModuleError names the first condition that fails.  The a_j come
+    from ``_rotation_traces``, and (ST)^n is checked on the powers it
+    built, P_j for j <= h = ceil(m/2): P_m = P_h P_(m-h), then P_m
+    squared, times P_1 when n is odd.
     """
     r = len(a_s)
     if any(len(row) != r for row in a_s) or len(a_t) != r or any(len(row) != r for row in a_t):
@@ -238,20 +232,25 @@ def _checked_powers(n: int, a_s: IntMatrix, a_t: IntMatrix) -> tuple[IntMatrix, 
         raise NotAModuleError("(A_s - I)^2 != I")
     if mat_mul(t_mat, t_mat) != ident:
         raise NotAModuleError("(A_t - I)^2 != I")
-    half = (n + 1) // 2
-    powers = _rotation_powers(s_mat, t_mat, half)
-    if mat_mul(powers[half], powers[n - half]) != ident:
+    top = n // 2
+    half = (top + 1) // 2
+    traces, powers = _rotation_traces(s_mat, t_mat, top)
+    middle = powers[half] if top == half else mat_mul(powers[half], powers[top - half])
+    rotation_n = mat_mul(middle, middle)
+    if n % 2:
+        rotation_n = mat_mul(rotation_n, powers[1])
+    if rotation_n != ident:
         raise NotAModuleError(f"((A_s - I)(A_t - I))^{n} != I")
-    return s_mat, t_mat, powers
+    return traces, trace(s_mat), trace(t_mat)
 
 
 def check_module_relations(n: int, a_s: IntMatrix, a_t: IntMatrix) -> str | None:
     """Exact relation check; returns the violated relation or None.
 
-    The check is the one ``decompose`` makes first (``_checked_powers``).
+    The check is the one ``decompose`` makes first (``_checked_traces``).
     """
     try:
-        _checked_powers(n, a_s, a_t)
+        _checked_traces(n, a_s, a_t)
     except NotAModuleError as error:
         return error.relation
     return None
@@ -261,13 +260,12 @@ def decompose(n: int, a_s: Sequence[Sequence[int]], a_t: Sequence[Sequence[int]]
     """Decompose the representation with b(s), b(t) acting by a_s, a_t.
 
     Raises NotAModuleError when the defining relations fail
-    (``_checked_powers``).  Only integers are used: the traces of the
-    powers P_j = (ST)^j, j <= n/2, that the check builds, and tr S and
-    tr T, with S = A_s - I and T = A_t - I; ``_count_simples`` turns them
-    into multiplicities.
+    (``_checked_traces``).  Only integers are used: the traces
+    a_j = tr (ST)^j, j <= n/2 (``_rotation_traces``), and tr S and tr T,
+    with S = A_s - I and T = A_t - I; ``_count_simples`` turns them into
+    multiplicities.
     """
-    s_mat, t_mat, powers = _checked_powers(n, freeze_matrix(a_s), freeze_matrix(a_t))
-    return _count_simples(n, [trace(p) for p in powers[: n // 2 + 1]], trace(s_mat), trace(t_mat))
+    return _count_simples(n, *_checked_traces(n, freeze_matrix(a_s), freeze_matrix(a_t)))
 
 
 def _module_decomposition(n: int, a_s: IntMatrix, a_t: IntMatrix) -> Decomposition:
@@ -278,7 +276,7 @@ def _module_decomposition(n: int, a_s: IntMatrix, a_t: IntMatrix) -> Decompositi
     """
     ident = identity_matrix(len(a_s))
     s_mat, t_mat = mat_sub(a_s, ident), mat_sub(a_t, ident)
-    return _count_simples(n, _rotation_traces(s_mat, t_mat, n // 2), trace(s_mat), trace(t_mat))
+    return _count_simples(n, _rotation_traces(s_mat, t_mat, n // 2)[0], trace(s_mat), trace(t_mat))
 
 
 def _count_simples(n: int, rotation_traces: Sequence[int], tr_s: int, tr_t: int) -> Decomposition:
@@ -287,10 +285,9 @@ def _count_simples(n: int, rotation_traces: Sequence[int], tr_s: int, tr_t: int)
     ``rotation_traces[j]`` is a_j = tr (ST)^j for 0 <= j <= n/2, and tr_s,
     tr_t are tr S and tr T, where S and T are the actions of s and t, so
     S^2 = T^2 = (ST)^n = I.  The terms come in the order of ``simples(n)``:
-    V(1,1), V(1,-1), V(-1,1), V(-1,-1), then k ascending.  ``decompose``
-    reads the a_j off the powers its check builds (``_rotation_powers``),
-    and the check-free ``_module_decomposition`` gets them from half as
-    many powers (``_rotation_traces``).
+    V(1,1), V(1,-1), V(-1,1), V(-1,-1), then k ascending.  Both
+    ``decompose`` and the check-free ``_module_decomposition`` get the a_j
+    from ``_rotation_traces``.
 
     Why it is exact.  (ST)^n = I, so ST is diagonalisable with n-th roots
     of unity as eigenvalues; let zeta = exp(2 pi i/n).  The traces

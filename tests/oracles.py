@@ -18,8 +18,13 @@ which is the search before orbit representatives, and returns the flat
 surviving pairs; the reports of ``classify`` must be the same bytes.
 ``kl_recursion_oracle`` is the flat-pair KL kernel that slices, sums and
 packs both generators on every call; ``algebra._kl_recursion``, which takes
-generators prepared once, must return the same tuple for one lane, and
-the same outcome and entries for each lane of a call with many.
+generators prepared once, must return the same matrices, width and
+negative matrix for one lane, and the same entries for each lane of a call
+with many, and its log must give each lane the oracle's outcome.
+``replayed`` turns a kernel log into one verdict per lane, as the tests
+compare them: it reads the lane masks ``algebra._replay`` gives, and checks
+that every lane has at most one verdict and is alive exactly when it has
+none.
 ``strongly_connected_oracle`` is F3 by breadth-first search over adjacency
 sets; ``nimrep._strongly_connected`` on a support bitmask must give the
 same verdict and the same missing vertex.
@@ -44,9 +49,8 @@ bases term by term through ``kl_expansion_oracle``, and
 rule, read off the length and leading letter, must give the same
 coefficients, and so must the columns of ``kl_regular_matrices``.
 ``module_traces_oracle`` reads the rotation traces of a complete KL family
-by inverting every trace with a running sum; the traces of
-``reps._rotation_powers`` must give the same, and so must
-``reps._rotation_traces``, which builds half the powers.
+by inverting every trace with a running sum; ``reps._rotation_traces``,
+which builds the powers of ST up to about n/4, must give the same.
 ``group_matrices_oracle`` builds the matrix of every group element from
 its reduced word, one product per element, and ``decompose_oracle`` reads
 the multiplicities from their traces after ``module_relations_oracle``,
@@ -73,6 +77,7 @@ import math
 import operator
 from collections import deque
 
+from klcells.algebra import _replay
 from klcells.dihedral import dihedral_group, display_key, other_letter, render
 from klcells.exact import (
     first_negative_entry,
@@ -266,9 +271,25 @@ def strongly_connected_oracle(q, r):
     return None
 
 
+def replayed(log, lanes, n):
+    """Each lane's verdict at n read off a kernel log (``_replay``): the
+    filter that failed it, or None; the lanes alive are those no filter
+    failed."""
+    failed, alive = _replay(log, lanes, n)
+    out = [None] * lanes
+    for tag, bits in failed.items():
+        for lane, flag in enumerate(bits.to_bytes(lanes, "little")):
+            if flag:
+                assert out[lane] is None, (lane, tag)
+                out[lane] = tag
+    assert alive.to_bytes(lanes, "little") == bytes(0x80 if verdict is None else 0 for verdict in out)
+    return out
+
+
 def kl_recursion_oracle(n, rank, a_s, a_t, check_support=False):
     """The KL kernel on a flat generator pair, everything rebuilt per call:
-    (matrices, width, outcome, negative) as ``algebra._kl_recursion``."""
+    (matrices, width, outcome, negative) as ``algebra._kl_recursion``
+    gives them for one lane, its log read by ``replayed``."""
     r = rank
     generators = [[a[i * r : (i + 1) * r] for i in range(r)] for a in (a_s, a_t)]
     # the largest row l1 norm of the s- and t-leading elements of each

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from klcells.algebra import _Generator, _charge, _kl_recursion, _lane_columns, _replay, structure_constants
+from klcells.algebra import _Generator, _charge, _kl_recursion, _lane_columns, structure_constants
 from klcells.cells import cell_module, compute_cells, left_cell_name, right_cell_module
 from klcells.classify import (
     ALL_FILTERS,
@@ -54,7 +54,7 @@ from klcells.nimrep import (
     check_block_form,
     check_transitive,
 )
-from klcells.reps import OneDim, _rotation_powers, _rotation_traces, decompose
+from klcells.reps import OneDim, _rotation_traces, decompose
 import oracles
 from oracles import (
     block_pair,
@@ -66,6 +66,7 @@ from oracles import (
     mat_mul_oracle,
     module_traces_oracle,
     raw_units,
+    replayed,
     run_filters_oracle,
 )
 
@@ -720,18 +721,19 @@ def test_indented_json_refuses_what_json_cannot_write():
 
 @pytest.mark.parametrize("n", range(3, 31))
 def test_module_traces_of_every_left_cell_module(n):
-    # the traces of the powers of ST, which decompose reads, and the traces
-    # from half the powers, which the check-free decomposition reads; the
-    # oracle inverts every trace of the KL family
+    # the traces a_j, j <= n/2, that decompose and the check-free
+    # decomposition read, and the traces of the powers up to about n/4 that
+    # give them, on which decompose checks (ST)^n = I; the oracle inverts
+    # every trace of the KL family
     for cell in compute_cells(n).left_cells:
         module = cell_module(n, cell)
         a_s, a_t = module.generator_pair()
         ident = identity_matrix(len(a_s))
         s_mat, t_mat = mat_sub(a_s, ident), mat_sub(a_t, ident)
         expected = module_traces_oracle(n, module.matrices)
-        powers = _rotation_powers(s_mat, t_mat, n // 2)
-        assert [trace(p) for p in powers] == expected, (n, left_cell_name(cell))
-        assert _rotation_traces(s_mat, t_mat, n // 2) == expected, (n, left_cell_name(cell))
+        traces, powers = _rotation_traces(s_mat, t_mat, n // 2)
+        assert traces == expected, (n, left_cell_name(cell))
+        assert [trace(p) for p in powers] == expected[: len(powers)], (n, left_cell_name(cell))
 
 
 def rotation_order(n, a_s, a_t):
@@ -1139,16 +1141,20 @@ def test_validation_errors():
         {"n": 4, "entry_bound": 2.0},
         {"n": 4, "jobs": 1.0},
         {"n": 4, "jobs": True},
+        {"n": 4, "ranks": (1, 2), "entry_bound": 2, "max_states": True},
+        {"n": 4, "ranks": (1, 2), "entry_bound": 2, "max_states": 10.0},
+        {"n": 4, "ranks": (1, 2), "entry_bound": 2, "max_states": None},
     ],
 )
 def test_search_arguments_of_the_wrong_type(cold_plans, arguments):
     # an argument that is not an int, or is a bool, is refused before any
-    # space is built, by both entry points
+    # space is built, by both entry points; only classify has max_states
     with pytest.raises(TypeError, match="must be an int"):
         classify(**arguments)
-    rank = arguments.get("ranks", (1,))[-1]
-    with pytest.raises(TypeError, match="must be an int"):
-        enumerate_candidates(arguments["n"], rank, arguments.get("entry_bound", 2), jobs=arguments.get("jobs", 1))
+    if "max_states" not in arguments:
+        rank = arguments.get("ranks", (1,))[-1]
+        with pytest.raises(TypeError, match="must be an int"):
+            enumerate_candidates(arguments["n"], rank, arguments.get("entry_bound", 2), jobs=arguments.get("jobs", 1))
     assert _spaces.cache_info().currsize == 0
 
 
@@ -1193,35 +1199,19 @@ def test_a_warm_plan_is_invisible(cold_plans, search, variants):
 LOGGED_PLANS = [(rank, True) for rank in (1, 2, 3, 4)] + [(rank, False) for rank in (1, 2, 3)]
 
 
-def replayed(log, lanes, n):
-    """Each lane's verdict at n read off a kernel log (``_replay``), as the
-    outcomes of ``_kl_recursion``; the lanes alive are those no filter
-    failed."""
-    failed, alive = _replay(log, lanes, n)
-    out = [None] * lanes
-    for tag, bits in failed.items():
-        for lane, flag in enumerate(bits.to_bytes(lanes, "little")):
-            if flag:
-                assert out[lane] is None, (lane, tag)
-                out[lane] = tag
-    assert alive.to_bytes(lanes, "little") == bytes(0x80 if verdict is None else 0 for verdict in out)
-    return out
-
-
 @pytest.mark.parametrize("rank, block_space", LOGGED_PLANS)
 def test_one_logged_run_gives_the_verdicts_of_every_smaller_n(rank, block_space):
     # every call of the plan, F3 judged or not, F4 on or off: the events
     # one run to N = 12 logs, replayed at each n = 3..12, are lane by lane
-    # the outcomes of a fresh kernel run to n
+    # the verdicts of a fresh kernel run to n, replayed at n
     for judge_f3 in (False, True):
         for call in _plan(rank, 2, block_space, judge_f3):
             lanes = call.columns.lanes
             for check_support in (False, True):
-                log = []
-                assert _kl_recursion(12, call.columns, check_support, log)[2] is None
+                log = _kl_recursion(12, call.columns, check_support)[2]
                 assert len(log) <= 12
                 for n in range(3, 13):
-                    expected = _kl_recursion(n, call.columns, check_support)[2]
+                    expected = replayed(_kl_recursion(n, call.columns, check_support)[2], lanes, n)
                     assert replayed(log, lanes, n) == expected, (judge_f3, check_support, n)
 
 
@@ -1236,8 +1226,7 @@ def test_a_run_that_stops_early_is_read_at_its_stop_length_and_either_side():
     gens = [_Generator(a, rank) for a in _f1_matrices(rank, 2)]
     groups = {}
     for gen_s, gen_t in itertools.product(gens, repeat=2):
-        log = []
-        _kl_recursion(12, _lane_columns([gen_s], [gen_t]), True, log)
+        log = _kl_recursion(12, _lane_columns([gen_s], [gen_t]), True)[2]
         if len(log) < 12:
             alive, failed = int.from_bytes(b"\x80", "little"), {"F2": 0, "F4": 0, "F5": 0}
             for record in log:
@@ -1251,12 +1240,11 @@ def test_a_run_that_stops_early_is_read_at_its_stop_length_and_either_side():
         lanes = [lane for group in stops.values() for lane in group]
         columns = _lane_columns(*zip(*lanes))
         for check_support in (False, True):
-            log = []
-            _kl_recursion(12, columns, check_support, log)
+            log = _kl_recursion(12, columns, check_support)[2]
             if check_support:
                 assert len(log) == stop_length
             for n in range(max(3, stop_length - 1), stop_length + 2):
-                expected = _kl_recursion(n, columns, check_support)[2]
+                expected = replayed(_kl_recursion(n, columns, check_support)[2], len(lanes), n)
                 assert replayed(log, len(lanes), n) == expected, (stop_length, check_support, n)
 
 

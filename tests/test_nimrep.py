@@ -65,6 +65,7 @@ from oracles import (
     mat_mul_oracle,
     perron_iteration_oracle,
     raw_block_pairs,
+    replayed,
     run_filters_oracle_from_extension,
     strongly_connected_oracle,
 )
@@ -79,8 +80,10 @@ ONES = ((1, 1), (1, 1))
 
 
 def kernel(n, gens_s, gens_t, check_support=False):
-    """One ``_kl_recursion`` call on the lanes (gens_s[L], gens_t[L])."""
-    return _kl_recursion(n, _lane_columns(gens_s, gens_t), check_support)
+    """One ``_kl_recursion`` call on the lanes (gens_s[L], gens_t[L]), its
+    log read as each lane's verdict at n (``replayed``)."""
+    matrices, width, log, negative = _kl_recursion(n, _lane_columns(gens_s, gens_t), check_support)
+    return matrices, width, replayed(log, len(gens_t), n), negative
 
 
 def pair(n, theta_s, theta_t):
@@ -473,7 +476,8 @@ def test_one_lane_call_is_the_oracle_family_at_large_rank():
             # prepared, and read straight off the rows
             prepared = _lane_columns([_Generator(a_s, rank)], [_Generator(a_t, rank)])
             for columns in (prepared, _pair_columns(theta_s, theta_t)):
-                matrices, width, (outcome,), negative = _kl_recursion(n, columns)
+                matrices, width, log, negative = _kl_recursion(n, columns)
+                (outcome,) = replayed(log, 1, n)
                 assert (matrices, width, outcome, negative) == kl_recursion_oracle(n, rank, a_s, a_t), (n, rank)
                 assert outcome is None and len(matrices) == 2 * n
 
