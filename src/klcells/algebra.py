@@ -30,7 +30,8 @@ is one lane: ``structure_constants`` is the family of the regular pair
 and ``kl_multiply`` reads it, a cell module is the family of its own
 generator pair (``cells.cell_module``, run when a matrix past the
 generators is first read), and ``nimrep.extend`` runs it on one
-candidate pair; the family is unpacked matrix by matrix as it is read.
+candidate pair; a family is unpacked whole when a matrix past its
+generators is first read.
 The classification search prepares each generator once, judges the pairs
 of several work units in one call, and keeps the columns of its calls for
 every n it searches.  Every call logs its events length by length, and
@@ -705,15 +706,13 @@ class _PackedFamily(Mapping):
 
     Its keys are the first ``size`` elements of D_n in the kernel's order
     (``all_elements``), at least A_e, A_s and A_t, which are given as
-    tuples.  Every other matrix is unpacked from its packed rows on first
-    access and kept, so a reader that needs a few matrices of a family pays
-    for those only.  ``build`` returns (packed matrices in the order of the
-    keys, width); it runs once, when packed rows are first needed, so a
-    reader that stays with A_e, A_s and A_t never runs the kernel.  Keys
-    are found in one index of D_n shared by every family (``_positions``).
+    tuples.  ``build`` returns (packed matrices in the order of the keys,
+    width); it runs once, when a key past A_e, A_s and A_t is first read,
+    and the whole family is then unpacked in one ``_unpack`` call, so a
+    reader that stays with A_e, A_s and A_t never runs the kernel.
     """
 
-    __slots__ = ("_n", "_positions", "_matrices", "_build", "_packed", "_width")
+    __slots__ = ("_keys", "_matrices", "_build")
 
     def __init__(
         self,
@@ -723,50 +722,28 @@ class _PackedFamily(Mapping):
         theta_t: IntMatrix,
         build: Callable[[], tuple[list[list[int]], int]],
     ) -> None:
-        self._n = n
-        self._positions = _positions(n)
-        self._matrices: list[IntMatrix | None] = [_identity(len(theta_s)), theta_s, theta_t, *[None] * (size - 3)]
+        self._keys = dihedral_group(n).all_elements()[:size]
+        self._matrices = dict(zip(self._keys, (_identity(len(theta_s)), theta_s, theta_t)))
         self._build = build
-        self._packed: list[list[int]] | None = None
-        self._width = 0
-
-    def _index(self, w: GroupElement) -> int:
-        index = self._positions[w]
-        if index >= len(self._matrices):
-            raise KeyError(w)
-        return index
-
-    def _rows(self, index: int) -> list[int]:
-        if self._packed is None:
-            self._packed, self._width = self._build()
-        return self._packed[index]
 
     def __getitem__(self, w: GroupElement) -> IntMatrix:
-        index = self._index(w)
-        matrix = self._matrices[index]
-        if matrix is None:
-            (matrix,) = _unpack([self._rows(index)], self._width)
-            self._matrices[index] = matrix
-        return matrix
+        # once built, the dict holds every key
+        if w not in self._matrices and w in self._keys:
+            packed, width = self._build()
+            self._matrices.update(zip(self._keys[3:], _unpack(packed[3:], width)))
+        return self._matrices[w]
 
     def __contains__(self, w: object) -> bool:
-        return self._positions.get(w, len(self._matrices)) < len(self._matrices)
+        return w in self._keys
 
     def __iter__(self):
-        return iter(dihedral_group(self._n).all_elements()[: len(self._matrices)])
+        return iter(self._keys)
 
     def __len__(self) -> int:
-        return len(self._matrices)
+        return len(self._keys)
 
 
 _identity = functools.lru_cache(maxsize=None)(identity_matrix)
-
-
-@functools.lru_cache(maxsize=None)
-def _positions(n: int) -> dict[GroupElement, int]:
-    """The index of each element of D_n in ``all_elements``, the kernel's
-    order; shared and read-only."""
-    return {w: i for i, w in enumerate(dihedral_group(n).all_elements())}
 
 
 def _kl_family(
@@ -776,9 +753,9 @@ def _kl_family(
 
     Returns (family, outcome, negative): every matrix built, in the
     all_elements order (A_e, A_s and A_t are the inputs themselves, the
-    others are unpacked when first read), the verdict read off the
-    kernel's log, and for F2 the negative matrix, which is not in the
-    family.
+    others are unpacked together when one is first read), the verdict
+    read off the kernel's log, and for F2 the negative matrix, which is
+    not in the family.
     """
     matrices, width, log, negative = _kl_recursion(n, _pair_columns(theta_s, theta_t), check_support)
     failed, alive = _replay(log, 1, n)

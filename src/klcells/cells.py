@@ -24,9 +24,9 @@ basis of L with the builder of the regular pair
 strictly above L in the left preorder, which is what makes the truncation
 a quotient of modules rather than an arbitrary projection.  The matrix of
 every other b(u) comes from the flat KL kernel of ``klcells.algebra``,
-run when such a matrix is first read, so a caller that wants only the
-generator pair never runs it.  It never reads the structure-constant
-table.
+run when the first such matrix is read, which unpacks them all at once;
+a caller that wants only the generator pair never runs it.  It never
+reads the structure-constant table.
 The basis of L is ordered by (leading letter, length) with s before t; for
 n = 4 this is (s, sts, ts), the order in which the standard matrices for
 the generators are triangular-looking blocks.  The module of a right cell R
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 # structure_constants is unused here but stays bound: perfbench/tracing.py wraps this name.
 from .algebra import _module_family, _span_generators, structure_constants
@@ -80,22 +80,13 @@ class CellPartition:
     j_leq: frozenset[tuple[int, int]]
 
     def left_cell_of(self, w: GroupElement) -> Cell:
-        for cell in self.left_cells:
-            if w in cell:
-                return cell
-        raise ValueError(f"{render(w)} is not in any left cell (wrong n?)")
+        return _cell_of(self.left_cells, w, "left")
 
     def right_cell_of(self, w: GroupElement) -> Cell:
-        for cell in self.right_cells:
-            if w in cell:
-                return cell
-        raise ValueError(f"{render(w)} is not in any right cell (wrong n?)")
+        return _cell_of(self.right_cells, w, "right")
 
     def two_sided_cell_of(self, w: GroupElement) -> Cell:
-        for cell in self.two_sided_cells:
-            if w in cell:
-                return cell
-        raise ValueError(f"{render(w)} is not in any two-sided cell (wrong n?)")
+        return _cell_of(self.two_sided_cells, w, "two-sided")
 
     def to_jsonable(self) -> dict:
         def named(cells: Sequence[Cell], namer) -> list[dict]:
@@ -113,33 +104,36 @@ class CellPartition:
         }
 
 
-def left_cell_name(cell: Iterable[GroupElement]) -> str:
-    """Le, Ls, Lt or Lw0, read off from the cell's members."""
+def _cell_of(cells: Sequence[Cell], w: GroupElement, kind: str) -> Cell:
+    """The cell of ``cells`` that holds w."""
+    for cell in cells:
+        if w in cell:
+            return cell
+    raise ValueError(f"{render(w)} is not in any {kind} cell (wrong n?)")
+
+
+def _cell_name(cell: Iterable[GroupElement], bottom: str, top: str, middle: Callable[[GroupElement], str]) -> str:
+    """``bottom`` for the cell of e, ``top`` for that of w0, else ``middle``
+    of the cell's first member."""
     members = tuple(cell)
     if all(w.is_identity() for w in members):
-        return "Le"
+        return bottom
     if all(w.is_longest() for w in members):
-        return "Lw0"
-    letter = members[0].trailing()
-    return f"L{letter}"
+        return top
+    return middle(members[0])
+
+
+def left_cell_name(cell: Iterable[GroupElement]) -> str:
+    """Le, Ls, Lt or Lw0, read off from the cell's members."""
+    return _cell_name(cell, "Le", "Lw0", lambda w: f"L{w.trailing()}")
 
 
 def right_cell_name(cell: Iterable[GroupElement]) -> str:
-    members = tuple(cell)
-    if all(w.is_identity() for w in members):
-        return "Re"
-    if all(w.is_longest() for w in members):
-        return "Rw0"
-    return f"R{members[0].leading}"
+    return _cell_name(cell, "Re", "Rw0", lambda w: f"R{w.leading}")
 
 
 def two_sided_cell_name(cell: Iterable[GroupElement]) -> str:
-    members = tuple(cell)
-    if all(w.is_identity() for w in members):
-        return "J1"
-    if all(w.is_longest() for w in members):
-        return "J3"
-    return "J2"
+    return _cell_name(cell, "J1", "J3", lambda w: "J2")
 
 
 def _fan(size: int) -> frozenset[tuple[int, int]]:

@@ -247,6 +247,8 @@ def _serialise(rep: MatrixPair) -> bytes:
 
 def normalize_filters(disabled: Iterable[str] = ()) -> tuple[str, ...]:
     """Enabled filter ids in canonical order, validating the disabled set."""
+    if isinstance(disabled, str):
+        raise TypeError("disabled must be a collection of filter ids, not a str")
     disabled_set = set(disabled)
     unknown = disabled_set - TOGGLEABLE_FILTERS
     if unknown:
@@ -367,26 +369,18 @@ class Tag:
 
 
 @functools.lru_cache(maxsize=None)
-def _cell_keys(n: int, rank: int) -> tuple[tuple[bytes, str], ...]:
-    """(canonical key, cell name) of each left cell of size ``rank``, in the
-    order Le, Ls, Lt, Lw0 of ``compute_cells``; only those cells' modules
-    are built."""
-    out = []
+def _tags(n: int, rank: int) -> dict[bytes, Tag]:
+    """Canonical key -> Tag of the recorded classes of rank ``rank`` at n:
+    the first item to name a key wins, the left cells of size ``rank`` in
+    the order Le, Ls, Lt, Lw0 of ``compute_cells`` (only those cells'
+    modules are built) before the knowledge entries of this rank whose
+    n_pattern matches n."""
+    tags: dict[bytes, Tag] = {}
     for cell in compute_cells(n).left_cells:
         if len(cell) == rank:
             a_s, a_t = cell_module(n, cell).generator_pair()
-            out.append((canonicalize(MatrixPair(n=n, rank=rank, theta_s=a_s, theta_t=a_t)), left_cell_name(cell)))
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=None)
-def _tags(n: int, rank: int) -> dict[bytes, Tag]:
-    """Canonical key -> Tag of the recorded classes of rank ``rank`` at n:
-    the first item to name a key wins, the cells (``_cell_keys``) before
-    the knowledge entries of this rank whose n_pattern matches n."""
-    tags: dict[bytes, Tag] = {}
-    for key, name in _cell_keys(n, rank):
-        tags.setdefault(key, Tag("REALIZED_CELL", name))
+            key = canonicalize(MatrixPair(n=n, rank=rank, theta_s=a_s, theta_t=a_t))
+            tags.setdefault(key, Tag("REALIZED_CELL", left_cell_name(cell)))
     for entry in load_knowledge():
         if entry.rank == rank and entry.matches_n(n):
             key = canonicalize(MatrixPair(n=n, rank=rank, theta_s=entry.theta_s, theta_t=entry.theta_t))
@@ -398,8 +392,8 @@ def match_cell_reps(n: int, pairs: Sequence[MatrixPair]) -> tuple[str | None, ..
     """For each pair, the name of the left cell realizing it, or None."""
     names = []
     for pair in pairs:
-        key = canonicalize(pair)
-        names.append(next((name for cell_key, name in _cell_keys(n, pair.rank) if cell_key == key), None))
+        tag = _tags(n, pair.rank).get(canonicalize(pair))
+        names.append(tag.detail if tag is not None and tag.kind == "REALIZED_CELL" else None)
     return tuple(names)
 
 

@@ -58,18 +58,24 @@ IntMatrix = tuple[tuple[int, ...], ...]
 IntPoly = tuple[int, ...]
 
 
-def freeze_matrix(rows: Sequence[Sequence[int]]) -> IntMatrix:
-    """Validate a rectangular integer matrix and freeze it to nested tuples.
+def _check_int_entries(rows: Sequence[Sequence[int]]) -> None:
+    """Raise ValueError unless every entry is an int other than a bool.
 
     A matrix of plain ints passes one test of the set of its entry types;
     any other matrix has each entry checked, and the subclasses of int
     other than bool pass.
     """
-    frozen = tuple(map(tuple, rows))
-    if set(map(type, chain.from_iterable(frozen))) != {int}:
-        for v in chain.from_iterable(frozen):
+    if set(map(type, chain.from_iterable(rows))) != {int}:
+        for v in chain.from_iterable(rows):
             if isinstance(v, bool) or not isinstance(v, int):
                 raise ValueError(f"matrix entries must be plain ints, got {v!r}")
+
+
+def freeze_matrix(rows: Sequence[Sequence[int]]) -> IntMatrix:
+    """Validate a rectangular integer matrix and freeze it to nested tuples
+    (``_check_int_entries``)."""
+    frozen = tuple(map(tuple, rows))
+    _check_int_entries(frozen)
     if frozen and any(len(row) != len(frozen[0]) for row in frozen):
         raise ValueError("matrix rows have unequal lengths")
     return frozen
@@ -259,6 +265,7 @@ def poly_mul(p: Sequence[int], q: Sequence[int]) -> IntPoly:
 
 
 def poly_eval_int(p: Sequence[int], x: int) -> int:
+    """p(x) by Horner's rule, exact; the Sturm code runs it on Fractions."""
     result = 0
     for c in reversed(p):
         result = result * x + c
@@ -337,16 +344,9 @@ def _sign_changes(values: Sequence[Fraction]) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _value(q: Sequence, x: Fraction) -> Fraction:
-    value = Fraction(0)
-    for c in reversed(q):
-        value = value * x + c
-    return value
-
-
 def _roots_above(chain: list[list[Fraction]], x: Fraction) -> int:
     """Distinct real roots of chain[0] in (x, oo), for x not a root (Sturm)."""
-    return _sign_changes([_value(q, x) for q in chain]) - _sign_changes([q[-1] for q in chain])
+    return _sign_changes([poly_eval_int(q, x) for q in chain]) - _sign_changes([q[-1] for q in chain])
 
 
 def _top_real_root_is_simple(p: Sequence[int]) -> bool:
@@ -369,7 +369,7 @@ def _top_real_root_is_simple(p: Sequence[int]) -> bool:
         raise ValueError("the polynomial has no real root")
     while _roots_above(chain, low) > 1:
         middle = (low + high) / 2
-        while _value(p, middle) == 0:
+        while poly_eval_int(p, middle) == 0:
             middle = (middle + high) / 2
         if _roots_above(chain, middle) >= 1:
             low = middle

@@ -31,8 +31,9 @@ per term of A_x, and the sign and zero tests cost a few operations per
 row whatever the number of lanes.  Every call logs its events length by
 length, and each lane's verdict is read off that log alone
 (``algebra._replay``).  ``extend`` is a one-lane call, read straight off
-the rows of its pair, whose family, keyed by group element, reads each
-packed matrix back when it is first looked up (``algebra._kl_family``);
+the rows of its pair, whose family, keyed by group element, unpacks
+every packed matrix when the first past A_e, A_s and A_t is looked up
+(``algebra._kl_family``);
 it writes the witness, and ``classify.run_filters`` renders its F4, F2
 and F5 reports from it.  The classification search calls the kernel
 directly, one representative per orbit per lane and the lanes of several
@@ -82,6 +83,7 @@ from .dihedral import GroupElement, dihedral_group, display_key, render
 from .exact import (
     IntMatrix,
     IntPoly,
+    _check_int_entries,
     bareiss_det,
     char_poly,
     first_negative_entry,
@@ -134,6 +136,7 @@ class MatrixPair:
         for name, m in (("theta_s", self.theta_s), ("theta_t", self.theta_t)):
             if len(m) != self.rank or any(len(row) != self.rank for row in m):
                 raise ValueError(f"{name} must be {self.rank}x{self.rank}")
+            _check_int_entries(m)
             if any(v < 0 for row in m for v in row):
                 raise ValueError(f"{name} has negative entries; candidates are nonnegative")
 

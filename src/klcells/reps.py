@@ -103,7 +103,7 @@ def simples(n: int) -> tuple[SimpleModule, ...]:
         out.append(OneDim(1, -1))
         out.append(OneDim(-1, 1))
     out.append(OneDim(-1, -1))
-    top = (n - 2) // 2 if n % 2 == 0 else (n - 1) // 2
+    top = (n - 1) // 2
     out.extend(TwoDim(k) for k in range(1, top + 1))
     assert sum(module_dim(v) ** 2 for v in out) == 2 * n
     return tuple(out)
@@ -136,7 +136,7 @@ class QuadraticCharPoly:
 
 
 def char_poly_two_dim(n: int, k: int) -> QuadraticCharPoly:
-    top = (n - 2) // 2 if n % 2 == 0 else (n - 1) // 2
+    top = (n - 1) // 2
     if not 1 <= k <= top:
         raise ValueError(f"k={k} out of range for n={n} (1..{top})")
     constant = 2.0 - 2.0 * math.cos(2.0 * k * math.pi / n)

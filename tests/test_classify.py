@@ -24,7 +24,6 @@ from klcells.classify import (
     UNKNOWN_CITATION,
     KnowledgeEntry,
     Tag,
-    _cell_keys,
     _f1_matrices,
     _f3_split,
     _indented_json,
@@ -54,7 +53,7 @@ from klcells.nimrep import (
     check_block_form,
     check_transitive,
 )
-from klcells.reps import OneDim, _rotation_traces, decompose
+from klcells.reps import OneDim, TwoDim, _rotation_traces, decompose
 import oracles
 from oracles import (
     block_pair,
@@ -227,14 +226,12 @@ def test_tag_table_precedence(monkeypatch):
     )
     monkeypatch.setattr(classify_module, "load_knowledge", lambda: entries)
     classify_module._tags.cache_clear()
-    _cell_keys.cache_clear()
     try:
         tags = {(c.pair.rank, c.tag.kind, c.tag.detail) for c in classify(4, ranks=(2, 3), entry_bound=2).candidates}
         assert tags == {(2, "MATRIX_ADMISSIBLE_UNREALIZED", "first"), (3, "REALIZED_CELL", "Ls")}
         assert inspect_pair(pair(4, ls_t, ls_s)).tag.detail == "Ls"
     finally:
         classify_module._tags.cache_clear()
-        _cell_keys.cache_clear()
 
 
 def test_run_filters_attribution_order():
@@ -396,7 +393,7 @@ def test_cold_classify_builds_no_structure_constant_table():
     # matching survivors against cell modules, and building any cell module,
     # needs only the generator pair of the cell, never the whole 4n^2 table
     structure_constants.cache_clear()
-    _cell_keys.cache_clear()
+    classify_module._tags.cache_clear()
     report = classify(24, ranks=(1,))
     assert [c.tag.detail for c in report.candidates] == ["Le", "Lw0"]
     for name in ("Le", "Ls", "Lt", "Lw0"):
@@ -418,19 +415,17 @@ def test_cell_matching_builds_only_the_cells_of_a_searched_rank(monkeypatch):
 
     monkeypatch.setattr(classify_module, "cell_module", counting)
     classify_module._tags.cache_clear()
-    _cell_keys.cache_clear()
     try:
         report = classify(6, ranks=(1, 2, 3, 4), entry_bound=2)
         assert built == [1, 1]
         assert [c.tag.detail for c in report.candidates if c.tag.kind == "REALIZED_CELL"] == ["Le", "Lw0"]
-        assert _cell_keys(6, 5) == (
-            (canonicalize(pair(6, *original(6, "Ls").generator_pair())), "Ls"),
-            (canonicalize(pair(6, *original(6, "Lt").generator_pair())), "Lt"),
-        )
+        assert classify_module._tags(6, 5) == {
+            canonicalize(pair(6, *original(6, "Ls").generator_pair())): Tag("REALIZED_CELL", "Ls"),
+            canonicalize(pair(6, *original(6, "Lt").generator_pair())): Tag("REALIZED_CELL", "Ls"),
+        }
         assert built == [1, 1, 5, 5]
     finally:
         classify_module._tags.cache_clear()
-        _cell_keys.cache_clear()
 
 
 def test_entry_bound_stability_small():
@@ -677,6 +672,54 @@ def test_every_candidate_is_its_inspect_pair(n, search):
         assert candidate.apex == apex_of(candidate.extension)
         assert annihilator_check(candidate.extension).passed is True
         assert candidate.annihilator_passed is True
+
+
+def test_every_j2_candidate_has_each_coprime_simple_once():
+    # the Perron corollaries, on every search above with F3 and F4 on: the
+    # Perron root of Q is simple, so V(n,1) occurs once, and so does each
+    # Galois conjugate V(n,k), gcd(k, n) = 1; so the rank is at least
+    # phi(n), and V(1,1), the J3 case, does not occur.  In block form
+    # tr(S + T) = 0 also rules out the sign module V(-1,-1), and J1 and J3
+    # occur at rank 1 only; in the F7-off variety V(-1,-1) does occur, as
+    # in V(-1,-1) + V(3,1) at n = 3
+    seen = {"block": 0, "variety": 0}
+    for n, search in SURVIVOR_SEARCHES:
+        disabled = search.get("disabled", ())
+        if "F3" in disabled or "F4" in disabled:
+            continue
+        space = "variety" if "F7" in disabled else "block"
+        coprime = [k for k in range(1, n) if math.gcd(k, n) == 1]
+        for candidate in classify(n, **search).candidates:
+            simples = candidate.decomposition.as_dict()
+            if candidate.apex != "J2":
+                assert space == "variety" or candidate.pair.rank == 1, (n, candidate.pair)
+                continue
+            assert all(simples.get(TwoDim(k)) == 1 for k in coprime if 2 * k < n), (n, candidate.pair)
+            assert OneDim(1, 1) not in simples, (n, candidate.pair)
+            assert candidate.pair.rank >= len(coprime), (n, candidate.pair)
+            if space == "block":
+                assert OneDim(-1, -1) not in simples, (n, candidate.pair)
+            seen[space] += 1
+    assert seen == {"block": 33, "variety": 224}
+
+
+CLOSED_SEARCHES = [
+    (3, {"ranks": (1, 2), "entry_bound": 1}, 8, "V(3,1)"),
+    (5, {"ranks": (1, 2, 3, 4), "entry_bound": 3}, 74_260, "V(5,1) ⊕ V(5,2)"),
+]
+
+
+@pytest.mark.parametrize("n, search, pairs, middle", CLOSED_SEARCHES)
+def test_the_closed_searches_find_the_cell_modules_only(n, search, pairs, middle):
+    # at n = 3 and n = 5 these searches cover every block-form class (n = 4
+    # is check A8): Le, Lw0 and Ls, of rank n - 1, and nothing else
+    report = classify(n, **search)
+    assert report.pairs_evaluated == pairs
+    assert [(c.pair.rank, c.tag, c.apex, c.decomposition.render()) for c in report.candidates] == [
+        (1, Tag("REALIZED_CELL", "Le"), "J1", "V(-1,-1)"),
+        (1, Tag("REALIZED_CELL", "Lw0"), "J3", "V(1,1)"),
+        (n - 1, Tag("REALIZED_CELL", "Ls"), "J2", middle),
+    ]
 
 
 def json_dumps_report(report, include_timing=False):
@@ -1156,6 +1199,15 @@ def test_search_arguments_of_the_wrong_type(cold_plans, arguments):
         with pytest.raises(TypeError, match="must be an int"):
             enumerate_candidates(arguments["n"], rank, arguments.get("entry_bound", 2), jobs=arguments.get("jobs", 1))
     assert _spaces.cache_info().currsize == 0
+
+
+def test_a_str_of_disabled_filters_is_refused():
+    # a str is a collection of characters, not of filter ids: "F3" would
+    # be read as the ids "F" and "3"
+    with pytest.raises(TypeError, match="disabled must be a collection of filter ids, not a str"):
+        classify(4, disabled="F3")
+    with pytest.raises(TypeError, match="disabled must be a collection of filter ids, not a str"):
+        inspect_pair(pair(4, CELL3_S, CELL3_T), "F7")
 
 
 # (search, the filters it runs with off): F3 on, F3 off, and F3 and F4 off,

@@ -103,6 +103,21 @@ def test_matrix_pair_validation():
         pair(4, ((1,),), ((1, 0), (0, 1)))
 
 
+def test_matrix_pair_refuses_entries_that_are_not_ints():
+    # built directly, a pair checks its entries as freeze_matrix does: a
+    # bool or a float is refused, a subclass of int other than bool passes
+    class Count(int):
+        pass
+
+    for entry in (True, False, 1.0, "1"):
+        with pytest.raises(ValueError, match="matrix entries must be plain ints"):
+            MatrixPair(n=4, rank=1, theta_s=((entry,),), theta_t=((0,),))
+        with pytest.raises(ValueError, match="matrix entries must be plain ints"):
+            MatrixPair(n=4, rank=1, theta_s=((0,),), theta_t=((entry,),))
+    accepted = MatrixPair(n=4, rank=1, theta_s=((Count(1),),), theta_t=((0,),))
+    assert accepted.theta_s == ((1,),)
+
+
 def test_matrix_pair_jsonable():
     p = pair(5, ((1, 2), (3, 4)), ((0, 1), (1, 0)))
     obj = p.to_jsonable()
