@@ -56,6 +56,7 @@ from typing import NamedTuple
 from .dihedral import (
     DihedralGroup,
     GroupElement,
+    _index,
     dihedral_group,
     display_key,
     render,
@@ -137,9 +138,11 @@ class GroupAlgebraElement:
     def from_jsonable(cls, obj: Mapping) -> "GroupAlgebraElement":
         n = obj["n"]
         group = dihedral_group(n)
-        coeffs = {
-            group.element_from_text(text): int(c) for text, c in obj["coeffs"].items()
-        }
+        coeffs = {}
+        for text, c in obj["coeffs"].items():
+            if isinstance(c, bool) or not isinstance(c, int):
+                raise TypeError(f"coefficient of {text} must be an int, got {c!r}")
+            coeffs[group.element_from_text(text)] = c
         return cls.from_dict(n, obj["basis"], coeffs)
 
     def render(self) -> str:
@@ -207,15 +210,17 @@ def group_to_kl(x: GroupAlgebraElement) -> GroupAlgebraElement:
 # -- KL multiplication -----------------------------------------------------
 
 
-def _kl_left_gen_dict(group: DihedralGroup, letter: str, w: GroupElement) -> CoeffDict:
-    """b(letter) * b(w) in the KL basis, read off the length l of w (the
-    generator rule of the module docstring)."""
-    if w.leading == letter or w.is_longest():
-        return {w: 2}
-    length = w.length
-    if length <= 1:
-        return {group.element(length + 1, letter): 1}
-    return {group.element(length + 1, letter): 1, group.element(length - 1, letter): 1}
+def _generator_terms(n: int, x: int, j: int) -> tuple[tuple[int, int], ...]:
+    """b(x) b(w) in the KL basis as (index, coefficient) terms, for x the
+    index of s or t and j that of w (``dihedral._index``): the generator
+    rule of the module docstring, read off the length l of w.  x leads w
+    when j > 0 has the parity of x, and x_m has index 2m - 2 + x, or 2n - 1
+    when m = n."""
+    length = (j + 1) // 2
+    if j == 2 * n - 1 or (j and (j - x) % 2 == 0):
+        return ((j, 2),)
+    up = min(2 * length + x, 2 * n - 1)
+    return ((up, 1),) if length <= 1 else ((up, 1), (2 * length - 4 + x, 1))
 
 
 def kl_multiply_elements(u: GroupElement, w: GroupElement) -> CoeffDict:
@@ -239,7 +244,9 @@ def kl_left_multiply_generator(letter: str, w: GroupElement) -> GroupAlgebraElem
     if letter not in ("s", "t"):
         raise ValueError(f"generator letter must be 's' or 't', got {letter!r}")
     group = dihedral_group(w.n)
-    return GroupAlgebraElement.from_dict(w.n, KL, _kl_left_gen_dict(group, letter, w))
+    elements = group.all_elements()
+    terms = _generator_terms(w.n, _index(group.generator(letter)), _index(w))
+    return GroupAlgebraElement.from_dict(w.n, KL, {elements[i]: c for i, c in terms})
 
 
 # -- the flat extension kernel ----------------------------------------------
@@ -704,12 +711,14 @@ def _flatten(m: IntMatrix) -> list[int]:
 class _PackedFamily(Mapping):
     """A one-lane kernel family keyed by group element, read-only.
 
-    Its keys are the first ``size`` elements of D_n in the kernel's order
-    (``all_elements``), at least A_e, A_s and A_t, which are given as
-    tuples.  ``build`` returns (packed matrices in the order of the keys,
-    width); it runs once, when a key past A_e, A_s and A_t is first read,
-    and the whole family is then unpacked in one ``_unpack`` call, so a
-    reader that stays with A_e, A_s and A_t never runs the kernel.
+    Its keys are the first ``size`` elements of D_n in kernel order
+    (``all_elements``), at least e, s and t, and it holds their matrices in
+    one list in that order, read at the key's index (``dihedral._index``);
+    A_e, A_s and A_t are given as tuples.  ``build`` returns (packed
+    matrices in kernel order, width); it runs once, when a matrix past A_e,
+    A_s and A_t is first read, and the whole family is then unpacked in one
+    ``_unpack`` call, so a reader that stays with A_e, A_s and A_t never
+    runs the kernel.
     """
 
     __slots__ = ("_keys", "_matrices", "_build")
@@ -723,18 +732,20 @@ class _PackedFamily(Mapping):
         build: Callable[[], tuple[list[list[int]], int]],
     ) -> None:
         self._keys = dihedral_group(n).all_elements()[:size]
-        self._matrices = dict(zip(self._keys, (_identity(len(theta_s)), theta_s, theta_t)))
+        self._matrices = [_identity(len(theta_s)), theta_s, theta_t]
         self._build = build
 
     def __getitem__(self, w: GroupElement) -> IntMatrix:
-        # once built, the dict holds every key
-        if w not in self._matrices and w in self._keys:
+        if w not in self:
+            raise KeyError(w)
+        index = _index(w)
+        if index >= len(self._matrices):
             packed, width = self._build()
-            self._matrices.update(zip(self._keys[3:], _unpack(packed[3:], width)))
-        return self._matrices[w]
+            self._matrices += _unpack(packed[3:], width)
+        return self._matrices[index]
 
     def __contains__(self, w: object) -> bool:
-        return w in self._keys
+        return isinstance(w, GroupElement) and w.n == self._keys[0].n and _index(w) < len(self._keys)
 
     def __iter__(self):
         return iter(self._keys)
@@ -818,27 +829,26 @@ def structure_constants(n: int) -> StructureConstantTable:
     return StructureConstantTable(n, entries)
 
 
-def _span_generators(
-    n: int, basis: Sequence[GroupElement]
-) -> tuple[IntMatrix, IntMatrix, list[GroupElement]]:
-    """(A_s, A_t, dropped) of b(s) and b(t) acting on the span of ``basis``.
+def _span_generators(n: int, basis: Sequence[int]) -> tuple[IntMatrix, IntMatrix, list[int]]:
+    """(A_s, A_t, dropped) of b(s) and b(t) acting on the span of the b(w),
+    w of index in ``basis`` (``dihedral._index``).
 
-    Entry [i][j] of A_x is the coefficient of basis[i] in b(x) b(basis[j])
-    by the generator rule; ``dropped`` lists every term of those products
-    that lies outside the basis, which the matrices leave out.
+    Entry [i][j] of A_x is the coefficient of b(w_basis[i]) in
+    b(x) b(w_basis[j]) by the generator rule; ``dropped`` lists the index
+    of every term of those products that lies outside the basis, which the
+    matrices leave out.
     """
-    group = dihedral_group(n)
-    index = {w: i for i, w in enumerate(basis)}
-    dropped: list[GroupElement] = []
+    place = {j: p for p, j in enumerate(basis)}
+    dropped: list[int] = []
     matrices = []
-    for letter in ("s", "t"):
+    for x in (1, 2):  # the indices of s and t
         rows = [[0] * len(basis) for _ in basis]
-        for j, w in enumerate(basis):
-            for v, c in _kl_left_gen_dict(group, letter, w).items():
-                if v in index:
-                    rows[index[v]][j] = c
+        for p, j in enumerate(basis):
+            for i, c in _generator_terms(n, x, j):
+                if i in place:
+                    rows[place[i]][p] = c
                 else:
-                    dropped.append(v)
+                    dropped.append(i)
         matrices.append(tuple(map(tuple, rows)))
     return matrices[0], matrices[1], dropped
 
@@ -849,5 +859,5 @@ def kl_regular_matrices(n: int) -> tuple[IntMatrix, IntMatrix]:
     Columns follow the all_elements order; entry [i][j] is the coefficient
     of basis element i in b(generator) * b(element j).
     """
-    a_s, a_t, _ = _span_generators(n, dihedral_group(n).all_elements())
+    a_s, a_t, _ = _span_generators(n, range(2 * n))
     return a_s, a_t

@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 # structure_constants is unused here but stays bound: perfbench/tracing.py wraps this name.
 from .algebra import _module_family, _span_generators, structure_constants
-from .dihedral import GroupElement, dihedral_group, display_key, render
+from .dihedral import GroupElement, _index, dihedral_group, display_key, render
 from .exact import IntMatrix
 
 __all__ = [
@@ -80,13 +80,13 @@ class CellPartition:
     j_leq: frozenset[tuple[int, int]]
 
     def left_cell_of(self, w: GroupElement) -> Cell:
-        return _cell_of(self.left_cells, w, "left")
+        return _cell_of(self.left_cells, self.n, w, "left")
 
     def right_cell_of(self, w: GroupElement) -> Cell:
-        return _cell_of(self.right_cells, w, "right")
+        return _cell_of(self.right_cells, self.n, w, "right")
 
     def two_sided_cell_of(self, w: GroupElement) -> Cell:
-        return _cell_of(self.two_sided_cells, w, "two-sided")
+        return _cell_of(self.two_sided_cells, self.n, w, "two-sided")
 
     def to_jsonable(self) -> dict:
         def named(cells: Sequence[Cell], namer) -> list[dict]:
@@ -104,12 +104,22 @@ class CellPartition:
         }
 
 
-def _cell_of(cells: Sequence[Cell], w: GroupElement, kind: str) -> Cell:
+def _cell_number(kind: str, n: int, j: int) -> int:
+    """The place, among the cells of ``kind``, of the cell that holds the
+    element of index j (``dihedral._index``), by the closed form: e and w0
+    are cells of their own, first and last, and a middle element lies in
+    J2, in Ls or Lt by its last letter, s when j mod 4 is 0 or 1, and in Rs
+    or Rt by its first letter, s when j is odd."""
+    if j in (0, 2 * n - 1):
+        return 0 if j == 0 else (2 if kind == "two-sided" else 3)
+    return {"left": 1 + j // 2 % 2, "right": 2 - j % 2, "two-sided": 1}[kind]
+
+
+def _cell_of(cells: Sequence[Cell], n: int, w: GroupElement, kind: str) -> Cell:
     """The cell of ``cells`` that holds w."""
-    for cell in cells:
-        if w in cell:
-            return cell
-    raise ValueError(f"{render(w)} is not in any {kind} cell (wrong n?)")
+    if w.n != n:
+        raise ValueError(f"{render(w)} is not in any {kind} cell (wrong n?)")
+    return cells[_cell_number(kind, n, _index(w))]
 
 
 def _cell_name(cell: Iterable[GroupElement], bottom: str, top: str, middle: Callable[[GroupElement], str]) -> str:
@@ -146,25 +156,20 @@ def _fan(size: int) -> frozenset[tuple[int, int]]:
 @functools.lru_cache(maxsize=None)
 def compute_cells(n: int) -> CellPartition:
     """Cells of D_n and their preorders, from the closed form."""
-    group = dihedral_group(n)
-    e = group.identity()
-    w0 = group.longest_element()
-    # all_elements is in display order, so every cell below is already sorted.
-    middle = [w for w in group.all_elements() if 0 < w.length < n]
+    elements = dihedral_group(n).all_elements()
 
-    def split(letter_of) -> tuple[Cell, ...]:
-        return (
-            (e,),
-            tuple(w for w in middle if letter_of(w) == "s"),
-            tuple(w for w in middle if letter_of(w) == "t"),
-            (w0,),
-        )
+    def cells(kind: str, count: int) -> tuple[Cell, ...]:
+        # all_elements is in display order, so every cell is already sorted
+        members: list[list[GroupElement]] = [[] for _ in range(count)]
+        for j, w in enumerate(elements):
+            members[_cell_number(kind, n, j)].append(w)
+        return tuple(map(tuple, members))
 
     return CellPartition(
         n=n,
-        left_cells=split(GroupElement.trailing),
-        right_cells=split(lambda w: w.leading),
-        two_sided_cells=((e,), tuple(middle), (w0,)),
+        left_cells=cells("left", 4),
+        right_cells=cells("right", 4),
+        two_sided_cells=cells("two-sided", 3),
         left_leq=_fan(4),
         right_leq=_fan(4),
         j_leq=_fan(3),
@@ -220,9 +225,10 @@ def is_strongly_regular(partition: CellPartition, j_cell) -> RegularityReport:
     return RegularityReport(holds=True, witness=None, offending=None)
 
 
-def _basis_key(w: GroupElement) -> tuple[int, int]:
-    rank = -1 if w.leading is None else (0 if w.leading == "s" else 1)
-    return (rank, w.length)
+def _basis(cell: Cell) -> list[int]:
+    """The indices of a cell in basis order: the members that lead with s
+    (odd index) by length, then those that lead with t."""
+    return sorted(map(_index, cell), key=lambda j: (j % 2 == 0, j))
 
 
 @dataclass(frozen=True)
@@ -265,19 +271,18 @@ def _resolve_cell(n: int, cell, cells: tuple[Cell, ...], side: str) -> Cell:
 def cell_module(n: int, cell) -> CellModule:
     """The module carried by a left cell (name or member tuple accepted)."""
     partition = compute_cells(n)
-    resolved = _resolve_cell(n, cell, partition.left_cells, "left")
-    basis = tuple(sorted(resolved, key=_basis_key))
-    left_index = {w: i for i, c in enumerate(partition.left_cells) for w in c}
-    here = left_index[basis[0]]
+    elements = dihedral_group(n).all_elements()
+    basis = _basis(_resolve_cell(n, cell, partition.left_cells, "left"))
+    here = _cell_number("left", n, basis[0])
     a_s, a_t, dropped = _span_generators(n, basis)
-    for v in dropped:
+    for i in dropped:
         # Truncation is only sound if the term sits strictly above the
         # cell in the left preorder.
-        above = left_index[v]
+        above = _cell_number("left", n, i)
         assert (here, above) in partition.left_leq and (above, here) not in partition.left_leq, (
-            f"dropped term {render(v)} not strictly above the cell"
+            f"dropped term {render(elements[i])} not strictly above the cell"
         )
-    return CellModule(n=n, cell=basis, matrices=_module_family(n, a_s, a_t))
+    return CellModule(n=n, cell=tuple(elements[j] for j in basis), matrices=_module_family(n, a_s, a_t))
 
 
 def right_cell_module(n: int, cell) -> CellModule:
@@ -292,7 +297,7 @@ def right_cell_module(n: int, cell) -> CellModule:
     resolved = _resolve_cell(n, cell, compute_cells(n).right_cells, "right")
     group = dihedral_group(n)
     left = cell_module(n, tuple(group.inverse(w) for w in resolved))
-    basis = tuple(sorted(resolved, key=_basis_key))
+    basis = tuple(group.all_elements()[j] for j in _basis(resolved))
     sigma = [left.cell.index(group.inverse(w)) for w in basis]
     matrices = {}
     for u in group.all_elements():

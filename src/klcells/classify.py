@@ -105,12 +105,50 @@ B'_ji = 0), C is a generalised Cartan matrix, indecomposable by F3, and a
 Coxeter element has finite order exactly in finite type, where its order
 is the Coxeter number h (Humphreys, Reflection Groups and Coxeter Groups,
 sections 3.16-3.19; infinite order otherwise, Howlett 1982).  So F5 holds
-exactly when C is a Dynkin diagram with h | n.  That h = n is observed,
-not proved (``test_every_j2_survivor_rotates_with_order_n``), and the
-off-pattern survivors are open.  Split 1 is a corollary: when
+exactly when C is a Dynkin diagram with h | n, and for a survivor of apex
+J2, h = n, by the proof below.  Every block survivor of rank > 1 has apex
+J2: J1 needs A_s = A_t = 0, and J3 a copy of V(1,1), on which Q acts by
+4, its spectral radius; its eigenvector is then the positive Perron
+vector v of step 2 below, and A_s v = 2v fails on the zero rows of A_s.
+The off-pattern survivors are open.  Split 1 is a corollary: when
 min(k, r - k) = 1, F3 forces every B_j and B'_j to be at least 1, so the
 pattern is symmetric and C is a star: A2, B2, A3, G2, B3, C3 or D4, with
 h = 3, 4 or 6.
+
+The proof that h = n.  Take a survivor of apex J2, a D_n-module by F1
+and F5, with Q = A_s + A_t, and write x_l and y_l for the two elements
+of length l.
+1. The identity.  In Z[D_n] let sigma_l be the sum of the elements of
+   length l, sigma_0 = e.  Multiplying an alternating word by s or t
+   adds or drops a letter, so (s + t) sigma_1 = sigma_2 + 2 sigma_0 and
+   (s + t) sigma_l = sigma_(l+1) + sigma_(l-1) for 2 <= l <= n - 2.  So up
+   to l = n - 1, sigma_l is a polynomial in y = s + t: sigma_0 = 1,
+   sigma_1 = y, sigma_2 = y^2 - 2 and sigma_(l+1) = y sigma_l - sigma_(l-1).
+   As b(w) is w plus every shorter element,
+   b(x_l) + b(y_l) = 2(sigma_0 + ... + sigma_(l-1)) + sigma_l for
+   1 <= l <= n - 1.  In the module y acts by S + T = Q - 2I.
+2. The Perron root.  Q is nonnegative, and irreducible by F3, so it has a
+   positive eigenvector v for its spectral radius rho (Perron-Frobenius;
+   Horn and Johnson, Matrix Analysis, ch. 8).  On the simple modules,
+   S + T has the eigenvalues 2cos(j pi/n), 0 < j < n, on the V(n,k), and
+   eps + delta on V(eps, delta).  So rho - 2 = 2cos(theta) with theta in
+   [0, pi], and theta = 0 only on V(1,1), which a module of apex J2 lacks:
+   b(w0), the sum of all 2n elements, acts by 2n on V(1,1) and by
+   A_w0 = 0 on the module.  On v, sigma_l acts by 2cos(l theta) for l >= 1, and
+   summing, (A_x_l + A_y_l) v = 2 sin(l theta) cot(theta/2) v.  By F2,
+   A_x_l + A_y_l is nonnegative.  By F4 it is nonzero, since the apex is
+   J2 and the support is a union of two-sided cells.  As v is positive,
+   (A_x_l + A_y_l) v is then nonnegative and nonzero, so
+   2 sin(l theta) cot(theta/2) > 0 for every l <= n - 1, which forces
+   0 < theta < pi/(n - 1).  The only eigenvalue of S + T of that form is
+   2cos(pi/n), which only V(n,1) carries: theta = pi/n,
+   rho = 2 + 2cos(pi/n), and V(n,1) occurs.
+3. h = n.  On V(n,1), ST has the eigenvalue exp(2 pi i/n), of order n, so
+   the Coxeter element c, conjugate to ST, has order a multiple of n, and
+   F5 gives c^n = 1.  So c has order n, which for a symmetric pattern is h.
+The tests check step 1 exactly on every survivor of their searches and
+on every left cell module at n = 3..30, and the order n of ST on every
+J2 survivor (``test_every_j2_survivor_rotates_with_order_n``).
 
 Reports are deterministic byte for byte: candidates are sorted by
 (rank, canonical key), every candidate is annotated on its canonical

@@ -9,14 +9,20 @@ length n is the unique longest element w0.  The two alternating words of
 length n represent the same element, and the canonical form stores w0 with
 leading letter 's'.
 
-Elements are immutable and hashable, so they can serve directly as keys for
-group-algebra coefficient dictionaries.  Multiplication is rotation
-arithmetic: every element is w = (st)^k s^f with k mod n and f in {0, 1}.
-An s-leading element of length l is (l // 2, l % 2), a t-leading one is
-(-ceil(l/2) mod n, l % 2), and since s (st)^k = (st)^-k s the product of
-(k, f) and (k', f') is (k + k', f xor f'), or (k - k', f xor f') when
-f = 1.  Back in normal form, (k, f) has length 2k + f and leads with s
-when 2k + f <= n, else length 2(n - k) - f and leads with t.
+Below the public API an element is named by its kernel-order index
+(``_index``): e is 0, the element of length l that leads with s is 2l - 1
+and the one that leads with t is 2l, and w0 is 2n - 1.  That is the order
+of ``all_elements`` and ``display_key``, and the order in which
+``algebra._kl_recursion`` builds a KL family, so family matrices, products
+and cells are all read by that index.  Elements are immutable and hashable
+by value, and only the public API hands them out.
+
+Multiplication is rotation arithmetic: every element is w = (st)^k s^f with
+k mod n and f in {0, 1}, named by m = 2k + f mod 2n.  The element of length
+l that leads with s has m = l, the one that leads with t has m = -l, and
+since s (st)^k = (st)^-k s the product of m and m' is m + m' when m is even
+and m - m' when m is odd.  The inverse of m is m itself when m is odd (a
+reflection) and -m otherwise.
 
 >>> g = dihedral_group(4)
 >>> render(g.multiply(g.element_from_text("sts"), g.element_from_text("tst")))
@@ -131,6 +137,12 @@ def display_key(w: GroupElement) -> tuple[int, int]:
     return (w.length, rank)
 
 
+def _index(w: GroupElement) -> int:
+    """The kernel-order index of w (module docstring); w0 is stored with
+    leading letter 's'."""
+    return 2 * w.length - (w.leading == "s")
+
+
 class DihedralGroup:
     """The group D_n; every element it returns is one of the 2n stored in
     ``all_elements``."""
@@ -141,12 +153,10 @@ class DihedralGroup:
         if n < 3:
             raise ValueError(f"dihedral parameter must be >= 3, got {n}")
         self.n = n
-        elements = [GroupElement(n, 0, None)]
-        for length in range(1, n):
-            elements.append(GroupElement(n, length, "s"))
-            elements.append(GroupElement(n, length, "t"))
-        elements.append(GroupElement(n, n, "s"))
-        self._elements = tuple(elements)
+        # index i has length (i + 1) // 2 and leads with s exactly when odd
+        self._elements = tuple(
+            GroupElement(n, (i + 1) // 2, "ts"[i % 2] if i else None) for i in range(2 * n)
+        )
         self._by_text = {render(w): w for w in self._elements}
 
     def __repr__(self) -> str:
@@ -161,12 +171,8 @@ class DihedralGroup:
         at length n, so callers may pass whatever letter a word computation
         produced.  The result is the element stored in ``all_elements``.
         """
-        if length == 0:
-            return self._elements[0]
-        if length == self.n:
-            return self._elements[-1]
-        if 0 < length < self.n and leading in _LETTERS:
-            return self._elements[2 * length - (leading == "s")]
+        if length in (0, self.n) or (0 < length < self.n and leading in _LETTERS):
+            return self._at(-length if leading == "t" else length)
         return GroupElement(self.n, length, leading)  # raises the ValueError
 
     def identity(self) -> GroupElement:
@@ -199,28 +205,24 @@ class DihedralGroup:
 
     # -- group operations ------------------------------------------------
 
-    def _check_member(self, w: GroupElement) -> None:
+    def _signed(self, w: GroupElement) -> int:
+        """m of w (module docstring): its length, negated when it leads with t."""
         if w.n != self.n:
             raise ValueError(
                 f"element of D_{w.n} used with D_{self.n}; mixed parameters are rejected"
             )
+        return -w.length if w.leading == "t" else w.length
 
-    def _rotation(self, w: GroupElement) -> tuple[int, int]:
-        """(k, f) with w = (st)^k s^f, 0 <= k < n."""
-        self._check_member(w)
-        if w.leading == "t":
-            return -((w.length + 1) // 2) % self.n, w.length % 2
-        return w.length // 2, w.length % 2
+    def _at(self, m: int) -> GroupElement:
+        """The element named by m mod 2n: the element of length m that leads
+        with s for m in 0..n, else that of length 2n - m that leads with t."""
+        m %= 2 * self.n
+        return self._elements[2 * m - 1 if 0 < m <= self.n else 2 * (-m % (2 * self.n))]
 
     def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
         """Product ab, by rotation arithmetic (module docstring)."""
-        k, f = self._rotation(a)
-        k_b, f_b = self._rotation(b)
-        k = (k - k_b if f else k + k_b) % self.n
-        f ^= f_b
-        if 2 * k + f <= self.n:
-            return self.element(2 * k + f, "s")
-        return self.element(2 * (self.n - k) - f, "t")
+        m, m_b = self._signed(a), self._signed(b)
+        return self._at(m - m_b if m % 2 else m + m_b)
 
     def inverse(self, a: GroupElement) -> GroupElement:
         """The inverse, i.e. the reduced word read backwards.
@@ -229,10 +231,8 @@ class DihedralGroup:
         identity and w0 are self-inverse; even-length rotations invert to the
         rotation with the opposite leading letter.
         """
-        self._check_member(a)
-        if a.length in (0, self.n) or a.length % 2 == 1:
-            return a
-        return self.element(a.length, other_letter(a.leading))
+        m = self._signed(a)
+        return self._at(m if m % 2 else -m)
 
 
 def bruhat_lt(a: GroupElement, b: GroupElement) -> bool:

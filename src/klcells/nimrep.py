@@ -156,8 +156,12 @@ class MatrixPair:
 
     @classmethod
     def from_jsonable(cls, obj: Mapping) -> "MatrixPair":
-        pair = cls.from_matrices(int(obj["n"]), obj["theta_s"], obj["theta_t"])
-        if "rank" in obj and int(obj["rank"]) != pair.rank:
+        for field in ("n", "rank"):
+            value = obj.get(field, 0)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{field} must be an int, got {value!r}")
+        pair = cls.from_matrices(obj["n"], obj["theta_s"], obj["theta_t"])
+        if "rank" in obj and obj["rank"] != pair.rank:
             raise ValueError(
                 f"declared rank {obj['rank']} does not match matrix size {pair.rank}"
             )
@@ -209,22 +213,25 @@ def extend(pair: MatrixPair, check_support: bool = False) -> ExtendedRep | Exten
     it breaks down: F2 or F5, and with ``check_support`` also F4, at the
     first matrix where the kernel meets one (``algebra._kl_recursion``).
 
-    The F4 witness is the first vanishing matrix in all_elements order: A_s
-    when A_s = 0, though A_t is built too; otherwise the last matrix built,
-    as the kernel stops at the first that vanishes.
+    The family holds the matrices of the kernel-order indices below its
+    length (``dihedral._index``), so the F2 and F5 witness is the element
+    of the next index, w0 for F5.  The F4 witness is the first vanishing
+    matrix in that order: A_s when A_s = 0, though A_t is built too;
+    otherwise the last matrix built, as the kernel stops at the first that
+    vanishes.
     """
     family, outcome, negative = _kl_family(pair.n, pair.theta_s, pair.theta_t, check_support)
     if outcome is None:
         return ExtendedRep(pair=pair, family=family)
-    elements = dihedral_group(pair.n).all_elements()  # the kernel's order
+    index = len(family)
     if outcome == "F4":
-        w = elements[1] if is_zero_matrix(pair.theta_s) else elements[len(family) - 1]
+        index = 1 if is_zero_matrix(pair.theta_s) else index - 1
+    w = dihedral_group(pair.n).all_elements()[index]
+    if outcome == "F4":
         witness = f"A_{render(w)} = 0 inside a two-sided cell with nonzero members"
     elif outcome == "F5":
-        w = elements[-1]
         witness = "the s-leading and t-leading recursions for A_w0 disagree"
     else:
-        w = elements[len(family)]
         i, j = first_negative_entry(negative)
         witness = f"A_{render(w)}[{i}][{j}] = {negative[i][j]} is negative"
     return ExtensionFailure(pair=pair, filter_id=outcome, element=w, witness=witness, partial=family)

@@ -296,6 +296,14 @@ def test_jsonable_roundtrip():
     assert GroupAlgebraElement.from_jsonable(obj) == element
 
 
+@pytest.mark.parametrize("coefficient", [2.7, 2.0, "2", True])
+def test_from_jsonable_refuses_a_non_int_coefficient(coefficient):
+    # 2.7 does not become 2, nor True 1
+    obj = {"n": 4, "basis": "KL", "coeffs": {"st": 1, "w0": coefficient}}
+    with pytest.raises(TypeError, match="^coefficient of w0 must be an int, got "):
+        GroupAlgebraElement.from_jsonable(obj)
+
+
 def pack(matrix, width):
     """One-lane packed rows: entry j of a row at bit j * width, signed."""
     return [sum(v << (j * width) for j, v in enumerate(row)) for row in matrix]

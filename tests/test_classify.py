@@ -42,7 +42,7 @@ from klcells.classify import (
     run_filters,
 )
 from klcells.dihedral import dihedral_group, render
-from klcells.exact import identity_matrix, mat_add, mat_mul, mat_sub, trace
+from klcells.exact import identity_matrix, mat_add, mat_mul, mat_scale, mat_sub, trace
 from klcells.nimrep import (
     FilterReport,
     MatrixPair,
@@ -651,6 +651,24 @@ SURVIVOR_SEARCHES = (
 )
 
 
+def assert_sigma_identity(n, family):
+    # the first step of the Perron theorem (classify docstring): below
+    # length n, A_x_l + A_y_l = 2(sigma_0 + ... + sigma_(l-1)) + sigma_l,
+    # sigma_l the sum of the elements of length l, at y = Q - 2I = S + T:
+    # sigma_0 = I, sigma_1 = y, sigma_2 = y^2 - 2I and
+    # sigma_(l+1) = y sigma_l - sigma_(l-1), one product per length
+    elements = dihedral_group(n).all_elements()
+    identity = identity_matrix(len(family[elements[0]]))
+    y = mat_sub(mat_add(family[elements[1]], family[elements[2]]), mat_scale(2, identity))
+    previous, current, below = identity, y, identity  # sigma_(l-1), sigma_l, their sum below l
+    for length in range(1, n):
+        both = mat_add(family[elements[2 * length - 1]], family[elements[2 * length]])
+        assert both == mat_add(mat_scale(2, below), current), (n, length)
+        if length < n - 1:
+            below = mat_add(below, current)
+            previous, current = current, mat_sub(mat_mul(y, current), mat_scale(1 + (length == 1), previous))
+
+
 @pytest.mark.parametrize("n, search", SURVIVOR_SEARCHES)
 def test_every_candidate_is_its_inspect_pair(n, search):
     # a surviving class is annotated on its canonical pair with no filter
@@ -672,6 +690,13 @@ def test_every_candidate_is_its_inspect_pair(n, search):
         assert candidate.apex == apex_of(candidate.extension)
         assert annihilator_check(candidate.extension).passed is True
         assert candidate.annihilator_passed is True
+        assert_sigma_identity(n, candidate.extension.family)
+
+
+def test_the_sigma_identity_holds_on_every_left_cell_module():
+    for n in range(3, 31):
+        for cell in compute_cells(n).left_cells:
+            assert_sigma_identity(n, cell_module(n, cell).matrices)
 
 
 def test_every_j2_candidate_has_each_coprime_simple_once():

@@ -210,6 +210,16 @@ def test_decompose_wrong_n(capsys, tmp_path):
     assert "the file says n=4 but --n 5 was given" in err
 
 
+def test_decompose_refuses_a_float_n(capsys, tmp_path):
+    # "n": 4.9 is not read as 4, so it neither matches --n 4 nor decomposes
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"n": 4.9, "rank": 1, "theta_s": [[2]], "theta_t": [[0]]}))
+    code, out, err = run(capsys, "decompose", "--n", "4", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"bad matrix pair in {path}: n must be an int, got 4.9" in err
+
+
 def test_decompose_malformed_json(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{oops")

@@ -1,10 +1,12 @@
 """Group arithmetic in D_n: normal forms, products, inverses, Bruhat order."""
 
+import pickle
 import random
 
 import pytest
 
 from klcells.dihedral import (
+    DihedralGroup,
     GroupElement,
     bruhat_lt,
     dihedral_group,
@@ -28,6 +30,17 @@ def test_element_inventory():
             both = [w for w in elements if w.length == length]
             assert len(both) == 2
             assert {w.leading for w in both} == {"s", "t"}
+
+
+def test_elements_compare_and_hash_by_value():
+    # a second group of the same n, as verification A1 builds after
+    # dihedral_group.cache_clear(), and a pickled copy give elements equal
+    # to the stored ones, with equal hashes
+    for w, twin in zip(dihedral_group(6).all_elements(), DihedralGroup(6).all_elements()):
+        copy = pickle.loads(pickle.dumps(w))
+        assert twin is not w and copy is not w
+        assert twin == w == copy and hash(twin) == hash(w) == hash(copy)
+        assert repr(copy) == repr(w)
 
 
 def test_display_key_sorts_native_order():

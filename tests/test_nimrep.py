@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -130,6 +131,16 @@ def test_matrix_pair_jsonable():
     assert MatrixPair.from_jsonable(obj) == p
     with pytest.raises(ValueError):
         MatrixPair.from_jsonable({"n": 4, "rank": 3, "theta_s": [[1]], "theta_t": [[1]]})
+
+
+@pytest.mark.parametrize(
+    "field, value", [("n", 4.9), ("n", 4.0), ("n", "5"), ("n", True), ("rank", 1.5), ("rank", "1"), ("rank", True)]
+)
+def test_matrix_pair_from_jsonable_refuses_a_non_int_n_or_rank(field, value):
+    # neither is truncated or parsed: 4.9 does not become 4, "5" not 5
+    obj = {"n": 4, "rank": 1, "theta_s": [[2]], "theta_t": [[0]], field: value}
+    with pytest.raises(TypeError, match=f"^{field} must be an int, got {re.escape(repr(value))}$"):
+        MatrixPair.from_jsonable(obj)
 
 
 def test_extend_reproduces_cell_modules():
