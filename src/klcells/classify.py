@@ -90,7 +90,9 @@ reported as F4 even when the extension would break down slightly later).
 A survivor is tagged by one lookup of its canonical key in the table of
 its (n, rank) (``_tags``): REALIZED_CELL(name) for the class of a left
 cell module's generator pair, MATRIX_ADMISSIBLE_UNREALIZED(citation) for
-that of a packaged knowledge entry whose rank and n_pattern match, and
+that of an entry of the literal table ``_RECORDED`` of this rank whose
+Coxeter number h divides n (the B2 pair, h = 4, and the G2 pair, h = 6,
+both "Thm. noSimple"), and
 MATRIX_ADMISSIBLE_UNREALIZED("unknown: no recorded classification") for
 any other key.  A cell beats an entry, and an earlier cell (Le, Ls, Lt,
 Lw0) or entry beats a later one.
@@ -146,9 +148,55 @@ of length l.
 3. h = n.  On V(n,1), ST has the eigenvalue exp(2 pi i/n), of order n, so
    the Coxeter element c, conjugate to ST, has order a multiple of n, and
    F5 gives c^n = 1.  So c has order n, which for a symmetric pattern is h.
+
+Corollaries, for a survivor of apex J2.
+4. V(n,k) occurs once for each k with gcd(k, n) = 1, so the rank is at
+   least phi(n).  The Perron root rho is a simple eigenvalue of Q, and
+   2cos(pi/n) = rho - 2 is an eigenvalue of S + T only on V(n,1), once
+   per copy, so V(n,1) occurs once.  Then exp(2 pi i/n) is an eigenvalue
+   of ST exactly once, and ST is an integer matrix, so each of its Galois
+   conjugates, the primitive n-th roots of unity, is too: each V(n,k) with
+   gcd(k, n) = 1, which carries exp(+-2 pi i k/n), occurs once.
+5. A block-form survivor contains neither V(1,1) nor the sign module
+   V(-1,-1).  In block form tr S = 2k - r and tr T = r - 2k, so
+   tr(S + T) = 0.  S + T has trace 0 on each V(n,k) and eps + delta on
+   V(eps, delta), which is 0 on the mixed V(1,-1) and V(-1,1), so V(1,1)
+   and V(-1,-1) occur equally often, and step 2 rules out V(1,1).  In the
+   F7-off variety the sign module does occur (n = 3, rank 3:
+   V(-1,-1) + V(3,1)), because tr(S + T) = 0 needs the block form.
+6. At odd n, s and t are conjugate, so the mixed modules do not exist and
+   a J2 survivor is a sum of V(n,k); at prime n every k is prime to n, so
+   it is exactly the sum of V(n,k) over 0 < k < n/2, of rank n - 1.
+
+The closed cases.  Write S + T = [[0, B], [B', 0]] in block form, so
+(S + T)^2 = [[BB', 0], [0, B'B]] and tr (S + T)^(2j) = 2 tr (BB')^j.
+Every nonzero entry of B or B' lies on a cycle of the quiver of Q, as F3
+makes Q irreducible.
+- n = 3.  Only V(3,1), once (step 6), so r = 2, and S + T has the
+  eigenvalues +-1, so tr(BB') = 1: B = B' = (1), the diagram A2.
+- n = 4.  Only V(4,1) occurs, beside the mixed one-dimensional modules,
+  on which S + T is 0.  So S + T has rank 2, and B and B' rank 1 each.
+  F3 leaves no zero row or column in B, so B = u v^T with u, v of full
+  support, and likewise B'; every product B_ij B'_ji is then at least 1,
+  and they sum to tr(BB') = 2, as S + T has the eigenvalues +-sqrt 2 on
+  V(4,1).  Hence k(r - k) <= 2 and every entry is at most 2: r <= 3 and
+  E <= 2, so the default ``classify(4)`` (check A8) is complete for
+  block-form pairs.  That is the matrix half of the paper's result.
+- n = 5.  Exactly V(5,1) + V(5,2) (step 6), so r = 4, and from the
+  eigenvalues +-2cos(pi/5) and +-2cos(2 pi/5) of S + T, tr(BB') = 3 and
+  tr((BB')^2) = 7.  Split 1 is a star (above), and no star of rank 4 has
+  h = 5, so k = 2.  An entry on a 2-cycle is at most its product
+  B_ij B'_ji, and these sum to tr(BB') = 3; an entry on a 4-cycle is at
+  most the cycle's product, which tr((BB')^2) = 7 counts twice.  So
+  E <= 3, and rank 4 at E = 3 is complete: it finds A4, the cell Ls.
+n = 6 is open: it needs a bound on the multiplicity of V(6,2).
+
 The tests check step 1 exactly on every survivor of their searches and
-on every left cell module at n = 3..30, and the order n of ST on every
-J2 survivor (``test_every_j2_survivor_rotates_with_order_n``).
+on every left cell module at n = 3..30, the order n of ST on every J2
+survivor (``test_every_j2_survivor_rotates_with_order_n``), steps 4-5 on
+every J2 survivor (``test_every_j2_candidate_has_each_coprime_simple_once``)
+and the closed searches at n = 3 and 5
+(``test_the_closed_searches_find_the_cell_modules_only``).
 
 Reports are deterministic byte for byte: candidates are sorted by
 (rank, canonical key), every candidate is annotated on its canonical
@@ -168,7 +216,6 @@ import operator
 import time
 from array import array
 from dataclasses import dataclass
-from importlib import resources
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .algebra import (
@@ -181,7 +228,7 @@ from .algebra import (
     _replay,
 )
 from .cells import cell_module, compute_cells, left_cell_name
-from .exact import IntMatrix, is_zero_matrix, mat_add
+from .exact import is_zero_matrix, mat_add
 from .nimrep import (
     ExtendedRep,
     ExtensionFailure,
@@ -207,7 +254,6 @@ __all__ = [
     "TOGGLEABLE_FILTERS",
     "DEFAULT_MAX_STATES",
     "MAX_CANONICAL_RANK",
-    "KnowledgeEntry",
     "Tag",
     "Candidate",
     "ClassificationReport",
@@ -215,7 +261,6 @@ __all__ = [
     "canonical_pair",
     "run_filters",
     "inspect_pair",
-    "match_cell_reps",
     "enumerate_candidates",
     "classify",
 ]
@@ -348,53 +393,6 @@ def run_filters(
     return tuple(reports), ext, None
 
 
-# -- knowledge table ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KnowledgeEntry:
-    """A recorded verdict about a matrix class that passes all filters."""
-
-    n_pattern: str
-    rank: int
-    theta_s: IntMatrix
-    theta_t: IntMatrix
-    status: str
-    citation: str
-
-    def matches_n(self, n: int) -> bool:
-        pattern = self.n_pattern.strip()
-        if pattern == "any":
-            return True
-        if pattern.startswith("=="):
-            return n == int(pattern[2:])
-        residue_text, _, modulus_text = pattern.partition("mod")
-        if modulus_text:
-            return n % int(modulus_text) == int(residue_text)
-        raise ValueError(f"unreadable n_pattern {self.n_pattern!r}")
-
-
-UNKNOWN_CITATION = "unknown: no recorded classification"
-
-
-@functools.lru_cache(maxsize=None)
-def load_knowledge() -> tuple[KnowledgeEntry, ...]:
-    raw = json.loads(resources.files("klcells").joinpath("knowledge.json").read_text())
-    entries = []
-    for item in raw["entries"]:
-        entries.append(
-            KnowledgeEntry(
-                n_pattern=item["n_pattern"],
-                rank=int(item["rank"]),
-                theta_s=tuple(tuple(int(v) for v in row) for row in item["theta_s"]),
-                theta_t=tuple(tuple(int(v) for v in row) for row in item["theta_t"]),
-                status=item["status"],
-                citation=item["citation"],
-            )
-        )
-    return tuple(entries)
-
-
 # -- tags of surviving classes ----------------------------------------------
 
 
@@ -406,33 +404,34 @@ class Tag:
     detail: str
 
 
+UNKNOWN_CITATION = "unknown: no recorded classification"
+# The matrix-admissible classes recorded as unrealised, (h, A_s, A_t,
+# citation), each at every n that h divides: the block pairs of B2 (h = 4)
+# and G2 (h = 6), which the paper rules out on categorical grounds.
+_RECORDED = (
+    (4, ((2, 2), (0, 0)), ((0, 0), (1, 2)), "Thm. noSimple"),
+    (6, ((2, 3), (0, 0)), ((0, 0), (1, 2)), "Thm. noSimple"),
+)
+
+
 @functools.lru_cache(maxsize=None)
 def _tags(n: int, rank: int) -> dict[bytes, Tag]:
     """Canonical key -> Tag of the recorded classes of rank ``rank`` at n:
     the first item to name a key wins, the left cells of size ``rank`` in
     the order Le, Ls, Lt, Lw0 of ``compute_cells`` (only those cells'
-    modules are built) before the knowledge entries of this rank whose
-    n_pattern matches n."""
+    modules are built) before the entries of ``_RECORDED`` of this rank, in
+    order, whose h divides n."""
     tags: dict[bytes, Tag] = {}
     for cell in compute_cells(n).left_cells:
         if len(cell) == rank:
             a_s, a_t = cell_module(n, cell).generator_pair()
             key = canonicalize(MatrixPair(n=n, rank=rank, theta_s=a_s, theta_t=a_t))
             tags.setdefault(key, Tag("REALIZED_CELL", left_cell_name(cell)))
-    for entry in load_knowledge():
-        if entry.rank == rank and entry.matches_n(n):
-            key = canonicalize(MatrixPair(n=n, rank=rank, theta_s=entry.theta_s, theta_t=entry.theta_t))
-            tags.setdefault(key, Tag("MATRIX_ADMISSIBLE_UNREALIZED", entry.citation))
+    for h, a_s, a_t, citation in _RECORDED:
+        if len(a_s) == rank and n % h == 0:
+            key = canonicalize(MatrixPair(n=n, rank=rank, theta_s=a_s, theta_t=a_t))
+            tags.setdefault(key, Tag("MATRIX_ADMISSIBLE_UNREALIZED", citation))
     return tags
-
-
-def match_cell_reps(n: int, pairs: Sequence[MatrixPair]) -> tuple[str | None, ...]:
-    """For each pair, the name of the left cell realizing it, or None."""
-    names = []
-    for pair in pairs:
-        tag = _tags(n, pair.rank).get(canonicalize(pair))
-        names.append(tag.detail if tag is not None and tag.kind == "REALIZED_CELL" else None)
-    return tuple(names)
 
 
 # -- candidates and reports ---------------------------------------------------

@@ -27,7 +27,7 @@ from .algebra import kl_multiply
 from .cells import cell_diagram_dot, cell_module, compute_cells
 from .classify import DEFAULT_MAX_STATES, TOGGLEABLE_FILTERS, _indented_json, classify
 from .dihedral import dihedral_group, display_key, render
-from .nimrep import MatrixPair
+from .exact import freeze_matrix
 from .reps import NotAModuleError, decompose
 from .verification import SUITES, run_suite
 
@@ -46,10 +46,6 @@ def _error(message: str) -> int:
     return EXIT_USAGE
 
 
-def _bad_n(n: int) -> str | None:
-    return None if n >= 3 else f"n must be at least 3, got {n}"
-
-
 def _matrix_block(label: str, matrix) -> list[str]:
     lines = [f"{label}:"]
     for row in matrix:
@@ -65,9 +61,6 @@ def _print_json(payload) -> None:
 
 
 def _cmd_cells(args: argparse.Namespace) -> int:
-    problem = _bad_n(args.n)
-    if problem:
-        return _error(problem)
     partition = compute_cells(args.n)
     if args.format == "dot":
         sys.stdout.write(cell_diagram_dot(args.n))
@@ -88,9 +81,6 @@ def _cmd_cells(args: argparse.Namespace) -> int:
 
 
 def _cmd_cellrep(args: argparse.Namespace) -> int:
-    problem = _bad_n(args.n)
-    if problem:
-        return _error(problem)
     if args.cell not in _LEFT_CELL_NAMES:
         return _error(
             f"unknown cell {args.cell!r}; the left cells are {', '.join(_LEFT_CELL_NAMES)}"
@@ -151,9 +141,6 @@ def _unwritable(path: str) -> str | None:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    problem = _bad_n(args.n)
-    if problem:
-        return _error(problem)
     try:
         ranks = tuple(int(part) for part in args.ranks.split(",") if part.strip())
     except ValueError:
@@ -207,9 +194,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    problem = _bad_n(args.n)
-    if problem:
-        return _error(problem)
     try:
         with open(args.file, encoding="utf-8") as handle:
             obj = json.load(handle)
@@ -221,16 +205,22 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
             f"(char {exc.pos}): {exc.msg}"
         )
     try:
-        if isinstance(obj, dict) and "n" in obj:
-            pair = MatrixPair.from_jsonable(obj)
-            if pair.n != args.n:
-                return _error(f"the file says n={pair.n} but --n {args.n} was given")
-        else:
-            pair = MatrixPair.from_matrices(args.n, obj["theta_s"], obj["theta_t"])
+        theta_s, theta_t = freeze_matrix(obj["theta_s"]), freeze_matrix(obj["theta_t"])
+        rank = len(theta_s)
+        if len(theta_t) != rank or any(len(row) != rank for row in theta_s + theta_t):
+            raise ValueError("theta_s and theta_t must be square and of one size")
+        for field in ("n", "rank"):
+            value = obj.get(field, 0)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{field} must be an int, got {value!r}")
+        if obj.get("rank", rank) != rank:
+            raise ValueError(f"declared rank {obj['rank']} does not match matrix size {rank}")
     except (KeyError, TypeError, ValueError) as exc:
         return _error(f"bad matrix pair in {args.file}: {exc}")
+    if obj.get("n", args.n) != args.n:
+        return _error(f"the file says n={obj['n']} but --n {args.n} was given")
     try:
-        decomposition = decompose(args.n, pair.theta_s, pair.theta_t)
+        decomposition = decompose(args.n, theta_s, theta_t)
     except NotAModuleError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILURE
@@ -242,9 +232,6 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_klmult(args: argparse.Namespace) -> int:
-    problem = _bad_n(args.n)
-    if problem:
-        return _error(problem)
     group = dihedral_group(args.n)
     try:
         u = group.element_from_text(args.u)
@@ -338,4 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # every subcommand with --n checks it before reading a file or searching
+    if getattr(args, "n", 3) < 3:
+        return _error(f"n must be at least 3, got {args.n}")
     return args.handler(args)

@@ -157,7 +157,6 @@ class DihedralGroup:
         self._elements = tuple(
             GroupElement(n, (i + 1) // 2, "ts"[i % 2] if i else None) for i in range(2 * n)
         )
-        self._by_text = {render(w): w for w in self._elements}
 
     def __repr__(self) -> str:
         return f"DihedralGroup({self.n})"
@@ -199,8 +198,10 @@ class DihedralGroup:
 
     def element_from_text(self, text: str) -> GroupElement:
         """Parse 'e', 'w0', or a word such as 'tst'."""
-        if text in self._by_text:
-            return self._by_text[text]
+        if text == "e":
+            return self.identity()
+        if text == "w0":
+            return self.longest_element()
         return self.element_from_word(text)
 
     # -- group operations ------------------------------------------------

@@ -366,6 +366,9 @@ def _reference_key(n: int, matrices: tuple) -> bytes:
 
 
 def _check_a8(mode: str) -> tuple[bool, str]:
+    """The n=4 classification at ranks 1-3, E=4.  The list is complete for
+    block-form pairs: a J2 survivor at n=4 has rank <= 3 and E <= 2 (the
+    closed case n = 4 in the ``klcells.classify`` docstring)."""
     report = classify(4, ranks=(1, 2, 3), entry_bound=4, jobs=1)
     by_rank = {r: [c for c in report.candidates if c.pair.rank == r] for r in (1, 2, 3)}
 

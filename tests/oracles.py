@@ -708,7 +708,7 @@ def eigenvalue_orders(n, decomposition):
 
 def dynkin_diagrams(max_rank):
     """(name, Coxeter number h, Cartan matrix) of every connected Dynkin
-    diagram of rank 2..max_rank, E7 and E8 aside.  A valued edge has
+    diagram of rank 2..max_rank.  A valued edge has
     C[i][j] C[j][i] = 2 or 3; C_m is the transpose of B_m, so the two are
     distinct valued edges (C2 is B2)."""
     def cartan(rank, edges):
@@ -732,6 +732,8 @@ def dynkin_diagrams(max_rank):
         ("G2", 6, cartan(2, [(0, 1, -1, -3)])),
         ("F4", 12, cartan(4, [(0, 1, -1, -1), (1, 2, -2, -1), (2, 3, -1, -1)])),
         ("E6", 12, cartan(6, chain(5) + [(2, 5, -1, -1)])),
+        ("E7", 18, cartan(7, chain(6) + [(2, 6, -1, -1)])),
+        ("E8", 30, cartan(8, chain(7) + [(2, 7, -1, -1)])),
     ]
     return diagrams + [d for d in exceptional if len(d[2]) <= max_rank]
 

@@ -22,7 +22,6 @@ from klcells.classify import (
     MAX_CANONICAL_RANK,
     TOGGLEABLE_FILTERS,
     UNKNOWN_CITATION,
-    KnowledgeEntry,
     Tag,
     _f1_matrices,
     _f3_split,
@@ -36,8 +35,6 @@ from klcells.classify import (
     classify,
     enumerate_candidates,
     inspect_pair,
-    load_knowledge,
-    match_cell_reps,
     normalize_filters,
     run_filters,
 )
@@ -76,6 +73,7 @@ CELL3_S = ((0, 0, 0), (0, 0, 0), (1, 1, 2))
 CELL3_T = ((2, 0, 1), (0, 2, 1), (0, 0, 0))
 UNREAL2_S = ((2, 2), (0, 0))
 UNREAL2_T = ((0, 0), (1, 2))
+G2_S = ((2, 3), (0, 0))
 ONES = ((1, 1), (1, 1))
 
 
@@ -172,33 +170,20 @@ def test_normalize_filters():
 
 
 def test_knowledge_entries():
-    entries = load_knowledge()
-    assert len(entries) == 2
-    assert all(e.status == "EXCLUDED_CATEGORICALLY" for e in entries)
-    assert all(e.citation == "Thm. noSimple" for e in entries)
-    by_pattern = {e.n_pattern: e for e in entries}
-    assert by_pattern["0 mod 4"].theta_s == ((2, 2), (0, 0))
-    assert by_pattern["0 mod 6"].theta_s == ((2, 3), (0, 0))
-    assert by_pattern["0 mod 4"].matches_n(4)
-    assert by_pattern["0 mod 4"].matches_n(8)
-    assert not by_pattern["0 mod 4"].matches_n(6)
-    assert by_pattern["0 mod 6"].matches_n(6)
-    assert not by_pattern["0 mod 6"].matches_n(4)
-
-
-def test_knowledge_pattern_grammar():
-    def entry(p):
-        return KnowledgeEntry(
-            n_pattern=p, rank=1, theta_s=((0,),), theta_t=((0,),), status="X", citation="c"
-        )
-
-    assert entry("any").matches_n(3)
-    assert entry("== 5").matches_n(5)
-    assert not entry("== 5").matches_n(6)
-    assert entry("2 mod 3").matches_n(5)
-    assert not entry("2 mod 3").matches_n(6)
-    with pytest.raises(ValueError):
-        entry("sometimes").matches_n(5)
+    # the literal table of recorded classes: the B2 pair (h = 4) and the G2
+    # pair (h = 6), both cited "Thm. noSimple", each at every n that h divides
+    assert classify_module._RECORDED == (
+        (4, UNREAL2_S, UNREAL2_T, "Thm. noSimple"),
+        (6, G2_S, UNREAL2_T, "Thm. noSimple"),
+    )
+    cited = Tag("MATRIX_ADMISSIBLE_UNREALIZED", "Thm. noSimple")
+    for n in range(3, 31):
+        keys = {key for key, tag in classify_module._tags(n, 2).items() if tag == cited}
+        expected = {canonicalize(pair(n, a_s, UNREAL2_T)) for h, a_s in ((4, UNREAL2_S), (6, G2_S)) if n % h == 0}
+        assert keys == expected, n
+        assert bool(keys) == (n % 4 == 0 or n % 6 == 0), n
+    assert inspect_pair(pair(4, UNREAL2_S, UNREAL2_T)).tag == cited
+    assert inspect_pair(pair(6, G2_S, UNREAL2_T)).tag == cited
 
 
 def test_match_cell_reps():
@@ -208,23 +193,29 @@ def test_match_cell_reps():
         pair(4, ((2,),), ((2,),)),
         pair(4, CELL3_S, CELL3_T),
     )
-    assert match_cell_reps(4, probes) == (None, "Le", "Lw0", "Ls")
+    tags = [classify_module._tags(4, p.rank).get(canonicalize(p)) for p in probes]
+    assert tags == [
+        Tag("MATRIX_ADMISSIBLE_UNREALIZED", "Thm. noSimple"),
+        Tag("REALIZED_CELL", "Le"),
+        Tag("REALIZED_CELL", "Lw0"),
+        Tag("REALIZED_CELL", "Ls"),
+    ]
 
 
 def test_tag_table_precedence(monkeypatch):
     # one table per (n, rank): a cell name beats a citation, of two entries
-    # for one class the first wins, and an entry whose n_pattern misses n
+    # for one class the first wins, and an entry whose h does not divide n
     # is ignored
     ls_s, ls_t = cell_module(4, "Ls").generator_pair()
     b2 = pair(4, UNREAL2_S, UNREAL2_T)
     b2_swapped = permuted(b2, (1, 0), swap=True)
     entries = (
-        KnowledgeEntry("any", 3, ls_s, ls_t, "X", "cites the cell Ls"),
-        KnowledgeEntry("1 mod 4", 2, UNREAL2_S, UNREAL2_T, "X", "misses n = 4"),
-        KnowledgeEntry("0 mod 4", 2, b2_swapped.theta_s, b2_swapped.theta_t, "X", "first"),
-        KnowledgeEntry("0 mod 2", 2, UNREAL2_S, UNREAL2_T, "X", "second"),
+        (1, ls_s, ls_t, "cites the cell Ls"),
+        (3, UNREAL2_S, UNREAL2_T, "misses n = 4"),
+        (4, b2_swapped.theta_s, b2_swapped.theta_t, "first"),
+        (2, UNREAL2_S, UNREAL2_T, "second"),
     )
-    monkeypatch.setattr(classify_module, "load_knowledge", lambda: entries)
+    monkeypatch.setattr(classify_module, "_RECORDED", entries)
     classify_module._tags.cache_clear()
     try:
         tags = {(c.pair.rank, c.tag.kind, c.tag.detail) for c in classify(4, ranks=(2, 3), entry_bound=2).candidates}
@@ -848,9 +839,9 @@ def symmetric_pattern(candidate):
 
 # (n, ranks, E, the Dynkin diagrams with h = n there, off-pattern classes,
 # and for each of these its exponents and the Dynkin diagrams with h = n of
-# its rank that share them): the off-pattern classes are all rank 4, split
-# 2; those at n=8 and n=12 are isospectral to B4/C4 and F4, and those at
-# n=6 and n=10 to no Dynkin diagram
+# its rank that share them): the off-pattern classes of ranks 2-4 are all
+# rank 4, split 2; those at n=8 and n=12 are isospectral to B4/C4 and F4,
+# and those at n=6 and n=10 to no Dynkin diagram
 DYNKIN_SEARCHES = [
     (3, (2, 3, 4), 3, "A2", 0, []),
     (4, (2, 3, 4), 3, "A3 B2", 0, []),
@@ -869,6 +860,12 @@ DYNKIN_SEARCHES = [
     (12, (5, 6), 1, "E6", 0, []),
     # no Dynkin diagram of rank <= 4 has h >= 13, and no class survives
     *[(n, (2, 3, 4), 2, "", 0, []) for n in range(13, 31)],
+    # rank 5 at E=2: the off-pattern classes, V(-1,1) + V(n,1) + V(n,3),
+    # are isospectral to D5 at n=8 and to B5/C5 at n=10; rank 6 at E=2 is
+    # past the default resource guard
+    *[(n, (5,), 2, names, 0, []) for n, names in ((3, ""), (4, ""), (5, ""), (6, "A5"), (7, ""), (9, ""), (11, ""), (12, ""))],
+    (8, (5,), 2, "D5", 2, [((1, 3, 4, 5, 7), "D5")] * 2),
+    (10, (5,), 2, "B5 C5", 6, [((1, 3, 5, 7, 9), "B5 C5")] * 6),
 ]
 
 
@@ -941,6 +938,43 @@ def test_dynkin_pairs_fail_f4_at_a_proper_multiple_of_h():
                 assert failed.witness.split(" = 0 ")[0] in {f"A_{word}" for word in words}, (name, n, failed.witness)
                 seen += 1
     assert seen == 130
+
+
+def diagram_exponents(name):
+    """The exponents of a Dynkin diagram (Humphreys, Reflection Groups and
+    Coxeter Groups, section 3.20)."""
+    kind, m = name[0], int(name[1:])
+    if kind == "A":
+        return tuple(range(1, m + 1))
+    if kind in "BC":
+        return tuple(range(1, 2 * m, 2))
+    if kind == "D":
+        return tuple(sorted([*range(1, 2 * m - 2, 2), m - 1]))
+    return {
+        "G2": (1, 5),
+        "F4": (1, 5, 7, 11),
+        "E6": (1, 4, 5, 7, 8, 11),
+        "E7": (1, 5, 7, 9, 11, 13, 17),
+        "E8": (1, 7, 11, 13, 17, 19, 23, 29),
+    }[name]
+
+
+def test_dynkin_pairs_up_to_rank_8_survive_at_h_and_fail_f4_at_2h():
+    # every block pair of a Dynkin diagram of rank <= 8 with h <= 30, E7
+    # (h = 18) and E8 (h = 30) among them, passes every filter at n = h with
+    # the diagram's exponents, and fails F4 at n = 2h; canonical keys stop at
+    # rank 6, so this goes through run_filters, not inspect_pair
+    names = set()
+    for h in range(3, 31):
+        for name, diagram in oracles.dynkin_block_pairs(h, range(2, 9), 3):
+            _, _, failed = run_filters(diagram, ALL_FILTERS)
+            assert failed is None, (name, h)
+            assert exponents(h, decompose(h, diagram.theta_s, diagram.theta_t)) == diagram_exponents(name), name
+            doubled = MatrixPair(2 * h, diagram.rank, diagram.theta_s, diagram.theta_t)
+            assert run_filters(doubled, ALL_FILTERS)[2] == "F4", (name, h)
+            names.add(name)
+    assert {"E6", "E7", "E8", "F4", "G2", "A8", "B8", "C8", "D8"} <= names
+    assert len(names) == 7 + 7 + 6 + 5 + 5  # A, B, C, D, then G2 F4 E6 E7 E8
 
 
 def test_survivor_reports_follow_the_run_filters_order():

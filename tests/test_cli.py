@@ -172,6 +172,17 @@ def test_decompose_bare_matrices(capsys, tmp_path):
     assert out.strip() == "V(1,1) ⊕ V(-1,-1)"
 
 
+def test_decompose_accepts_a_module_with_negative_entries(capsys, tmp_path):
+    # the file is read as two integer matrices, not as a nonnegative
+    # candidate pair: A_t - I = [[0, -1], [-1, 0]] is a valid involution
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({"theta_s": [[2, 0], [0, 0]], "theta_t": [[1, -1], [-1, 1]]}))
+    code, out, err = run(capsys, "decompose", "--n", "4", str(path))
+    assert code == EXIT_OK, err
+    assert out.strip() == "V(4,1)"
+    assert out.strip() == decompose(4, ((2, 0), (0, 0)), ((1, -1), (-1, 1))).render()
+
+
 def test_decompose_json_format(capsys, tmp_path):
     path = tmp_path / "bare.json"
     path.write_text(json.dumps({"theta_s": [[2]], "theta_t": [[2]]}))

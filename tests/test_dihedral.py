@@ -199,6 +199,21 @@ def test_element_from_text_special_forms():
     assert group.element_from_text("ts") == group.element(2, "t")
 
 
+def test_element_from_text_returns_the_stored_element():
+    # 'e' and 'w0' are read directly and any other text is evaluated as a
+    # word, so every rendered element parses back to the stored object, and
+    # a word that is not reduced still evaluates
+    for n in range(3, 31):
+        group = dihedral_group(n)
+        for w in group.all_elements():
+            assert group.element_from_text(render(w)) is w
+        assert group.element_from_text("st" * n) is group.identity()
+        assert group.element_from_text("s" + "ts" * n) is group.generator("s")
+        assert group.element_from_text("st" * (n - 1) + "s") is group.generator("t")
+    with pytest.raises(ValueError):
+        dihedral_group(4).element_from_text("sxt")
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         dihedral_group(2)
