@@ -41,7 +41,7 @@ smaller n as well.
 
 The independent route, plain convolution in the group basis followed by
 conversion back, lives in the checks: verification check A1 compares every
-table entry against it for n <= 10, and so does the test suite.
+product of the table against it for n <= 10, and so does the test suite.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .dihedral import (
     display_key,
     render,
 )
-from .exact import IntMatrix, identity_matrix
+from .exact import IntMatrix, _check_int, identity_matrix
 
 __all__ = [
     "GROUP",
@@ -140,8 +140,7 @@ class GroupAlgebraElement:
         group = dihedral_group(n)
         coeffs = {}
         for text, c in obj["coeffs"].items():
-            if isinstance(c, bool) or not isinstance(c, int):
-                raise TypeError(f"coefficient of {text} must be an int, got {c!r}")
+            _check_int(c, f"coefficient of {text}")
             coeffs[group.element_from_text(text)] = c
         return cls.from_dict(n, obj["basis"], coeffs)
 
@@ -224,14 +223,11 @@ def _generator_terms(n: int, x: int, j: int) -> tuple[tuple[int, int], ...]:
 
 
 def kl_multiply_elements(u: GroupElement, w: GroupElement) -> CoeffDict:
-    """b(u) * b(w) as a sparse KL-coefficient dictionary.
-
-    The result is a fresh copy of the cached table entry, so the caller may
-    mutate it.
-    """
+    """b(u) * b(w) as a fresh sparse KL-coefficient dictionary, which the
+    caller may mutate."""
     if u.n != w.n:
         raise ValueError(f"cannot multiply elements of D_{u.n} and D_{w.n}")
-    return dict(structure_constants(u.n).product(u, w))
+    return structure_constants(u.n).product(u, w)
 
 
 def kl_multiply(u: GroupElement, w: GroupElement) -> GroupAlgebraElement:
@@ -798,35 +794,34 @@ def _module_family(n: int, theta_s: IntMatrix, theta_t: IntMatrix) -> Mapping[Gr
 
 @dataclass(frozen=True)
 class StructureConstantTable:
-    """All KL products b(u) b(w) of D_n, checked positive at build time.
+    """All KL products b(u) b(w) of D_n, read off the KL family of the
+    regular pair.
 
-    entries[(u, w)] is the sparse dictionary of the product's KL
-    coefficients.  Treat the table as read-only; it is cached per n.
+    family[u] is the matrix of b(u) on the KL basis, the same lazy
+    element-keyed mapping as ``cells.CellModule.matrices``: column j holds
+    the KL coefficients of b(u) b(w), w of index j (``dihedral._index``).
+    The family of a module is complete, so every coefficient is
+    nonnegative.  Treat the table as read-only; it is cached per n.
     """
 
     n: int
-    entries: Mapping[tuple[GroupElement, GroupElement], Mapping[GroupElement, int]]
+    family: Mapping[GroupElement, IntMatrix]
 
-    def product(self, u: GroupElement, w: GroupElement) -> Mapping[GroupElement, int]:
-        return self.entries[(u, w)]
+    def product(self, u: GroupElement, w: GroupElement) -> CoeffDict:
+        """b(u) b(w) as a fresh dictionary of its nonzero KL coefficients;
+        KeyError for an element of another n."""
+        if w not in self.family:
+            raise KeyError(w)
+        j = _index(w)
+        return {v: row[j] for v, row in zip(self.family, self.family[u]) if row[j]}
 
 
 @functools.lru_cache(maxsize=None)
 def structure_constants(n: int) -> StructureConstantTable:
-    """Compute (and cache) the full KL structure-constant table for D_n.
-
-    The table is the KL family of the regular pair ``kl_regular_matrices(n)``
-    built by the flat kernel: column j of A_u holds the KL coefficients of
-    b(u) b(w_j), w_j the j-th element in all_elements order.  The family of
-    a module is complete, so every coefficient is nonnegative.
-    """
-    elements = dihedral_group(n).all_elements()
-    family = _module_family(n, *kl_regular_matrices(n))
-    entries: dict[tuple[GroupElement, GroupElement], CoeffDict] = {}
-    for u in elements:
-        for w, column in zip(elements, zip(*family[u])):
-            entries[(u, w)] = {v: c for v, c in zip(elements, column) if c}
-    return StructureConstantTable(n, entries)
+    """The KL structure-constant table of D_n, cached: the family of the
+    regular pair ``kl_regular_matrices(n)``, which the flat kernel builds
+    when a product is first read."""
+    return StructureConstantTable(n, _module_family(n, *kl_regular_matrices(n)))
 
 
 def _span_generators(n: int, basis: Sequence[int]) -> tuple[IntMatrix, IntMatrix, list[int]]:

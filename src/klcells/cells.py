@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 # structure_constants is unused here but stays bound: perfbench/tracing.py wraps this name.
 from .algebra import _module_family, _span_generators, structure_constants
@@ -122,28 +122,38 @@ def _cell_of(cells: Sequence[Cell], n: int, w: GroupElement, kind: str) -> Cell:
     return cells[_cell_number(kind, n, _index(w))]
 
 
-def _cell_name(cell: Iterable[GroupElement], bottom: str, top: str, middle: Callable[[GroupElement], str]) -> str:
-    """``bottom`` for the cell of e, ``top`` for that of w0, else ``middle``
-    of the cell's first member."""
-    members = tuple(cell)
-    if all(w.is_identity() for w in members):
-        return bottom
-    if all(w.is_longest() for w in members):
-        return top
-    return middle(members[0])
+# The names of the cells of each kind, in the order of ``_cell_number``.
+_CELL_NAMES = {
+    "left": ("Le", "Ls", "Lt", "Lw0"),
+    "right": ("Re", "Rs", "Rt", "Rw0"),
+    "two-sided": ("J1", "J2", "J3"),
+}
+
+
+def _cell_name(kind: str, cell: Iterable[GroupElement]) -> str:
+    """The name of the cell of ``kind`` that holds the first member of
+    ``cell``; ValueError for an empty one."""
+    for w in cell:
+        return _CELL_NAMES[kind][_cell_number(kind, w.n, _index(w))]
+    raise ValueError("an empty cell has no name")
 
 
 def left_cell_name(cell: Iterable[GroupElement]) -> str:
-    """Le, Ls, Lt or Lw0, read off from the cell's members."""
-    return _cell_name(cell, "Le", "Lw0", lambda w: f"L{w.trailing()}")
+    """Le, Ls, Lt or Lw0: the name of the left cell that holds the first
+    member of ``cell`` (ValueError for an empty one)."""
+    return _cell_name("left", cell)
 
 
 def right_cell_name(cell: Iterable[GroupElement]) -> str:
-    return _cell_name(cell, "Re", "Rw0", lambda w: f"R{w.leading}")
+    """Re, Rs, Rt or Rw0: the name of the right cell that holds the first
+    member of ``cell`` (ValueError for an empty one)."""
+    return _cell_name("right", cell)
 
 
 def two_sided_cell_name(cell: Iterable[GroupElement]) -> str:
-    return _cell_name(cell, "J1", "J3", lambda w: "J2")
+    """J1, J2 or J3: the name of the two-sided cell that holds the first
+    member of ``cell`` (ValueError for an empty one)."""
+    return _cell_name("two-sided", cell)
 
 
 def _fan(size: int) -> frozenset[tuple[int, int]]:
@@ -179,14 +189,13 @@ def compute_cells(n: int) -> CellPartition:
 def cell_by_name(n: int, name: str) -> Cell:
     """Look up a cell by its display name (Le/Ls/Lt/Lw0, Re/.., J1/J2/J3)."""
     partition = compute_cells(n)
-    for cells, namer in (
-        (partition.left_cells, left_cell_name),
-        (partition.right_cells, right_cell_name),
-        (partition.two_sided_cells, two_sided_cell_name),
+    for kind, cells in (
+        ("left", partition.left_cells),
+        ("right", partition.right_cells),
+        ("two-sided", partition.two_sided_cells),
     ):
-        for cell in cells:
-            if namer(cell) == name:
-                return cell
+        if name in _CELL_NAMES[kind]:
+            return cells[_CELL_NAMES[kind].index(name)]
     raise ValueError(f"no cell named {name!r} for n={n}")
 
 

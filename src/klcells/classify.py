@@ -228,7 +228,7 @@ from .algebra import (
     _replay,
 )
 from .cells import cell_module, compute_cells, left_cell_name
-from .exact import is_zero_matrix, mat_add
+from .exact import _check_int, is_zero_matrix, mat_add
 from .nimrep import (
     ExtendedRep,
     ExtensionFailure,
@@ -1196,8 +1196,7 @@ def _check_search_arguments(n: int, ranks: tuple[int, ...], entry_bound: int, jo
     here), ValueError for one out of range, which no int ``max_states`` is."""
     named = (("n", n), *(("a rank", r) for r in ranks), ("the entry bound", entry_bound), ("jobs", jobs))
     for name, value in (*named, ("max_states", max_states)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise TypeError(f"{name} must be an int, got {value!r}")
+        _check_int(value, name)
     if n < 3:
         raise ValueError(f"dihedral parameter must be >= 3, got {n}")
     if not ranks:

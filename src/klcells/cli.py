@@ -24,10 +24,10 @@ import sys
 from typing import Sequence
 
 from .algebra import kl_multiply
-from .cells import cell_diagram_dot, cell_module, compute_cells
+from .cells import _CELL_NAMES, cell_diagram_dot, cell_module, compute_cells
 from .classify import DEFAULT_MAX_STATES, TOGGLEABLE_FILTERS, _indented_json, classify
 from .dihedral import dihedral_group, display_key, render
-from .exact import freeze_matrix
+from .nimrep import _read_pair
 from .reps import NotAModuleError, decompose
 from .verification import SUITES, run_suite
 
@@ -38,7 +38,7 @@ EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE_GUARD = 3
 
-_LEFT_CELL_NAMES = ("Le", "Ls", "Lt", "Lw0")
+_LEFT_CELL_NAMES = _CELL_NAMES["left"]
 
 
 def _error(message: str) -> int:
@@ -205,16 +205,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
             f"(char {exc.pos}): {exc.msg}"
         )
     try:
-        theta_s, theta_t = freeze_matrix(obj["theta_s"]), freeze_matrix(obj["theta_t"])
-        rank = len(theta_s)
-        if len(theta_t) != rank or any(len(row) != rank for row in theta_s + theta_t):
-            raise ValueError("theta_s and theta_t must be square and of one size")
-        for field in ("n", "rank"):
-            value = obj.get(field, 0)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"{field} must be an int, got {value!r}")
-        if obj.get("rank", rank) != rank:
-            raise ValueError(f"declared rank {obj['rank']} does not match matrix size {rank}")
+        theta_s, theta_t = _read_pair(obj)
     except (KeyError, TypeError, ValueError) as exc:
         return _error(f"bad matrix pair in {args.file}: {exc}")
     if obj.get("n", args.n) != args.n:

@@ -37,6 +37,8 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable
 
+from .exact import _check_int
+
 __all__ = [
     "GroupElement",
     "DihedralGroup",
@@ -128,13 +130,10 @@ def render(w: GroupElement) -> str:
     return "".join(w.word())
 
 
-def display_key(w: GroupElement) -> tuple[int, int]:
-    """Sort key (length, then s before t) used for stable displays."""
-    if w.leading is None:
-        rank = 0
-    else:
-        rank = 1 if w.leading == "s" else 2
-    return (w.length, rank)
+def display_key(w: GroupElement) -> int:
+    """Sort key of the one element order: the kernel-order index of w
+    (``_index``), which sorts by length, then s before t."""
+    return _index(w)
 
 
 def _index(w: GroupElement) -> int:
@@ -148,8 +147,7 @@ class DihedralGroup:
     ``all_elements``."""
 
     def __init__(self, n: int) -> None:
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise TypeError(f"dihedral parameter must be an int, got {n!r}")
+        _check_int(n, "dihedral parameter")
         if n < 3:
             raise ValueError(f"dihedral parameter must be >= 3, got {n}")
         self.n = n

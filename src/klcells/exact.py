@@ -58,6 +58,12 @@ IntMatrix = tuple[tuple[int, ...], ...]
 IntPoly = tuple[int, ...]
 
 
+def _check_int(value: object, name: str) -> None:
+    """Raise TypeError unless ``value`` is an int; a bool is not one here."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 def _check_int_entries(rows: Sequence[Sequence[int]]) -> None:
     """Raise ValueError unless every entry is an int other than a bool.
 

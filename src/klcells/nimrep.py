@@ -83,6 +83,7 @@ from .dihedral import GroupElement, dihedral_group, display_key, render
 from .exact import (
     IntMatrix,
     IntPoly,
+    _check_int,
     _check_int_entries,
     bareiss_det,
     char_poly,
@@ -117,6 +118,23 @@ __all__ = [
     "det_identity",
     "perron_analysis",
 ]
+
+
+def _read_pair(obj: Mapping) -> tuple[IntMatrix, IntMatrix]:
+    """The matrices of a pair object such as ``MatrixPair.to_jsonable``
+    writes: ``theta_s`` and ``theta_t`` frozen, square and of one size, and
+    ``n`` and ``rank``, where given, ints, the rank the matrix size.  Any
+    sign is allowed here.  KeyError, TypeError or ValueError for an object
+    that is not one."""
+    theta_s, theta_t = freeze_matrix(obj["theta_s"]), freeze_matrix(obj["theta_t"])
+    rank = len(theta_s)
+    if len(theta_t) != rank or any(len(row) != rank for row in theta_s + theta_t):
+        raise ValueError("theta_s and theta_t must be square and of one size")
+    for field in ("n", "rank"):
+        _check_int(obj.get(field, 0), field)
+    if obj.get("rank", rank) != rank:
+        raise ValueError(f"declared rank {obj['rank']} does not match matrix size {rank}")
+    return theta_s, theta_t
 
 
 @dataclass(frozen=True)
@@ -156,16 +174,8 @@ class MatrixPair:
 
     @classmethod
     def from_jsonable(cls, obj: Mapping) -> "MatrixPair":
-        for field in ("n", "rank"):
-            value = obj.get(field, 0)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"{field} must be an int, got {value!r}")
-        pair = cls.from_matrices(obj["n"], obj["theta_s"], obj["theta_t"])
-        if "rank" in obj and obj["rank"] != pair.rank:
-            raise ValueError(
-                f"declared rank {obj['rank']} does not match matrix size {pair.rank}"
-            )
-        return pair
+        theta_s, theta_t = _read_pair(obj)
+        return cls(n=obj["n"], rank=len(theta_s), theta_s=theta_s, theta_t=theta_t)
 
 
 @dataclass(frozen=True)

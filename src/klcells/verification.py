@@ -97,8 +97,6 @@ def _check_a1(mode: str) -> tuple[bool, str]:
         group = dihedral_group(n)
         elements = group.all_elements()
         table = structure_constants(n)
-        if set(table.entries) != {(u, w) for u in elements for w in elements}:
-            return False, f"structure constant table for n={n} is not complete"
         for u in elements:
             u_group = kl_to_group(kl_basis_element(u)).as_dict()
             for w in elements:
@@ -111,7 +109,7 @@ def _check_a1(mode: str) -> tuple[bool, str]:
                 independent = group_to_kl(
                     GroupAlgebraElement.from_dict(n, GROUP, convolution)
                 ).as_dict()
-                if independent != dict(table.product(u, w)):
+                if independent != table.product(u, w):
                     return False, (
                         f"recursion and group convolution disagree for n={n} "
                         f"at the pair ({u}, {w})"
@@ -160,11 +158,14 @@ def _cells_from_table(n: int) -> CellPartition:
     be transitive; a closure that adds anything raises ValueError.
     """
     elements = dihedral_group(n).all_elements()
+    table = structure_constants(n)
     left_reach: dict = {w: set() for w in elements}
     right_reach: dict = {w: set() for w in elements}
-    for (u, w), product in structure_constants(n).entries.items():
-        right_reach[u].update(product)
-        left_reach[w].update(product)
+    for u in elements:
+        for w in elements:
+            product = table.product(u, w)
+            right_reach[u].update(product)
+            left_reach[w].update(product)
     if _close(left_reach) or _close(right_reach):
         raise ValueError(f"the one-sided cell preorders at n={n} are not transitive")
     both_reach = {w: left_reach[w] | right_reach[w] for w in elements}

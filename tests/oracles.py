@@ -42,6 +42,17 @@ junction and folding words longer than n, and ``action_oracle`` gives an
 element as the permutation of Z/n by which it acts (s: i -> -i,
 t: i -> 1 - i); ``DihedralGroup.multiply``, rotation arithmetic, must give
 the same product as the first and the composed permutation of the second.
+``structure_constants_oracle`` is the table of every KL product b(u) b(w)
+built eagerly, one dict per pair, off the columns of the regular pair's
+family; ``StructureConstantTable.product``, which reads one column of one
+matrix when asked, must give the same coefficients.
+``cell_name_oracle`` names a cell by scanning its members: the bottom name
+when every member is e, the top one when every member is w0, else a name
+read off the first member's last letter (left), first letter (right) or
+nothing (J2); the namers of ``cells``, which look the name up by the
+closed-form position of the first member, must agree.
+``display_key_oracle`` sorts by length and then s before t;
+``dihedral.display_key``, the kernel-order index, must give the same order.
 ``kl_to_group_oracle`` and ``group_to_kl_oracle`` convert between the
 bases term by term through ``kl_expansion_oracle``, and
 ``kl_left_gen_oracle`` finds b(x) b(w) by multiplying group elements;
@@ -77,8 +88,8 @@ import math
 import operator
 from collections import deque
 
-from klcells.algebra import _replay
-from klcells.dihedral import dihedral_group, display_key, other_letter, render
+from klcells.algebra import _module_family, _replay, kl_regular_matrices
+from klcells.dihedral import dihedral_group, other_letter, render
 from klcells.exact import (
     first_negative_entry,
     freeze_matrix,
@@ -555,6 +566,40 @@ def evaluate_raw_units(payload):
     return evaluated, tuple(sorted(rejections.items())), survivors
 
 
+def structure_constants_oracle(n):
+    """{(u, w): the nonzero KL coefficients of b(u) b(w)} for every pair of
+    D_n: column j of the regular family's A_u is b(u) b(w_j), w_j the j-th
+    element of ``all_elements``."""
+    elements = dihedral_group(n).all_elements()
+    family = _module_family(n, *kl_regular_matrices(n))
+    entries = {}
+    for u in elements:
+        for w, column in zip(elements, zip(*family[u])):
+            entries[(u, w)] = {v: c for v, c in zip(elements, column) if c}
+    return entries
+
+
+def cell_name_oracle(kind, cell):
+    """The name of a cell of ``kind`` ("left", "right" or "two-sided") read
+    off its members."""
+    bottom, top, middle = {
+        "left": ("Le", "Lw0", lambda w: f"L{w.trailing()}"),
+        "right": ("Re", "Rw0", lambda w: f"R{w.leading}"),
+        "two-sided": ("J1", "J3", lambda w: "J2"),
+    }[kind]
+    members = tuple(cell)
+    if all(w.is_identity() for w in members):
+        return bottom
+    if all(w.is_longest() for w in members):
+        return top
+    return middle(members[0])
+
+
+def display_key_oracle(w):
+    """(length, 0 for e, 1 when w leads with s, 2 when with t)."""
+    return (w.length, {None: 0, "s": 1, "t": 2}[w.leading])
+
+
 def kl_expansion_oracle(group, w):
     """b(w) in the group basis: w plus every strictly shorter element."""
     out = {v: 1 for v in group.all_elements() if v.length < w.length}
@@ -581,7 +626,7 @@ def group_to_kl_oracle(group, coeffs):
     """Unitriangular elimination from the longest element downwards."""
     work = {w: c for w, c in coeffs.items() if c != 0}
     out = {}
-    for w in sorted(group.all_elements(), key=display_key, reverse=True):
+    for w in sorted(group.all_elements(), key=display_key_oracle, reverse=True):
         c = work.get(w, 0)
         if c == 0:
             continue

@@ -20,7 +20,13 @@ from klcells.algebra import (
     _unpack,
 )
 from klcells.dihedral import bruhat_lt, dihedral_group
-from oracles import group_to_kl_oracle, kl_left_gen_oracle, kl_to_group_oracle, unpack_oracle
+from oracles import (
+    group_to_kl_oracle,
+    kl_left_gen_oracle,
+    kl_to_group_oracle,
+    structure_constants_oracle,
+    unpack_oracle,
+)
 
 
 def test_kl_expansion_is_bruhat_interval():
@@ -217,6 +223,27 @@ def test_structure_constants_positive_and_complete():
         assert kl_multiply_elements(elements[1], elements[2]) == table.product(
             elements[1], elements[2]
         )
+
+
+def test_structure_constants_match_the_eager_table_oracle():
+    # every product, read off one column of the regular family, is the
+    # entry of the table built eagerly for every pair
+    for n in range(3, 17):
+        table = structure_constants(n)
+        elements = dihedral_group(n).all_elements()
+        oracle = structure_constants_oracle(n)
+        assert len(oracle) == len(elements) ** 2
+        for u in elements:
+            for w in elements:
+                assert table.product(u, w) == oracle[(u, w)], (n, u, w)
+
+
+def test_structure_constants_refuse_an_element_of_another_n():
+    table = structure_constants(5)
+    here, stranger = dihedral_group(5).element_from_text("st"), dihedral_group(4).element_from_text("st")
+    for u, w in ((stranger, here), (here, stranger)):
+        with pytest.raises(KeyError):
+            table.product(u, w)
 
 
 def test_antiautomorphism_symmetry():

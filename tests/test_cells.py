@@ -27,7 +27,7 @@ from klcells.cells import (
 )
 from klcells.dihedral import dihedral_group, render
 from klcells.exact import zero_matrix
-from oracles import block_matrix
+from oracles import block_matrix, cell_name_oracle
 
 
 def elements_by_text(n, texts):
@@ -59,6 +59,30 @@ def test_cell_names():
     assert [left_cell_name(c) for c in partition.left_cells] == ["Le", "Ls", "Lt", "Lw0"]
     assert [right_cell_name(c) for c in partition.right_cells] == ["Re", "Rs", "Rt", "Rw0"]
     assert [two_sided_cell_name(c) for c in partition.two_sided_cells] == ["J1", "J2", "J3"]
+
+
+def test_cell_names_match_the_member_scan_oracle():
+    # every cell of every kind gets the name its members give, and that
+    # name looks the cell up
+    for n in range(3, 31):
+        partition = compute_cells(n)
+        for kind, cells, namer in (
+            ("left", partition.left_cells, left_cell_name),
+            ("right", partition.right_cells, right_cell_name),
+            ("two-sided", partition.two_sided_cells, two_sided_cell_name),
+        ):
+            for cell in cells:
+                name = cell_name_oracle(kind, cell)
+                assert namer(cell) == name, (n, kind, cell)
+                assert cell_by_name(n, name) == cell, (n, name)
+
+
+@pytest.mark.parametrize("namer", [left_cell_name, right_cell_name, two_sided_cell_name])
+def test_cell_namers_refuse_an_empty_cell(namer):
+    with pytest.raises(ValueError, match="^an empty cell has no name$"):
+        namer(())
+    with pytest.raises(ValueError, match="^an empty cell has no name$"):
+        namer(iter([]))
 
 
 def test_cell_of_each_element():

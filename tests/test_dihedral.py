@@ -14,7 +14,7 @@ from klcells.dihedral import (
     other_letter,
     render,
 )
-from oracles import action_oracle, multiply_oracle
+from oracles import action_oracle, display_key_oracle, multiply_oracle
 
 
 def test_element_inventory():
@@ -47,6 +47,17 @@ def test_display_key_sorts_native_order():
     for n in range(3, 8):
         elements = dihedral_group(n).all_elements()
         assert sorted(elements, key=display_key) == list(elements)
+
+
+def test_display_key_sorts_as_the_length_letter_oracle():
+    # shuffled elements sort the same by the kernel-order index as by
+    # (length, s before t)
+    rng = random.Random(1509)
+    for n in range(3, 31):
+        elements = list(dihedral_group(n).all_elements())
+        for _ in range(5):
+            rng.shuffle(elements)
+            assert sorted(elements, key=display_key) == sorted(elements, key=display_key_oracle)
 
 
 def test_render_and_parse_roundtrip():
